@@ -15,14 +15,14 @@ from .combinatorics import (SSClassification, Word, catalan, classify, count_ss_
 from .errors import CapacityError, NumericError, ValidationError
 from .expressions import compile_expression
 from .graphons import Graphon, GraphonFamily, band_indicator
-from .models import (ModelSpec, SampledMatrix, effective_cumulants, read_matrix, sample,
-                     truncate, write_matrix, write_matrix_csv)
+from .models import (DEFAULT_SEED, ModelSpec, SampledMatrix, effective_cumulants, read_matrix,
+                     sample, truncate, write_matrix, write_matrix_csv)
 from .moments import (CarlemanReport, CumulantSchedule, MomentEntry, MomentSeries,
                       carleman_partial_sum, constant_series, graphon_series,
                       hankel_min_eigenvalue, homomorphism_density, moment_band, moment_block,
                       moment_constant, moment_graphon, moment_sparse, moment_variance_profile,
                       sparse_series)
-from .quadrature import DEFAULT_SEED, IntegralResult, QuadratureConfig
+from .quadrature import IntegralResult, QuadratureConfig
 from .spectra import (ESD, Histogram, eesd_moments, eigenvalues, empirical_moment,
                       empirical_moments, histogram, replicate_esds, semicircle_density,
                       wasserstein2)

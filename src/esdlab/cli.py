@@ -32,9 +32,9 @@ from . import circuits as circuits_mod
 from . import combinatorics as comb
 from .compare import compare_series, model_spec_from_config, theory_series_from_config
 from .errors import CapacityError, NumericError, ValidationError
-from .models import sample
+from .models import DEFAULT_SEED, sample
 from .moments import MomentSeries
-from .quadrature import DEFAULT_SEED, QuadratureConfig
+from .quadrature import QuadratureConfig
 from .spectra import (ESD, DEFAULT_EESD_BUDGET, eesd_moments, empirical_moments, histogram,
                       replicate_esds)
 
@@ -52,7 +52,8 @@ def _add_quadrature(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--quad-points", type=int, default=32,
                      help="Gauss-Legendre points per dimension")
     sub.add_argument("--parallel", type=int, default=os.cpu_count() or 1,
-                     help="worker threads (results are identical for any value)")
+                     help="worker threads for simulation replicates; theory runs on one "
+                          "thread (results are identical for any value)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,7 +164,7 @@ def _series_payload(series: MomentSeries) -> dict:
 
 
 def _quad_from_args(args: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(points=args.quad_points, seed=args.seed)
+    return QuadratureConfig(points=args.quad_points)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -191,7 +192,7 @@ def cmd_ss(args: argparse.Namespace) -> int:
         doc["words"] = words
         rows = [["word"]] + [[w] for w in words]
     else:
-        count = sum(1 for _ in comb.enumerate_ss(two_k))
+        count = sum(comb.count_ss_by_blocks(two_k).values())
         doc["count"] = count
         rows = [["two_k", "count"], [two_k, count]]
     _emit(args, payload_cfg, doc, rows)
@@ -203,8 +204,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
     theory = payload_cfg or (json.loads(args.theory_json) if args.theory_json else None)
     if theory is None:
         raise ValidationError("moments needs --config or --theory-json")
-    series = theory_series_from_config(theory, args.two_k, _quad_from_args(args),
-                                       workers=args.parallel)
+    series = theory_series_from_config(theory, args.two_k, _quad_from_args(args))
     _emit(args, payload_cfg, {"series": _series_payload(series)}, series.to_csv_rows())
     return 0
 
@@ -257,8 +257,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ValidationError("compare needs theory and model configs")
     if args.two_k < 2 or args.two_k % 2:
         raise ValidationError(f"--two-k must be even and >= 2, got {args.two_k}")
-    theory = theory_series_from_config(theory_cfg, args.two_k, _quad_from_args(args),
-                                       workers=args.parallel)
+    theory = theory_series_from_config(theory_cfg, args.two_k, _quad_from_args(args))
     spec = model_spec_from_config(model_cfg, n=args.n, seed=args.seed)
     simulated = eesd_moments(spec, args.two_k, args.reps,
                              workers=args.parallel, budget=args.budget)

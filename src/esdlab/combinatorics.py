@@ -8,7 +8,8 @@ by first appearance.  Example: aabccba is the partition
 {{1,2,7},{3,6},{4,5}}.
 
 The module provides the predicates used to stratify words (even, symmetric,
-special symmetric) together with three enumerators:
+special symmetric), the census of special symmetric words by block count
+(from the color-class recursion, no enumeration) and three enumerators:
 
 * ``enumerate_partitions_brute``: every canonical word of length k, in
   lexicographic order (Bell-number growth, capped at k = 12).  This is the
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, ValidationError
+from .treesum import tree_sum
 
 #: Brute-force enumeration beyond this length is refused (Bell(13) > 2.7e7).
 BRUTE_FORCE_MAX_K = 12
@@ -227,40 +229,6 @@ def is_special_symmetric(word: Word) -> bool:
     return _ss_recursive(list(partition_from_word(word)))
 
 
-def _is_special_symmetric_interleaving(word: Word) -> bool:
-    """Direct (non-recursive) reading of the special symmetric conditions.
-
-    Checks that the last block is a union of even intervals and that between
-    any two successive elements of any block, every other block contributes
-    an even number of elements split equally between odd and even positions.
-
-    Taken literally this is weaker than the recursive predicate: both clauses
-    are vacuous for singleton blocks, so e.g. abcc slips through.  On
-    symmetric words the two readings agree exactly (verified exhaustively for
-    all words of length <= 10 in the test suite), which is the regime the
-    direct phrasing implicitly assumes.  The recursive predicate is the
-    normative one.
-    """
-    if len(word) % 2 or len(word) == 0:
-        return False
-    blocks = partition_from_word(word)
-    runs = _consecutive_runs(blocks[-1])
-    if any((hi - lo + 1) % 2 for lo, hi in runs):
-        return False
-    for idx, block in enumerate(blocks):
-        for left, right in zip(block, block[1:]):
-            for jdx, other in enumerate(blocks):
-                if jdx == idx:
-                    continue
-                inside = [v for v in other if left < v < right]
-                if len(inside) % 2:
-                    return False
-                odd = sum(1 for v in inside if v % 2)
-                if 2 * odd != len(inside):
-                    return False
-    return True
-
-
 def classify(word: Word) -> SSClassification:
     """Evaluate all three predicates at once."""
     even = is_even(word)
@@ -325,16 +293,24 @@ def enumerate_ss(two_k: int) -> Iterator[Word]:
 def count_ss_by_blocks(two_k: int) -> dict[int, int]:
     """Count special symmetric words of length two_k per block count b.
 
-    The entry at b = two_k/2 is the Catalan number.
+    Each block is a color class of the word's tree, so with weight lam per
+    class the color-class recursion gives sum_b count_b * lam^b. Evaluated
+    at an integer lam above every count, the counts are its digits in base
+    lam. The entry at b = two_k/2 is the Catalan number.
 
     >>> count_ss_by_blocks(4)
     {1: 1, 2: 2}
     """
+    if two_k < 1:
+        raise ValidationError(f"word length must be >= 1, got {two_k}")
+    if two_k % 2:
+        return {}
+    base = tree_sum(two_k // 2, lambda t, f: f, 1) + 1
+    packed = tree_sum(two_k // 2, lambda t, f: base * f, 1)
     counts: dict[int, int] = {}
-    for word in enumerate_ss(two_k):
-        b = word.n_letters
-        counts[b] = counts.get(b, 0) + 1
-    return dict(sorted(counts.items()))
+    for b in range(two_k // 2 + 1):
+        packed, counts[b] = divmod(packed, base)
+    return {b: c for b, c in counts.items() if c}
 
 
 def enumerate_nc2(two_k: int) -> Iterator[Word]:

@@ -71,8 +71,7 @@ def schedule_from_config(cfg: dict) -> CumulantSchedule:
 
 
 def theory_series_from_config(cfg: dict, two_k_max: int,
-                              quad: QuadratureConfig = DEFAULT_CONFIG,
-                              workers: int = 1) -> MomentSeries:
+                              quad: QuadratureConfig = DEFAULT_CONFIG) -> MomentSeries:
     """Build the limit moment series described by a theory config."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ValidationError("theory config must be an object with a 'kind'")
@@ -86,29 +85,30 @@ def theory_series_from_config(cfg: dict, two_k_max: int,
         _reject_unknown(cfg, {"kind", "g"}, "graphon family")
         entries = {order: graphon_from_json(g)
                    for order, g in _orders_dict(cfg.get("g"), "graphon family").items()}
-        return graphon_series(GraphonFamily(entries, "graphon config"), two_k_max, quad, workers)
+        family = GraphonFamily(entries, description="graphon config")
+        return graphon_series(family, two_k_max, quad)
     if kind == "band":
         _reject_unknown(cfg, {"kind", "alpha", "periodic", "base"}, "band")
         base = _family_from_config(cfg.get("base", {"kind": "semicircle"}), quad)
         family = base.banded(float(cfg["alpha"]), bool(cfg.get("periodic", False)))
-        return graphon_series(family, two_k_max, quad, workers)
+        return graphon_series(family, two_k_max, quad)
     if kind == "block":
         _reject_unknown(cfg, {"kind", "masses", "cells"}, "block")
         from .moments import block_family
         cells = _orders_dict(cfg.get("cells"), "block cells")
-        return graphon_series(block_family(cfg["masses"], cells), two_k_max, quad, workers)
+        return graphon_series(block_family(cfg["masses"], cells), two_k_max, quad)
     if kind == "profile":
         _reject_unknown(cfg, {"kind", "sigma", "base"}, "profile")
         from .moments import profile_family
         base = schedule_from_config(cfg.get("base", {"kind": "semicircle"}))
-        return graphon_series(profile_family(cfg["sigma"], base), two_k_max, quad, workers)
+        return graphon_series(profile_family(cfg["sigma"], base), two_k_max, quad)
     if kind == "model":
         _reject_unknown(cfg, {"kind", "spec", "truncation"}, "model theory")
         spec = model_spec_from_config(cfg.get("spec", {}))
         limit = effective_cumulants(spec, truncation=cfg.get("truncation"))
         if isinstance(limit, CumulantSchedule):
             return constant_series(limit, two_k_max)
-        return graphon_series(limit, two_k_max, quad, workers)
+        return graphon_series(limit, two_k_max, quad)
     raise ValidationError(f"unknown theory kind {kind!r}")
 
 
@@ -120,7 +120,7 @@ def _family_from_config(cfg: dict, quad: QuadratureConfig) -> GraphonFamily:
         _reject_unknown(cfg, {"kind", "g"}, "graphon family")
         entries = {order: graphon_from_json(g)
                    for order, g in _orders_dict(cfg.get("g"), "graphon family").items()}
-        return GraphonFamily(entries, "graphon config")
+        return GraphonFamily(entries, description="graphon config")
     raise ValidationError(f"{kind!r} cannot serve as a band/profile base")
 
 

@@ -128,5 +128,10 @@ def compile_expression(source: str, variables: Sequence[str] = ("x", "y")) -> Ca
 
 
 def expression_is_smooth(source: str) -> bool:
-    """Heuristic: an expression without indicators is treated as smooth."""
-    return "ind(" not in source.replace(" ", "")
+    """Heuristic: an expression without indicators or absolute values is smooth.
+
+    Both make jumps or kinks, where a Gauss rule's error estimate (the gap to
+    the half-order rule) can under-report.
+    """
+    compact = source.replace(" ", "")
+    return "ind(" not in compact and "abs(" not in compact

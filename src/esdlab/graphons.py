@@ -9,7 +9,7 @@ Four representations are supported, and the integration code exploits them:
 
 * constant              exact integrals, trivially
 * grid                  piecewise constant on a break grid; exact cell sums
-* callable/expression   smooth quadrature or QMC
+* callable/expression   Gauss-Legendre nodes when smooth, else a uniform grid
 * banded                any of the above times a band indicator
 """
 

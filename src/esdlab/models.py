@@ -34,6 +34,9 @@ VARIANTS = (
     "block",
 )
 
+#: root seed of the command line's sampling
+DEFAULT_SEED = 112358
+
 _BASE_VARIANTS = ("gaussian_wigner", "triangular_twopoint", "sparse_homogeneous")
 
 # Stand-in for n -> infinity when taking numeric limits of n * p(x, y, n).

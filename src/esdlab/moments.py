@@ -1,36 +1,37 @@
 """Limiting moment sequences of generalized Wigner ensembles.
 
-Every even moment is a sum over the special symmetric words of that length.
-Each word contributes the product of per-block constants (constant schedules)
-or, in the inhomogeneous case, the integral of kernel factors over its colored
-tree: one variable per color, one factor per edge, the factor order being
-twice the edge multiplicity. Odd moments vanish identically.
+Every even moment is a sum over the special symmetric words of that length,
+which are the colored trees of :mod:`esdlab.trees`: one color per block, and
+an edge factor per color class of order twice its size. Odd moments vanish.
+No tree is listed: :func:`esdlab.treesum.tree_sum` sums over color classes.
 
-Combinatorial coefficients are kept in exact integer arithmetic; reals enter
-only in the final multiply against cumulant values or integrals.
+* Constant schedules pass the cumulant C_{2t} as the edge weight of a class
+  of t nodes; the sparse polynomial takes its coefficients from the census
+  by block count (see :func:`esdlab.combinatorics.count_ss_by_blocks`).
+* Kernel families pass vectors on the nodes of one quadrature rule, chosen
+  once per moment from the kinds of the members up to that order (see
+  :mod:`esdlab.quadrature`); a class of t nodes applies the matrix of its
+  order-2t member to its message.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .combinatorics import enumerate_ss
+from .combinatorics import count_ss_by_blocks
 from .errors import ValidationError
 from .graphons import Graphon, GraphonFamily, as_graphon
-from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate_edge_product
-from .trees import ColoredTree, enumerate_trees
+from .quadrature import (DEFAULT_CONFIG, IntegralResult, Nodes, QuadratureConfig,
+                         integrate_edge_product, integrate_on_nodes)
+from .trees import ColoredTree
+from .treesum import tree_sum
 
 EXACT = "exact-combinatorial"
 QUADRATURE = "quadrature"
-MONTE_CARLO = "monte-carlo-integral"
 
 
 def _require_even_order(two_k: int) -> None:
@@ -126,9 +127,9 @@ class MomentSeries:
 def hankel_min_eigenvalue(series: MomentSeries) -> float:
     """Smallest eigenvalue of the Hankel matrix [beta_{i+j}], beta_0 = 1.
 
-    A genuine moment sequence gives a positive semidefinite matrix; QMC noise
-    can push the minimum slightly negative, so callers compare against a
-    tolerance instead of zero.
+    A genuine moment sequence gives a positive semidefinite matrix; rounding
+    and quadrature error can push the minimum slightly negative, so callers
+    compare against a tolerance instead of zero.
     """
     top = max(series.orders())
     size = top // 2 + 1
@@ -138,13 +139,13 @@ def hankel_min_eigenvalue(series: MomentSeries) -> float:
 
 # -- constant schedules (exact) ---------------------------------------------
 
-@lru_cache(maxsize=None)
-def _block_size_profiles(two_k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Multiset of block sizes -> number of SS words of length two_k with it."""
-    counts: Counter = Counter()
-    for word in enumerate_ss(two_k):
-        counts[tuple(sorted(word.letter_counts()))] += 1
-    return tuple(sorted(counts.items()))
+def _flat_sum(cumulant: Callable[[int], float], two_k: int) -> float:
+    """Sum over SS words of length two_k of the product of C_{2t} over blocks of size 2t."""
+    def edge(t: int, f: float) -> Optional[float]:
+        c = cumulant(2 * t)
+        return None if c == 0 else c * f
+
+    return float(tree_sum(two_k // 2, edge, 1.0))
 
 
 def moment_constant(schedule: CumulantSchedule, two_k: int) -> float:
@@ -152,10 +153,7 @@ def moment_constant(schedule: CumulantSchedule, two_k: int) -> float:
     if two_k % 2:
         return 0.0
     _require_even_order(two_k)
-    total = 0.0
-    for sizes, count in _block_size_profiles(two_k):
-        total += count * math.prod(schedule.value(s) for s in sizes)
-    return total
+    return _flat_sum(schedule.value, two_k)
 
 
 @dataclass(frozen=True)
@@ -174,87 +172,57 @@ def moment_sparse(lam: float, two_k: int) -> SparseMoment:
     if two_k % 2:
         return SparseMoment(two_k, (), 0.0)
     _require_even_order(two_k)
-    by_blocks: Counter = Counter()
-    for sizes, count in _block_size_profiles(two_k):
-        by_blocks[len(sizes)] += count
-    coefficients = tuple(sorted(by_blocks.items()))
+    coefficients = tuple(sorted(count_ss_by_blocks(two_k).items()))
     value = float(sum(c * lam**b for b, c in coefficients))
     return SparseMoment(two_k, coefficients, value)
 
 
 # -- graphon families (tree integrals) --------------------------------------
 
-def _tree_signature(tree: ColoredTree) -> tuple[tuple[int, int, int], ...]:
-    """(child color, parent color, edge multiplicity) triples; fixes the integral."""
-    return tuple(sorted((child, parent, mult)
-                        for (parent, child), mult in tree.edge_multiplicities().items()))
-
-
 def homomorphism_density(tree: ColoredTree, family: GraphonFamily,
                          config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
-    """Integral over [0,1]^colors of the product of edge kernels.
+    """Integral over [0,1]^colors of the product of edge kernels of one tree.
 
     The kernel on the edge into color c has order twice the number of c-colored
     nodes; a missing family member makes the whole term zero.
     """
-    signature = _tree_signature(tree)
     factors: dict[int, Graphon] = {}
     parent: dict[int, int] = {}
-    for child, par, mult in signature:
+    for (par, child), mult in tree.edge_multiplicities().items():
         kernel = family.g(2 * mult)
         if kernel is None:
             return IntegralResult(0.0, 0.0, "exact")
         factors[child] = kernel
         parent[child] = par
-    salt = zlib.crc32(repr(signature).encode())
-    return integrate_edge_product(factors, parent, len(signature) + 1, config, seed_salt=salt)
-
-
-def _aggregate_provenance(methods: set[str]) -> str:
-    if "qmc" in methods:
-        return MONTE_CARLO
-    if "gauss" in methods:
-        return QUADRATURE
-    return EXACT
+    return integrate_edge_product(factors, parent, len(factors) + 1, config)
 
 
 def moment_graphon(family: GraphonFamily, two_k: int,
-                   config: QuadratureConfig = DEFAULT_CONFIG,
-                   workers: int = 1) -> MomentEntry:
+                   config: QuadratureConfig = DEFAULT_CONFIG) -> MomentEntry:
     """Sum of homomorphism densities over all colored trees of the given order.
 
-    Trees sharing an edge signature share one integral. Independent integrals
-    may run on a thread pool; the reduction follows enumeration order, so the
-    result does not depend on the worker count.
+    The members up to order two_k pick one node rule; on its nodes each member
+    is a matrix and the color-class recursion sums every tree at once.
     """
     if two_k % 2:
         return MomentEntry(two_k, 0.0, 0.0, EXACT)
     _require_even_order(two_k)
-    signatures = [_tree_signature(t) for t in enumerate_trees(two_k)]
-    unique = list(dict.fromkeys(signatures))
+    k = two_k // 2
+    members = {t: family.g(2 * t) for t in range(1, k + 1)}
+    members = {t: g for t, g in members.items() if g is not None}
 
-    def integrate(signature):
-        factors, parent = {}, {}
-        for child, par, mult in signature:
-            kernel = family.g(2 * mult)
-            if kernel is None:
-                return IntegralResult(0.0, 0.0, "exact")
-            factors[child] = kernel
-            parent[child] = par
-        salt = zlib.crc32(repr(signature).encode())
-        return integrate_edge_product(factors, parent, len(signature) + 1,
-                                      config, seed_salt=salt)
+    def evaluate(nodes: Nodes) -> float:
+        kernels = {t: nodes.matrix(g) for t, g in members.items()}
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(unique, pool.map(integrate, unique)))
-    else:
-        results = {s: integrate(s) for s in unique}
+        def edge(t: int, f: np.ndarray) -> Optional[np.ndarray]:
+            kernel = kernels.get(t)
+            return None if kernel is None else kernel @ (nodes.w * f)
 
-    value = sum(results[s].value for s in signatures)
-    error = sum(results[s].error for s in signatures)
-    methods = {results[s].method for s in signatures if results[s].value or results[s].error}
-    return MomentEntry(two_k, float(value), float(error), _aggregate_provenance(methods))
+        return float(np.sum(nodes.w * tree_sum(k, edge, np.ones_like(nodes.w))))
+
+    result = integrate_on_nodes(evaluate, members.values(), config)
+    provenance = EXACT if result.method == "exact" else QUADRATURE
+    return MomentEntry(two_k, result.value, result.error, provenance)
 
 
 # -- specializations ---------------------------------------------------------
@@ -268,10 +236,9 @@ def _coerce_family(source) -> GraphonFamily:
 
 
 def moment_band(source, alpha: float, periodic: bool, two_k: int,
-                config: QuadratureConfig = DEFAULT_CONFIG, workers: int = 1) -> MomentEntry:
+                config: QuadratureConfig = DEFAULT_CONFIG) -> MomentEntry:
     """Moments after multiplying every kernel by a band indicator."""
-    return moment_graphon(_coerce_family(source).banded(alpha, periodic),
-                          two_k, config, workers)
+    return moment_graphon(_coerce_family(source).banded(alpha, periodic), two_k, config)
 
 
 def block_family(alphas: Sequence[float], cells_by_order: Mapping[int, object]) -> GraphonFamily:
@@ -308,9 +275,8 @@ def profile_family(sigma, schedule: CumulantSchedule) -> GraphonFamily:
 
 
 def moment_variance_profile(sigma, schedule: CumulantSchedule, two_k: int,
-                            config: QuadratureConfig = DEFAULT_CONFIG,
-                            workers: int = 1) -> MomentEntry:
-    return moment_graphon(profile_family(sigma, schedule), two_k, config, workers)
+                            config: QuadratureConfig = DEFAULT_CONFIG) -> MomentEntry:
+    return moment_graphon(profile_family(sigma, schedule), two_k, config)
 
 
 # -- series builders ---------------------------------------------------------
@@ -328,37 +294,13 @@ def sparse_series(lam: float, two_k_max: int) -> MomentSeries:
 
 
 def graphon_series(family: GraphonFamily, two_k_max: int,
-                   config: QuadratureConfig = DEFAULT_CONFIG,
-                   workers: int = 1) -> MomentSeries:
-    entries = tuple(moment_graphon(family, two_k, config, workers)
+                   config: QuadratureConfig = DEFAULT_CONFIG) -> MomentSeries:
+    entries = tuple(moment_graphon(family, two_k, config)
                     for two_k in range(2, two_k_max + 1, 2))
     return MomentSeries(entries, family.description)
 
 
 # -- Carleman diagnostics -----------------------------------------------------
-
-def _even_part_multisets(total: int, max_part: int | None = None):
-    """Multisets of even parts summing to total, parts nonincreasing."""
-    if total == 0:
-        yield ()
-        return
-    top = total if max_part is None else min(max_part, total)
-    top -= top % 2
-    for part in range(top, 1, -2):
-        for rest in _even_part_multisets(total - part, part):
-            yield (part,) + rest
-
-
-def _partition_count(sizes: Sequence[int]) -> int:
-    """Number of set partitions of [sum(sizes)] with this block-size multiset."""
-    n = sum(sizes)
-    count = math.factorial(n)
-    for s in sizes:
-        count //= math.factorial(s)
-    for repeat in Counter(sizes).values():
-        count //= math.factorial(repeat)
-    return count
-
 
 def _bound_lookup(source) -> Callable[[int], float]:
     if isinstance(source, GraphonFamily):
@@ -381,7 +323,7 @@ class CarlemanReport:
     divergent (an alpha vanished, so terms hit the infinity sentinel),
     diverging-trend, inconclusive, likely-fails. The ss_terms column repeats
     the computation with the partition sum restricted to special symmetric
-    partitions, where enumeration is feasible.
+    partitions.
     """
 
     orders: tuple[int, ...]
@@ -404,27 +346,25 @@ class CarlemanReport:
         }
 
 
-_SS_ENUMERATION_CAP = 14
-
-
 def carleman_partial_sum(source, big_k: int) -> CarlemanReport:
     """Carleman diagnostic for moment bounds M_{2k} (odd bounds zero).
 
-    alpha_{2k} sums M over all partitions of [2k] via even block-size
-    multisets with exact multinomial counts.
+    alpha_{2k} sums the product of M over the blocks of every partition of
+    [2k] into even blocks; splitting off the block of the first element gives
+    alpha_n = sum_j C(n-1, j-1) M_j alpha_{n-j}.
     """
     if big_k < 1:
         raise ValidationError(f"need at least one order, got K={big_k}")
     bound_of = _bound_lookup(source)
+    by_size = [1.0]
+    for n in range(1, 2 * big_k + 1):
+        by_size.append(sum(math.comb(n - 1, j - 1) * bound_of(j) * by_size[n - j]
+                           for j in range(2, n + 1, 2)))
     orders, alphas, terms, sums = [], [], [], []
     running = 0.0
     for k in range(1, big_k + 1):
         two_k = 2 * k
-        alpha = 0.0
-        for sizes in _even_part_multisets(two_k):
-            product = math.prod(bound_of(s) for s in sizes)
-            if product:
-                alpha += _partition_count(sizes) * product
+        alpha = by_size[two_k]
         term = math.inf if alpha == 0.0 else alpha ** (-1.0 / two_k)
         running += term
         orders.append(two_k)
@@ -434,11 +374,7 @@ def carleman_partial_sum(source, big_k: int) -> CarlemanReport:
 
     ss_terms = []
     for two_k in orders:
-        if two_k > _SS_ENUMERATION_CAP:
-            break
-        alpha = 0.0
-        for sizes, count in _block_size_profiles(two_k):
-            alpha += count * math.prod(bound_of(s) for s in sizes)
+        alpha = _flat_sum(bound_of, two_k)
         ss_terms.append(math.inf if alpha == 0.0 else alpha ** (-1.0 / two_k))
 
     slope, verdict = _trend(terms)

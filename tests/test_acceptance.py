@@ -32,7 +32,7 @@ from esdlab.moments import (
     moment_graphon,
     moment_sparse,
 )
-from esdlab.quadrature import DEFAULT_SEED
+from esdlab.models import DEFAULT_SEED
 from esdlab.spectra import eesd_moments, eigenvalues, wasserstein2
 from esdlab.trees import enumerate_trees, tree_from_word, word_from_tree
 

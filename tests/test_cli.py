@@ -1,8 +1,14 @@
 """Command line interface: envelopes, formats, exit codes, config files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import esdlab
 
 from esdlab.cli import DEFAULT_SEED, main
 
@@ -85,6 +91,29 @@ def test_moments_kinds(capsys):
         betas = {e["two_k"]: e["beta"] for e in doc["series"]["entries"]}
         if expect is not None:
             assert betas[two_k] == pytest.approx(float(expect))
+
+
+def test_graphon_config_without_the_asked_order(capsys):
+    # the example of docs/config_schemas.md: the missing order-4 kernel is
+    # zero, and the star and the path each integrate to 1
+    code, out, _ = run(capsys, "moments", "--theory-json",
+                       '{"kind":"graphon","g":{"2":"1 + cos(2*pi*(x - y))"}}',
+                       "--two-k", "4", "--reproducible")
+    assert code == 0
+    entries = json.loads(out)["series"]["entries"]
+    assert [e["two_k"] for e in entries] == [2, 4]
+    for entry, want in zip(entries, (1.0, 2.0)):
+        assert entry["provenance"] == "quadrature"
+        assert abs(entry["beta"] - want) <= entry["error_estimate"] + 1e-12
+
+
+def test_import_loads_no_scipy():
+    # scipy.stats alone once cost every command about 1.2 s and 70 MB at start
+    code = "import sys, esdlab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(esdlab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_moments_rejects_unknown_keys(capsys):

@@ -64,3 +64,9 @@ def test_smoothness_flag_keys_on_indicators():
     assert expression_is_smooth("sin(pi*(x - y))")
     assert not expression_is_smooth("ind(x < y)")
     assert not expression_is_smooth("2 + ind(abs(x - y) < 0.25)")
+
+
+def test_absolute_values_are_not_smooth():
+    # a kink on the diagonal: the Gauss error estimate could under-report there
+    assert not expression_is_smooth("1 - abs(x - y)")
+    assert not expression_is_smooth("abs (x - 0.5) * abs(y - 0.5)")

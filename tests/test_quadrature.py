@@ -1,4 +1,6 @@
-"""Edge-product integration: exact paths, Gauss messages, QMC fallback."""
+"""Edge-product integration: one node, exact cells, Gauss messages, uniform grids."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,10 +9,10 @@ from scipy import integrate
 from esdlab.errors import ValidationError
 from esdlab.graphons import Graphon, band_indicator
 from esdlab.quadrature import (
-    DEFAULT_SEED,
+    GRID_CAP,
     QuadratureConfig,
     integrate_edge_product,
-    with_seed,
+    node_rule,
 )
 
 
@@ -54,34 +56,39 @@ def test_gauss_matches_adaptive_quadrature_on_smooth_kernels():
     assert res.value == pytest.approx(expected, abs=1e-9)
 
 
-def test_qmc_engages_for_non_smooth_or_deep_factors():
+def test_grid_engages_for_non_smooth_and_gauss_for_deep_smooth_factors():
     rough = Graphon.from_expression("1 + ind(x + y < 1)")
+    assert node_rule([rough]) == "grid"
     res = integrate_edge_product({1: rough}, {1: 0}, 2)
-    assert res.method == "qmc"
-    assert res.value == pytest.approx(1.5, abs=5 * max(res.error, 1e-5))
+    assert res.method == "grid"
+    # midpoints of the anti-diagonal cells sit on x + y = 1, which drops half a
+    # cell per row: the value is 1.5 - 1/(2N) on the finest grid
+    assert res.value == 1.5 - 0.5 / GRID_CAP
+    assert abs(res.value - 1.5) <= res.error <= 0.5 / GRID_CAP
 
     smooth = Graphon.from_expression("4*x*y")
     factors = {c: smooth for c in range(1, 6)}
     parent = {c: c - 1 for c in range(1, 6)}
     res = integrate_edge_product(factors, parent, 6)
-    assert res.method == "qmc"
+    assert res.method == "gauss"
     # chain of five 4xy kernels: ends contribute 1/2 each, interiors 1/3
-    assert res.value == pytest.approx(4**5 * (1 / 2) ** 2 * (1 / 3) ** 4, rel=2e-3)
+    assert res.value == pytest.approx(4**5 * (1 / 2) ** 2 * (1 / 3) ** 4, rel=1e-12)
+    assert res.error <= 1e-12
 
 
-def test_method_override_and_seed_determinism():
+def test_gauss_is_deterministic_and_points_set_its_error():
     g = Graphon.from_expression("exp(-(x + y))")
-    cfg = QuadratureConfig(method="qmc", qmc_log2_points=12, qmc_replicates=8)
-    a = integrate_edge_product({1: g}, {1: 0}, 2, cfg)
-    b = integrate_edge_product({1: g}, {1: 0}, 2, cfg)
-    assert a == b
-    shifted = integrate_edge_product({1: g}, {1: 0}, 2, with_seed(cfg, 99))
-    assert shifted.value != a.value
     exact = (1 - np.exp(-1.0)) ** 2
-    assert a.value == pytest.approx(exact, abs=6 * max(a.error, 1e-6))
-    forced = integrate_edge_product({1: g}, {1: 0}, 2, QuadratureConfig(method="gauss"))
-    assert forced.method == "gauss"
-    assert forced.value == pytest.approx(exact, abs=1e-10)
+    a = integrate_edge_product({1: g}, {1: 0}, 2)
+    b = integrate_edge_product({1: g}, {1: 0}, 2)
+    assert a == b
+    assert a.method == "gauss"
+    assert a.value == pytest.approx(exact, abs=1e-14)
+    assert a.error <= 1e-14
+    # 4 nodes against 2: a coarser rule reports a larger error that still covers it
+    coarse = integrate_edge_product({1: g}, {1: 0}, 2, QuadratureConfig(points=4))
+    assert coarse.method == "gauss"
+    assert 1e-10 < abs(coarse.value - exact) <= coarse.error <= 1e-3
 
 
 def test_band_indicator_marginal():
@@ -104,6 +111,18 @@ def test_tree_shape_validation():
 def test_config_validation():
     with pytest.raises(ValidationError):
         QuadratureConfig(points=1)
-    with pytest.raises(ValidationError):
-        QuadratureConfig(method="simpson")
-    assert QuadratureConfig().seed == DEFAULT_SEED
+    assert QuadratureConfig(points=2).points == 2
+    # the node rule follows from the kernels; only the Gauss order is a setting
+    assert [f.name for f in dataclasses.fields(QuadratureConfig)] == ["points"]
+    assert QuadratureConfig().points == 32
+
+
+def test_node_rule_follows_kernel_kinds():
+    grid = Graphon.from_grid([0.0, 0.5, 1.0], [[1.0, 2.0], [2.0, 4.0]])
+    assert node_rule([]) == "point"
+    assert node_rule([Graphon.constant(2.0), band_indicator(0.3, periodic=True)]) == "point"
+    assert node_rule([Graphon.constant(2.0), grid]) == "cells"
+    assert node_rule([Graphon.constant(2.0), Graphon.from_expression("x*y")]) == "gauss"
+    assert node_rule([band_indicator(0.3, periodic=False)]) == "grid"
+    assert node_rule([grid, band_indicator(0.3, periodic=True)]) == "grid"
+    assert node_rule([Graphon.from_expression("1 - abs(x - y)")]) == "grid"
