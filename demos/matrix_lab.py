@@ -3,9 +3,9 @@ Sampling ensembles and checking spectra against theory
 ======================================================
 
 Each model is a declarative spec (variant, size, seed, parameters); sampling
-is deterministic given the spec, row by row, so replicated runs and threaded
-runs agree bit for bit. Averaged trace moments get standard errors across
-replicates, which gives the z-scores for a theory comparison.
+is deterministic given the spec, row by row, so replicated runs agree bit for
+bit. Spectral moments averaged over replicates get standard errors, which
+gives the z-scores for a theory comparison.
 """
 
 import numpy as np

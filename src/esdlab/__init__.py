@@ -25,7 +25,7 @@ from .moments import (CarlemanReport, CumulantSchedule, MomentEntry, MomentSerie
 from .quadrature import IntegralResult, QuadratureConfig
 from .spectra import (ESD, Histogram, eesd_moments, eigenvalues, empirical_moment,
                       empirical_moments, histogram, replicate_esds, semicircle_density,
-                      wasserstein2)
+                      spectral_moments, wasserstein2)
 from .trees import ColoredTree, enumerate_trees, tree_from_word, validate_tree, word_from_tree
 from .compare import ComparisonReport, compare_series, theory_series_from_config
 

@@ -21,7 +21,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -32,11 +31,11 @@ from . import circuits as circuits_mod
 from . import combinatorics as comb
 from .compare import compare_series, model_spec_from_config, theory_series_from_config
 from .errors import CapacityError, NumericError, ValidationError
-from .models import DEFAULT_SEED, sample
+from .models import DEFAULT_SEED
 from .moments import MomentSeries
 from .quadrature import QuadratureConfig
-from .spectra import (ESD, DEFAULT_EESD_BUDGET, eesd_moments, empirical_moments, histogram,
-                      replicate_esds)
+from .spectra import (ESD, DEFAULT_EESD_BUDGET, eesd_moments, histogram, replicate_esds,
+                      spectral_moments)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -51,9 +50,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _add_quadrature(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--quad-points", type=int, default=32,
                      help="Gauss-Legendre points per dimension")
-    sub.add_argument("--parallel", type=int, default=os.cpu_count() or 1,
-                     help="worker threads for simulation replicates; theory runs on one "
-                          "thread (results are identical for any value)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--k-max", type=int, default=6)
     si.add_argument("--bins", type=int, help="histogram bin count (default Freedman-Diaconis)")
     si.add_argument("--budget", type=float, default=DEFAULT_EESD_BUDGET)
-    si.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
     _add_common(si)
     si.set_defaults(func=cmd_simulate)
 
@@ -107,6 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--budget", type=float, default=float(circuits_mod.DEFAULT_BUDGET))
     _add_common(ci)
     ci.set_defaults(func=cmd_circuits)
+
+    for sub in (mo, si, co):
+        sub.add_argument("--parallel", type=int,
+                         help="accepted and ignored: replicates run one after another and "
+                              "BLAS chooses its own threads")
     return parser
 
 
@@ -133,7 +133,8 @@ def _apply_config(args: argparse.Namespace) -> dict:
 
 
 def _config_digest(payload: dict, args: argparse.Namespace) -> str:
-    mirror = {k: v for k, v in vars(args).items() if k not in ("func", "config", "out")}
+    mirror = {k: v for k, v in vars(args).items()
+              if k not in ("func", "config", "out", "parallel")}
     blob = json.dumps({"payload": payload, "args": mirror}, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -215,24 +216,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if model_cfg is None:
         raise ValidationError("simulate needs --config or --model-json")
     spec = model_spec_from_config(model_cfg, n=args.n, seed=args.seed)
-    if args.reps < 1:
-        raise ValidationError("need at least one replicate")
-    # same cost model as the averaged-moment engine, applied before any
-    # sampling so oversized requests fail fast
-    cost = args.reps * float(spec.n) ** 3 * max(1, (args.k_max + 2) // 2)
-    if cost > args.budget:
-        raise CapacityError(
-            f"estimated cost {cost:.2g} exceeds budget {args.budget:.2g}; "
-            "lower n, replicates, or k_max, or raise the budget")
-    if args.reps == 1:
-        esds = replicate_esds(spec, 1, workers=1)
-        values = empirical_moments(sample(spec), args.k_max)
-        moments = [{"k": k, "value": v, "se": None} for k, v in enumerate(values, start=1)]
-    else:
-        esds = replicate_esds(spec, args.reps, workers=args.parallel)
-        series = eesd_moments(spec, args.k_max, args.reps,
-                              workers=args.parallel, budget=args.budget)
-        moments = [{"k": e.order, "value": e.value, "se": e.error} for e in series.entries]
+    esds = replicate_esds(spec, args.reps, budget=args.budget)
+    moments = [{"k": e.order, "value": e.value, "se": e.error if args.reps > 1 else None}
+               for e in spectral_moments(esds, args.k_max).entries]
     pooled = np.sort(np.concatenate([e.eigenvalues for e in esds]))
     hist = histogram(ESD(pooled, {"pooled": args.reps}), bins=args.bins)
     doc = {"model": spec.to_json_dict(), "replicates": args.reps,
@@ -259,8 +245,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ValidationError(f"--two-k must be even and >= 2, got {args.two_k}")
     theory = theory_series_from_config(theory_cfg, args.two_k, _quad_from_args(args))
     spec = model_spec_from_config(model_cfg, n=args.n, seed=args.seed)
-    simulated = eesd_moments(spec, args.two_k, args.reps,
-                             workers=args.parallel, budget=args.budget)
+    simulated = eesd_moments(spec, args.two_k, args.reps, budget=args.budget)
     report = compare_series(theory, simulated, args.threshold)
     doc = {"model": spec.to_json_dict(), "theory": theory_cfg,
            "replicates": args.reps, "report": report.to_json_dict()}

@@ -157,62 +157,73 @@ def _block_sizes(masses: np.ndarray, n: int) -> np.ndarray:
     return sizes
 
 
-def _row_tail(spec: ModelSpec, rng: np.random.Generator, i: int) -> np.ndarray:
-    """Entries (i, j) for j = i .. n-1, one vectorized draw."""
+def _row_sampler(spec: ModelSpec):
+    """Row function (rng, i) -> entries (i, j) for j = i .. n-1, one vectorized draw.
+
+    Everything that does not depend on the row (compiled expressions,
+    profiles, base models, block labels, band masks) is built once here.
+    """
     n = spec.n
-    m = n - i
     p = spec.params
+    ys = (np.arange(n) + 1.0) / n
     if spec.variant == "gaussian_wigner":
-        return rng.standard_normal(m) / np.sqrt(n)
+        return lambda rng, i: rng.standard_normal(n - i) / np.sqrt(n)
     if spec.variant == "triangular_twopoint":
-        u = rng.random(m)
-        atom_p = p["rate"] / (2.0 * n)
-        return p["atom"] * ((u < atom_p).astype(float) - ((u >= atom_p) & (u < 2 * atom_p)))
+        atom, atom_p = p["atom"], p["rate"] / (2.0 * n)
+
+        def twopoint(rng, i):
+            u = rng.random(n - i)
+            return atom * ((u < atom_p).astype(float) - ((u >= atom_p) & (u < 2 * atom_p)))
+        return twopoint
     if spec.variant == "sparse_homogeneous":
-        return (rng.random(m) < p["rate"] / n).astype(float)
+        rate_p = p["rate"] / n
+        return lambda rng, i: (rng.random(n - i) < rate_p).astype(float)
     if spec.variant == "sparse_inhomogeneous":
         prob_fn = compile_expression(str(p["prob"]), ("x", "y", "n"))
-        x = (i + 1) / n
-        y = (np.arange(i, n) + 1.0) / n
-        probs = np.broadcast_to(prob_fn(x, y, float(n)), (m,))
-        if np.any(probs < 0) or np.any(probs > 1):
-            raise ValidationError(
-                f"probability expression {p['prob']!r} leaves [0,1] at n={n}")
-        return (rng.random(m) < probs).astype(float)
+
+        def inhomogeneous(rng, i):
+            probs = np.broadcast_to(prob_fn((i + 1) / n, ys[i:], float(n)), (n - i,))
+            if np.any(probs < 0) or np.any(probs > 1):
+                raise ValidationError(
+                    f"probability expression {p['prob']!r} leaves [0,1] at n={n}")
+            return (rng.random(n - i) < probs).astype(float)
+        return inhomogeneous
     if spec.variant == "heavy_tailed":
-        alpha = p["tail_index"]
-        magnitude = (1.0 - rng.random(m)) ** (-1.0 / alpha) / n ** (1.0 / alpha)
-        sign = np.where(rng.random(m) < 0.5, 1.0, -1.0)
-        return sign * magnitude
+        exponent, scale = -1.0 / p["tail_index"], n ** (1.0 / p["tail_index"])
+
+        def heavy(rng, i):
+            magnitude = (1.0 - rng.random(n - i)) ** exponent / scale
+            sign = np.where(rng.random(n - i) < 0.5, 1.0, -1.0)
+            return sign * magnitude
+        return heavy
     if spec.variant == "variance_profile":
-        base = _row_tail(spec.base_spec(), rng, i)
-        profile = as_graphon(spec.params["profile"])
-        x = (i + 1) / n
-        y = (np.arange(i, n) + 1.0) / n
-        return base * profile.eval(x, y)
+        base = _row_sampler(spec.base_spec())
+        profile = as_graphon(p["profile"])
+        return lambda rng, i: base(rng, i) * profile.eval((i + 1) / n, ys[i:])
     if spec.variant == "band":
-        base = _row_tail(spec.base_spec(), rng, i)
+        base = _row_sampler(spec.base_spec())
         width = int(round(p["half_width"] * n))
-        gap = np.arange(0, m)  # j - i along the row tail
+        gap = np.arange(0, n)  # j - i along a row tail
         inside = gap <= width
         if p.get("periodic", False):
             # each row then holds 2*width + 1 in-band entries; the diagonal
             # is the +1 and biases beta_2 by exactly 1/n unless zeroed
             inside |= gap >= n - width
-        return base * inside
+        return lambda rng, i: base(rng, i) * inside[:n - i]
     # block: gaussian entries scaled by the (block(i), block(j)) standard deviation
     sizes = _block_sizes(np.asarray(p["masses"], dtype=float), n)
     labels = np.repeat(np.arange(len(sizes)), sizes)
     scales = np.asarray(p["scales"], dtype=float)
-    return rng.standard_normal(m) / np.sqrt(n) * scales[labels[i], labels[i:]]
+    return lambda rng, i: rng.standard_normal(n - i) / np.sqrt(n) * scales[labels[i], labels[i:]]
 
 
 def sample(spec: ModelSpec) -> SampledMatrix:
     """Draw one symmetric matrix; deterministic in (spec, seed)."""
     n = spec.n
+    row = _row_sampler(spec)
     upper = np.zeros((n, n))
     for i in range(n):
-        upper[i, i:] = _row_tail(spec, _row_rng(spec.seed, i), i)
+        upper[i, i:] = row(_row_rng(spec.seed, i), i)
     matrix = np.triu(upper) + np.triu(upper, 1).T
     if spec.zero_diagonal:
         np.fill_diagonal(matrix, 0.0)

@@ -1,14 +1,15 @@
 """Eigenvalue statistics: spectra, moments, histograms, and the d2 metric.
 
-Empirical moments are computed two independent ways on purpose: from the
-eigenvalues, and from traces of matrix powers (using tr(M^(a+b)) =
-sum(M^a * M^b) so only half the powers are formed). The two routes
-cross-check the eigensolver and each other.
+Simulation has one replicate pipeline: replicate_esds derives a child seed per
+replicate, samples it once and solves it once (the budget counts one n^3
+eigensolve each), and every simulated moment is mean(eigenvalues**k) of those
+spectra. empirical_moments computes the same moments independently from traces
+of matrix powers (tr(M^(a+b)) = sum(M^a * M^b), so only half the powers are
+formed); the tests use it to cross-check the eigensolver.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,7 +21,7 @@ from .moments import MomentEntry, MomentSeries
 
 SIMULATION = "monte-carlo-simulation"
 
-# replicates * n^3 flop-scale guard for eesd_moments
+# replicates * n^3 flop-scale guard for replicate_esds (one eigensolve per replicate)
 DEFAULT_EESD_BUDGET = 4.0e12
 
 
@@ -174,48 +175,45 @@ def semicircle_density(x, variance: float = 1.0) -> np.ndarray:
 
 
 def replicate_esds(spec: ModelSpec, replicates: int, seed: Optional[int] = None,
-                   workers: int = 1) -> list[ESD]:
-    """Spectra of independent replicates, seeded exactly like eesd_moments."""
-    root = spec.seed if seed is None else seed
-    child_seeds = np.random.SeedSequence(root).generate_state(replicates, dtype=np.uint64)
-
-    def one(replicate_seed: np.uint64) -> ESD:
-        return eigenvalues(sample(with_seed(spec, int(replicate_seed))))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, child_seeds))
-    return [one(s) for s in child_seeds]
-
-
-def eesd_moments(spec: ModelSpec, k_max: int, replicates: int,
-                 seed: Optional[int] = None, workers: int = 1,
-                 budget: float = DEFAULT_EESD_BUDGET) -> MomentSeries:
-    """Replicate means and standard errors of (1/n) tr(M^k), k = 1..k_max.
+                   budget: float = DEFAULT_EESD_BUDGET) -> list[ESD]:
+    """Spectra of independent replicates, each sampled once and solved once.
 
     Replicates get independent derived seeds; with seed=None the spec's own
     seed is the root, so the call is reproducible either way.
     """
-    if replicates < 2:
-        raise ValidationError("need at least 2 replicates for a standard error")
-    cost = replicates * float(spec.n) ** 3 * max(1, (k_max + 2) // 2)
+    if replicates < 1:
+        raise ValidationError("need at least one replicate")
+    cost = replicates * float(spec.n) ** 3
     if cost > budget:
         raise CapacityError(
             f"estimated cost {cost:.2g} exceeds budget {budget:.2g}; "
-            "lower n, replicates, or k_max, or raise the budget")
+            "lower n or replicates, or raise the budget")
     root = spec.seed if seed is None else seed
     child_seeds = np.random.SeedSequence(root).generate_state(replicates, dtype=np.uint64)
+    return [eigenvalues(sample(with_seed(spec, int(s)))) for s in child_seeds]
 
-    def one(replicate_seed: np.uint64) -> list[float]:
-        return empirical_moments(sample(with_seed(spec, int(replicate_seed))), k_max)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            table = np.array(list(pool.map(one, child_seeds)))
-    else:
-        table = np.array([one(s) for s in child_seeds])
+def spectral_moments(esds: Sequence[ESD], k_max: int, description: str = "") -> MomentSeries:
+    """Replicate means of mean(eigenvalues**k), k = 1..k_max, with standard errors.
+
+    One replicate has no standard error; its errors are NaN.
+    """
+    if k_max < 1:
+        raise ValidationError(f"moment order must be >= 1, got {k_max}")
+    table = np.array([[e.moment(k) for k in range(1, k_max + 1)] for e in esds])
     means = table.mean(axis=0)
-    errors = table.std(axis=0, ddof=1) / np.sqrt(replicates)
+    errors = (table.std(axis=0, ddof=1) / np.sqrt(len(esds)) if len(esds) > 1
+              else np.full(k_max, np.nan))
     entries = tuple(MomentEntry(k, float(means[k - 1]), float(errors[k - 1]), SIMULATION)
                     for k in range(1, k_max + 1))
-    return MomentSeries(entries, f"eesd {spec.variant} n={spec.n} reps={replicates}")
+    return MomentSeries(entries, description)
+
+
+def eesd_moments(spec: ModelSpec, k_max: int, replicates: int,
+                 seed: Optional[int] = None,
+                 budget: float = DEFAULT_EESD_BUDGET) -> MomentSeries:
+    """Replicate means and standard errors of the spectral moments, k = 1..k_max."""
+    if replicates < 2:
+        raise ValidationError("need at least 2 replicates for a standard error")
+    return spectral_moments(replicate_esds(spec, replicates, seed, budget), k_max,
+                            f"eesd {spec.variant} n={spec.n} reps={replicates}")

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import esdlab
@@ -137,6 +138,29 @@ def test_simulate_payload(capsys):
     hist = doc["histogram"]
     assert len(hist["edges"]) == len(hist["counts"]) + 1
     assert len(doc["eigenvalues"]) == 3 * 80
+
+
+def test_simulate_one_replicate_reports_moments_of_its_eigenvalues(capsys):
+    code, out, _ = run(capsys, "simulate", "--model-json",
+                       '{"variant":"gaussian_wigner"}', "--n", "50",
+                       "--reps", "1", "--reproducible")
+    assert code == 0
+    doc = json.loads(out)
+    values = np.asarray(doc["eigenvalues"])
+    assert values.size == 50
+    assert [row["k"] for row in doc["moments"]] == [1, 2, 3, 4, 5, 6]
+    for row in doc["moments"]:
+        assert row["se"] is None
+        assert abs(row["value"] - np.mean(values ** row["k"])) <= 1e-12
+
+
+def test_config_hash_ignores_parallel(capsys):
+    base = ("moments", "--theory-json", '{"kind":"semicircle"}', "--two-k", "4",
+            "--reproducible")
+    docs = [json.loads(run(capsys, *base, *extra)[1])
+            for extra in ((), ("--parallel", "1"), ("--parallel", "2"))]
+    assert len({doc["config_sha256"] for doc in docs}) == 1
+    assert docs[0] == docs[1] == docs[2]
 
 
 def test_simulate_large_spectra_not_embedded(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from esdlab.errors import CapacityError, NumericError, ValidationError
-from esdlab.models import ModelSpec, sample, truncate
+from esdlab.models import ModelSpec, sample, truncate, with_seed
 from esdlab.spectra import (
     ESD,
     eesd_moments,
@@ -15,6 +15,7 @@ from esdlab.spectra import (
     replicate_esds,
     residual_check,
     semicircle_density,
+    spectral_moments,
     wasserstein2,
 )
 
@@ -129,16 +130,33 @@ def test_semicircle_density_shape():
     )
 
 
-def test_replicate_esds_deterministic_and_parallel():
+def test_replicate_esds_deterministic_and_distinct():
     spec = ModelSpec("gaussian_wigner", 60, 31)
-    serial = replicate_esds(spec, 4)
+    first = replicate_esds(spec, 4)
     again = replicate_esds(spec, 4)
-    threaded = replicate_esds(spec, 4, workers=3)
-    for x, y, z in zip(serial, again, threaded):
+    for x, y in zip(first, again):
         assert np.array_equal(x.eigenvalues, y.eigenvalues)
-        assert np.array_equal(x.eigenvalues, z.eigenvalues)
     # replicates differ from each other
-    assert not np.array_equal(serial[0].eigenvalues, serial[1].eigenvalues)
+    assert not np.array_equal(first[0].eigenvalues, first[1].eigenvalues)
+
+
+def test_eesd_moments_match_trace_powers_of_the_same_replicates():
+    spec = ModelSpec("sparse_homogeneous", 120, 43, {"rate": 2.0})
+    esds = replicate_esds(spec, 5)
+    traces = np.array([empirical_moments(sample(with_seed(spec, e.source["seed"])), 6)
+                       for e in esds])
+    series = eesd_moments(spec, 6, replicates=5)
+    assert series.values() == spectral_moments(esds, 6).values()
+    assert np.allclose(series.values(), traces.mean(axis=0), rtol=1e-12, atol=1e-14)
+    errors = [e.error for e in series.entries]
+    assert np.allclose(errors, traces.std(axis=0, ddof=1) / np.sqrt(5), rtol=1e-9, atol=1e-14)
+
+
+def test_spectral_moments_of_one_replicate_have_no_error():
+    esd = replicate_esds(ModelSpec("gaussian_wigner", 40, 3), 1)[0]
+    series = spectral_moments([esd], 4)
+    assert series.values() == [esd.moment(k) for k in range(1, 5)]
+    assert all(np.isnan(e.error) for e in series.entries)
 
 
 def test_eesd_moments_recover_semicircle_prefix():
@@ -160,19 +178,21 @@ def test_eesd_odd_moments_near_zero():
         assert e.provenance == "monte-carlo-simulation"
 
 
-def test_eesd_parallel_matches_serial():
-    spec = ModelSpec("sparse_homogeneous", 120, 43, {"rate": 2.0})
-    serial = eesd_moments(spec, 4, replicates=6)
-    threaded = eesd_moments(spec, 4, replicates=6, workers=3)
-    assert serial == threaded
-
-
 def test_eesd_budget_guard():
     spec = ModelSpec("gaussian_wigner", 4000, 1)
     with pytest.raises(CapacityError):
         eesd_moments(spec, 10, replicates=500)
     with pytest.raises(ValidationError):
         eesd_moments(ModelSpec("gaussian_wigner", 50, 1), 4, replicates=1)
+
+
+def test_budget_counts_one_eigensolve_per_replicate():
+    spec = ModelSpec("gaussian_wigner", 10, 1)
+    assert len(replicate_esds(spec, 3, budget=3000.0)) == 3
+    with pytest.raises(CapacityError):
+        replicate_esds(spec, 3, budget=2999.0)
+    # the moment order does not enter the cost
+    assert len(eesd_moments(spec, 12, replicates=3, budget=3000.0).entries) == 12
 
 
 def test_truncation_shrinks_spectral_distance():
