@@ -1,20 +1,30 @@
-"""Exact circuit counting for words at small matrix size n.
+"""Exact circuit counting for words at any matrix size n.
 
 A circuit is a map pi: {0..k} -> {1..n} with pi(0) = pi(k).  For a word w of
 length k, Pi(w) collects the circuits whose edge pattern matches the word:
 positions i and j carry the same letter exactly when the unordered vertex
 pairs {pi(i-1), pi(i)} and {pi(j-1), pi(j)} coincide.
 
-Counting iterates over generating vertices only (pi(0) plus the endpoint of
-each letter's first occurrence); every other value is forced by the edge it
-must repeat, so the search touches at most ~n^(b+1) assignments for b
-distinct letters instead of n^(k+1).
+Membership in Pi(w) does not change when the vertices are relabelled, so the
+search runs up to relabelling: vertices are named 0, 1, ... in order of first
+appearance, pi(0) is vertex 0, and the endpoint of each letter's first
+occurrence is either a vertex already used or the next fresh one; every other
+value is forced by the edge it must repeat.  Each such canonical circuit with
+m distinct vertices stands for n(n-1)...(n-m+1) circuits over {1..n}.  The
+search depends on the word alone, so a count costs the same at every n and
+stays an exact integer.
+
+The capacity guard (``budget``) checks a conservative bound, n choices for
+each generating vertex or n^g in all, which also bounds the canonical
+assignments; a large n can need a raised budget though the work stays put.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm
 from typing import Sequence
 
 from .combinatorics import Word
@@ -33,7 +43,11 @@ class CircuitCount:
 
 
 def _budget_estimate(word: Word, n: int) -> int:
-    """Upper bound on assignments explored: n per generating vertex."""
+    """Conservative capacity bound n^g for g generating vertices.
+
+    The search up to relabelling explores no more assignments than this, and
+    its work does not grow with n; ``budget`` is checked against this bound.
+    """
     k = len(word)
     seen = set()
     generating = 1  # pi(0)
@@ -60,16 +74,16 @@ def count_circuits(word: Word, n: int, budget: int = DEFAULT_BUDGET) -> CircuitC
         )
     k = len(word)
     letters = word.letters
-    pi = [0] * (k + 1)
+    pi = [0] * (k + 1)  # canonical vertex names, pi(0) = 0
     # letter -> its established edge as the ordered pair seen first
     first_edge: dict[int, tuple[int, int]] = {}
     used_edges: set[tuple[int, int]] = set()
-    count = 0
+    # canonical circuits by the number m of distinct vertices they use
+    by_vertices: Counter[int] = Counter()
 
-    def assign(i: int) -> None:
-        nonlocal count
+    def assign(i: int, m: int) -> None:
         if i == k + 1:
-            count += 1
+            by_vertices[m] += 1
             return
         letter = letters[i - 1]
         prev = pi[i - 1]
@@ -84,9 +98,10 @@ def count_circuits(word: Word, n: int, budget: int = DEFAULT_BUDGET) -> CircuitC
             if i == k and value != pi[0]:
                 return
             pi[i] = value
-            assign(i + 1)
+            assign(i + 1, m)
             return
-        candidates = (pi[0],) if i == k else range(1, n + 1)
+        # a used vertex, or the next fresh one
+        candidates = (pi[0],) if i == k else range(m + 1)
         for value in candidates:
             edge = (prev, value) if prev <= value else (value, prev)
             if edge in used_edges:
@@ -94,13 +109,12 @@ def count_circuits(word: Word, n: int, budget: int = DEFAULT_BUDGET) -> CircuitC
             first_edge[letter] = (prev, value)
             used_edges.add(edge)
             pi[i] = value
-            assign(i + 1)
+            assign(i + 1, max(m, value + 1))
             del first_edge[letter]
             used_edges.remove(edge)
 
-    for start in range(1, n + 1):
-        pi[0] = start
-        assign(1)
+    assign(1, 1)
+    count = sum(c * perm(n, m) for m, c in by_vertices.items())
 
     b = word.n_letters
     return CircuitCount(word, n, count, Fraction(count, n ** (b + 1)))

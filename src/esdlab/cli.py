@@ -35,7 +35,7 @@ from .models import DEFAULT_SEED
 from .moments import MomentSeries
 from .quadrature import QuadratureConfig
 from .spectra import (ESD, DEFAULT_EESD_BUDGET, eesd_moments, histogram, replicate_esds,
-                      spectral_moments)
+                      require_moment_order, spectral_moments)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -216,6 +216,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if model_cfg is None:
         raise ValidationError("simulate needs --config or --model-json")
     spec = model_spec_from_config(model_cfg, n=args.n, seed=args.seed)
+    require_moment_order(args.k_max)
     esds = replicate_esds(spec, args.reps, budget=args.budget)
     moments = [{"k": e.order, "value": e.value, "se": e.error if args.reps > 1 else None}
                for e in spectral_moments(esds, args.k_max).entries]

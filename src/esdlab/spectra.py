@@ -73,18 +73,22 @@ def residual_check(matrix: np.ndarray, pairs: int = 10, seed: int = 0) -> float:
     return float(worst / scale)
 
 
-def empirical_moment(m, k: int) -> float:
-    """(1/n) tr(M^k) by repeated multiplication (no eigendecomposition)."""
+def require_moment_order(k: int) -> None:
+    """Reject a moment order below 1; callers check before sampling anything."""
     if k < 1:
         raise ValidationError(f"moment order must be >= 1, got {k}")
+
+
+def empirical_moment(m, k: int) -> float:
+    """(1/n) tr(M^k) by repeated multiplication (no eigendecomposition)."""
+    require_moment_order(k)
     return empirical_moments(m, k)[k - 1]
 
 
 def empirical_moments(m, k_max: int) -> list[float]:
     """(1/n) tr(M^k) for k = 1..k_max, via half powers."""
     matrix, _ = _as_matrix(m)
-    if k_max < 1:
-        raise ValidationError(f"moment order must be >= 1, got {k_max}")
+    require_moment_order(k_max)
     n = matrix.shape[0]
     powers = {1: matrix}
     for a in range(2, (k_max + 2) // 2 + 1):
@@ -198,8 +202,7 @@ def spectral_moments(esds: Sequence[ESD], k_max: int, description: str = "") -> 
 
     One replicate has no standard error; its errors are NaN.
     """
-    if k_max < 1:
-        raise ValidationError(f"moment order must be >= 1, got {k_max}")
+    require_moment_order(k_max)
     table = np.array([[e.moment(k) for k in range(1, k_max + 1)] for e in esds])
     means = table.mean(axis=0)
     errors = (table.std(axis=0, ddof=1) / np.sqrt(len(esds)) if len(esds) > 1
@@ -215,5 +218,6 @@ def eesd_moments(spec: ModelSpec, k_max: int, replicates: int,
     """Replicate means and standard errors of the spectral moments, k = 1..k_max."""
     if replicates < 2:
         raise ValidationError("need at least 2 replicates for a standard error")
+    require_moment_order(k_max)
     return spectral_moments(replicate_esds(spec, replicates, seed, budget), k_max,
                             f"eesd {spec.variant} n={spec.n} reps={replicates}")

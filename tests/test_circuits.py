@@ -1,9 +1,13 @@
 """Circuit counts over finite vertex sets and occurrence labelling."""
 
+import functools
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esdlab.circuits import (
     CircuitCount,
@@ -44,6 +48,53 @@ def brute_count(word, n):
     return total
 
 
+@functools.cache
+def walk_census(length, n):
+    """Tally all n^length closed walks by the word their edge repeats spell.
+
+    A second brute force, vectorized: every walk lies in exactly one Pi(w),
+    so the tally of word w is |Pi(w)| at size n.
+    """
+    walks = np.indices((n,) * length).reshape(length, -1)
+    heads = np.roll(walks, -1, axis=0)
+    edges = np.minimum(walks, heads) * n + np.maximum(walks, heads)
+    letters = np.ones_like(edges)
+    top = np.ones_like(edges[0])
+    for j in range(1, length):
+        fresh = np.ones(edges.shape[1], dtype=bool)
+        for i in range(j):
+            same = fresh & (edges[i] == edges[j])
+            letters[j] = np.where(same, letters[i], letters[j])
+            fresh &= ~same
+        top += fresh
+        letters[j] = np.where(fresh, top, letters[j])
+    # one integer key per walk: its letters as digits in base length + 1
+    keys = (letters * (length + 1) ** np.arange(length)[:, None]).sum(axis=0)
+    keys, counts = np.unique(keys, return_counts=True)
+    words = (keys[None, :] // (length + 1) ** np.arange(length)[:, None]) % (length + 1)
+    return {Word(tuple(int(v) for v in w)): int(c) for w, c in zip(words.T, counts)}
+
+
+def lagrange_at(xs, ys, x):
+    """Value at x of the polynomial through the points (xs, ys), exactly."""
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        term = Fraction(yi)
+        for j, xj in enumerate(xs):
+            if j != i:
+                term *= Fraction(x - xj, xi - xj)
+        total += term
+    return total
+
+
+@st.composite
+def canonical_words(draw, max_length=6):
+    letters = []
+    for _ in range(draw(st.integers(1, max_length))):
+        letters.append(draw(st.integers(1, max(letters, default=0) + 1)))
+    return Word(tuple(letters))
+
+
 def test_single_pair_word_counts_all_ordered_pairs():
     aa = Word.from_string("aa")
     for n in range(1, 9):
@@ -70,6 +121,49 @@ def test_counts_match_brute_force():
         w = Word.from_string(letters)
         for n in (2, 3, 4):
             assert count_circuits(w, n).count == brute_count(w, n), (letters, n)
+
+
+def test_walk_census_matches_brute_count():
+    for length in range(1, 6):
+        for n in range(1, 5):
+            census = walk_census(length, n)
+            assert sum(census.values()) == n**length
+            for word in enumerate_partitions_brute(length):
+                assert census.get(word, 0) == brute_count(word, n), (word, n)
+
+
+def test_counts_match_brute_force_for_every_short_word():
+    for length in range(1, 7):
+        for n in range(1, 5):
+            census = walk_census(length, n)
+            for word in enumerate_partitions_brute(length):
+                assert count_circuits(word, n).count == census.get(word, 0), (word, n)
+
+
+def test_counts_extrapolate_the_brute_force_polynomial():
+    # a circuit of a word with b letters uses at most b+1 vertices, so
+    # |Pi(w)| is a polynomial in n of degree <= b+1 fixed by n = 1..b+2
+    far = 40
+    for length in range(1, 7):
+        for word in enumerate_partitions_brute(length):
+            sizes = range(1, word.n_letters + 3)
+            counts = [walk_census(length, n).get(word, 0) for n in sizes]
+            expected = lagrange_at(sizes, counts, far)
+            assert count_circuits(word, far, budget=10**12).count == expected, word
+
+
+def test_closed_forms_at_a_million_vertices():
+    n = 10**6
+    assert count_circuits(Word.from_string("aa"), n, budget=10**18).count == n**2
+    for letters in ("aabb", "abba"):
+        w = Word.from_string(letters)
+        assert count_circuits(w, n, budget=10**18).count == n * n * (n - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(canonical_words(), st.integers(1, 4))
+def test_counts_match_brute_count_on_random_words(word, n):
+    assert count_circuits(word, n).count == brute_count(word, n)
 
 
 def test_non_ss_words_are_subleading():

@@ -181,6 +181,20 @@ def test_simulate_budget_exit_code(capsys):
     assert "capacity" in err
 
 
+def test_bad_moment_order_exits_before_sampling(capsys, monkeypatch):
+    def no_sampling(spec):
+        raise AssertionError("sampled before the moment order was checked")
+
+    monkeypatch.setattr(esdlab.spectra, "sample", no_sampling)
+    code, _, err = run(capsys, "simulate", "--model-json", '{"variant":"gaussian_wigner"}',
+                       "--n", "1000", "--reps", "5", "--k-max", "0")
+    assert code == 2
+    assert "moment order" in err
+    spec = esdlab.models.ModelSpec("gaussian_wigner", 1000, seed=DEFAULT_SEED)
+    with pytest.raises(esdlab.errors.ValidationError, match="moment order"):
+        esdlab.spectra.eesd_moments(spec, 0, 5)
+
+
 def test_validation_exit_code(capsys):
     code, _, err = run(capsys, "simulate", "--model-json",
                        '{"variant":"no_such_model"}', "--n", "50", "--reps", "2")
