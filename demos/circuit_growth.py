@@ -12,7 +12,7 @@ moments after the 1/n^(b+1) normalisation.
 from esdlab import Word, classify_occurrences, count_circuits, ratio_table
 
 # the ratio column is count / n^(b+1), exact rational arithmetic
-# counts cost the same at any n; n=1024 only needs the n^3 capacity guard raised
+# counts cost no more at larger n; n=1024 only needs the n^3 capacity guard raised
 for letters, sizes in (("aabb", [4, 8, 16, 32, 1024]), ("abccba", [4, 8, 16, 32])):
     print(f"word {letters}: ratio -> 1 as n grows")
     for row in ratio_table(Word.from_string(letters), sizes, budget=10**10):

@@ -8,15 +8,17 @@ pairs {pi(i-1), pi(i)} and {pi(j-1), pi(j)} coincide.
 Membership in Pi(w) does not change when the vertices are relabelled, so the
 search runs up to relabelling: vertices are named 0, 1, ... in order of first
 appearance, pi(0) is vertex 0, and the endpoint of each letter's first
-occurrence is either a vertex already used or the next fresh one; every other
-value is forced by the edge it must repeat.  Each such canonical circuit with
-m distinct vertices stands for n(n-1)...(n-m+1) circuits over {1..n}.  The
-search depends on the word alone, so a count costs the same at every n and
-stays an exact integer.
+occurrence is either a vertex already used or the next fresh one, if fewer
+than n are used; every other value is forced by the edge it must repeat.
+Each such canonical circuit with m distinct vertices stands for
+n(n-1)...(n-m+1) circuits over {1..n}.  Once n exceeds the number of
+letters the search depends on the word alone, so a count costs the same at
+every larger n and stays an exact integer.
 
-The capacity guard (``budget``) checks a conservative bound, n choices for
-each generating vertex or n^g in all, which also bounds the canonical
-assignments; a large n can need a raised budget though the work stays put.
+The capacity guard (``budget``) checks a conservative bound, n^g for g
+generating vertices: each generating step offers at most min(m + 1, n)
+vertices, so n^g bounds the canonical assignments at every n; a large n can
+need a raised budget though the work stays put.
 """
 
 from __future__ import annotations
@@ -45,8 +47,10 @@ class CircuitCount:
 def _budget_estimate(word: Word, n: int) -> int:
     """Conservative capacity bound n^g for g generating vertices.
 
-    The search up to relabelling explores no more assignments than this, and
-    its work does not grow with n; ``budget`` is checked against this bound.
+    The search up to relabelling offers each generating vertex at most n
+    values, so it explores no more assignments than this; its work stops
+    growing once n exceeds the number of letters.  ``budget`` is checked
+    against this bound.
     """
     k = len(word)
     seen = set()
@@ -100,8 +104,8 @@ def count_circuits(word: Word, n: int, budget: int = DEFAULT_BUDGET) -> CircuitC
             pi[i] = value
             assign(i + 1, m)
             return
-        # a used vertex, or the next fresh one
-        candidates = (pi[0],) if i == k else range(m + 1)
+        # a used vertex, or the next fresh one while fewer than n are used
+        candidates = (pi[0],) if i == k else range(min(m + 1, n))
         for value in candidates:
             edge = (prev, value) if prev <= value else (value, prev)
             if edge in used_edges:

@@ -88,9 +88,9 @@ def lagrange_at(xs, ys, x):
 
 
 @st.composite
-def canonical_words(draw, max_length=6):
+def canonical_words(draw, min_length=1, max_length=6):
     letters = []
-    for _ in range(draw(st.integers(1, max_length))):
+    for _ in range(draw(st.integers(min_length, max_length))):
         letters.append(draw(st.integers(1, max(letters, default=0) + 1)))
     return Word(tuple(letters))
 
@@ -160,10 +160,19 @@ def test_closed_forms_at_a_million_vertices():
         assert count_circuits(w, n, budget=10**18).count == n * n * (n - 1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(canonical_words(), st.integers(1, 4))
-def test_counts_match_brute_count_on_random_words(word, n):
+@settings(max_examples=30, deadline=None)
+@given(canonical_words(min_length=7, max_length=9), st.integers(1, 3))
+def test_counts_match_brute_count_on_random_long_words(word, n):
+    # lengths beyond the exhaustive check above
     assert count_circuits(word, n).count == brute_count(word, n)
+
+
+def test_long_word_at_small_n_stops_at_n_vertices():
+    # K2 has 3 edges, so 20 distinct letters have no circuit; the search
+    # must not walk canonical circuits that need more than n vertices
+    word = Word.from_string("abcdefghijklmnopqrst")
+    assert count_circuits(word, 2).count == 0
+    assert count_circuits(Word.from_string("abcdefghijklmnop"), 3).count == 0
 
 
 def test_non_ss_words_are_subleading():
