@@ -15,10 +15,10 @@ n(n-1)...(n-m+1) circuits over {1..n}.  Once n exceeds the number of
 letters the search depends on the word alone, so a count costs the same at
 every larger n and stays an exact integer.
 
-The capacity guard (``budget``) checks a conservative bound, n^g for g
-generating vertices: each generating step offers at most min(m + 1, n)
-vertices, so n^g bounds the canonical assignments at every n; a large n can
-need a raised budget though the work stays put.
+The capacity guard (``budget``) checks the size of that search: before its
+s-th generating step at most s vertices are in use, so the step offers at
+most min(s + 1, n) of them, and the product of these bounds the canonical
+assignments.  Like the search, the bound stops growing with n.
 """
 
 from __future__ import annotations
@@ -45,21 +45,21 @@ class CircuitCount:
 
 
 def _budget_estimate(word: Word, n: int) -> int:
-    """Conservative capacity bound n^g for g generating vertices.
+    """Bound on the canonical assignments: the product of min(s + 1, n) over
+    the generating steps s = 1, 2, ... (first occurrences of a letter before
+    the last position, whose vertex is forced back to pi(0)).
 
-    The search up to relabelling offers each generating vertex at most n
-    values, so it explores no more assignments than this; its work stops
-    growing once n exceeds the number of letters.  ``budget`` is checked
-    against this bound.
+    ``budget`` is checked against this bound.
     """
     k = len(word)
     seen = set()
-    generating = 1  # pi(0)
+    estimate = step = 1
     for position, letter in enumerate(word.letters, start=1):
         if letter not in seen and position < k:
-            generating += 1
+            estimate *= min(step + 1, n)
+            step += 1
         seen.add(letter)
-    return n**generating
+    return estimate
 
 
 def count_circuits(word: Word, n: int, budget: int = DEFAULT_BUDGET) -> CircuitCount:

@@ -32,7 +32,6 @@ from . import combinatorics as comb
 from .compare import compare_series, model_spec_from_config, theory_series_from_config
 from .errors import CapacityError, NumericError, ValidationError
 from .models import DEFAULT_SEED
-from .moments import MomentSeries
 from .quadrature import QuadratureConfig
 from .spectra import (ESD, DEFAULT_EESD_BUDGET, eesd_moments, histogram, replicate_esds,
                       require_moment_order, spectral_moments)
@@ -160,10 +159,6 @@ def _emit(args: argparse.Namespace, payload_cfg: dict, document: dict,
         sys.stdout.write(text)
 
 
-def _series_payload(series: MomentSeries) -> dict:
-    return series.to_json_dict()
-
-
 def _quad_from_args(args: argparse.Namespace) -> QuadratureConfig:
     return QuadratureConfig(points=args.quad_points)
 
@@ -206,7 +201,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
     if theory is None:
         raise ValidationError("moments needs --config or --theory-json")
     series = theory_series_from_config(theory, args.two_k, _quad_from_args(args))
-    _emit(args, payload_cfg, {"series": _series_payload(series)}, series.to_csv_rows())
+    _emit(args, payload_cfg, {"series": series.to_json_dict()}, series.to_csv_rows())
     return 0
 
 

@@ -14,9 +14,13 @@ special symmetric), the census of special symmetric words by block count
 * ``enumerate_partitions_brute``: every canonical word of length k, in
   lexicographic order (Bell-number growth, capped at k = 12).  This is the
   slow oracle.
-* ``enumerate_ss``: only the special symmetric words, generated through the
-  colored-tree bijection in :mod:`esdlab.trees`, so the cost is linear in the
-  output size instead of the Bell number.
+* ``enumerate_ss``: only the special symmetric words, generated directly by
+  the depth-first walk on their colored trees (see :mod:`esdlab.trees`), so
+  the cost is linear in the output size instead of the Bell number.  From a
+  node of color c the next letter closes that node (c itself), opens a child
+  of an existing color whose parent color is c, or opens a child of a fresh
+  color.  A color's parent color fixes its depth, so the walk keeps no
+  depth map.
 * ``enumerate_nc2``: non-crossing pair partitions, generated independently
   from balanced bracket sequences with an explicit stack.  Used as an oracle
   for the identity "special symmetric pair partitions = non-crossing pair
@@ -272,10 +276,11 @@ def enumerate_partitions_brute(k: int) -> Iterator[Word]:
 def enumerate_ss(two_k: int) -> Iterator[Word]:
     """All special symmetric words of length two_k, lexicographically.
 
-    Words are produced through the colored rooted tree bijection, which makes
-    the enumeration linear in the output size.  Odd lengths yield nothing
-    (the class is empty), mirroring the mathematical convention rather than
-    raising.
+    The walk offers its moves in letter order: closing the current node
+    (its own color, smaller than any of its children's), then the existing
+    child colors, then the fresh one.  Every complete walk is a distinct
+    word.  Odd lengths yield nothing (the class is empty), mirroring the
+    mathematical convention rather than raising.
 
     >>> [str(w) for w in enumerate_ss(4)]
     ['aaaa', 'aabb', 'abba']
@@ -284,10 +289,37 @@ def enumerate_ss(two_k: int) -> Iterator[Word]:
         raise ValidationError(f"word length must be >= 1, got {two_k}")
     if two_k % 2:
         return
-    from . import trees  # deferred: trees imports this module for Word
+    k = two_k // 2
+    parent = [-1]  # parent color of each color; the root (color 0) has none
+    path = [0]  # colors of the open nodes, root first
+    letters: list[int] = []
 
-    for tree in trees.enumerate_trees(two_k):
-        yield trees.word_from_tree(tree)
+    def step(color: int, downs: int) -> Iterator[Word]:
+        letters.append(color)
+        yield from walk(downs)
+        letters.pop()
+
+    def walk(downs: int) -> Iterator[Word]:
+        if len(letters) == two_k:
+            yield Word(tuple(letters))
+            return
+        here = path[-1]
+        if here:  # close the current node
+            path.pop()
+            yield from step(here, downs)
+            path.append(here)
+        if downs == k:
+            return
+        for color in range(here + 1, len(parent) + 1):
+            if color == len(parent):
+                parent.append(here)  # the fresh color comes last
+            if parent[color] == here:
+                path.append(color)
+                yield from step(color, downs + 1)
+                path.pop()
+        parent.pop()
+
+    yield from walk(0)
 
 
 def count_ss_by_blocks(two_k: int) -> dict[int, int]:

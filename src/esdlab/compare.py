@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .graphons import Graphon, GraphonFamily
 from .models import ModelSpec, effective_cumulants
-from .moments import (CumulantSchedule, MomentSeries, QuadratureConfig, constant_series,
-                      graphon_series, moment_graphon, sparse_series)
+from .moments import (CumulantSchedule, MomentSeries, QuadratureConfig, block_family,
+                      constant_series, graphon_series, profile_family, sparse_series)
 from .quadrature import DEFAULT_CONFIG
 
 
@@ -82,24 +82,18 @@ def theory_series_from_config(cfg: dict, two_k_max: int,
         _reject_unknown(cfg, {"kind", "rate"}, "sparse")
         return sparse_series(float(cfg["rate"]), two_k_max)
     if kind == "graphon":
-        _reject_unknown(cfg, {"kind", "g"}, "graphon family")
-        entries = {order: graphon_from_json(g)
-                   for order, g in _orders_dict(cfg.get("g"), "graphon family").items()}
-        family = GraphonFamily(entries, description="graphon config")
-        return graphon_series(family, two_k_max, quad)
+        return graphon_series(_family_from_config(cfg), two_k_max, quad)
     if kind == "band":
         _reject_unknown(cfg, {"kind", "alpha", "periodic", "base"}, "band")
-        base = _family_from_config(cfg.get("base", {"kind": "semicircle"}), quad)
+        base = _family_from_config(cfg.get("base", {"kind": "semicircle"}))
         family = base.banded(float(cfg["alpha"]), bool(cfg.get("periodic", False)))
         return graphon_series(family, two_k_max, quad)
     if kind == "block":
         _reject_unknown(cfg, {"kind", "masses", "cells"}, "block")
-        from .moments import block_family
         cells = _orders_dict(cfg.get("cells"), "block cells")
         return graphon_series(block_family(cfg["masses"], cells), two_k_max, quad)
     if kind == "profile":
         _reject_unknown(cfg, {"kind", "sigma", "base"}, "profile")
-        from .moments import profile_family
         base = schedule_from_config(cfg.get("base", {"kind": "semicircle"}))
         return graphon_series(profile_family(cfg["sigma"], base), two_k_max, quad)
     if kind == "model":
@@ -112,7 +106,7 @@ def theory_series_from_config(cfg: dict, two_k_max: int,
     raise ValidationError(f"unknown theory kind {kind!r}")
 
 
-def _family_from_config(cfg: dict, quad: QuadratureConfig) -> GraphonFamily:
+def _family_from_config(cfg: dict) -> GraphonFamily:
     kind = cfg.get("kind")
     if kind in ("semicircle", "constant", "schedule"):
         return schedule_from_config(cfg).as_family()

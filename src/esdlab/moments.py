@@ -5,13 +5,14 @@ which are the colored trees of :mod:`esdlab.trees`: one color per block, and
 an edge factor per color class of order twice its size. Odd moments vanish.
 No tree is listed: :func:`esdlab.treesum.tree_sum` sums over color classes.
 
-* Constant schedules pass the cumulant C_{2t} as the edge weight of a class
-  of t nodes; the sparse polynomial takes its coefficients from the census
-  by block count (see :func:`esdlab.combinatorics.count_ss_by_blocks`).
-* Kernel families pass vectors on the nodes of one quadrature rule, chosen
-  once per moment from the kinds of the members up to that order (see
-  :mod:`esdlab.quadrature`); a class of t nodes applies the matrix of its
-  order-2t member to its message.
+:func:`moment_graphon` is the one entry point for every limit moment. It
+passes vectors on the nodes of one quadrature rule, chosen once per moment
+from the kinds of the members up to that order (see :mod:`esdlab.quadrature`);
+a class of t nodes applies the matrix of its order-2t member to its message.
+A cumulant schedule is a family of constants, which takes the exact
+one-node rule, so its moments are plain float sums of C_{2t} products. Only
+the sparse polynomial stays in integers: its coefficients are the census by
+block count (see :func:`esdlab.combinatorics.count_ss_by_blocks`).
 """
 
 from __future__ import annotations
@@ -139,21 +140,9 @@ def hankel_min_eigenvalue(series: MomentSeries) -> float:
 
 # -- constant schedules (exact) ---------------------------------------------
 
-def _flat_sum(cumulant: Callable[[int], float], two_k: int) -> float:
-    """Sum over SS words of length two_k of the product of C_{2t} over blocks of size 2t."""
-    def edge(t: int, f: float) -> Optional[float]:
-        c = cumulant(2 * t)
-        return None if c == 0 else c * f
-
-    return float(tree_sum(two_k // 2, edge, 1.0))
-
-
 def moment_constant(schedule: CumulantSchedule, two_k: int) -> float:
     """Exact limit moment: sum over SS words of the block-size cumulant product."""
-    if two_k % 2:
-        return 0.0
-    _require_even_order(two_k)
-    return _flat_sum(schedule.value, two_k)
+    return moment_graphon(schedule.as_family(), two_k).value
 
 
 @dataclass(frozen=True)
@@ -282,9 +271,7 @@ def moment_variance_profile(sigma, schedule: CumulantSchedule, two_k: int,
 # -- series builders ---------------------------------------------------------
 
 def constant_series(schedule: CumulantSchedule, two_k_max: int) -> MomentSeries:
-    entries = tuple(MomentEntry(two_k, moment_constant(schedule, two_k), 0.0, EXACT)
-                    for two_k in range(2, two_k_max + 1, 2))
-    return MomentSeries(entries, schedule.description)
+    return graphon_series(schedule.as_family(), two_k_max)
 
 
 def sparse_series(lam: float, two_k_max: int) -> MomentSeries:
@@ -374,7 +361,7 @@ def carleman_partial_sum(source, big_k: int) -> CarlemanReport:
 
     ss_terms = []
     for two_k in orders:
-        alpha = _flat_sum(bound_of, two_k)
+        alpha = moment_graphon(GraphonFamily.from_constant_rule(bound_of), two_k).value
         ss_terms.append(math.inf if alpha == 0.0 else alpha ** (-1.0 / two_k))
 
     slope, verdict = _trend(terms)

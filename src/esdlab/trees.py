@@ -15,7 +15,9 @@ Valid colorings satisfy three properties:
 
 Because of (b)+(c) a color can never parent itself, so the walk is decodable
 from the word alone: a letter equal to the current node's color closes that
-node (step up), anything else opens a child (step down).
+node (step up), anything else opens a child (step down).  The words are
+listed by :func:`esdlab.combinatorics.enumerate_ss`, which runs this walk;
+:func:`enumerate_trees` decodes them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .combinatorics import Word, is_special_symmetric
+from .combinatorics import Word, enumerate_ss, is_special_symmetric
 from .errors import ValidationError
 
 
@@ -33,24 +35,6 @@ class ColoredTree:
 
     color: int
     children: tuple["ColoredTree", ...] = ()
-
-    def n_nodes(self) -> int:
-        return 1 + sum(child.n_nodes() for child in self.children)
-
-    def n_edges(self) -> int:
-        return self.n_nodes() - 1
-
-    def color_counts(self) -> dict[int, int]:
-        """Number of nodes per color."""
-        counts: dict[int, int] = {}
-
-        def visit(node: ColoredTree) -> None:
-            counts[node.color] = counts.get(node.color, 0) + 1
-            for child in node.children:
-                visit(child)
-
-        visit(self)
-        return counts
 
     def edge_multiplicities(self) -> dict[tuple[int, int], int]:
         """Count tree edges per (parent color, child color) pair."""
@@ -136,6 +120,19 @@ def validate_tree(tree: ColoredTree) -> TreeReport:
     return TreeReport(root_ok, colors_contiguous, parent_colors_ok, depths_ok, tuple(messages))
 
 
+def _decode(word: Word) -> ColoredTree:
+    """Rebuild the tree of a special symmetric word by its depth-first walk."""
+    stack: list[tuple[int, list[ColoredTree]]] = [(0, [])]
+    for letter in word.letters:
+        if stack[-1][0] == letter:
+            color, kids = stack.pop()
+            stack[-1][1].append(ColoredTree(color, tuple(kids)))
+        else:
+            stack.append((letter, []))
+    assert len(stack) == 1, "walk did not return to the root"
+    return ColoredTree(0, tuple(stack[0][1]))
+
+
 def tree_from_word(word: Word) -> ColoredTree:
     """Build the colored tree of a special symmetric word.
 
@@ -150,15 +147,7 @@ def tree_from_word(word: Word) -> ColoredTree:
     """
     if not is_special_symmetric(word):
         raise ValidationError(f"word {word} is not special symmetric")
-    stack: list[tuple[int, list[ColoredTree]]] = [(0, [])]
-    for letter in word.letters:
-        if stack[-1][0] == letter:
-            color, kids = stack.pop()
-            stack[-1][1].append(ColoredTree(color, tuple(kids)))
-        else:
-            stack.append((letter, []))
-    assert len(stack) == 1, "walk did not return to the root"
-    return ColoredTree(0, tuple(stack[0][1]))
+    return _decode(word)
 
 
 def word_from_tree(tree: ColoredTree) -> Word:
@@ -189,56 +178,9 @@ def word_from_tree(tree: ColoredTree) -> Word:
 
 
 def enumerate_trees(two_k: int) -> Iterator[ColoredTree]:
-    """All valid colored trees with two_k/2 edges.
+    """All valid colored trees with two_k/2 edges, in the order of their words.
 
-    Generates the depth-first walks directly, pruning on the coloring
-    properties: from a node of color c at depth d one may close it (step up),
-    open a child of a fresh color, or open a child of an existing color whose
-    established (depth, parent color) signature is (d+1, c).  Every complete
-    walk is a distinct tree, and the emitted words come out in lexicographic
-    order.  Odd two_k yields nothing.
+    Odd two_k yields nothing.
     """
-    if two_k < 1:
-        raise ValidationError(f"walk length must be >= 1, got {two_k}")
-    if two_k % 2:
-        return
-    k = two_k // 2
-    # color -> (depth, parent color); filled as colors first appear
-    signature: dict[int, tuple[int, int]] = {}
-    stack: list[tuple[int, list[ColoredTree]]] = [(0, [])]
-    state = {"downs": 0}
-
-    def walk(steps_taken: int) -> Iterator[ColoredTree]:
-        if steps_taken == two_k:
-            yield ColoredTree(0, tuple(stack[0][1]))
-            return
-        current_color = stack[-1][0]
-        depth = len(stack) - 1
-        moves: list[tuple[int, str]] = []
-        if depth > 0:
-            moves.append((current_color, "up"))
-        if state["downs"] < k:
-            for color, (d, parent) in signature.items():
-                if d == depth + 1 and parent == current_color:
-                    moves.append((color, "down"))
-            moves.append((len(signature) + 1, "new"))
-        for letter, kind in sorted(moves):
-            if kind == "up":
-                color, kids = stack.pop()
-                node = ColoredTree(color, tuple(kids))
-                stack[-1][1].append(node)
-                yield from walk(steps_taken + 1)
-                stack[-1][1].pop()
-                stack.append((color, list(node.children)))
-            else:
-                if kind == "new":
-                    signature[letter] = (depth + 1, current_color)
-                stack.append((letter, []))
-                state["downs"] += 1
-                yield from walk(steps_taken + 1)
-                state["downs"] -= 1
-                stack.pop()
-                if kind == "new":
-                    del signature[letter]
-
-    yield from walk(0)
+    for word in enumerate_ss(two_k):
+        yield _decode(word)

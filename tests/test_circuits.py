@@ -242,9 +242,12 @@ def test_classify_rejects_non_circuits():
 
 
 def test_budget_guard():
-    wide = Word.from_string("abcdefgh")
+    # 15 generating steps at n = 16 bound the search by 16!, about 2.1e13
     with pytest.raises(CapacityError):
-        count_circuits(wide, 50)
+        count_circuits(Word.from_string("abcdefghijklmnop"), 16)
+    # 8! = 40,320 canonical assignments at any n >= 8
+    wide = Word.from_string("abcdefgh")
+    assert count_circuits(wide, 50).count == 32_914_862_904_000
     # small case is fine even for the same word
     count_circuits(wide, 3)
 

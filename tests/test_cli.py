@@ -244,6 +244,17 @@ def test_circuits_csv_and_json(capsys):
     assert doc["results"][0]["ratio_exact"] == "1/2"
 
 
+def test_circuits_budget_follows_the_search_not_n(capsys):
+    code, _, err = run(capsys, "circuits", "abcdefghijklmnop", "--n-values", "16",
+                       "--reproducible")
+    assert code == 3
+    assert "capacity" in err
+
+    code, out, _ = run(capsys, "circuits", "aabb", "--n-values", "1024", "--reproducible")
+    assert code == 0
+    assert json.loads(out)["results"][0]["count"] == 1_072_693_248
+
+
 def test_circuits_rejects_bad_word(capsys):
     code, _, err = run(capsys, "circuits", "ba", "--reproducible")
     assert code == 2

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from esdlab.combinatorics import (
     BRUTE_FORCE_MAX_K,
@@ -112,6 +114,31 @@ def test_enumeration_is_sorted_and_duplicate_free():
     for two_k in (2, 4, 6, 8, 10):
         words = [w.letters for w in enumerate_ss(two_k)]
         assert words == sorted(set(words))
+
+
+def test_long_enumeration_matches_the_census():
+    # longer than the brute-force and ordering checks above reach
+    words = list(enumerate_ss(14))
+    letters = [w.letters for w in words]
+    assert letters == sorted(set(letters))
+    assert all(is_special_symmetric(w) for w in words)
+    tally = {}
+    for w in words:
+        tally[w.n_letters] = tally.get(w.n_letters, 0) + 1
+    assert tally == count_ss_by_blocks(14)
+
+
+@st.composite
+def restricted_growth(draw):
+    letters = []
+    for _ in range(draw(st.integers(1, 12))):
+        letters.append(draw(st.integers(1, max(letters, default=0) + 1)))
+    return Word(tuple(letters))
+
+
+@given(restricted_growth())
+def test_word_partition_round_trip_on_random_words(word):
+    assert word_from_partition(partition_from_word(word)) == word
 
 
 def test_odd_counts_are_empty():
