@@ -1,10 +1,10 @@
 """Limiting spectral distributions of generalized Wigner matrices.
 
 The theory side enumerates special symmetric words (equivalently colored
-rooted trees) and turns cumulant schedules or kernel families into limit
-moment sequences; the lab side samples the matching matrix ensembles and
-measures their spectra. The CLI and the comparison tools tie the two
-together.
+rooted trees) and turns kernel families, of which a cumulant schedule is
+the constant case, into limit moment sequences; the lab side samples the
+matching matrix ensembles and measures their spectra. The CLI and the
+comparison tools tie the two together.
 """
 
 from .circuits import CircuitCount, classify_occurrences, count_circuits, ratio_table
@@ -14,14 +14,13 @@ from .combinatorics import (SSClassification, Word, catalan, classify, count_ss_
                             partition_from_word, word_from_partition)
 from .errors import CapacityError, NumericError, ValidationError
 from .expressions import compile_expression
-from .graphons import Graphon, GraphonFamily, band_indicator
+from .graphons import CumulantSchedule, Graphon, GraphonFamily, band_indicator
 from .models import (DEFAULT_SEED, ModelSpec, SampledMatrix, effective_cumulants, read_matrix,
                      sample, truncate, write_matrix, write_matrix_csv)
-from .moments import (CarlemanReport, CumulantSchedule, MomentEntry, MomentSeries,
-                      carleman_partial_sum, constant_series, graphon_series,
-                      hankel_min_eigenvalue, homomorphism_density, moment_band, moment_block,
-                      moment_constant, moment_graphon, moment_sparse, moment_variance_profile,
-                      sparse_series)
+from .moments import (CarlemanReport, MomentEntry, MomentSeries, carleman_partial_sum,
+                      graphon_series, hankel_min_eigenvalue, homomorphism_density, moment_band,
+                      moment_block, moment_constant, moment_graphon, moment_sparse,
+                      moment_variance_profile, sparse_series)
 from .quadrature import IntegralResult, QuadratureConfig
 from .spectra import (ESD, Histogram, eesd_moments, eigenvalues, empirical_moment,
                       empirical_moments, histogram, replicate_esds, semicircle_density,

@@ -111,12 +111,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- config and output plumbing ----------------------------------------------
 
+def _load_json(text: str | None, where: str):
+    """Parse a JSON flag or file; an absent or empty one gives None."""
+    if not text:
+        return None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{where} is not valid JSON: {exc}") from None
+
+
 def _apply_config(args: argparse.Namespace) -> dict:
     """Load --config, apply its "args" overrides, return the payload part."""
     if not args.config:
         return {}
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        cfg = _load_json(fh.read(), f"config file {args.config}")
     if not isinstance(cfg, dict):
         raise ValidationError("config file must hold a JSON object")
     payload = dict(cfg)
@@ -197,7 +207,7 @@ def cmd_ss(args: argparse.Namespace) -> int:
 
 def cmd_moments(args: argparse.Namespace) -> int:
     payload_cfg = _apply_config(args)
-    theory = payload_cfg or (json.loads(args.theory_json) if args.theory_json else None)
+    theory = payload_cfg or _load_json(args.theory_json, "--theory-json")
     if theory is None:
         raise ValidationError("moments needs --config or --theory-json")
     series = theory_series_from_config(theory, args.two_k, _quad_from_args(args))
@@ -207,7 +217,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     payload_cfg = _apply_config(args)
-    model_cfg = payload_cfg or (json.loads(args.model_json) if args.model_json else None)
+    model_cfg = payload_cfg or _load_json(args.model_json, "--model-json")
     if model_cfg is None:
         raise ValidationError("simulate needs --config or --model-json")
     spec = model_spec_from_config(model_cfg, n=args.n, seed=args.seed)
@@ -232,9 +242,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if payload_cfg and (theory_cfg is None or model_cfg is None):
         raise ValidationError("compare config needs 'theory' and 'model' sections")
     if theory_cfg is None:
-        theory_cfg = json.loads(args.theory_json) if args.theory_json else None
+        theory_cfg = _load_json(args.theory_json, "--theory-json")
     if model_cfg is None:
-        model_cfg = json.loads(args.model_json) if args.model_json else None
+        model_cfg = _load_json(args.model_json, "--model-json")
     if theory_cfg is None or model_cfg is None:
         raise ValidationError("compare needs theory and model configs")
     if args.two_k < 2 or args.two_k % 2:

@@ -2,8 +2,11 @@
 
 A comparison lines up exact (or quadrature) limit moments against replicate
 means from the sampler and scores each order by z = (simulated - theory) / SE.
-The config parsers turn small JSON documents into schedules, kernel families,
-or model specs; they are strict about unknown keys so typos fail loudly.
+The config parsers turn small JSON documents into kernel families or model
+specs; :func:`family_from_config` covers every theory kind but ``sparse``,
+whose moments stay the integer census polynomial. The parsers are strict
+about unknown keys so typos fail loudly, and a missing or malformed value
+raises ValidationError.
 """
 
 from __future__ import annotations
@@ -12,17 +15,36 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .graphons import Graphon, GraphonFamily
+from .graphons import CumulantSchedule, Graphon, GraphonFamily
 from .models import ModelSpec, effective_cumulants
-from .moments import (CumulantSchedule, MomentSeries, QuadratureConfig, block_family,
-                      constant_series, graphon_series, profile_family, sparse_series)
+from .moments import (MomentSeries, QuadratureConfig, block_family, graphon_series,
+                      profile_family, sparse_series)
 from .quadrature import DEFAULT_CONFIG
+
+_SCHEDULE_KINDS = ("semicircle", "constant", "schedule")
 
 
 def _reject_unknown(cfg: dict, allowed: set[str], where: str) -> None:
     unknown = set(cfg) - allowed
     if unknown:
         raise ValidationError(f"unknown keys {sorted(unknown)} in {where} config")
+
+
+def _required(cfg: dict, key: str, where: str):
+    if key not in cfg:
+        raise ValidationError(f"{where} config needs {key!r}")
+    return cfg[key]
+
+
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a number, got {value!r}") from None
+
+
+def _kind(cfg):
+    return cfg.get("kind") if isinstance(cfg, dict) else None
 
 
 def graphon_from_json(obj) -> Graphon:
@@ -34,9 +56,11 @@ def graphon_from_json(obj) -> Graphon:
     if isinstance(obj, dict):
         _reject_unknown(obj, {"breaks", "cells", "constant", "expression", "bound"}, "graphon")
         if "constant" in obj:
-            return Graphon.constant(float(obj["constant"]))
+            return Graphon.constant(_number(obj["constant"], "graphon constant"))
         if "expression" in obj:
-            return Graphon.from_expression(obj["expression"], obj.get("bound"))
+            bound = obj.get("bound")
+            bound = None if bound is None else _number(bound, "graphon bound")
+            return Graphon.from_expression(obj["expression"], bound)
         if "breaks" in obj and "cells" in obj:
             return Graphon.from_grid(obj["breaks"], obj["cells"])
     raise ValidationError(f"cannot read a graphon from {obj!r}")
@@ -56,16 +80,18 @@ def _orders_dict(mapping, where: str) -> dict[int, object]:
 
 
 def schedule_from_config(cfg: dict) -> CumulantSchedule:
-    kind = cfg.get("kind")
+    kind = _kind(cfg)
     if kind == "semicircle":
         _reject_unknown(cfg, {"kind", "c2"}, "semicircle")
-        return CumulantSchedule.semicircle(float(cfg.get("c2", 1.0)))
+        return CumulantSchedule.semicircle(_number(cfg.get("c2", 1.0), "semicircle c2"))
     if kind == "constant":
         _reject_unknown(cfg, {"kind", "value"}, "constant schedule")
-        return CumulantSchedule.constant(float(cfg["value"]))
+        value = _required(cfg, "value", "constant schedule")
+        return CumulantSchedule.constant(_number(value, "constant schedule value"))
     if kind == "schedule":
         _reject_unknown(cfg, {"kind", "values"}, "schedule")
-        values = {k: float(v) for k, v in _orders_dict(cfg.get("values"), "schedule").items()}
+        values = {order: _number(c, f"schedule value of order {order}")
+                  for order, c in _orders_dict(cfg.get("values"), "schedule").items()}
         return CumulantSchedule.from_dict(values)
     raise ValidationError(f"{kind!r} is not a cumulant schedule kind")
 
@@ -73,49 +99,47 @@ def schedule_from_config(cfg: dict) -> CumulantSchedule:
 def theory_series_from_config(cfg: dict, two_k_max: int,
                               quad: QuadratureConfig = DEFAULT_CONFIG) -> MomentSeries:
     """Build the limit moment series described by a theory config."""
+    if _kind(cfg) == "sparse":
+        _reject_unknown(cfg, {"kind", "rate"}, "sparse")
+        return sparse_series(_number(_required(cfg, "rate", "sparse"), "sparse rate"), two_k_max)
+    return graphon_series(family_from_config(cfg), two_k_max, quad)
+
+
+def family_from_config(cfg: dict) -> GraphonFamily:
+    """Kernel family of a theory config of any kind but ``sparse``."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ValidationError("theory config must be an object with a 'kind'")
     kind = cfg["kind"]
-    if kind in ("semicircle", "constant", "schedule"):
-        return constant_series(schedule_from_config(cfg), two_k_max)
-    if kind == "sparse":
-        _reject_unknown(cfg, {"kind", "rate"}, "sparse")
-        return sparse_series(float(cfg["rate"]), two_k_max)
-    if kind == "graphon":
-        return graphon_series(_family_from_config(cfg), two_k_max, quad)
-    if kind == "band":
-        _reject_unknown(cfg, {"kind", "alpha", "periodic", "base"}, "band")
-        base = _family_from_config(cfg.get("base", {"kind": "semicircle"}))
-        family = base.banded(float(cfg["alpha"]), bool(cfg.get("periodic", False)))
-        return graphon_series(family, two_k_max, quad)
-    if kind == "block":
-        _reject_unknown(cfg, {"kind", "masses", "cells"}, "block")
-        cells = _orders_dict(cfg.get("cells"), "block cells")
-        return graphon_series(block_family(cfg["masses"], cells), two_k_max, quad)
-    if kind == "profile":
-        _reject_unknown(cfg, {"kind", "sigma", "base"}, "profile")
-        base = schedule_from_config(cfg.get("base", {"kind": "semicircle"}))
-        return graphon_series(profile_family(cfg["sigma"], base), two_k_max, quad)
-    if kind == "model":
-        _reject_unknown(cfg, {"kind", "spec", "truncation"}, "model theory")
-        spec = model_spec_from_config(cfg.get("spec", {}))
-        limit = effective_cumulants(spec, truncation=cfg.get("truncation"))
-        if isinstance(limit, CumulantSchedule):
-            return constant_series(limit, two_k_max)
-        return graphon_series(limit, two_k_max, quad)
-    raise ValidationError(f"unknown theory kind {kind!r}")
-
-
-def _family_from_config(cfg: dict) -> GraphonFamily:
-    kind = cfg.get("kind")
-    if kind in ("semicircle", "constant", "schedule"):
-        return schedule_from_config(cfg).as_family()
+    if kind in _SCHEDULE_KINDS:
+        return schedule_from_config(cfg)
     if kind == "graphon":
         _reject_unknown(cfg, {"kind", "g"}, "graphon family")
         entries = {order: graphon_from_json(g)
                    for order, g in _orders_dict(cfg.get("g"), "graphon family").items()}
         return GraphonFamily(entries, description="graphon config")
-    raise ValidationError(f"{kind!r} cannot serve as a band/profile base")
+    if kind == "band":
+        _reject_unknown(cfg, {"kind", "alpha", "periodic", "base"}, "band")
+        base = cfg.get("base", {"kind": "semicircle"})
+        if _kind(base) not in _SCHEDULE_KINDS + ("graphon",):
+            raise ValidationError(f"{_kind(base)!r} cannot serve as a band/profile base")
+        alpha = _number(_required(cfg, "alpha", "band"), "band alpha")
+        return family_from_config(base).banded(alpha, bool(cfg.get("periodic", False)))
+    if kind == "block":
+        _reject_unknown(cfg, {"kind", "masses", "cells"}, "block")
+        cells = _orders_dict(cfg.get("cells"), "block cells")
+        return block_family(_required(cfg, "masses", "block"), cells)
+    if kind == "profile":
+        _reject_unknown(cfg, {"kind", "sigma", "base"}, "profile")
+        base = schedule_from_config(cfg.get("base", {"kind": "semicircle"}))
+        return profile_family(_required(cfg, "sigma", "profile"), base)
+    if kind == "model":
+        _reject_unknown(cfg, {"kind", "spec", "truncation"}, "model theory")
+        spec = model_spec_from_config(cfg.get("spec", {}))
+        truncation = cfg.get("truncation")
+        if truncation is not None:
+            truncation = _number(truncation, "model truncation")
+        return effective_cumulants(spec, truncation=truncation)
+    raise ValidationError(f"unknown theory kind {kind!r}")
 
 
 def model_spec_from_config(cfg: dict, n: int | None = None,
@@ -130,7 +154,11 @@ def model_spec_from_config(cfg: dict, n: int | None = None,
     seed = cfg.get("seed", seed)
     if n is None or seed is None:
         raise ValidationError("model config needs n and seed (inline or via flags)")
-    return ModelSpec(cfg["variant"], int(n), int(seed), cfg.get("params", {}),
+    try:
+        n, seed = int(n), int(seed)
+    except (TypeError, ValueError):
+        raise ValidationError(f"model n and seed must be integers, got {n!r} and {seed!r}") from None
+    return ModelSpec(cfg["variant"], n, seed, cfg.get("params", {}),
                      bool(cfg.get("zero_diagonal", False)))
 
 

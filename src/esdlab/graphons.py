@@ -3,7 +3,9 @@
 A Graphon here is one symmetric function g(x, y); a GraphonFamily maps each
 even order 2j to such a function (missing orders mean identically zero).
 Families encode entry-moment profiles of a matrix ensemble: the order-2j
-member is the limit of n*E[x_ij^(2j)] as a function of (i/n, j/n).
+member is the limit of n*E[x_ij^(2j)] as a function of (i/n, j/n). A
+CumulantSchedule is the family of a flat ensemble, whose order-2j member is
+the constant C_{2j}; every limit moment is summed from one family type.
 
 Four representations are supported, and the integration code exploits them:
 
@@ -24,6 +26,14 @@ from .expressions import compile_expression, expression_is_smooth
 
 _SYMMETRY_GRID = np.linspace(0.0, 1.0, 29)
 _SYMMETRY_TOL = 1e-9
+
+
+def float_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array; anything that is not numbers raises ValidationError."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be numbers, got {values!r}") from None
 
 
 class Graphon:
@@ -57,8 +67,8 @@ class Graphon:
 
     @classmethod
     def from_grid(cls, breaks: Iterable[float], cells, label: str = "") -> "Graphon":
-        breaks = np.asarray(list(breaks), dtype=float)
-        cells = np.asarray(cells, dtype=float)
+        breaks = float_array(breaks, "grid breaks")
+        cells = float_array(cells, "grid cells")
         if breaks.ndim != 1 or len(breaks) < 2 or breaks[0] != 0.0 or breaks[-1] != 1.0:
             raise ValidationError("grid breaks must run from 0.0 to 1.0")
         if np.any(np.diff(breaks) <= 0):
@@ -180,6 +190,12 @@ def as_graphon(value) -> Graphon:
     raise ValidationError(f"cannot interpret {value!r} as a graphon")
 
 
+def require_even_order(order: int, what: str = "even order >= 2 required") -> None:
+    """Raise ValidationError unless ``order`` is even and at least 2."""
+    if order < 2 or order % 2:
+        raise ValidationError(f"{what}, got {order}")
+
+
 class GraphonFamily:
     """Map from even order 2j to a Graphon; missing orders are zero."""
 
@@ -189,8 +205,7 @@ class GraphonFamily:
         self.entries: dict[int, Graphon] = {}
         for order, graphon in (entries or {}).items():
             order = int(order)
-            if order < 2 or order % 2:
-                raise ValidationError(f"graphon family orders must be even and >= 2, got {order}")
+            require_even_order(order, "graphon family orders must be even and >= 2")
             if graphon is not None:
                 self.entries[order] = as_graphon(graphon)
         self.rule = rule
@@ -198,19 +213,13 @@ class GraphonFamily:
 
     @classmethod
     def from_constant_rule(cls, value_of_order: Callable[[int], float],
-                           description: str = "") -> "GraphonFamily":
-        """Family of constants, one per order, from a rule like a schedule."""
-
-        def make(order: int) -> Optional[Graphon]:
-            c = value_of_order(order)
-            return None if c == 0 else Graphon.constant(c)
-
-        return cls(rule=make, description=description)
+                           description: str = "") -> "CumulantSchedule":
+        """The schedule of constants C_{2k} = value_of_order(2k)."""
+        return CumulantSchedule(description, rule=value_of_order)
 
     def g(self, order: int) -> Optional[Graphon]:
         """Graphon at the given even order, or None when identically zero."""
-        if order < 2 or order % 2:
-            raise ValidationError(f"order must be even and >= 2, got {order}")
+        require_even_order(order, "order must be even and >= 2")
         if order in self.entries:
             return self.entries[order]
         if self.rule is not None:
@@ -233,4 +242,51 @@ class GraphonFamily:
                              description=f"{self.description} * band({alpha}, periodic={periodic})")
 
     def __repr__(self) -> str:
-        return f"GraphonFamily({self.description!r})"
+        return f"{type(self).__name__}({self.description!r})"
+
+
+class CumulantSchedule(GraphonFamily):
+    """Limits C_{2k} of n * E[entry^(2k)]: the family of constants C_{2k}.
+
+    The member is None where C_{2k} is 0. ``value`` reads C_{2k} from
+    ``table``, else from ``rule``; an order in neither raises.
+
+    >>> from esdlab.moments import moment_graphon
+    >>> moment_graphon(CumulantSchedule.semicircle(), 6).value
+    5.0
+    """
+
+    def __init__(self, description: str, table: tuple[tuple[int, float], ...] = (),
+                 rule: Optional[Callable[[int], float]] = None):
+        super().__init__(description=description)
+        self.table = table
+        self.rule = rule
+
+    def value(self, two_k: int) -> float:
+        require_even_order(two_k)
+        for order, c in self.table:
+            if order == two_k:
+                return c
+        if self.rule is not None:
+            return float(self.rule(two_k))
+        raise ValidationError(
+            f"schedule {self.description!r} has no cumulant of order {two_k}")
+
+    def g(self, order: int) -> Optional[Graphon]:
+        c = self.value(order)
+        return None if c == 0 else Graphon.constant(c)
+
+    @classmethod
+    def from_dict(cls, values: Mapping[int, float], description: str = "table") -> "CumulantSchedule":
+        table = tuple(sorted((int(order), float(c)) for order, c in values.items()))
+        for order, _ in table:
+            require_even_order(order)
+        return cls(description, table)
+
+    @classmethod
+    def semicircle(cls, c2: float = 1.0) -> "CumulantSchedule":
+        return cls(f"semicircle c2={c2}", ((2, float(c2)),), rule=lambda two_k: 0.0)
+
+    @classmethod
+    def constant(cls, lam: float) -> "CumulantSchedule":
+        return cls(f"constant {lam}", rule=lambda two_k: float(lam))

@@ -12,6 +12,7 @@ indices, matching the convention used by the kernel-family limits.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
@@ -20,8 +21,8 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .expressions import compile_expression, expression_is_smooth
-from .graphons import Graphon, GraphonFamily, as_graphon
-from .moments import CumulantSchedule, profile_family
+from .graphons import CumulantSchedule, Graphon, GraphonFamily, as_graphon, float_array
+from .moments import profile_family
 
 VARIANTS = (
     "gaussian_wigner",
@@ -69,6 +70,8 @@ class ModelSpec:
             raise ValidationError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
         if self.n < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.n}")
+        if not isinstance(self.params, Mapping):
+            raise ValidationError(f"{self.variant} params must be an object, got {self.params!r}")
         unknown = set(self.params) - _PARAM_KEYS[self.variant]
         if unknown:
             raise ValidationError(f"{self.variant} does not take parameters {sorted(unknown)}")
@@ -77,32 +80,32 @@ class ModelSpec:
     def _validate_params(self):
         p = self.params
         if self.variant == "triangular_twopoint":
-            atom, rate = self._require("atom"), self._require("rate")
+            atom, rate = self._number("atom"), self._number("rate")
             if atom <= 0 or rate <= 0:
                 raise ValidationError("two-point model needs atom > 0 and rate > 0")
             if rate > self.n:
                 raise ValidationError(f"rate {rate} exceeds n={self.n}; atom probability leaves [0,1]")
         elif self.variant == "sparse_homogeneous":
-            rate = self._require("rate")
+            rate = self._number("rate")
             if rate <= 0 or rate > self.n:
                 raise ValidationError(f"mean degree must lie in (0, n], got {rate}")
         elif self.variant == "sparse_inhomogeneous":
             compile_expression(str(self._require("prob")), ("x", "y", "n"))
         elif self.variant == "heavy_tailed":
-            a = self._require("tail_index")
+            a = self._number("tail_index")
             if not 0 < a < 2:
                 raise ValidationError(f"tail index must lie in (0,2), got {a}")
         elif self.variant == "variance_profile":
             as_graphon(self._require("profile"))
             self.base_spec()
         elif self.variant == "band":
-            a = self._require("half_width")
+            a = self._number("half_width")
             if not 0 < a <= 0.5:
                 raise ValidationError(f"band half-width must lie in (0, 1/2], got {a}")
             self.base_spec()
         elif self.variant == "block":
-            masses = np.asarray(self._require("masses"), dtype=float)
-            scales = np.asarray(self._require("scales"), dtype=float)
+            masses = float_array(self._require("masses"), "block masses")
+            scales = float_array(self._require("scales"), "block scales")
             if len(masses) == 0 or np.any(masses <= 0) or abs(masses.sum() - 1.0) > 1e-12:
                 raise ValidationError("block masses must be positive and sum to 1")
             d = len(masses)
@@ -113,6 +116,12 @@ class ModelSpec:
         if key not in self.params:
             raise ValidationError(f"{self.variant} requires parameter {key!r}")
         return self.params[key]
+
+    def _number(self, key: str):
+        value = self._require(key)
+        if not isinstance(value, numbers.Real):
+            raise ValidationError(f"{self.variant} parameter {key!r} must be a number, got {value!r}")
+        return value
 
     def base_spec(self) -> "ModelSpec":
         """The wrapped ensemble of a profile or band model."""
@@ -248,11 +257,13 @@ def _double_factorial_odd(two_k: int) -> float:
 
 def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
                         truncation: Optional[float] = None):
-    """Analytic n*E[entry^(2k)] per variant, as a schedule or kernel family.
+    """Analytic n*E[entry^(2k)] per variant, as a kernel family.
 
+    Flat variants give a CumulantSchedule, the family of constants.
     ``at_n=None`` returns the n -> infinity limit object; an integer gives the
-    exact finite-n profile. Heavy tails need a ``truncation`` level B (entries
-    beyond B times the natural scale dropped), otherwise moments diverge.
+    exact finite-n profile. Heavy tails need a ``truncation`` level B >= 0
+    (entries beyond B times the natural scale dropped), otherwise moments
+    diverge.
     """
     p = spec.params
     if spec.variant == "gaussian_wigner":
@@ -280,6 +291,8 @@ def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
         if truncation is None:
             raise ValidationError(
                 "heavy-tailed moments diverge; pass a truncation level")
+        if truncation < 0:
+            raise ValidationError(f"truncation threshold must be >= 0, got {truncation}")
         alpha, b = p["tail_index"], float(truncation)
 
         def heavy(two_k: int) -> float:
@@ -292,8 +305,6 @@ def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
         return profile_family(spec.params["profile"], base)
     if spec.variant == "band":
         base = effective_cumulants(spec.base_spec(), at_n=at_n)
-        if isinstance(base, CumulantSchedule):
-            base = base.as_family()
         return base.banded(p["half_width"], bool(p.get("periodic", False)))
     scales = np.asarray(p["scales"], dtype=float)
     masses = list(np.asarray(p["masses"], dtype=float))

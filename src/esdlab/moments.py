@@ -9,10 +9,12 @@ No tree is listed: :func:`esdlab.treesum.tree_sum` sums over color classes.
 passes vectors on the nodes of one quadrature rule, chosen once per moment
 from the kinds of the members up to that order (see :mod:`esdlab.quadrature`);
 a class of t nodes applies the matrix of its order-2t member to its message.
-A cumulant schedule is a family of constants, which takes the exact
-one-node rule, so its moments are plain float sums of C_{2t} products. Only
-the sparse polynomial stays in integers: its coefficients are the census by
-block count (see :func:`esdlab.combinatorics.count_ss_by_blocks`).
+A :class:`~esdlab.graphons.CumulantSchedule` is the family of constants
+C_{2t}, which takes the exact one-node rule, so its moments are plain float
+sums of C_{2t} products. A sum that overflows raises NumericError instead of
+returning inf or nan. Only the sparse polynomial stays in integers: its
+coefficients are the census by block count (see
+:func:`esdlab.combinatorics.count_ss_by_blocks`).
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .combinatorics import count_ss_by_blocks
-from .errors import ValidationError
-from .graphons import Graphon, GraphonFamily, as_graphon
+from .errors import NumericError, ValidationError
+from .graphons import (CumulantSchedule, Graphon, GraphonFamily, as_graphon, float_array,
+                       require_even_order)
 from .quadrature import (DEFAULT_CONFIG, IntegralResult, Nodes, QuadratureConfig,
                          integrate_edge_product, integrate_on_nodes)
 from .trees import ColoredTree
@@ -33,49 +36,6 @@ from .treesum import tree_sum
 
 EXACT = "exact-combinatorial"
 QUADRATURE = "quadrature"
-
-
-def _require_even_order(two_k: int) -> None:
-    if two_k < 2 or two_k % 2:
-        raise ValidationError(f"even order >= 2 required, got {two_k}")
-
-
-@dataclass(frozen=True)
-class CumulantSchedule:
-    """Limits C_{2k} of n * E[entry^(2k)], one per even order."""
-
-    description: str
-    table: tuple[tuple[int, float], ...] = ()
-    rule: Optional[Callable[[int], float]] = None
-
-    def value(self, two_k: int) -> float:
-        _require_even_order(two_k)
-        for order, c in self.table:
-            if order == two_k:
-                return c
-        if self.rule is not None:
-            return float(self.rule(two_k))
-        raise ValidationError(
-            f"schedule {self.description!r} has no cumulant of order {two_k}")
-
-    @classmethod
-    def from_dict(cls, values: Mapping[int, float], description: str = "table") -> "CumulantSchedule":
-        table = []
-        for order, c in sorted(values.items()):
-            _require_even_order(int(order))
-            table.append((int(order), float(c)))
-        return cls(description, tuple(table))
-
-    @classmethod
-    def semicircle(cls, c2: float = 1.0) -> "CumulantSchedule":
-        return cls(f"semicircle c2={c2}", ((2, float(c2)),), rule=lambda two_k: 0.0)
-
-    @classmethod
-    def constant(cls, lam: float) -> "CumulantSchedule":
-        return cls(f"constant {lam}", rule=lambda two_k: float(lam))
-
-    def as_family(self) -> GraphonFamily:
-        return GraphonFamily.from_constant_rule(self.value, self.description)
 
 
 @dataclass(frozen=True)
@@ -142,7 +102,7 @@ def hankel_min_eigenvalue(series: MomentSeries) -> float:
 
 def moment_constant(schedule: CumulantSchedule, two_k: int) -> float:
     """Exact limit moment: sum over SS words of the block-size cumulant product."""
-    return moment_graphon(schedule.as_family(), two_k).value
+    return moment_graphon(schedule, two_k).value
 
 
 @dataclass(frozen=True)
@@ -160,7 +120,7 @@ def moment_sparse(lam: float, two_k: int) -> SparseMoment:
         raise ValidationError(f"mean degree must be nonnegative, got {lam}")
     if two_k % 2:
         return SparseMoment(two_k, (), 0.0)
-    _require_even_order(two_k)
+    require_even_order(two_k)
     coefficients = tuple(sorted(count_ss_by_blocks(two_k).items()))
     value = float(sum(c * lam**b for b, c in coefficients))
     return SparseMoment(two_k, coefficients, value)
@@ -191,11 +151,12 @@ def moment_graphon(family: GraphonFamily, two_k: int,
     """Sum of homomorphism densities over all colored trees of the given order.
 
     The members up to order two_k pick one node rule; on its nodes each member
-    is a matrix and the color-class recursion sums every tree at once.
+    is a matrix and the color-class recursion sums every tree at once. A value
+    or error estimate that is not finite raises NumericError.
     """
     if two_k % 2:
         return MomentEntry(two_k, 0.0, 0.0, EXACT)
-    _require_even_order(two_k)
+    require_even_order(two_k)
     k = two_k // 2
     members = {t: family.g(2 * t) for t in range(1, k + 1)}
     members = {t: g for t, g in members.items() if g is not None}
@@ -209,30 +170,26 @@ def moment_graphon(family: GraphonFamily, two_k: int,
 
         return float(np.sum(nodes.w * tree_sum(k, edge, np.ones_like(nodes.w))))
 
-    result = integrate_on_nodes(evaluate, members.values(), config)
+    with np.errstate(all="ignore"):  # an overflow is reported below, not warned about
+        result = integrate_on_nodes(evaluate, members.values(), config)
+    if not (math.isfinite(result.value) and math.isfinite(result.error)):
+        raise NumericError(f"beta_{two_k} of {family.description!r} is not finite "
+                           f"(value {result.value!r}, error {result.error!r})")
     provenance = EXACT if result.method == "exact" else QUADRATURE
     return MomentEntry(two_k, result.value, result.error, provenance)
 
 
 # -- specializations ---------------------------------------------------------
 
-def _coerce_family(source) -> GraphonFamily:
-    if isinstance(source, GraphonFamily):
-        return source
-    if isinstance(source, CumulantSchedule):
-        return source.as_family()
-    raise ValidationError(f"expected a graphon family or cumulant schedule, got {type(source).__name__}")
-
-
-def moment_band(source, alpha: float, periodic: bool, two_k: int,
+def moment_band(family: GraphonFamily, alpha: float, periodic: bool, two_k: int,
                 config: QuadratureConfig = DEFAULT_CONFIG) -> MomentEntry:
     """Moments after multiplying every kernel by a band indicator."""
-    return moment_graphon(_coerce_family(source).banded(alpha, periodic), two_k, config)
+    return moment_graphon(family.banded(alpha, periodic), two_k, config)
 
 
 def block_family(alphas: Sequence[float], cells_by_order: Mapping[int, object]) -> GraphonFamily:
     """Piecewise-constant family on the partition of [0,1] with the given masses."""
-    alphas = np.asarray(list(alphas), dtype=float)
+    alphas = float_array(alphas, "block masses")
     if len(alphas) == 0 or np.any(alphas <= 0):
         raise ValidationError("block masses must be positive")
     if abs(alphas.sum() - 1.0) > 1e-12:
@@ -241,7 +198,7 @@ def block_family(alphas: Sequence[float], cells_by_order: Mapping[int, object]) 
     breaks[-1] = 1.0
     entries = {}
     for order, cells in cells_by_order.items():
-        _require_even_order(int(order))
+        require_even_order(int(order))
         entries[int(order)] = Graphon.from_grid(breaks, cells, label=f"block order {order}")
     return GraphonFamily(entries, description=f"{len(alphas)} blocks")
 
@@ -270,10 +227,6 @@ def moment_variance_profile(sigma, schedule: CumulantSchedule, two_k: int,
 
 # -- series builders ---------------------------------------------------------
 
-def constant_series(schedule: CumulantSchedule, two_k_max: int) -> MomentSeries:
-    return graphon_series(schedule.as_family(), two_k_max)
-
-
 def sparse_series(lam: float, two_k_max: int) -> MomentSeries:
     entries = tuple(MomentEntry(two_k, moment_sparse(lam, two_k).value, 0.0, EXACT)
                     for two_k in range(2, two_k_max + 1, 2))
@@ -292,8 +245,6 @@ def graphon_series(family: GraphonFamily, two_k_max: int,
 def _bound_lookup(source) -> Callable[[int], float]:
     if isinstance(source, GraphonFamily):
         return source.bound
-    if isinstance(source, CumulantSchedule):
-        return lambda two_k: abs(source.value(two_k))
     if isinstance(source, Mapping):
         return lambda two_k: abs(float(source.get(two_k, 0.0)))
     if callable(source):
@@ -338,7 +289,8 @@ def carleman_partial_sum(source, big_k: int) -> CarlemanReport:
 
     alpha_{2k} sums the product of M over the blocks of every partition of
     [2k] into even blocks; splitting off the block of the first element gives
-    alpha_n = sum_j C(n-1, j-1) M_j alpha_{n-j}.
+    alpha_n = sum_j C(n-1, j-1) M_j alpha_{n-j}. An alpha in either column
+    that is not finite raises NumericError.
     """
     if big_k < 1:
         raise ValidationError(f"need at least one order, got K={big_k}")
@@ -352,6 +304,8 @@ def carleman_partial_sum(source, big_k: int) -> CarlemanReport:
     for k in range(1, big_k + 1):
         two_k = 2 * k
         alpha = by_size[two_k]
+        if not math.isfinite(alpha):
+            raise NumericError(f"Carleman alpha_{two_k} = {alpha!r} is not finite")
         term = math.inf if alpha == 0.0 else alpha ** (-1.0 / two_k)
         running += term
         orders.append(two_k)
@@ -359,9 +313,10 @@ def carleman_partial_sum(source, big_k: int) -> CarlemanReport:
         terms.append(term)
         sums.append(running)
 
+    bounds = GraphonFamily.from_constant_rule(bound_of, "Carleman bounds")
     ss_terms = []
     for two_k in orders:
-        alpha = moment_graphon(GraphonFamily.from_constant_rule(bound_of), two_k).value
+        alpha = moment_graphon(bounds, two_k).value
         ss_terms.append(math.inf if alpha == 0.0 else alpha ** (-1.0 / two_k))
 
     slope, verdict = _trend(terms)

@@ -301,3 +301,83 @@ def test_seed_flag_threads_through(capsys):
     doc = json.loads(out)
     assert doc["seed"] == 777
     assert doc["model"]["seed"] == 777
+
+
+def test_overflowing_moments_exit_2_without_nan(capsys):
+    code, out, err = run(capsys, "moments", "--theory-json",
+                         '{"kind":"constant","value":1e300}', "--two-k", "8",
+                         "--reproducible")
+    assert code == 2
+    assert "NaN" not in out and "Infinity" not in out
+    assert err.startswith("error: ") and "not finite" in err
+
+
+HEAVY_SPEC = '{"variant":"heavy_tailed","n":100,"seed":1,"params":{"tail_index":1.5}}'
+
+
+MALFORMED = {
+    "constant_without_value": ("moments", "--theory-json", '{"kind":"constant"}'),
+    "sparse_without_rate": ("moments", "--theory-json", '{"kind":"sparse"}'),
+    "band_without_alpha": ("moments", "--theory-json", '{"kind":"band"}'),
+    "profile_without_sigma": ("moments", "--theory-json", '{"kind":"profile"}'),
+    "block_without_masses": ("moments", "--theory-json", '{"kind":"block","cells":{"2":[[1.0]]}}'),
+    "text_rate": ("moments", "--theory-json", '{"kind":"sparse","rate":"a"}'),
+    "text_alpha": ("moments", "--theory-json", '{"kind":"band","alpha":"wide"}'),
+    "text_schedule_value": ("moments", "--theory-json", '{"kind":"schedule","values":{"2":"abc"}}'),
+    "text_block_mass": ("moments", "--theory-json",
+                        '{"kind":"block","masses":["a"],"cells":{"2":[[1.0]]}}'),
+    "text_grid_cells": ("moments", "--theory-json",
+                        '{"kind":"graphon","g":{"2":{"breaks":[0,1],"cells":"x"}}}'),
+    "text_graphon_constant": ("moments", "--theory-json",
+                              '{"kind":"graphon","g":{"2":{"constant":"x"}}}'),
+    "text_model_n": ("moments", "--theory-json",
+                     '{"kind":"model","spec":{"variant":"gaussian_wigner","n":"abc","seed":1}}'),
+    "negative_truncation": ("moments", "--theory-json",
+                            '{"kind":"model","truncation":-1,"spec":' + HEAVY_SPEC + '}'),
+    "broken_theory_json": ("moments", "--theory-json", '{"kind":"band"'),
+    "broken_model_json": ("simulate", "--model-json", '{"variant":'),
+    "text_model_rate": ("simulate", "--model-json",
+                        '{"variant":"sparse_homogeneous","params":{"rate":"a"}}'),
+    "model_params_not_an_object": ("simulate", "--model-json",
+                                   '{"variant":"band","params":{"half_width":0.2,"base_params":5}}'),
+    "broken_compare_model_json": ("compare", "--theory-json", '{"kind":"sparse","rate":2.0}',
+                                  "--model-json", '{"variant"'),
+    "broken_config_file": ("moments", "--config", "BROKEN_FILE"),
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_configs_exit_2(capsys, tmp_path, argv):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"kind": "band"')
+    argv = [str(broken) if a == "BROKEN_FILE" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--reproducible")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("base", [
+    {"kind": "block", "masses": [1.0], "cells": {"2": [[1.0]]}},
+    {"kind": "sparse", "rate": 1.0},
+    {"kind": "profile", "sigma": 1.0},
+    {"kind": "band", "alpha": 0.1},
+])
+def test_band_base_must_be_a_schedule_or_graphon(capsys, base):
+    theory = json.dumps({"kind": "band", "alpha": 0.2, "base": base})
+    code, out, err = run(capsys, "moments", "--theory-json", theory, "--two-k", "4")
+    assert code == 2
+    assert out == ""
+    assert f"error: '{base['kind']}' cannot serve as a band/profile base" in err
+
+
+@pytest.mark.parametrize("base", [
+    {"kind": "graphon", "g": {"2": 1.0}},
+    {"kind": "sparse", "rate": 1.0},
+])
+def test_profile_base_must_be_a_schedule(capsys, base):
+    theory = json.dumps({"kind": "profile", "sigma": 1.0, "base": base})
+    code, out, err = run(capsys, "moments", "--theory-json", theory, "--two-k", "4")
+    assert code == 2
+    assert out == ""
+    assert f"error: '{base['kind']}' is not a cumulant schedule kind" in err

@@ -7,14 +7,13 @@ import pytest
 from scipy import integrate
 
 from esdlab.combinatorics import Word, catalan, count_ss_by_blocks
-from esdlab.errors import ValidationError
+from esdlab.errors import NumericError, ValidationError
 from esdlab.graphons import Graphon, GraphonFamily
 from esdlab.moments import (
     CumulantSchedule,
     MomentEntry,
     MomentSeries,
     carleman_partial_sum,
-    constant_series,
     graphon_series,
     hankel_min_eigenvalue,
     homomorphism_density,
@@ -241,7 +240,7 @@ def test_variance_profile_indicator_support():
 
 
 def test_series_builders_and_lookup():
-    series = constant_series(CumulantSchedule.semicircle(), 8)
+    series = graphon_series(CumulantSchedule.semicircle(), 8)
     assert series.orders() == [2, 4, 6, 8]
     assert series.values() == [1.0, 2.0, 5.0, 14.0]
     assert series.moment(4) == 2.0
@@ -257,7 +256,7 @@ def test_series_builders_and_lookup():
 
 
 def test_series_rows_and_json():
-    series = constant_series(CumulantSchedule.semicircle(), 4)
+    series = graphon_series(CumulantSchedule.semicircle(), 4)
     rows = series.to_csv_rows()
     assert rows[0] == ["two_k", "beta", "error_estimate"]
     assert rows[1][0] == 2
@@ -276,9 +275,9 @@ def test_explicit_entries_win_over_parity():
 
 def test_hankel_and_moment_inequalities():
     for series in (
-        constant_series(CumulantSchedule.semicircle(), 12),
+        graphon_series(CumulantSchedule.semicircle(), 12),
         sparse_series(1.5, 12),
-        constant_series(CumulantSchedule.constant(0.7), 12),
+        graphon_series(CumulantSchedule.constant(0.7), 12),
     ):
         assert hankel_min_eigenvalue(series) >= -1e-8
         assert series.moment(4) >= series.moment(2) ** 2
@@ -334,3 +333,24 @@ def test_grid_rule_ignores_gauss_points():
     other = moment_graphon(fam, 4, config=QuadratureConfig(points=8))
     assert base == other
     assert abs(base.value - 14 / 3) <= base.error <= 3e-3
+
+
+def test_overflowing_moment_raises_instead_of_nan():
+    # 2 * (1e300)^2 overflows at order four; no numpy warning escapes either
+    assert moment_graphon(CumulantSchedule.constant(1e300), 2).value == 1e300
+    with pytest.raises(NumericError, match="not finite"):
+        moment_graphon(CumulantSchedule.constant(1e300), 8)
+
+
+def test_carleman_raises_on_overflowing_bounds():
+    with pytest.raises(NumericError, match="not finite"):
+        carleman_partial_sum(lambda two_k: 1e300, 4)
+    with pytest.raises(NumericError):
+        carleman_partial_sum({2: 1.0, 4: math.nan}, 2)
+
+
+def test_banded_schedule_is_moment_band():
+    banded = CumulantSchedule.semicircle().banded(0.25, True)
+    entry = moment_graphon(banded, 4)
+    assert entry == moment_band(CumulantSchedule.semicircle(), 0.25, True, 4)
+    assert entry.value == 2 * 0.5**2
