@@ -5,29 +5,56 @@ rooted trees) and turns kernel families, of which a cumulant schedule is
 the constant case, into limit moment sequences; the lab side samples the
 matching matrix ensembles and measures their spectra. The CLI and the
 comparison tools tie the two together.
+
+Every export and submodule is loaded on first access (PEP 562):
+``import esdlab`` imports nothing else, ``esdlab.enumerate_ss`` loads only
+the numpy-free combinatorics, and numpy comes in with the first name of a
+numpy-backed module such as ``esdlab.moment_graphon``.
 """
 
-from .circuits import CircuitCount, classify_occurrences, count_circuits, ratio_table
-from .combinatorics import (SSClassification, Word, catalan, classify, count_ss_by_blocks,
-                            enumerate_nc2, enumerate_partitions_brute, enumerate_ss,
-                            is_even, is_special_symmetric, is_symmetric,
-                            partition_from_word, word_from_partition)
-from .errors import CapacityError, NumericError, ValidationError
-from .expressions import compile_expression
-from .graphons import CumulantSchedule, Graphon, GraphonFamily, band_indicator
-from .models import (DEFAULT_SEED, ModelSpec, SampledMatrix, effective_cumulants, read_matrix,
-                     sample, truncate, write_matrix, write_matrix_csv)
-from .moments import (CarlemanReport, MomentEntry, MomentSeries, carleman_partial_sum,
-                      graphon_series, hankel_min_eigenvalue, homomorphism_density, moment_band,
-                      moment_block, moment_constant, moment_graphon, moment_sparse,
-                      moment_variance_profile, sparse_series)
-from .quadrature import IntegralResult, QuadratureConfig
-from .spectra import (ESD, Histogram, eesd_moments, eigenvalues, empirical_moment,
-                      empirical_moments, histogram, replicate_esds, semicircle_density,
-                      spectral_moments, wasserstein2)
-from .trees import ColoredTree, enumerate_trees, tree_from_word, validate_tree, word_from_tree
-from .compare import ComparisonReport, compare_series, theory_series_from_config
+import importlib
+
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "circuits": "CircuitCount classify_occurrences count_circuits ratio_table",
+    "combinatorics": "SSClassification Word catalan classify count_ss_by_blocks enumerate_nc2 "
+                     "enumerate_partitions_brute enumerate_ss is_even is_special_symmetric "
+                     "is_symmetric partition_from_word word_from_partition",
+    "compare": "ComparisonReport compare_series theory_series_from_config",
+    "errors": "CapacityError NumericError ValidationError",
+    "expressions": "compile_expression",
+    "graphons": "CumulantSchedule Graphon GraphonFamily band_indicator",
+    "models": "DEFAULT_SEED ModelSpec SampledMatrix effective_cumulants read_matrix sample "
+              "truncate write_matrix write_matrix_csv",
+    "moments": "CarlemanReport MomentEntry MomentSeries carleman_partial_sum graphon_series "
+               "hankel_min_eigenvalue homomorphism_density moment_band moment_block "
+               "moment_constant moment_graphon moment_sparse moment_variance_profile "
+               "sparse_series",
+    "quadrature": "IntegralResult QuadratureConfig",
+    "spectra": "ESD Histogram eesd_moments eigenvalues empirical_moment empirical_moments "
+               "histogram replicate_esds semicircle_density spectral_moments wasserstein2",
+    "trees": "ColoredTree enumerate_trees tree_from_word validate_tree word_from_tree",
+    "treesum": "",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+# modules reachable as attributes that export nothing to ``from esdlab import *``
+_UNLISTED = ("cli", "defaults")
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_HOME])
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _EXPORTS or name in _UNLISTED:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_UNLISTED})

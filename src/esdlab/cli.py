@@ -7,8 +7,13 @@ hash of the effective configuration; a timestamp is added unless
 
 A --config file is JSON. Its top level is the payload for the subcommand
 (theory description, model spec, or {"theory":..., "model":...} for compare);
-an optional "args" object overrides command-line flags. Precedence is config
-file over flags over built-in defaults.
+an optional "args" object overrides command-line flags, each value read as
+the flag's own text would be. Precedence is config file over flags over
+built-in defaults.
+
+Each subcommand imports what it runs when it runs: ss and circuits never load
+numpy or the theory and sampling modules; moments, simulate and compare load
+them inside their command functions.
 
 Exit codes: 0 success, 2 validation or numeric trouble, 3 capacity or budget,
 4 comparison failure.
@@ -25,16 +30,10 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from . import circuits as circuits_mod
 from . import combinatorics as comb
-from .compare import compare_series, model_spec_from_config, theory_series_from_config
+from .defaults import DEFAULT_EESD_BUDGET, DEFAULT_QUAD_POINTS, DEFAULT_SEED
 from .errors import CapacityError, NumericError, ValidationError
-from .models import DEFAULT_SEED
-from .quadrature import QuadratureConfig
-from .spectra import (ESD, DEFAULT_EESD_BUDGET, eesd_moments, histogram, replicate_esds,
-                      require_moment_order, spectral_moments)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -47,7 +46,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_quadrature(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--quad-points", type=int, default=32,
+    sub.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS,
                      help="Gauss-Legendre points per dimension")
 
 
@@ -106,6 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--parallel", type=int,
                          help="accepted and ignored: replicates run one after another and "
                               "BLAS chooses its own threads")
+    for sub in (ss, mo, si, co, ci):
+        # config "args" overrides skip parse_args; _apply_config reads them by these
+        sub.set_defaults(actions={action.dest: action for action in sub._actions})
     return parser
 
 
@@ -121,12 +123,35 @@ def _load_json(text: str | None, where: str):
         raise ValidationError(f"{where} is not valid JSON: {exc}") from None
 
 
+def _override(action: argparse.Action, key: str, value):
+    """A config override as the flag's parsed value: its text through the flag's type."""
+    if action.nargs == 0:  # a switch such as --reproducible
+        if not isinstance(value, bool):
+            raise ValidationError(f"config override {key!r} must be true or false, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValidationError(f"config override {key!r} must be a string or a number, "
+                              f"got {value!r}")
+    try:
+        value = (action.type or str)(str(value))
+    except ValueError:
+        raise ValidationError(f"config override {key!r} has an invalid value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValidationError(f"config override {key!r} must be one of {list(action.choices)}, "
+                              f"got {value!r}")
+    return value
+
+
 def _apply_config(args: argparse.Namespace) -> dict:
     """Load --config, apply its "args" overrides, return the payload part."""
     if not args.config:
         return {}
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = _load_json(fh.read(), f"config file {args.config}")
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read config file {args.config}: {exc.strerror}") from None
+    cfg = _load_json(text, f"config file {args.config}")
     if not isinstance(cfg, dict):
         raise ValidationError("config file must hold a JSON object")
     payload = dict(cfg)
@@ -135,15 +160,16 @@ def _apply_config(args: argparse.Namespace) -> dict:
         raise ValidationError("config 'args' must be an object of flag overrides")
     for key, value in overrides.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest) or dest in ("config", "func", "command"):
+        action = args.actions.get(dest)
+        if action is None or dest in ("config", "help"):
             raise ValidationError(f"config overrides unknown flag {key!r}")
-        setattr(args, dest, value)
+        setattr(args, dest, _override(action, key, value))
     return payload
 
 
 def _config_digest(payload: dict, args: argparse.Namespace) -> str:
     mirror = {k: v for k, v in vars(args).items()
-              if k not in ("func", "config", "out", "parallel")}
+              if k not in ("func", "actions", "config", "out", "parallel")}
     blob = json.dumps({"payload": payload, "args": mirror}, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -167,10 +193,6 @@ def _emit(args: argparse.Namespace, payload_cfg: dict, document: dict,
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _quad_from_args(args: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(points=args.quad_points)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -206,16 +228,24 @@ def cmd_ss(args: argparse.Namespace) -> int:
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
+    from .compare import theory_series_from_config
+    from .quadrature import QuadratureConfig
+
     payload_cfg = _apply_config(args)
     theory = payload_cfg or _load_json(args.theory_json, "--theory-json")
     if theory is None:
         raise ValidationError("moments needs --config or --theory-json")
-    series = theory_series_from_config(theory, args.two_k, _quad_from_args(args))
+    series = theory_series_from_config(theory, args.two_k, QuadratureConfig(args.quad_points))
     _emit(args, payload_cfg, {"series": series.to_json_dict()}, series.to_csv_rows())
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .compare import model_spec_from_config
+    from .spectra import ESD, histogram, replicate_esds, require_moment_order, spectral_moments
+
     payload_cfg = _apply_config(args)
     model_cfg = payload_cfg or _load_json(args.model_json, "--model-json")
     if model_cfg is None:
@@ -236,6 +266,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .compare import compare_series, model_spec_from_config, theory_series_from_config
+    from .quadrature import QuadratureConfig
+    from .spectra import eesd_moments
+
     payload_cfg = _apply_config(args)
     theory_cfg = payload_cfg.get("theory") if payload_cfg else None
     model_cfg = payload_cfg.get("model") if payload_cfg else None
@@ -249,7 +283,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ValidationError("compare needs theory and model configs")
     if args.two_k < 2 or args.two_k % 2:
         raise ValidationError(f"--two-k must be even and >= 2, got {args.two_k}")
-    theory = theory_series_from_config(theory_cfg, args.two_k, _quad_from_args(args))
+    theory = theory_series_from_config(theory_cfg, args.two_k, QuadratureConfig(args.quad_points))
     spec = model_spec_from_config(model_cfg, n=args.n, seed=args.seed)
     simulated = eesd_moments(spec, args.two_k, args.reps, budget=args.budget)
     report = compare_series(theory, simulated, args.threshold)

@@ -123,7 +123,7 @@ def family_from_config(cfg: dict) -> GraphonFamily:
         if _kind(base) not in _SCHEDULE_KINDS + ("graphon",):
             raise ValidationError(f"{_kind(base)!r} cannot serve as a band/profile base")
         alpha = _number(_required(cfg, "alpha", "band"), "band alpha")
-        return family_from_config(base).banded(alpha, bool(cfg.get("periodic", False)))
+        return family_from_config(base).banded(alpha, cfg.get("periodic", False))
     if kind == "block":
         _reject_unknown(cfg, {"kind", "masses", "cells"}, "block")
         cells = _orders_dict(cfg.get("cells"), "block cells")
@@ -159,7 +159,7 @@ def model_spec_from_config(cfg: dict, n: int | None = None,
     except (TypeError, ValueError):
         raise ValidationError(f"model n and seed must be integers, got {n!r} and {seed!r}") from None
     return ModelSpec(cfg["variant"], n, seed, cfg.get("params", {}),
-                     bool(cfg.get("zero_diagonal", False)))
+                     cfg.get("zero_diagonal", False))
 
 
 @dataclass(frozen=True)

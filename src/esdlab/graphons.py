@@ -98,7 +98,8 @@ class Graphon:
         """This graphon multiplied by the band indicator of half-width alpha."""
         if not 0 < alpha <= 0.5:
             raise ValidationError(f"band half-width must satisfy 0 < alpha <= 1/2, got {alpha}")
-        return Graphon("banded", base=self, alpha=float(alpha), periodic=bool(periodic),
+        return Graphon("banded", base=self, alpha=float(alpha),
+                       periodic=require_flag(periodic, "band periodic"),
                        bound=self.bound, smooth=False,
                        label=f"{self.label} * band({alpha}{', periodic' if periodic else ''})")
 
@@ -190,6 +191,13 @@ def as_graphon(value) -> Graphon:
     raise ValidationError(f"cannot interpret {value!r} as a graphon")
 
 
+def require_flag(value, what: str) -> bool:
+    """``value`` itself when it is a bool; anything else, such as the text "false", raises."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def require_even_order(order: int, what: str = "even order >= 2 required") -> None:
     """Raise ValidationError unless ``order`` is even and at least 2."""
     if order < 2 or order % 2:
@@ -232,6 +240,7 @@ class GraphonFamily:
 
     def banded(self, alpha: float, periodic: bool) -> "GraphonFamily":
         """Every member multiplied by the same band indicator."""
+        require_flag(periodic, "band periodic")
         base = self
 
         def make(order: int) -> Optional[Graphon]:

@@ -19,9 +19,11 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from .defaults import DEFAULT_SEED  # noqa: F401  (re-exported as models.DEFAULT_SEED)
 from .errors import CapacityError, ValidationError
 from .expressions import compile_expression, expression_is_smooth
-from .graphons import CumulantSchedule, Graphon, GraphonFamily, as_graphon, float_array
+from .graphons import (CumulantSchedule, Graphon, GraphonFamily, as_graphon, float_array,
+                       require_flag)
 from .moments import profile_family
 
 VARIANTS = (
@@ -34,9 +36,6 @@ VARIANTS = (
     "band",
     "block",
 )
-
-#: root seed of the command line's sampling
-DEFAULT_SEED = 112358
 
 _BASE_VARIANTS = ("gaussian_wigner", "triangular_twopoint", "sparse_homogeneous")
 
@@ -70,6 +69,7 @@ class ModelSpec:
             raise ValidationError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
         if self.n < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.n}")
+        require_flag(self.zero_diagonal, "zero_diagonal")
         if not isinstance(self.params, Mapping):
             raise ValidationError(f"{self.variant} params must be an object, got {self.params!r}")
         unknown = set(self.params) - _PARAM_KEYS[self.variant]
@@ -102,6 +102,7 @@ class ModelSpec:
             a = self._number("half_width")
             if not 0 < a <= 0.5:
                 raise ValidationError(f"band half-width must lie in (0, 1/2], got {a}")
+            require_flag(p.get("periodic", False), "band parameter 'periodic'")
             self.base_spec()
         elif self.variant == "block":
             masses = float_array(self._require("masses"), "block masses")
@@ -305,7 +306,7 @@ def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
         return profile_family(spec.params["profile"], base)
     if spec.variant == "band":
         base = effective_cumulants(spec.base_spec(), at_n=at_n)
-        return base.banded(p["half_width"], bool(p.get("periodic", False)))
+        return base.banded(p["half_width"], p.get("periodic", False))
     scales = np.asarray(p["scales"], dtype=float)
     masses = list(np.asarray(p["masses"], dtype=float))
     breaks = np.concatenate([[0.0], np.cumsum(masses)])

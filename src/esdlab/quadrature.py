@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
+from .defaults import DEFAULT_QUAD_POINTS
 from .errors import NumericError, ValidationError
 from .graphons import Graphon
 
@@ -38,7 +39,7 @@ GRID_CAP = 1024
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    points: int = 32  # Gauss-Legendre nodes per variable for smooth kernels
+    points: int = DEFAULT_QUAD_POINTS
 
     def __post_init__(self):
         if self.points < 2:

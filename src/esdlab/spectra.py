@@ -15,14 +15,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .defaults import DEFAULT_EESD_BUDGET
 from .errors import CapacityError, NumericError, ValidationError
 from .models import ModelSpec, SampledMatrix, sample, with_seed
 from .moments import MomentEntry, MomentSeries
 
 SIMULATION = "monte-carlo-simulation"
-
-# replicates * n^3 flop-scale guard for replicate_esds (one eigensolve per replicate)
-DEFAULT_EESD_BUDGET = 4.0e12
 
 
 @dataclass(frozen=True)

@@ -64,4 +64,9 @@ def tree_sum(k: int, edge: Callable[[int, M], Optional[M]], one: M) -> M:
                     total = total + ways * (weight * split(slots - t, e - e1))
         return total
 
-    return below(1, k)
+    try:
+        return below(1, k)
+    finally:
+        # the three closures refer to one another; left as a cycle they would keep
+        # ``edge`` (and the kernel matrices it holds) alive until the cyclic GC runs
+        del below, hang, split

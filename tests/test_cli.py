@@ -1,9 +1,12 @@
 """Command line interface: envelopes, formats, exit codes, config files."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -381,3 +384,132 @@ def test_profile_base_must_be_a_schedule(capsys, base):
     assert code == 2
     assert out == ""
     assert f"error: '{base['kind']}' is not a cumulant schedule kind" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("moments", "--theory-json", '{"kind":"band","alpha":0.25,"periodic":"false"}'),
+    ("moments", "--theory-json", '{"kind":"band","alpha":0.25,"periodic":0}'),
+    ("moments", "--theory-json",
+     '{"kind":"model","spec":{"variant":"band","n":10,"seed":1,'
+     '"params":{"half_width":0.25,"periodic":"false"}}}'),
+    ("simulate", "--model-json",
+     '{"variant":"band","params":{"half_width":0.25,"periodic":"true"}}', "--n", "20"),
+    ("simulate", "--model-json", '{"variant":"gaussian_wigner","zero_diagonal":"false"}',
+     "--n", "20"),
+    ("simulate", "--model-json", '{"variant":"gaussian_wigner","zero_diagonal":1}', "--n", "20"),
+])
+def test_boolean_flags_take_only_json_booleans(capsys, argv):
+    code, out, err = run(capsys, *argv, "--reproducible")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be true or false" in err
+
+
+def test_band_periodic_false_is_the_open_band(capsys):
+    code, out, _ = run(capsys, "moments", "--theory-json",
+                       '{"kind":"band","alpha":0.25,"periodic":false}', "--two-k", "2",
+                       "--reproducible")
+    assert code == 0
+    assert json.loads(out)["series"]["entries"][0]["beta"] == pytest.approx(0.4375)
+
+
+def test_missing_config_file_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "moments", "--config", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read config file")
+
+
+def test_config_overrides_read_like_the_flags(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"kind": "semicircle", "args": {"two_k": "4", "quad_points": 16,
+                                                                "reproducible": True}}))
+    code, out, _ = run(capsys, "moments", "--config", str(cfg))
+    assert code == 0
+    doc = json.loads(out)
+    assert [e["two_k"] for e in doc["series"]["entries"]] == [2, 4]
+    assert "timestamp" not in doc
+
+    by_flags = run(capsys, "moments", "--theory-json", '{"kind":"semicircle"}', "--two-k", "4",
+                   "--quad-points", "16", "--reproducible")[1]
+    assert json.loads(by_flags)["series"] == doc["series"]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"two_k": "eight"}, "invalid value"),
+    ({"two_k": 4.5}, "invalid value"),
+    ({"two_k": True}, "must be a string or a number"),
+    ({"two_k": None}, "must be a string or a number"),
+    ({"format": "xml"}, "must be one of"),
+    ({"reproducible": "yes"}, "must be true or false"),
+    ({"help": True}, "unknown flag"),
+    ({"actions": {}}, "unknown flag"),
+])
+def test_bad_config_overrides_exit_2(capsys, tmp_path, overrides, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"kind": "semicircle", "args": overrides}))
+    code, out, err = run(capsys, "moments", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(esdlab.__file__).parents[1])}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("argv", [("ss", "2"), ("circuits", "abba")])
+def test_combinatorial_commands_load_no_numpy(argv):
+    # python -m esdlab.cli ARGV, reporting the modules it loaded at exit
+    code = ("import atexit, runpy, sys\n"
+            "atexit.register(lambda: print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('numpy', 'esdlab')), file=sys.stderr))\n"
+            f"sys.argv = ['esdlab', *{list(argv)!r}, '--reproducible']\n"
+            "runpy.run_module('esdlab.cli', run_name='__main__', alter_sys=True)\n")
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["command"] == argv[0]
+    assert done.stderr.strip() == str(["esdlab", "esdlab.circuits", "esdlab.combinatorics",
+                                       "esdlab.defaults", "esdlab.errors", "esdlab.treesum"])
+
+
+def test_python_dash_m_esdlab_is_the_command_line():
+    module = _python("-m", "esdlab", "ss", "4", "--list", "--reproducible")
+    script = _python("-m", "esdlab.cli", "ss", "4", "--list", "--reproducible")
+    assert module.returncode == script.returncode == 0, module.stderr
+    assert module.stdout == script.stdout
+    assert json.loads(module.stdout)["words"] == ["aaaa", "aabb", "abba"]
+
+    bad = _python("-m", "esdlab", "circuits", "ba")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error: ")
+
+
+def test_package_exports_resolve_lazily():
+    code = ("import sys, esdlab\n"
+            "assert sorted(m for m in sys.modules if m.startswith('esdlab')) == ['esdlab']\n"
+            "assert 'numpy' not in sys.modules\n"
+            "esdlab.enumerate_ss\n"
+            "assert 'numpy' not in sys.modules\n"
+            "esdlab.moment_graphon\n"
+            "assert 'numpy' in sys.modules\n")
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr
+
+
+def test_every_export_and_submodule_resolves():
+    namespace: dict = {}
+    exec("from esdlab import *", namespace)
+    for name in esdlab.__all__:
+        value = getattr(esdlab, name)
+        assert namespace[name] is value
+        if isinstance(value, types.ModuleType):
+            assert value.__name__ == f"esdlab.{name}"
+    for info in pkgutil.iter_modules(esdlab.__path__):
+        if info.name != "__main__":
+            assert getattr(esdlab, info.name) is importlib.import_module(f"esdlab.{info.name}")
+    assert set(esdlab.__all__) <= set(dir(esdlab))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        esdlab.no_such_name

@@ -1,6 +1,8 @@
 """Limit moments: schedules, kernels, bands, blocks, growth diagnostics."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from esdlab.moments import (
 )
 from esdlab.quadrature import QuadratureConfig
 from esdlab.trees import enumerate_trees, tree_from_word
+from esdlab.treesum import tree_sum
 
 
 def beta4_by_nested_quadrature(g2, g4):
@@ -354,3 +357,21 @@ def test_banded_schedule_is_moment_band():
     entry = moment_graphon(banded, 4)
     assert entry == moment_band(CumulantSchedule.semicircle(), 0.25, True, 4)
     assert entry.value == 2 * 0.5**2
+
+
+def test_tree_sum_releases_its_edge_callback_on_return():
+    # kernel families hand tree_sum an edge callback that holds 8 MB kernel
+    # matrices; they must go when the sum returns, not when the cyclic GC runs
+    class Kernel:
+        def apply(self, t, f):
+            return f
+
+    kernel = Kernel()
+    alive = weakref.ref(kernel)
+    gc.disable()
+    try:
+        assert tree_sum(3, kernel.apply, 1) == sum(count_ss_by_blocks(6).values())
+        del kernel
+        assert alive() is None
+    finally:
+        gc.enable()
