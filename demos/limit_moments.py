@@ -4,9 +4,12 @@ Limiting moments from cumulant schedules and kernel families
 
 The even limiting moments beta_2k are sums over colored trees: each tree
 contributes the product of its edge cumulants (flat models) or an integral
-of kernel factors over [0,1]^colors (inhomogeneous models). This script
-computes moments for the standard model zoo and runs the growth diagnostic
-that signals when a moment sequence stops pinning down its distribution.
+of kernel factors over [0,1]^colors (inhomogeneous models). Every model is a
+kernel family built by esdlab.graphons (a schedule, a band, a block grid, a
+variance profile), and moment_graphon(family, 2k) sums any of them. This
+script computes moments for the standard model zoo and runs the growth
+diagnostic that signals when a moment sequence stops pinning down its
+distribution.
 """
 
 import math
@@ -15,18 +18,16 @@ from esdlab import (
     CumulantSchedule,
     Graphon,
     GraphonFamily,
+    block_family,
     carleman_partial_sum,
-    moment_band,
-    moment_block,
-    moment_constant,
     moment_graphon,
     moment_sparse,
-    moment_variance_profile,
+    profile_family,
 )
 
 # flat gaussian entries: the Catalan numbers, i.e. the semicircle law
 sched = CumulantSchedule.semicircle()
-print("semicircle:", [moment_constant(sched, 2 * k) for k in range(1, 6)])
+print("semicircle:", [moment_graphon(sched, 2 * k).value for k in range(1, 6)])
 
 # sparse Bernoulli(lambda/n) entries: a polynomial in lambda per order
 print("sparse lam=2:", [moment_sparse(2.0, 2 * k).value for k in range(1, 4)])
@@ -39,13 +40,13 @@ entry = moment_graphon(fam, 4)
 print(f"\nkernel 4xy: beta_4 = {entry.value:.12f} ({entry.provenance}, "
       f"err {entry.error:.1e}); exact 8/3 = {8/3:.12f}")
 
-# structured ensembles: band, block, variance profile
+# structured ensembles: band, block, variance profile, each a family builder
 print("band alpha=0.25 periodic:",
-      [moment_band(sched, 0.25, True, 2 * k).value for k in (1, 2, 3)])
+      [moment_graphon(sched.banded(0.25, True), 2 * k).value for k in (1, 2, 3)])
 print("block 2x2:",
-      moment_block([0.25, 0.75], {2: [[2.0, 0.5], [0.5, 1.0]]}, 2).value)
+      moment_graphon(block_family([0.25, 0.75], {2: [[2.0, 0.5], [0.5, 1.0]]}), 2).value)
 print("profile sigma=0.5:",
-      moment_variance_profile(Graphon.constant(0.5), sched, 4).value)
+      moment_graphon(profile_family(Graphon.constant(0.5), sched), 4).value)
 
 # moment determinacy: the diagnostic sums beta_2k^(-1/2k) upper bounds and
 # reports whether the series visibly diverges

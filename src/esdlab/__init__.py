@@ -23,12 +23,11 @@ _EXPORTS = {
     "compare": "ComparisonReport compare_series theory_series_from_config",
     "errors": "CapacityError NumericError ValidationError",
     "expressions": "compile_expression",
-    "graphons": "CumulantSchedule Graphon GraphonFamily band_indicator",
+    "graphons": "CumulantSchedule Graphon GraphonFamily block_family profile_family",
     "models": "DEFAULT_SEED ModelSpec SampledMatrix effective_cumulants read_matrix sample "
               "truncate write_matrix write_matrix_csv",
     "moments": "CarlemanReport MomentEntry MomentSeries carleman_partial_sum graphon_series "
-               "hankel_min_eigenvalue homomorphism_density moment_band moment_block "
-               "moment_constant moment_graphon moment_sparse moment_variance_profile "
+               "hankel_min_eigenvalue homomorphism_density moment_graphon moment_sparse "
                "sparse_series",
     "quadrature": "IntegralResult QuadratureConfig",
     "spectra": "ESD Histogram eesd_moments eigenvalues empirical_moment empirical_moments "

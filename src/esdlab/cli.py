@@ -6,10 +6,10 @@ hash of the effective configuration; a timestamp is added unless
 --reproducible is set, so reruns can be byte-identical.
 
 A --config file is JSON. Its top level is the payload for the subcommand
-(theory description, model spec, or {"theory":..., "model":...} for compare);
-an optional "args" object overrides command-line flags, each value read as
-the flag's own text would be. Precedence is config file over flags over
-built-in defaults.
+(theory description, model spec, or {"theory":..., "model":...} for compare;
+ss and circuits take no payload); an optional "args" object overrides
+command-line flags, each value read as the flag's own text would be.
+Precedence is config file over flags over built-in defaults.
 
 Each subcommand imports what it runs when it runs: ss and circuits never load
 numpy or the theory and sampling modules; moments, simulate and compare load
@@ -167,6 +167,14 @@ def _apply_config(args: argparse.Namespace) -> dict:
     return payload
 
 
+def _apply_args_only_config(args: argparse.Namespace) -> None:
+    """Load --config for a command that takes no payload: only "args" may be set."""
+    payload = _apply_config(args)
+    if payload:
+        raise ValidationError(f"unknown keys {sorted(payload)} in {args.command} config; "
+                              f"{args.command} takes only 'args'")
+
+
 def _config_digest(payload: dict, args: argparse.Namespace) -> str:
     mirror = {k: v for k, v in vars(args).items()
               if k not in ("func", "actions", "config", "out", "parallel")}
@@ -198,14 +206,14 @@ def _emit(args: argparse.Namespace, payload_cfg: dict, document: dict,
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_ss(args: argparse.Namespace) -> int:
-    payload_cfg = _apply_config(args)
-    two_k = payload_cfg.get("two_k", args.two_k)
+    _apply_args_only_config(args)
+    two_k = args.two_k
     if two_k < 1:
         raise ValidationError(f"length must be >= 1, got {two_k}")
     if two_k % 2:
         doc = {"two_k": two_k, "count": 0, "words": [],
                "note": "odd lengths admit no special symmetric words (every block is even)"}
-        _emit(args, payload_cfg, doc, [["word"]])
+        _emit(args, {}, doc, [["word"]])
         return 0
     doc: dict = {"two_k": two_k}
     rows: list[list]
@@ -223,7 +231,7 @@ def cmd_ss(args: argparse.Namespace) -> int:
         count = sum(comb.count_ss_by_blocks(two_k).values())
         doc["count"] = count
         rows = [["two_k", "count"], [two_k, count]]
-    _emit(args, payload_cfg, doc, rows)
+    _emit(args, {}, doc, rows)
     return 0
 
 
@@ -275,6 +283,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     model_cfg = payload_cfg.get("model") if payload_cfg else None
     if payload_cfg and (theory_cfg is None or model_cfg is None):
         raise ValidationError("compare config needs 'theory' and 'model' sections")
+    if set(payload_cfg) - {"theory", "model"}:
+        raise ValidationError(f"unknown keys {sorted(set(payload_cfg) - {'theory', 'model'})} "
+                              "in compare config")
     if theory_cfg is None:
         theory_cfg = _load_json(args.theory_json, "--theory-json")
     if model_cfg is None:
@@ -296,7 +307,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_circuits(args: argparse.Namespace) -> int:
-    payload_cfg = _apply_config(args)
+    _apply_args_only_config(args)
     word = comb.Word.from_string(args.word)
     try:
         n_values = [int(part) for part in str(args.n_values).split(",") if part.strip()]
@@ -312,7 +323,7 @@ def cmd_circuits(args: argparse.Namespace) -> int:
         entries.append({"n": n, "count": res.count, "ratio": float(res.ratio),
                         "ratio_exact": str(Fraction(res.ratio))})
         rows.append([str(word), n, res.count, repr(float(res.ratio))])
-    _emit(args, payload_cfg, {"word": str(word), "results": entries}, rows)
+    _emit(args, {}, {"word": str(word), "results": entries}, rows)
     return 0
 
 

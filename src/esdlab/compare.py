@@ -4,9 +4,11 @@ A comparison lines up exact (or quadrature) limit moments against replicate
 means from the sampler and scores each order by z = (simulated - theory) / SE.
 The config parsers turn small JSON documents into kernel families or model
 specs; :func:`family_from_config` covers every theory kind but ``sparse``,
-whose moments stay the integer census polynomial. The parsers are strict
-about unknown keys so typos fail loudly, and a missing or malformed value
-raises ValidationError.
+whose moments stay the integer census polynomial. They only route keys: every
+kernel is read by :func:`esdlab.graphons.as_graphon`, every number by
+:func:`esdlab.graphons.require_number`, and the families are built by the
+builders of :mod:`esdlab.graphons`. The parsers are strict about unknown keys
+so typos fail loudly, and a missing or malformed value raises ValidationError.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .graphons import CumulantSchedule, Graphon, GraphonFamily
+from .graphons import (CumulantSchedule, GraphonFamily, as_graphon, block_family,
+                       profile_family, require_number)
 from .models import ModelSpec, effective_cumulants
-from .moments import (MomentSeries, QuadratureConfig, block_family, graphon_series,
-                      profile_family, sparse_series)
-from .quadrature import DEFAULT_CONFIG
+from .moments import MomentSeries, graphon_series, sparse_series
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 _SCHEDULE_KINDS = ("semicircle", "constant", "schedule")
 
@@ -36,34 +38,8 @@ def _required(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
-def _number(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be a number, got {value!r}") from None
-
-
 def _kind(cfg):
     return cfg.get("kind") if isinstance(cfg, dict) else None
-
-
-def graphon_from_json(obj) -> Graphon:
-    """Number, expression string, or {breaks, cells} grid."""
-    if isinstance(obj, (int, float)):
-        return Graphon.constant(float(obj))
-    if isinstance(obj, str):
-        return Graphon.from_expression(obj)
-    if isinstance(obj, dict):
-        _reject_unknown(obj, {"breaks", "cells", "constant", "expression", "bound"}, "graphon")
-        if "constant" in obj:
-            return Graphon.constant(_number(obj["constant"], "graphon constant"))
-        if "expression" in obj:
-            bound = obj.get("bound")
-            bound = None if bound is None else _number(bound, "graphon bound")
-            return Graphon.from_expression(obj["expression"], bound)
-        if "breaks" in obj and "cells" in obj:
-            return Graphon.from_grid(obj["breaks"], obj["cells"])
-    raise ValidationError(f"cannot read a graphon from {obj!r}")
 
 
 def _orders_dict(mapping, where: str) -> dict[int, object]:
@@ -83,14 +59,14 @@ def schedule_from_config(cfg: dict) -> CumulantSchedule:
     kind = _kind(cfg)
     if kind == "semicircle":
         _reject_unknown(cfg, {"kind", "c2"}, "semicircle")
-        return CumulantSchedule.semicircle(_number(cfg.get("c2", 1.0), "semicircle c2"))
+        return CumulantSchedule.semicircle(require_number(cfg.get("c2", 1.0), "semicircle c2"))
     if kind == "constant":
         _reject_unknown(cfg, {"kind", "value"}, "constant schedule")
         value = _required(cfg, "value", "constant schedule")
-        return CumulantSchedule.constant(_number(value, "constant schedule value"))
+        return CumulantSchedule.constant(require_number(value, "constant schedule value"))
     if kind == "schedule":
         _reject_unknown(cfg, {"kind", "values"}, "schedule")
-        values = {order: _number(c, f"schedule value of order {order}")
+        values = {order: require_number(c, f"schedule value of order {order}")
                   for order, c in _orders_dict(cfg.get("values"), "schedule").items()}
         return CumulantSchedule.from_dict(values)
     raise ValidationError(f"{kind!r} is not a cumulant schedule kind")
@@ -101,7 +77,8 @@ def theory_series_from_config(cfg: dict, two_k_max: int,
     """Build the limit moment series described by a theory config."""
     if _kind(cfg) == "sparse":
         _reject_unknown(cfg, {"kind", "rate"}, "sparse")
-        return sparse_series(_number(_required(cfg, "rate", "sparse"), "sparse rate"), two_k_max)
+        rate = require_number(_required(cfg, "rate", "sparse"), "sparse rate")
+        return sparse_series(rate, two_k_max)
     return graphon_series(family_from_config(cfg), two_k_max, quad)
 
 
@@ -114,7 +91,7 @@ def family_from_config(cfg: dict) -> GraphonFamily:
         return schedule_from_config(cfg)
     if kind == "graphon":
         _reject_unknown(cfg, {"kind", "g"}, "graphon family")
-        entries = {order: graphon_from_json(g)
+        entries = {order: as_graphon(g)
                    for order, g in _orders_dict(cfg.get("g"), "graphon family").items()}
         return GraphonFamily(entries, description="graphon config")
     if kind == "band":
@@ -122,7 +99,7 @@ def family_from_config(cfg: dict) -> GraphonFamily:
         base = cfg.get("base", {"kind": "semicircle"})
         if _kind(base) not in _SCHEDULE_KINDS + ("graphon",):
             raise ValidationError(f"{_kind(base)!r} cannot serve as a band/profile base")
-        alpha = _number(_required(cfg, "alpha", "band"), "band alpha")
+        alpha = require_number(_required(cfg, "alpha", "band"), "band alpha")
         return family_from_config(base).banded(alpha, cfg.get("periodic", False))
     if kind == "block":
         _reject_unknown(cfg, {"kind", "masses", "cells"}, "block")
@@ -137,7 +114,7 @@ def family_from_config(cfg: dict) -> GraphonFamily:
         spec = model_spec_from_config(cfg.get("spec", {}))
         truncation = cfg.get("truncation")
         if truncation is not None:
-            truncation = _number(truncation, "model truncation")
+            truncation = require_number(truncation, "model truncation")
         return effective_cumulants(spec, truncation=truncation)
     raise ValidationError(f"unknown theory kind {kind!r}")
 
@@ -154,10 +131,6 @@ def model_spec_from_config(cfg: dict, n: int | None = None,
     seed = cfg.get("seed", seed)
     if n is None or seed is None:
         raise ValidationError("model config needs n and seed (inline or via flags)")
-    try:
-        n, seed = int(n), int(seed)
-    except (TypeError, ValueError):
-        raise ValidationError(f"model n and seed must be integers, got {n!r} and {seed!r}") from None
     return ModelSpec(cfg["variant"], n, seed, cfg.get("params", {}),
                      cfg.get("zero_diagonal", False))
 

@@ -3,8 +3,9 @@
 Accepts strings like ``"4*x*y"``, ``"0.5 + 0.25*(x + y)"``,
 ``"ind(abs(x - y) <= 0.25)"`` or ``"sin(pi*(x + y)/n)"`` and compiles them to
 vectorized numpy callables.  Only a whitelisted subset of Python expression
-syntax is allowed: the declared variables, numeric literals, + - * / **,
-unary minus, the functions abs/sin/cos/sqrt/exp, the constants pi and e, and
+syntax is allowed: the declared variables, numeric literals (True and False
+are not numbers here), + - * / **, unary minus, the functions
+abs/sin/cos/sqrt/exp, the constants pi and e, and
 ``ind(<comparison>)`` which turns a single <=, <, >= or > comparison into a
 0/1 indicator.  Everything else is rejected, so configs stay data, not code.
 """
@@ -64,7 +65,7 @@ def compile_expression(source: str, variables: Sequence[str] = ("x", "y")) -> Ca
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
             check(node.operand)
         elif isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
+            if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
                 raise ValidationError(f"literal {node.value!r} not allowed in expressions")
         elif isinstance(node, ast.Name):
             if node.id not in names and node.id not in _CONSTANTS:

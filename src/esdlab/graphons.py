@@ -1,11 +1,14 @@
-"""Bounded symmetric kernels on [0,1]^2 and families indexed by even order.
+"""Kernels on [0,1]^2 and the kernel families every limit moment is summed from.
 
-A Graphon here is one symmetric function g(x, y); a GraphonFamily maps each
-even order 2j to such a function (missing orders mean identically zero).
-Families encode entry-moment profiles of a matrix ensemble: the order-2j
-member is the limit of n*E[x_ij^(2j)] as a function of (i/n, j/n). A
-CumulantSchedule is the family of a flat ensemble, whose order-2j member is
-the constant C_{2j}; every limit moment is summed from one family type.
+This module is the one place that turns numbers, expressions, grids and
+model parameters into kernels and families; :mod:`esdlab.moments` only sums
+them. A Graphon here is one symmetric function g(x, y); a GraphonFamily maps
+each even order 2j to such a function (missing orders mean identically
+zero). Families encode entry-moment profiles of a matrix ensemble: the
+order-2j member is the limit of n*E[x_ij^(2j)] as a function of (i/n, j/n).
+A CumulantSchedule is the family of a flat ensemble, whose order-2j member
+is the constant C_{2j}; :meth:`GraphonFamily.banded`, :func:`block_family`
+and :func:`profile_family` build the structured ones.
 
 Four representations are supported, and the integration code exploits them:
 
@@ -13,11 +16,18 @@ Four representations are supported, and the integration code exploits them:
 * grid                  piecewise constant on a break grid; exact cell sums
 * callable/expression   Gauss-Legendre nodes when smooth, else a uniform grid
 * banded                any of the above times a band indicator
+
+:func:`as_graphon` reads every kernel a config may hold, and
+:func:`require_number`, :func:`float_array` and :func:`require_flag` accept
+only JSON numbers and booleans, so text such as ``"2"`` is an error rather
+than a number.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional
+import math
+import numbers
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -28,12 +38,33 @@ _SYMMETRY_GRID = np.linspace(0.0, 1.0, 29)
 _SYMMETRY_TOL = 1e-9
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _all_numbers(values) -> bool:
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "iuf"
+    if isinstance(values, (list, tuple)):
+        return all(_all_numbers(v) for v in values)
+    return _is_number(values)
+
+
+def require_number(value, what: str) -> float:
+    """``value`` as a float when it is a finite real number; text, booleans and nan raise."""
+    if not (_is_number(value) and math.isfinite(value)):
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def float_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array; anything that is not numbers raises ValidationError."""
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be numbers, got {values!r}") from None
+    """``values`` as a float array; text or booleans at any depth raise ValidationError."""
+    if _all_numbers(values):
+        try:
+            return np.asarray(values, dtype=float)
+        except ValueError:  # ragged nesting
+            pass
+    raise ValidationError(f"{what} must be numbers, got {values!r}")
 
 
 class Graphon:
@@ -175,19 +206,34 @@ def band_indicator_values(x, y, alpha: float, periodic: bool) -> np.ndarray:
     return inside.astype(float)
 
 
-def band_indicator(alpha: float, periodic: bool) -> Graphon:
-    """The 0/1 band graphon itself."""
-    return Graphon.constant(1.0, label="1").banded(alpha, periodic)
+_KERNEL_FORMS = ({"constant"}, {"expression"}, {"expression", "bound"}, {"breaks", "cells"})
 
 
 def as_graphon(value) -> Graphon:
-    """Coerce numbers, expression strings, or Graphons to a Graphon."""
+    """The kernel a number, expression string, kernel object or Graphon describes.
+
+    The objects are ``{"constant": c}``, ``{"expression": text}`` with an
+    optional ``"bound"``, and the grid ``{"breaks": [...], "cells": [[...]]}``.
+
+    >>> float(as_graphon({"breaks": [0, 0.5, 1], "cells": [[1, 2], [2, 1]]}).eval(0.2, 0.7))
+    2.0
+    """
     if isinstance(value, Graphon):
         return value
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return Graphon.constant(float(value))
     if isinstance(value, str):
         return Graphon.from_expression(value)
+    if isinstance(value, dict) and set(value) in _KERNEL_FORMS:
+        if "constant" in value:
+            return Graphon.constant(require_number(value["constant"], "kernel constant"))
+        if "breaks" in value:
+            return Graphon.from_grid(value["breaks"], value["cells"])
+        if not isinstance(value["expression"], str):
+            raise ValidationError(f"kernel expression must be text, got {value['expression']!r}")
+        bound = value.get("bound")
+        return Graphon.from_expression(
+            value["expression"], None if bound is None else require_number(bound, "kernel bound"))
     raise ValidationError(f"cannot interpret {value!r} as a graphon")
 
 
@@ -218,12 +264,6 @@ class GraphonFamily:
                 self.entries[order] = as_graphon(graphon)
         self.rule = rule
         self.description = description or "graphon family"
-
-    @classmethod
-    def from_constant_rule(cls, value_of_order: Callable[[int], float],
-                           description: str = "") -> "CumulantSchedule":
-        """The schedule of constants C_{2k} = value_of_order(2k)."""
-        return CumulantSchedule(description, rule=value_of_order)
 
     def g(self, order: int) -> Optional[Graphon]:
         """Graphon at the given even order, or None when identically zero."""
@@ -299,3 +339,32 @@ class CumulantSchedule(GraphonFamily):
     @classmethod
     def constant(cls, lam: float) -> "CumulantSchedule":
         return cls(f"constant {lam}", rule=lambda two_k: float(lam))
+
+
+def block_family(alphas: Sequence[float], cells_by_order: Mapping[int, object],
+                 description: str = "") -> GraphonFamily:
+    """Piecewise-constant family on the partition of [0,1] with the given masses."""
+    alphas = float_array(alphas, "block masses")
+    if alphas.ndim != 1 or len(alphas) == 0 or not np.all(alphas > 0):  # nan is not > 0
+        raise ValidationError(f"block masses must be a list of positive numbers, "
+                              f"got {alphas.tolist()!r}")
+    if abs(alphas.sum() - 1.0) > 1e-12:
+        raise ValidationError(f"block masses must sum to 1, got {alphas.sum()!r}")
+    breaks = np.concatenate([[0.0], np.cumsum(alphas)])
+    breaks[-1] = 1.0
+    entries = {}
+    for order, cells in cells_by_order.items():
+        require_even_order(int(order))
+        entries[int(order)] = Graphon.from_grid(breaks, cells, label=f"block order {order}")
+    return GraphonFamily(entries, description=description or f"{len(alphas)} blocks")
+
+
+def profile_family(sigma, schedule: CumulantSchedule) -> GraphonFamily:
+    """Family sigma(x,y)^(2k) * C_{2k} for a variance-profile ensemble; sigma is any kernel."""
+    profile = as_graphon(sigma)
+
+    def make(order: int) -> Optional[Graphon]:
+        c = schedule.value(order)
+        return None if c == 0 else profile.power_scale(order, c)
+
+    return GraphonFamily(rule=make, description=f"profile({profile.label}) x {schedule.description}")

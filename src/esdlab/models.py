@@ -22,9 +22,8 @@ import numpy as np
 from .defaults import DEFAULT_SEED  # noqa: F401  (re-exported as models.DEFAULT_SEED)
 from .errors import CapacityError, ValidationError
 from .expressions import compile_expression, expression_is_smooth
-from .graphons import (CumulantSchedule, Graphon, GraphonFamily, as_graphon, float_array,
-                       require_flag)
-from .moments import profile_family
+from .graphons import (CumulantSchedule, Graphon, GraphonFamily, as_graphon, block_family,
+                       profile_family, require_flag, require_number)
 
 VARIANTS = (
     "gaussian_wigner",
@@ -67,6 +66,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValidationError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
+        for key in ("n", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"model {key} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.n}")
         require_flag(self.zero_diagonal, "zero_diagonal")
@@ -79,50 +82,42 @@ class ModelSpec:
 
     def _validate_params(self):
         p = self.params
+
+        def number(key: str) -> float:
+            return require_number(self._require(key), f"{self.variant} parameter {key!r}")
+
         if self.variant == "triangular_twopoint":
-            atom, rate = self._number("atom"), self._number("rate")
+            atom, rate = number("atom"), number("rate")
             if atom <= 0 or rate <= 0:
                 raise ValidationError("two-point model needs atom > 0 and rate > 0")
             if rate > self.n:
                 raise ValidationError(f"rate {rate} exceeds n={self.n}; atom probability leaves [0,1]")
         elif self.variant == "sparse_homogeneous":
-            rate = self._number("rate")
+            rate = number("rate")
             if rate <= 0 or rate > self.n:
                 raise ValidationError(f"mean degree must lie in (0, n], got {rate}")
         elif self.variant == "sparse_inhomogeneous":
             compile_expression(str(self._require("prob")), ("x", "y", "n"))
         elif self.variant == "heavy_tailed":
-            a = self._number("tail_index")
+            a = number("tail_index")
             if not 0 < a < 2:
                 raise ValidationError(f"tail index must lie in (0,2), got {a}")
         elif self.variant == "variance_profile":
             as_graphon(self._require("profile"))
             self.base_spec()
         elif self.variant == "band":
-            a = self._number("half_width")
+            a = number("half_width")
             if not 0 < a <= 0.5:
                 raise ValidationError(f"band half-width must lie in (0, 1/2], got {a}")
             require_flag(p.get("periodic", False), "band parameter 'periodic'")
             self.base_spec()
         elif self.variant == "block":
-            masses = float_array(self._require("masses"), "block masses")
-            scales = float_array(self._require("scales"), "block scales")
-            if len(masses) == 0 or np.any(masses <= 0) or abs(masses.sum() - 1.0) > 1e-12:
-                raise ValidationError("block masses must be positive and sum to 1")
-            d = len(masses)
-            if scales.shape != (d, d) or not np.allclose(scales, scales.T, atol=0, rtol=0):
-                raise ValidationError(f"block scales must be a symmetric {d}x{d} matrix")
+            block_family(self._require("masses"), {2: self._require("scales")})
 
     def _require(self, key: str):
         if key not in self.params:
             raise ValidationError(f"{self.variant} requires parameter {key!r}")
         return self.params[key]
-
-    def _number(self, key: str):
-        value = self._require(key)
-        if not isinstance(value, numbers.Real):
-            raise ValidationError(f"{self.variant} parameter {key!r} must be a number, got {value!r}")
-        return value
 
     def base_spec(self) -> "ModelSpec":
         """The wrapped ensemble of a profile or band model."""
@@ -307,12 +302,7 @@ def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
     if spec.variant == "band":
         base = effective_cumulants(spec.base_spec(), at_n=at_n)
         return base.banded(p["half_width"], p.get("periodic", False))
-    scales = np.asarray(p["scales"], dtype=float)
-    masses = list(np.asarray(p["masses"], dtype=float))
-    breaks = np.concatenate([[0.0], np.cumsum(masses)])
-    breaks[-1] = 1.0
-    return GraphonFamily({2: Graphon.from_grid(breaks, scales**2, label="block variances")},
-                         description="block gaussian")
+    return block_family(p["masses"], {2: np.square(p["scales"])}, description="block gaussian")
 
 
 # -- matrix files --------------------------------------------------------------

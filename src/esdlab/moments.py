@@ -5,11 +5,14 @@ which are the colored trees of :mod:`esdlab.trees`: one color per block, and
 an edge factor per color class of order twice its size. Odd moments vanish.
 No tree is listed: :func:`esdlab.treesum.tree_sum` sums over color classes.
 
-:func:`moment_graphon` is the one entry point for every limit moment. It
-passes vectors on the nodes of one quadrature rule, chosen once per moment
-from the kinds of the members up to that order (see :mod:`esdlab.quadrature`);
-a class of t nodes applies the matrix of its order-2t member to its message.
-A :class:`~esdlab.graphons.CumulantSchedule` is the family of constants
+:mod:`esdlab.graphons` builds every kernel family (schedules, bands,
+blocks, variance profiles); this module only sums them.
+:func:`moment_graphon` is the one entry point for every limit moment, as in
+``moment_graphon(block_family(masses, cells), 4)``. It passes vectors on
+the nodes of one quadrature rule, chosen once per moment from the kinds of
+the members up to that order (see :mod:`esdlab.quadrature`); a class of t
+nodes applies the matrix of its order-2t member to its message. A
+:class:`~esdlab.graphons.CumulantSchedule` is the family of constants
 C_{2t}, which takes the exact one-node rule, so its moments are plain float
 sums of C_{2t} products. A sum that overflows raises NumericError instead of
 returning inf or nan. Only the sparse polynomial stays in integers: its
@@ -27,8 +30,7 @@ import numpy as np
 
 from .combinatorics import count_ss_by_blocks
 from .errors import NumericError, ValidationError
-from .graphons import (CumulantSchedule, Graphon, GraphonFamily, as_graphon, float_array,
-                       require_even_order)
+from .graphons import CumulantSchedule, Graphon, GraphonFamily, require_even_order
 from .quadrature import (DEFAULT_CONFIG, IntegralResult, Nodes, QuadratureConfig,
                          integrate_edge_product, integrate_on_nodes)
 from .trees import ColoredTree
@@ -98,12 +100,7 @@ def hankel_min_eigenvalue(series: MomentSeries) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
-# -- constant schedules (exact) ---------------------------------------------
-
-def moment_constant(schedule: CumulantSchedule, two_k: int) -> float:
-    """Exact limit moment: sum over SS words of the block-size cumulant product."""
-    return moment_graphon(schedule, two_k).value
-
+# -- the sparse census polynomial (exact) -----------------------------------
 
 @dataclass(frozen=True)
 class SparseMoment:
@@ -177,52 +174,6 @@ def moment_graphon(family: GraphonFamily, two_k: int,
                            f"(value {result.value!r}, error {result.error!r})")
     provenance = EXACT if result.method == "exact" else QUADRATURE
     return MomentEntry(two_k, result.value, result.error, provenance)
-
-
-# -- specializations ---------------------------------------------------------
-
-def moment_band(family: GraphonFamily, alpha: float, periodic: bool, two_k: int,
-                config: QuadratureConfig = DEFAULT_CONFIG) -> MomentEntry:
-    """Moments after multiplying every kernel by a band indicator."""
-    return moment_graphon(family.banded(alpha, periodic), two_k, config)
-
-
-def block_family(alphas: Sequence[float], cells_by_order: Mapping[int, object]) -> GraphonFamily:
-    """Piecewise-constant family on the partition of [0,1] with the given masses."""
-    alphas = float_array(alphas, "block masses")
-    if len(alphas) == 0 or np.any(alphas <= 0):
-        raise ValidationError("block masses must be positive")
-    if abs(alphas.sum() - 1.0) > 1e-12:
-        raise ValidationError(f"block masses must sum to 1, got {alphas.sum()!r}")
-    breaks = np.concatenate([[0.0], np.cumsum(alphas)])
-    breaks[-1] = 1.0
-    entries = {}
-    for order, cells in cells_by_order.items():
-        require_even_order(int(order))
-        entries[int(order)] = Graphon.from_grid(breaks, cells, label=f"block order {order}")
-    return GraphonFamily(entries, description=f"{len(alphas)} blocks")
-
-
-def moment_block(alphas: Sequence[float], cells_by_order: Mapping[int, object],
-                 two_k: int, config: QuadratureConfig = DEFAULT_CONFIG) -> MomentEntry:
-    """Exact moments for blockwise-constant kernels (no quadrature error)."""
-    return moment_graphon(block_family(alphas, cells_by_order), two_k, config)
-
-
-def profile_family(sigma, schedule: CumulantSchedule) -> GraphonFamily:
-    """Family sigma(x,y)^(2k) * C_{2k} for a variance-profile ensemble."""
-    profile = as_graphon(sigma)
-
-    def make(order: int) -> Optional[Graphon]:
-        c = schedule.value(order)
-        return None if c == 0 else profile.power_scale(order, c)
-
-    return GraphonFamily(rule=make, description=f"profile({profile.label}) x {schedule.description}")
-
-
-def moment_variance_profile(sigma, schedule: CumulantSchedule, two_k: int,
-                            config: QuadratureConfig = DEFAULT_CONFIG) -> MomentEntry:
-    return moment_graphon(profile_family(sigma, schedule), two_k, config)
 
 
 # -- series builders ---------------------------------------------------------
@@ -313,7 +264,7 @@ def carleman_partial_sum(source, big_k: int) -> CarlemanReport:
         terms.append(term)
         sums.append(running)
 
-    bounds = GraphonFamily.from_constant_rule(bound_of, "Carleman bounds")
+    bounds = CumulantSchedule("Carleman bounds", rule=bound_of)
     ss_terms = []
     for two_k in orders:
         alpha = moment_graphon(bounds, two_k).value

@@ -346,6 +346,38 @@ MALFORMED = {
     "broken_compare_model_json": ("compare", "--theory-json", '{"kind":"sparse","rate":2.0}',
                                   "--model-json", '{"variant"'),
     "broken_config_file": ("moments", "--config", "BROKEN_FILE"),
+    # numbers must be JSON numbers: text and booleans are not read as numbers
+    "text_constant_value": ("moments", "--theory-json", '{"kind":"constant","value":"2"}'),
+    "bool_constant_value": ("moments", "--theory-json", '{"kind":"constant","value":true}'),
+    "text_band_alpha": ("moments", "--theory-json", '{"kind":"band","alpha":"0.25"}'),
+    "text_block_mass_number": ("moments", "--theory-json",
+                               '{"kind":"block","masses":["0.5",0.5],"cells":{"2":[[1,0],[0,1]]}}'),
+    "bool_block_cell": ("moments", "--theory-json",
+                        '{"kind":"block","masses":[0.5,0.5],"cells":{"2":[[true,0],[0,1]]}}'),
+    "text_block_cell": ("moments", "--theory-json",
+                        '{"kind":"block","masses":[0.5,0.5],"cells":{"2":[["2",0],[0,1]]}}'),
+    "bool_model_rate": ("simulate", "--model-json",
+                        '{"variant":"sparse_homogeneous","params":{"rate":true}}', "--n", "20"),
+    "fractional_model_n": ("simulate", "--model-json",
+                           '{"variant":"gaussian_wigner","n":40.9,"seed":1}'),
+    "bool_model_seed": ("simulate", "--model-json",
+                        '{"variant":"gaussian_wigner","n":40,"seed":true}'),
+    "text_truncation": ("moments", "--theory-json",
+                        '{"kind":"model","truncation":"1","spec":' + HEAVY_SPEC + '}'),
+    "text_block_scale": ("simulate", "--model-json",
+                         '{"variant":"block","params":{"masses":[1.0],"scales":[["1"]]}}',
+                         "--n", "20"),
+    "nan_sparse_rate": ("moments", "--theory-json", '{"kind":"sparse","rate":NaN}'),
+    "infinite_semicircle_c2": ("moments", "--theory-json", '{"kind":"semicircle","c2":Infinity}'),
+    "nan_block_mass": ("simulate", "--model-json",
+                       '{"variant":"block","params":{"masses":[NaN,0.5],"scales":[[1,0],[0,1]]}}',
+                       "--n", "10"),
+    "scalar_block_masses": ("moments", "--theory-json",
+                            '{"kind":"block","masses":1.0,"cells":{"2":[[1.0]]}}'),
+    "bool_in_expression": ("moments", "--theory-json",
+                           '{"kind":"graphon","g":{"2":"1 + True*x*y"}}'),
+    "bool_model_prob": ("simulate", "--model-json",
+                        '{"variant":"sparse_inhomogeneous","params":{"prob":true}}', "--n", "10"),
 }
 
 
@@ -357,7 +389,68 @@ def test_malformed_configs_exit_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--reproducible")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_profile_sigma_reads_every_kernel_form(capsys):
+    # sigma as a grid or an expression object gives what the squared kernel gives directly
+    pairs = [({"breaks": [0, 0.5, 1], "cells": [[1, 2], [2, 1]]},
+              {"breaks": [0, 0.5, 1], "cells": [[1, 4], [4, 1]]}),
+             ({"expression": "1 + x*y", "bound": 2.0}, "(1 + x*y)**2")]
+    for sigma, squared in pairs:
+        betas = []
+        for theory in ({"kind": "profile", "sigma": sigma},
+                       {"kind": "graphon", "g": {"2": squared}}):
+            code, out, err = run(capsys, "moments", "--theory-json", json.dumps(theory),
+                                 "--two-k", "6", "--reproducible")
+            assert code == 0, err
+            betas.append([e["beta"] for e in json.loads(out)["series"]["entries"]])
+        assert betas[0] == pytest.approx(betas[1], rel=1e-12)
+
+
+def test_simulate_variance_profile_with_a_grid_profile(capsys):
+    grid = {"breaks": [0, 0.5, 1], "cells": [[1, 2], [2, 1]]}
+    model = {"variant": "variance_profile", "params": {"profile": grid}}
+    code, out, err = run(capsys, "simulate", "--model-json", json.dumps(model), "--n", "40",
+                         "--k-max", "2", "--reproducible")
+    assert code == 0, err
+    assert json.loads(out)["model"]["params"]["profile"] == grid
+
+
+@pytest.mark.parametrize("argv", [("ss", "4"), ("circuits", "abba")])
+@pytest.mark.parametrize("payload", [{"two_k": "8"}, {"two_k": 8, "junk": 1}, {"word": "aabb"}])
+def test_ss_and_circuits_configs_take_only_args(capsys, tmp_path, argv, payload):
+    cfg = tmp_path / "payload.json"
+    cfg.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv, "--config", str(cfg), "--reproducible")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown keys") and "takes only 'args'" in err
+
+
+def test_compare_config_takes_only_theory_model_and_args(capsys, tmp_path):
+    cfg = tmp_path / "compare.json"
+    cfg.write_text(json.dumps({"theory": {"kind": "sparse", "rate": 2.0},
+                               "model": {"variant": "sparse_homogeneous", "params": {"rate": 2.0}},
+                               "thresold": 1.0, "args": {"n": 20, "reps": 2, "two_k": 2}}))
+    code, out, err = run(capsys, "compare", "--config", str(cfg), "--reproducible")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown keys ['thresold'] in compare config")
+
+
+def test_ss_and_circuits_configs_apply_args(capsys, tmp_path):
+    cfg = tmp_path / "args.json"
+    cfg.write_text(json.dumps({"args": {"two_k": 8, "by_blocks": True}}))
+    code, out, _ = run(capsys, "ss", "4", "--config", str(cfg), "--reproducible")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["two_k"] == 8 and doc["by_blocks"] == {"1": 1, "2": 14, "3": 28, "4": 14}
+
+    cfg.write_text(json.dumps({"args": {"n_values": "2,3"}}))
+    code, out, _ = run(capsys, "circuits", "abba", "--config", str(cfg), "--reproducible")
+    assert code == 0
+    assert [r["n"] for r in json.loads(out)["results"]] == [2, 3]
 
 
 @pytest.mark.parametrize("base", [

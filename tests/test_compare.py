@@ -8,13 +8,13 @@ import pytest
 from esdlab.compare import (
     ComparisonReport,
     compare_series,
-    graphon_from_json,
     model_spec_from_config,
     schedule_from_config,
     theory_series_from_config,
 )
 from esdlab.errors import ValidationError
-from esdlab.moments import MomentEntry, MomentSeries, moment_block
+from esdlab.graphons import block_family
+from esdlab.moments import MomentEntry, MomentSeries, moment_graphon
 
 
 def series(pairs, se=0.0, provenance="monte-carlo-simulation"):
@@ -22,17 +22,6 @@ def series(pairs, se=0.0, provenance="monte-carlo-simulation"):
         entries=tuple(MomentEntry(k, v, se, provenance) for k, v in pairs),
         description="test",
     )
-
-
-def test_graphon_from_json_forms():
-    assert graphon_from_json(2.0).eval(0.3, 0.4) == 2.0
-    assert graphon_from_json("4*x*y").eval(0.5, 0.5) == pytest.approx(1.0)
-    grid = graphon_from_json(
-        {"breaks": [0.0, 0.5, 1.0], "cells": [[1.0, 2.0], [2.0, 3.0]]}
-    )
-    assert grid.eval(0.25, 0.75) == 2.0
-    with pytest.raises(ValidationError):
-        graphon_from_json({"cells": [[1.0]]})
 
 
 def test_schedule_kinds():
@@ -55,7 +44,7 @@ def test_theory_series_covers_every_kind():
         },
         4,
     )
-    expected = moment_block([0.25, 0.75], {2: [[2.0, 0.5], [0.5, 1.0]]}, 2).value
+    expected = moment_graphon(block_family([0.25, 0.75], {2: [[2.0, 0.5], [0.5, 1.0]]}), 2).value
     assert block.moment(2) == pytest.approx(expected)
 
     profile = theory_series_from_config(

@@ -15,9 +15,8 @@ from functools import lru_cache
 import pytest
 
 from esdlab.combinatorics import catalan, count_ss_by_blocks, enumerate_ss
-from esdlab.graphons import Graphon, GraphonFamily
-from esdlab.moments import (CumulantSchedule, block_family, homomorphism_density, moment_band,
-                            moment_constant, moment_graphon)
+from esdlab.graphons import CumulantSchedule, Graphon, GraphonFamily, block_family
+from esdlab.moments import homomorphism_density, moment_graphon
 from esdlab.trees import enumerate_trees
 
 ROUNDING = 1e-12
@@ -75,7 +74,7 @@ def test_rank_one_truth_starts_right():
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
 def test_periodic_band_is_exact(alpha):
     for k in range(1, 7):
-        entry = moment_band(CumulantSchedule.semicircle(), alpha, True, 2 * k)
+        entry = moment_graphon(CumulantSchedule.semicircle().banded(alpha, True), 2 * k)
         assert entry.provenance == "exact-combinatorial"
         assert_covers(entry, catalan(k) * (2 * alpha) ** k, cap=0.0)
 
@@ -85,10 +84,10 @@ def test_open_band_low_orders(alpha):
     sched = CumulantSchedule.semicircle()
     # the row integral m(x) is x + alpha, 2 alpha, 1 - x + alpha on three pieces,
     # and beta_4 = 2 * int m^2 (star and path; the doubled edge has no order-4 kernel)
-    second = moment_band(sched, alpha, False, 2)
+    second = moment_graphon(sched.banded(alpha, False), 2)
     assert second.provenance == "quadrature"
     assert_covers(second, 2 * alpha - alpha**2, cap=1e-12)
-    fourth = moment_band(sched, alpha, False, 4)
+    fourth = moment_graphon(sched.banded(alpha, False), 4)
     assert_covers(fourth, 8 * alpha**2 - 20 * alpha**3 / 3, cap=1e-5)
 
 
@@ -131,7 +130,7 @@ def test_integer_schedule_matches_enumeration(two_k):
     sched = CumulantSchedule("t + 1", rule=lambda order: order // 2 + 1)
     sizes, _ = enumerated(two_k)
     truth = sum(count * math.prod(s // 2 + 1 for s in profile) for profile, count in sizes.items())
-    assert moment_constant(sched, two_k) == truth
+    assert moment_graphon(sched, two_k).value == truth
 
 
 def test_census_matches_enumeration():

@@ -1,7 +1,11 @@
 """Safe kernel expressions: grammar, vectorization, smoothness flag."""
 
+import keyword
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from esdlab.errors import ValidationError
 from esdlab.expressions import compile_expression, expression_is_smooth
@@ -50,6 +54,30 @@ def test_rejects_unsafe_or_unknown_constructs():
     for source in bad:
         with pytest.raises(ValidationError):
             compile_expression(source)
+
+
+_ALLOWED_NAMES = {"x", "y", "pi", "e", "abs", "sin", "cos", "sqrt", "exp", "ind"}
+_unknown_names = st.from_regex(r"[a-z_][a-z0-9_]{0,5}", fullmatch=True).filter(
+    lambda name: name not in _ALLOWED_NAMES and not keyword.iskeyword(name))
+_outside_whitelist = st.one_of(
+    _unknown_names,                                                    # unknown names
+    _unknown_names.map(lambda name: f"{name}(x)"),                     # unknown functions
+    _unknown_names.map(lambda name: f"x.{name}"),                      # attributes
+    st.integers(-3, 3).map(lambda i: f"x[{i}]"),                       # subscripts
+    st.sampled_from(["(lambda: 1)()", "(lambda x: x)", "lambda: x"]),  # lambdas
+    st.text(max_size=4).map(repr),                                     # strings
+    st.sampled_from(["True", "False", "None"]),                        # other literals
+    st.sampled_from(["sin(x=1)", "sqrt(y=x)", "exp(x=y)"]),            # keyword calls
+    st.tuples(st.floats(0, 1), st.floats(0, 1)).map(                   # chained comparisons
+        lambda ab: f"ind({ab[0]} < x <= {ab[1]})"),
+)
+
+
+@given(_outside_whitelist,
+       st.sampled_from(["{}", "x + ({})", "2*sin({})", "ind(({}) <= y)", "-({})**2"]))
+def test_expressions_outside_the_whitelist_raise(fragment, template):
+    with pytest.raises(ValidationError):
+        compile_expression(template.format(fragment))
 
 
 def test_rejects_malformed_syntax():

@@ -5,10 +5,10 @@ import pytest
 
 from esdlab.errors import NumericError, ValidationError
 from esdlab.graphons import (
+    CumulantSchedule,
     Graphon,
     GraphonFamily,
     as_graphon,
-    band_indicator,
     band_indicator_values,
 )
 
@@ -67,7 +67,7 @@ def test_band_indicator_geometry():
     )
     # wrap-around distance 0.1 is inside the periodic band
     assert list(wrapped) == [1.0, 0.0]
-    g = band_indicator(0.25, periodic=True)
+    g = Graphon.constant(1.0).banded(0.25, periodic=True)
     assert g.eval(0.05, 0.95) == 1.0
     assert not g.smooth
 
@@ -103,6 +103,16 @@ def test_as_graphon_coercion():
     assert as_graphon(g) is g
     with pytest.raises(ValidationError):
         as_graphon([1, 2, 3])
+    # the kernel objects a config may hold
+    grid = as_graphon({"breaks": [0.0, 0.5, 1.0], "cells": [[1.0, 2.0], [2.0, 3.0]]})
+    assert grid.eval(0.25, 0.75) == 2.0
+    assert as_graphon({"constant": 1.5}).eval(0.1, 0.2) == 1.5
+    bounded = as_graphon({"expression": "x*y", "bound": 2.0})
+    assert bounded.bound == 2.0 and bounded.eval(0.5, 0.5) == 0.25
+    for bad in ({"cells": [[1.0]]}, {"constant": 1.0, "expression": "x"}, {"constant": "1"},
+                {"expression": 2.0}, {"expression": "x*y", "bound": "2"}, True):
+        with pytest.raises(ValidationError):
+            as_graphon(bad)
 
 
 def test_family_entries_and_rule():
@@ -111,7 +121,7 @@ def test_family_entries_and_rule():
     assert fam.g(4) is None
     assert fam.bound(2) >= 1.0
 
-    ruled = GraphonFamily.from_constant_rule(lambda order: 2.0 / order)
+    ruled = CumulantSchedule("2 / order", rule=lambda order: 2.0 / order)
     assert ruled.g(6).eval(0.1, 0.1) == pytest.approx(1 / 3)
 
     with pytest.raises(ValidationError):

@@ -1,10 +1,20 @@
 """Matrix ensembles: reproducible sampling and entry-moment bookkeeping."""
 
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import esdlab
 
 from esdlab.errors import CapacityError, ValidationError
-from esdlab.graphons import GraphonFamily
+from esdlab.graphons import GraphonFamily, block_family
 from esdlab.models import (
     VARIANTS,
     ModelSpec,
@@ -17,7 +27,7 @@ from esdlab.models import (
     write_matrix,
     write_matrix_csv,
 )
-from esdlab.moments import CumulantSchedule, moment_block
+from esdlab.moments import moment_graphon
 
 
 def spec_zoo(n=60, seed=5):
@@ -224,7 +234,7 @@ def test_block_second_moment_matches_theory():
     iu = np.triu_indices(n)
     terms = n * m[iu] ** 2
     se = terms.std() / np.sqrt(terms.size)
-    theory = moment_block(masses, {2: np.square(scales).tolist()}, 2).value
+    theory = moment_graphon(block_family(masses, {2: np.square(scales).tolist()}), 2).value
     assert abs(terms.mean() - theory) <= 4 * se
 
 
@@ -287,6 +297,38 @@ def test_matrix_file_round_trip(tmp_path):
     junk.write_bytes(b"not a matrix header")
     with pytest.raises(ValidationError):
         read_matrix(str(junk))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["gaussian_wigner", "sparse_homogeneous", "sparse_inhomogeneous",
+                        "heavy_tailed", "block"]),
+       st.integers(1, 12), st.integers(0, 2**64 - 1))
+def test_matrix_file_round_trip_on_random_specs(variant, n, seed):
+    params = {"sparse_homogeneous": {"rate": 1.0},
+              "sparse_inhomogeneous": {"prob": "(x + y)/(2*n)"},
+              "heavy_tailed": {"tail_index": 1.5},
+              "block": {"masses": [0.5, 0.5], "scales": [[1.0, 2.0], [2.0, 1.0]]}}
+    sampled = sample(ModelSpec(variant, n, seed, params.get(variant, {})))
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "m.esdm")
+        write_matrix(sampled, path)
+        matrix, meta = read_matrix(path)
+    assert np.array_equal(matrix, sampled.matrix)
+    assert meta == {"n": n, "seed": seed, "variant": variant}
+
+
+def test_models_import_no_theory_modules():
+    # sampling needs the kernel builders of graphons, never the moment sums
+    code = ("import sys, esdlab.models\n"
+            "print(sorted(m for m in sys.modules if m.startswith('esdlab')))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(esdlab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(eval(done.stdout))
+    assert "esdlab.graphons" in loaded
+    for theory in ("moments", "quadrature", "trees", "treesum", "combinatorics"):
+        assert f"esdlab.{theory}" not in loaded
 
 
 def test_csv_export_capped(tmp_path):

@@ -10,7 +10,7 @@ from scipy import integrate
 
 from esdlab.combinatorics import Word, catalan, count_ss_by_blocks
 from esdlab.errors import NumericError, ValidationError
-from esdlab.graphons import Graphon, GraphonFamily
+from esdlab.graphons import Graphon, GraphonFamily, block_family, profile_family
 from esdlab.moments import (
     CumulantSchedule,
     MomentEntry,
@@ -19,12 +19,8 @@ from esdlab.moments import (
     graphon_series,
     hankel_min_eigenvalue,
     homomorphism_density,
-    moment_band,
-    moment_block,
-    moment_constant,
     moment_graphon,
     moment_sparse,
-    moment_variance_profile,
     sparse_series,
 )
 from esdlab.quadrature import QuadratureConfig
@@ -51,16 +47,16 @@ def beta4_by_nested_quadrature(g2, g4):
 def test_semicircle_moments_are_catalan():
     sched = CumulantSchedule.semicircle()
     for k in range(1, 8):
-        assert moment_constant(sched, 2 * k) == pytest.approx(catalan(k))
-    assert moment_constant(sched, 3) == 0.0
-    assert moment_constant(CumulantSchedule.semicircle(c2=2.0), 4) == pytest.approx(8.0)
+        assert moment_graphon(sched, 2 * k).value == pytest.approx(catalan(k))
+    assert moment_graphon(sched, 3).value == 0.0
+    assert moment_graphon(CumulantSchedule.semicircle(c2=2.0), 4).value == pytest.approx(8.0)
 
 
 def test_constant_schedule_matches_sparse_polynomial():
     for lam in (0.5, 1.0, 2.0, 3.5):
         sched = CumulantSchedule.constant(lam)
         for two_k in (2, 4, 6, 8, 10, 12):
-            assert moment_constant(sched, two_k) == pytest.approx(
+            assert moment_graphon(sched, two_k).value == pytest.approx(
                 moment_sparse(lam, two_k).value
             )
 
@@ -84,9 +80,9 @@ def test_sparse_coefficients_are_block_counts():
 
 def test_missing_cumulant_raises():
     sched = CumulantSchedule.from_dict({2: 1.0})
-    assert moment_constant(sched, 2) == 1.0
+    assert moment_graphon(sched, 2).value == 1.0
     with pytest.raises(ValidationError):
-        moment_constant(sched, 4)
+        moment_graphon(sched, 4)
 
 
 def test_star_and_path_densities_agree():
@@ -100,7 +96,7 @@ def test_star_and_path_densities_agree():
 
 
 def test_constant_family_density_counts_edges():
-    fam = GraphonFamily.from_constant_rule(lambda order: 1.7)
+    fam = CumulantSchedule("constant 1.7", rule=lambda order: 1.7)
     for letters in ("aabb", "abba", "abbacc", "aabbcc"):
         tree = tree_from_word(Word.from_string(letters))
         edges = len(tree.edge_multiplicities())
@@ -127,11 +123,12 @@ def test_graphon_constant_family_matches_schedule():
     sched = CumulantSchedule.from_dict(
         {2: 1.3, 4: 0.4, 6: 0.2, 8: 0.1}, description="table"
     )
-    fam = GraphonFamily.from_constant_rule(lambda order: sched.value(order) if order <= 8 else 0.0)
+    fam = CumulantSchedule("table to order 8",
+                           rule=lambda order: sched.value(order) if order <= 8 else 0.0)
     for two_k in (2, 4, 6, 8):
         entry = moment_graphon(fam, two_k)
         assert entry.provenance == "exact-combinatorial"
-        assert abs(entry.value - moment_constant(sched, two_k)) <= 1e-6
+        assert abs(entry.value - moment_graphon(sched, two_k).value) <= 1e-6
 
 
 def test_row_constant_kernel_recovers_semicircle_prefix():
@@ -173,7 +170,7 @@ def test_band_periodic_semicircle_closed_form():
     sched = CumulantSchedule.semicircle()
     for alpha in (0.1, 0.25, 0.5):
         for k in (1, 2, 3):
-            entry = moment_band(sched, alpha, True, 2 * k)
+            entry = moment_graphon(sched.banded(alpha, True), 2 * k)
             assert entry.provenance == "exact-combinatorial"
             assert entry.value == pytest.approx(catalan(k) * (2 * alpha) ** k)
 
@@ -181,12 +178,12 @@ def test_band_periodic_semicircle_closed_form():
 def test_band_full_width_is_no_band():
     sched = CumulantSchedule.semicircle()
     for two_k in (2, 4, 6):
-        banded = moment_band(sched, 0.5, True, two_k)
-        assert banded.value == pytest.approx(moment_constant(sched, two_k))
+        banded = moment_graphon(sched.banded(0.5, True), two_k)
+        assert banded.value == pytest.approx(moment_graphon(sched, two_k).value)
 
 
 def test_band_open_interval_second_moment():
-    entry = moment_band(CumulantSchedule.semicircle(), 0.25, False, 2)
+    entry = moment_graphon(CumulantSchedule.semicircle().banded(0.25, False), 2)
     expected = 2 * 0.25 - 0.25**2
     assert abs(entry.value - expected) <= 5 * max(entry.error, 1e-4)
 
@@ -195,13 +192,13 @@ def test_band_alpha_validation():
     sched = CumulantSchedule.semicircle()
     for alpha in (0.0, -0.1, 0.6):
         with pytest.raises(ValidationError):
-            moment_band(sched, alpha, True, 2)
+            moment_graphon(sched.banded(alpha, True), 2)
 
 
 def test_block_second_moment_exact():
     masses = [0.25, 0.75]
     cells = [[2.0, 0.5], [0.5, 1.0]]
-    entry = moment_block(masses, {2: cells}, 2)
+    entry = moment_graphon(block_family(masses, {2: cells}), 2)
     oracle = sum(
         masses[i] * masses[j] * cells[i][j] for i in range(2) for j in range(2)
     )
@@ -212,32 +209,32 @@ def test_block_second_moment_exact():
 def test_block_single_cell_is_constant_model():
     sched = CumulantSchedule.semicircle()
     for two_k in (2, 4, 6):
-        entry = moment_block([1.0], {2: [[1.0]]}, two_k)
-        assert entry.value == pytest.approx(moment_constant(sched, two_k))
+        entry = moment_graphon(block_family([1.0], {2: [[1.0]]}), two_k)
+        assert entry.value == pytest.approx(moment_graphon(sched, two_k).value)
 
 
 def test_block_validation():
     with pytest.raises(ValidationError):
-        moment_block([0.5, 0.4], {2: [[1.0, 0.0], [0.0, 1.0]]}, 2)  # masses short
+        moment_graphon(block_family([0.5, 0.4], {2: [[1.0, 0.0], [0.0, 1.0]]}), 2)  # masses short
     with pytest.raises(ValidationError):
-        moment_block([0.5, 0.5], {2: [[1.0, 0.2], [0.3, 1.0]]}, 2)  # asymmetric
+        moment_graphon(block_family([0.5, 0.5], {2: [[1.0, 0.2], [0.3, 1.0]]}), 2)  # asymmetric
     with pytest.raises(ValidationError):
-        moment_block([-0.5, 1.5], {2: [[1.0, 0.0], [0.0, 1.0]]}, 2)
+        moment_graphon(block_family([-0.5, 1.5], {2: [[1.0, 0.0], [0.0, 1.0]]}), 2)
 
 
 def test_variance_profile_scaling():
     sched = CumulantSchedule.semicircle()
-    flat = moment_variance_profile(Graphon.constant(1.0), sched, 6)
+    flat = moment_graphon(profile_family(Graphon.constant(1.0), sched), 6)
     assert flat.value == pytest.approx(catalan(3))
     for s in (0.5, 2.0):
-        scaled = moment_variance_profile(Graphon.constant(s), sched, 6)
+        scaled = moment_graphon(profile_family(Graphon.constant(s), sched), 6)
         assert scaled.value == pytest.approx(s**6 * catalan(3))
 
 
 def test_variance_profile_indicator_support():
     sched = CumulantSchedule.semicircle()
-    quarter = moment_variance_profile(
-        Graphon.from_expression("ind(x < 0.5)*ind(y < 0.5)"), sched, 2
+    quarter = moment_graphon(
+        profile_family(Graphon.from_expression("ind(x < 0.5)*ind(y < 0.5)"), sched), 2
     )
     assert abs(quarter.value - 0.25) <= 5 * max(quarter.error, 1e-6)
 
@@ -252,7 +249,7 @@ def test_series_builders_and_lookup():
     sp = sparse_series(2.0, 6)
     assert sp.moment(6) == pytest.approx(66.0)
 
-    fam = GraphonFamily.from_constant_rule(lambda order: 1.0 if order == 2 else 0.0)
+    fam = CumulantSchedule("c2 = 1", rule=lambda order: 1.0 if order == 2 else 0.0)
     gs = graphon_series(fam, 6)
     assert gs.orders() == [2, 4, 6]
     assert gs.moment(6) == pytest.approx(catalan(3), abs=1e-9)
@@ -355,7 +352,8 @@ def test_carleman_raises_on_overflowing_bounds():
 def test_banded_schedule_is_moment_band():
     banded = CumulantSchedule.semicircle().banded(0.25, True)
     entry = moment_graphon(banded, 4)
-    assert entry == moment_band(CumulantSchedule.semicircle(), 0.25, True, 4)
+    kernel = GraphonFamily({2: Graphon.constant(1.0).banded(0.25, True)})
+    assert entry == moment_graphon(kernel, 4)
     assert entry.value == 2 * 0.5**2
 
 

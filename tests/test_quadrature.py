@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from esdlab.errors import ValidationError
-from esdlab.graphons import Graphon, band_indicator
+from esdlab.graphons import Graphon
 from esdlab.quadrature import (
     GRID_CAP,
     QuadratureConfig,
@@ -93,7 +93,7 @@ def test_gauss_is_deterministic_and_points_set_its_error():
 
 def test_band_indicator_marginal():
     # open band keeps less mass near the edges of [0,1]
-    open_band = band_indicator(0.25, periodic=False)
+    open_band = Graphon.constant(1.0).banded(0.25, periodic=False)
     res = integrate_edge_product({1: open_band}, {1: 0}, 2)
     assert res.value == pytest.approx(2 * 0.25 - 0.25**2, abs=5 * max(res.error, 1e-4))
 
@@ -119,10 +119,12 @@ def test_config_validation():
 
 def test_node_rule_follows_kernel_kinds():
     grid = Graphon.from_grid([0.0, 0.5, 1.0], [[1.0, 2.0], [2.0, 4.0]])
+    periodic = Graphon.constant(1.0).banded(0.3, periodic=True)
+    open_band = Graphon.constant(1.0).banded(0.3, periodic=False)
     assert node_rule([]) == "point"
-    assert node_rule([Graphon.constant(2.0), band_indicator(0.3, periodic=True)]) == "point"
+    assert node_rule([Graphon.constant(2.0), periodic]) == "point"
     assert node_rule([Graphon.constant(2.0), grid]) == "cells"
     assert node_rule([Graphon.constant(2.0), Graphon.from_expression("x*y")]) == "gauss"
-    assert node_rule([band_indicator(0.3, periodic=False)]) == "grid"
-    assert node_rule([grid, band_indicator(0.3, periodic=True)]) == "grid"
+    assert node_rule([open_band]) == "grid"
+    assert node_rule([grid, periodic]) == "grid"
     assert node_rule([Graphon.from_expression("1 - abs(x - y)")]) == "grid"

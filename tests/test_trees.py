@@ -1,6 +1,8 @@
 """Colored rooted trees and the bijection with special symmetric words."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from esdlab.combinatorics import Word, count_ss_by_blocks, enumerate_ss
 from esdlab.errors import ValidationError
@@ -40,6 +42,14 @@ def test_word_tree_round_trip_everywhere():
             assert word_from_tree(tree) == word
         for tree in enumerate_trees(two_k):
             assert tree_from_word(word_from_tree(tree)) == tree
+
+
+SS_WORDS_TO_12 = [word for two_k in range(2, 13, 2) for word in enumerate_ss(two_k)]
+
+
+@given(st.sampled_from(SS_WORDS_TO_12))
+def test_word_tree_word_round_trip_on_random_words(word):
+    assert word_from_tree(tree_from_word(word)) == word
 
 
 def test_enumeration_counts_match_word_counts():
