@@ -8,6 +8,7 @@ import pytest
 from esdlab.compare import (
     ComparisonReport,
     compare_series,
+    family_from_config,
     model_spec_from_config,
     schedule_from_config,
     theory_series_from_config,
@@ -22,6 +23,19 @@ def series(pairs, se=0.0, provenance="monte-carlo-simulation"):
         entries=tuple(MomentEntry(k, v, se, provenance) for k, v in pairs),
         description="test",
     )
+
+
+def test_graphon_from_json_forms():
+    # every kernel form a "graphon" theory config may hold, read as a compare config
+    def kernel(g):
+        return family_from_config({"kind": "graphon", "g": {"2": g}}).g(2)
+
+    assert kernel(2.0).eval(0.3, 0.4) == 2.0
+    assert kernel("4*x*y").eval(0.5, 0.5) == pytest.approx(1.0)
+    grid = kernel({"breaks": [0.0, 0.5, 1.0], "cells": [[1.0, 2.0], [2.0, 3.0]]})
+    assert grid.eval(0.25, 0.75) == 2.0
+    with pytest.raises(ValidationError):
+        kernel({"cells": [[1.0]]})
 
 
 def test_schedule_kinds():
