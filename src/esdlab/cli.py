@@ -274,7 +274,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from .compare import compare_series, model_spec_from_config, theory_series_from_config
+    from .compare import (compare_series, model_spec_from_config, theory_series_from_config,
+                          truncation_from_config)
     from .quadrature import QuadratureConfig
     from .spectra import eesd_moments
 
@@ -296,7 +297,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ValidationError(f"--two-k must be even and >= 2, got {args.two_k}")
     theory = theory_series_from_config(theory_cfg, args.two_k, QuadratureConfig(args.quad_points))
     spec = model_spec_from_config(model_cfg, n=args.n, seed=args.seed)
-    simulated = eesd_moments(spec, args.two_k, args.reps, budget=args.budget)
+    simulated = eesd_moments(spec, args.two_k, args.reps, budget=args.budget,
+                             truncation=truncation_from_config(theory_cfg))
     report = compare_series(theory, simulated, args.threshold)
     doc = {"model": spec.to_json_dict(), "theory": theory_cfg,
            "replicates": args.reps, "report": report.to_json_dict()}

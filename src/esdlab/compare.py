@@ -112,11 +112,19 @@ def family_from_config(cfg: dict) -> GraphonFamily:
     if kind == "model":
         _reject_unknown(cfg, {"kind", "spec", "truncation"}, "model theory")
         spec = model_spec_from_config(cfg.get("spec", {}))
-        truncation = cfg.get("truncation")
-        if truncation is not None:
-            truncation = require_number(truncation, "model truncation")
-        return effective_cumulants(spec, truncation=truncation)
+        return effective_cumulants(spec, truncation=truncation_from_config(cfg))
     raise ValidationError(f"unknown theory kind {kind!r}")
+
+
+def truncation_from_config(cfg: dict) -> float | None:
+    """The ``truncation`` of a ``model`` theory config, or None.
+
+    compare truncates every simulated replicate at this level too, so the
+    simulation measures the ensemble whose cumulants the theory sums.
+    """
+    if _kind(cfg) != "model" or cfg.get("truncation") is None:
+        return None
+    return require_number(cfg["truncation"], "model truncation")
 
 
 def model_spec_from_config(cfg: dict, n: int | None = None,

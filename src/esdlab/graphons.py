@@ -189,7 +189,8 @@ class Graphon:
         if not np.all(np.isfinite(sample)):
             raise NumericError(f"graphon {self.label!r} is non-finite on the unit square")
         gap = float(np.max(np.abs(sample - sample.T)))
-        if gap > _SYMMETRY_TOL * max(1.0, self.bound):
+        # relative to the kernel's own values: a declared bound is never checked against them
+        if gap > _SYMMETRY_TOL * max(1.0, float(np.max(np.abs(sample)))):
             raise ValidationError(
                 f"graphon {self.label!r} is not symmetric: max |g(x,y)-g(y,x)| = {gap:.3g} on the check grid"
             )
@@ -349,7 +350,7 @@ def block_family(alphas: Sequence[float], cells_by_order: Mapping[int, object],
         raise ValidationError(f"block masses must be a list of positive numbers, "
                               f"got {alphas.tolist()!r}")
     if abs(alphas.sum() - 1.0) > 1e-12:
-        raise ValidationError(f"block masses must sum to 1, got {alphas.sum()!r}")
+        raise ValidationError(f"block masses must sum to 1, got {float(alphas.sum())!r}")
     breaks = np.concatenate([[0.0], np.cumsum(alphas)])
     breaks[-1] = 1.0
     entries = {}

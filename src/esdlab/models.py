@@ -2,9 +2,11 @@
 
 Matrices are symmetric with independent entries on and above the diagonal.
 Every entry is a deterministic function of (seed, i, j): row i of the upper
-triangle comes from a counter-based Philox stream keyed by (seed, i), drawn in
-one vectorized call, so results are identical regardless of evaluation order
-or thread count.
+triangle comes from the counter-based Philox stream keyed by (seed, i), drawn
+in one vectorized call, so results are identical regardless of evaluation order
+or thread count. A sample builds one Philox generator and re-keys it to
+(seed, i) at counter 0 before each row, which gives the same stream as a
+generator built afresh for that key.
 
 Positions are mapped to the unit square via x = i/n, y = j/n with 1-based
 indices, matching the convention used by the kernel-family limits.
@@ -15,7 +17,7 @@ from __future__ import annotations
 import numbers
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -146,9 +148,21 @@ class SampledMatrix:
         return self.spec.n
 
 
-def _row_rng(seed: int, row: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(row)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _row_rngs(seed: int, rows: Iterable[int]) -> Iterator[np.random.Generator]:
+    """For each row, one Generator set to the Philox stream keyed by (seed, row).
+
+    The same Generator is yielded every time: its bit generator is re-keyed at
+    counter 0 with an empty buffer, so draws made from one row's stream must be
+    finished before the next row is requested.
+    """
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    bits = np.random.Philox(key=key)
+    rng = np.random.Generator(bits)
+    state = bits.state  # a fresh stream: counter 0, nothing buffered
+    for row in rows:
+        state["state"]["key"][1] = row
+        bits.state = state
+        yield rng
 
 
 def _block_sizes(masses: np.ndarray, n: int) -> np.ndarray:
@@ -226,10 +240,11 @@ def sample(spec: ModelSpec) -> SampledMatrix:
     """Draw one symmetric matrix; deterministic in (spec, seed)."""
     n = spec.n
     row = _row_sampler(spec)
-    upper = np.zeros((n, n))
-    for i in range(n):
-        upper[i, i:] = row(_row_rng(spec.seed, i), i)
-    matrix = np.triu(upper) + np.triu(upper, 1).T
+    matrix = np.zeros((n, n))
+    for i, rng in enumerate(_row_rngs(spec.seed, range(n))):
+        # each row tail is also its column, so one n x n array is ever held; + 0.0
+        # stores a -0.0 entry (a negative draw times a zero mask or profile) as 0.0
+        matrix[i, i:] = matrix[i:, i] = row(rng, i) + 0.0
     if spec.zero_diagonal:
         np.fill_diagonal(matrix, 0.0)
     if not np.all(np.isfinite(matrix)):

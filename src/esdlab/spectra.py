@@ -3,9 +3,13 @@
 Simulation has one replicate pipeline: replicate_esds derives a child seed per
 replicate, samples it once and solves it once (the budget counts one n^3
 eigensolve each), and every simulated moment is mean(eigenvalues**k) of those
-spectra. empirical_moments computes the same moments independently from traces
-of matrix powers (tr(M^(a+b)) = sum(M^a * M^b), so only half the powers are
-formed); the tests use it to cross-check the eigensolver.
+spectra. eigenvalues runs one eigensolve per connected component of the
+matrix's nonzero pattern: a matrix with several components is block-diagonal
+up to a permutation, and its spectrum is the union of the blocks' spectra, so
+a sparse draw solves a few smaller blocks while a connected one goes to a
+single full solve. empirical_moments computes the same moments independently
+from traces of matrix powers (tr(M^(a+b)) = sum(M^a * M^b), so only half the
+powers are formed); the tests use it to cross-check the eigensolver.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .defaults import DEFAULT_EESD_BUDGET
 from .errors import CapacityError, NumericError, ValidationError
-from .models import ModelSpec, SampledMatrix, sample, with_seed
+from .models import ModelSpec, SampledMatrix, sample, truncate, with_seed
 from .moments import MomentEntry, MomentSeries
 
 SIMULATION = "monte-carlo-simulation"
@@ -48,14 +52,57 @@ def _as_matrix(m) -> tuple[np.ndarray, dict]:
     return matrix, {"variant": "raw"}
 
 
+def component_labels(matrix: np.ndarray) -> np.ndarray:
+    """Label each index by the smallest index of its connected component.
+
+    Two indices are linked when the entry between them is nonzero in either
+    triangle. Min-label propagation with pointer jumping: each round every
+    index finds the smallest label among its neighbours by one argmax over the
+    rows of the link pattern taken in label order, every root adopts the
+    smallest label its members saw, and labels jump to their roots. The
+    rounds stop when no index sees a label smaller than its own, or when
+    every label is 0.
+    """
+    linked = matrix != 0
+    linked |= linked.T
+    np.fill_diagonal(linked, True)
+    labels = np.arange(len(matrix))
+    while labels.any():
+        order = np.argsort(labels, kind="stable")
+        seen = labels[order[linked[order].argmax(axis=0)]]
+        if np.array_equal(seen, labels):
+            break
+        np.minimum.at(labels, labels.copy(), seen)
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+    return labels
+
+
 def eigenvalues(m) -> ESD:
-    """Full spectrum of a symmetric matrix, ascending."""
+    """Full spectrum of a symmetric matrix, ascending, one solve per connected component.
+
+    A connected matrix goes whole to one eigvalsh call. Otherwise each
+    component's principal submatrix is solved, components of equal size in
+    one stacked call, and the union of their spectra is sorted.
+    """
     matrix, meta = _as_matrix(m)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError(f"need a square matrix, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise NumericError("matrix has non-finite entries")
-    return ESD(np.linalg.eigvalsh(matrix), meta)
+    labels = component_labels(matrix)
+    if not labels.any():
+        return ESD(np.linalg.eigvalsh(matrix), meta)
+    # components contiguous and members ascending, so each block's lower triangle,
+    # the part eigvalsh reads, holds entries of the matrix's lower triangle
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)[labels[order]]
+    parts = []
+    for size in np.unique(sizes):
+        members = order[sizes == size].reshape(-1, size)
+        blocks = matrix[members[:, :, None], members[:, None, :]]
+        parts.append(np.linalg.eigvalsh(blocks).ravel())
+    return ESD(np.sort(np.concatenate(parts)), meta)
 
 
 def residual_check(matrix: np.ndarray, pairs: int = 10, seed: int = 0) -> float:
@@ -177,11 +224,14 @@ def semicircle_density(x, variance: float = 1.0) -> np.ndarray:
 
 
 def replicate_esds(spec: ModelSpec, replicates: int, seed: Optional[int] = None,
-                   budget: float = DEFAULT_EESD_BUDGET) -> list[ESD]:
+                   budget: float = DEFAULT_EESD_BUDGET,
+                   truncation: Optional[float] = None) -> list[ESD]:
     """Spectra of independent replicates, each sampled once and solved once.
 
     Replicates get independent derived seeds; with seed=None the spec's own
-    seed is the root, so the call is reproducible either way.
+    seed is the root, so the call is reproducible either way. A truncation
+    level B zeroes every entry with |x| > B (models.truncate) before the
+    replicate is solved.
     """
     if replicates < 1:
         raise ValidationError("need at least one replicate")
@@ -192,7 +242,14 @@ def replicate_esds(spec: ModelSpec, replicates: int, seed: Optional[int] = None,
             "lower n or replicates, or raise the budget")
     root = spec.seed if seed is None else seed
     child_seeds = np.random.SeedSequence(root).generate_state(replicates, dtype=np.uint64)
-    return [eigenvalues(sample(with_seed(spec, int(s)))) for s in child_seeds]
+    esds = []
+    for child in child_seeds:
+        sampled = sample(with_seed(spec, int(child)))
+        if truncation is not None:
+            sampled = truncate(sampled, truncation)
+        esds.append(eigenvalues(sampled))
+        del sampled  # so the next draw is made with no matrix held
+    return esds
 
 
 def spectral_moments(esds: Sequence[ESD], k_max: int, description: str = "") -> MomentSeries:
@@ -212,10 +269,14 @@ def spectral_moments(esds: Sequence[ESD], k_max: int, description: str = "") -> 
 
 def eesd_moments(spec: ModelSpec, k_max: int, replicates: int,
                  seed: Optional[int] = None,
-                 budget: float = DEFAULT_EESD_BUDGET) -> MomentSeries:
-    """Replicate means and standard errors of the spectral moments, k = 1..k_max."""
+                 budget: float = DEFAULT_EESD_BUDGET,
+                 truncation: Optional[float] = None) -> MomentSeries:
+    """Replicate means and standard errors of the spectral moments, k = 1..k_max.
+
+    ``truncation`` is passed to replicate_esds.
+    """
     if replicates < 2:
         raise ValidationError("need at least 2 replicates for a standard error")
     require_moment_order(k_max)
-    return spectral_moments(replicate_esds(spec, replicates, seed, budget), k_max,
+    return spectral_moments(replicate_esds(spec, replicates, seed, budget, truncation), k_max,
                             f"eesd {spec.variant} n={spec.n} reps={replicates}")

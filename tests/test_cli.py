@@ -231,6 +231,62 @@ def test_compare_mismatch_exit_code(capsys):
     assert "FAIL" in err
 
 
+def test_compare_truncates_replicates_at_the_model_theory_level(capsys):
+    from esdlab.models import ModelSpec
+    from esdlab.spectra import eesd_moments
+
+    theory = '{"kind":"model","truncation":1,"spec":' + HEAVY_SPEC + '}'
+    code, out, _ = run(capsys, "compare", "--theory-json", theory,
+                       "--model-json", '{"variant":"heavy_tailed","params":{"tail_index":1.5}}',
+                       "--n", "100", "--reps", "5", "--two-k", "2", "--seed", "4",
+                       "--reproducible")
+    assert code in (0, 4)
+    row = json.loads(out)["report"]["rows"][0]
+    spec = ModelSpec("heavy_tailed", 100, 4, {"tail_index": 1.5})
+    expected = eesd_moments(spec, 2, replicates=5, truncation=1.0).entries[1]
+    assert (row["beta_sim"], row["se"]) == (expected.value, expected.error)
+
+
+# connected draws, whose spectra must come from one plain eigvalsh each
+CONNECTED_MODELS = {
+    "gaussian_wigner": {"variant": "gaussian_wigner"},
+    "variance_profile": {"variant": "variance_profile", "params": {"profile": "0.5+0.5*x*y"}},
+}
+
+
+def _plain_eigvalsh_spectra(model, n, reps, seed):
+    from esdlab.models import ModelSpec, sample, with_seed
+    from esdlab.spectra import ESD
+
+    spec = ModelSpec(model["variant"], n, seed, model.get("params", {}))
+    seeds = np.random.SeedSequence(seed).generate_state(reps, dtype=np.uint64)
+    return [ESD(np.linalg.eigvalsh(sample(with_seed(spec, int(s))).matrix), {}) for s in seeds]
+
+
+@pytest.mark.parametrize("variant", sorted(CONNECTED_MODELS))
+def test_connected_models_report_moments_of_plain_eigvalsh(capsys, variant):
+    from esdlab.spectra import spectral_moments
+
+    model = CONNECTED_MODELS[variant]
+    n, reps, seed = 60, 4, 9
+    spectra = _plain_eigvalsh_spectra(model, n, reps, seed)
+    expected = spectral_moments(spectra, 6).entries
+    common = ("--model-json", json.dumps(model), "--n", str(n), "--reps", str(reps),
+              "--seed", str(seed), "--reproducible")
+
+    code, out, _ = run(capsys, "simulate", "--k-max", "6", *common)
+    assert code == 0
+    doc = json.loads(out)
+    assert [(m["value"], m["se"]) for m in doc["moments"]] == [(e.value, e.error) for e in expected]
+    assert doc["eigenvalues"] == np.sort(np.concatenate([e.eigenvalues for e in spectra])).tolist()
+
+    theory = json.dumps({"kind": "model", "spec": {**model, "n": n, "seed": seed}})
+    code, out, _ = run(capsys, "compare", "--theory-json", theory, "--two-k", "6", *common)
+    assert code in (0, 4)
+    rows = json.loads(out)["report"]["rows"]
+    assert [(r["beta_sim"], r["se"]) for r in rows] == [(e.value, e.error) for e in expected[1::2]]
+
+
 def test_circuits_csv_and_json(capsys):
     code, out, _ = run(capsys, "circuits", "aabb", "--n-values", "2,3,4",
                        "--format", "csv", "--reproducible")
@@ -378,6 +434,10 @@ MALFORMED = {
                            '{"kind":"graphon","g":{"2":"1 + True*x*y"}}'),
     "bool_model_prob": ("simulate", "--model-json",
                         '{"variant":"sparse_inhomogeneous","params":{"prob":true}}', "--n", "10"),
+    # a declared bound does not widen the symmetry tolerance
+    "asymmetric_kernel_with_bound": ("moments", "--theory-json",
+                                     '{"kind":"graphon","g":{"2":{"expression":"2 + x - y",'
+                                     '"bound":1e12}}}'),
 }
 
 
@@ -390,6 +450,14 @@ def test_malformed_configs_exit_2(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_block_mass_error_prints_a_plain_number(capsys):
+    code, out, err = run(capsys, "simulate", "--model-json",
+                         '{"variant":"block","params":{"masses":[0.5,0.4],'
+                         '"scales":[[1,0],[0,1]]}}', "--n", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: block masses must sum to 1, got 0.9\n"
 
 
 def test_profile_sigma_reads_every_kernel_form(capsys):

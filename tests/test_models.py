@@ -19,6 +19,7 @@ from esdlab.models import (
     VARIANTS,
     ModelSpec,
     SampledMatrix,
+    _row_rngs,
     effective_cumulants,
     read_matrix,
     sample,
@@ -315,6 +316,17 @@ def test_matrix_file_round_trip_on_random_specs(variant, n, seed):
         matrix, meta = read_matrix(path)
     assert np.array_equal(matrix, sampled.matrix)
     assert meta == {"n": n, "seed": seed, "variant": variant}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+       st.integers(1, 9))
+def test_rekeyed_row_stream_is_a_fresh_philox_stream(seed, rows, draws):
+    # rows in any order, each read by both a uniform and a normal draw before the next
+    for row, rng in zip(rows, _row_rngs(seed, rows)):
+        fresh = np.random.Generator(np.random.Philox(key=np.array([seed, row], dtype=np.uint64)))
+        assert np.array_equal(rng.random(draws), fresh.random(draws))
+        assert np.array_equal(rng.standard_normal(draws), fresh.standard_normal(draws))
 
 
 def test_models_import_no_theory_modules():

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esdlab.errors import CapacityError, NumericError, ValidationError
-from esdlab.models import ModelSpec, sample, truncate, with_seed
+from esdlab.models import ModelSpec, effective_cumulants, sample, truncate, with_seed
 from esdlab.spectra import (
     ESD,
+    component_labels,
     eesd_moments,
     eigenvalues,
     empirical_moment,
@@ -202,3 +205,95 @@ def test_truncation_shrinks_spectral_distance():
     d2 = wasserstein2(eigenvalues(raw.matrix), eigenvalues(clipped.matrix))
     bound = np.trace((raw.matrix - clipped.matrix) @ (raw.matrix - clipped.matrix)) / 150
     assert d2**2 <= bound + 1e-12
+
+
+SOLVER_ZOO = [
+    ModelSpec("gaussian_wigner", 300, 5),
+    ModelSpec("triangular_twopoint", 250, 5, {"atom": 2.0, "rate": 1.5}),
+    ModelSpec("sparse_homogeneous", 300, 5, {"rate": 2.0}),
+    ModelSpec("sparse_inhomogeneous", 200, 5, {"prob": "(x + y)/(2*n)"}),
+    ModelSpec("heavy_tailed", 150, 5, {"tail_index": 1.2}),
+    ModelSpec("variance_profile", 200, 5, {"profile": "0.5 + 0.5*ind(x + y < 1)"}),
+    ModelSpec("band", 200, 5, {"half_width": 0.2, "periodic": True}),
+    ModelSpec("block", 200, 5, {"masses": [0.25, 0.75], "scales": [[2.0, 0.5], [0.5, 1.0]]}),
+    # no entries between the blocks: two dense components
+    ModelSpec("block", 120, 5, {"masses": [0.5, 0.5], "scales": [[1.0, 0.0], [0.0, 2.0]]}),
+]
+
+
+def _component_count(matrix):
+    return len(np.unique(component_labels(matrix)))
+
+
+def _one_sided(lower: bool) -> np.ndarray:
+    """Two 2x2 blocks joined by one entry that sits in a single triangle."""
+    m = np.diag([1.0, 2.0, 3.0, 4.0])
+    m[0, 1] = m[1, 0] = m[2, 3] = m[3, 2] = 0.5
+    m[(3, 0) if lower else (0, 3)] = 7.0
+    return m
+
+
+@pytest.mark.parametrize("matrix", [sample(spec).matrix for spec in SOLVER_ZOO]
+                         + [np.diag(np.arange(-3.0, 4.0)), np.zeros((5, 5)),
+                            _one_sided(lower=True), _one_sided(lower=False)],
+                         ids=[f"{spec.variant}-{spec.n}" for spec in SOLVER_ZOO]
+                         + ["diagonal", "zero", "lower-only-link", "upper-only-link"])
+def test_split_solve_matches_full_eigvalsh(matrix):
+    # eigvalsh reads the lower triangle only, so a one-sided link must still join blocks
+    full = np.linalg.eigvalsh(matrix)
+    split = eigenvalues(matrix).eigenvalues
+    assert split.shape == full.shape
+    assert np.all(np.diff(split) >= 0)
+    assert np.max(np.abs(split - full)) <= 1e-12 * max(1.0, np.linalg.norm(matrix, 2))
+
+
+def test_zoo_exercises_both_solve_paths():
+    counts = {(spec.variant, spec.n): _component_count(sample(spec).matrix) for spec in SOLVER_ZOO}
+    assert counts[("gaussian_wigner", 300)] == 1
+    assert counts[("block", 120)] == 2
+    assert counts[("sparse_homogeneous", 300)] > 10
+    assert _component_count(np.zeros((5, 5))) == 5
+
+
+@pytest.mark.parametrize("spec", [ModelSpec("gaussian_wigner", 150, 8),
+                                  ModelSpec("variance_profile", 150, 8,
+                                            {"profile": "0.5+0.5*x*y"})])
+def test_one_component_is_one_plain_eigvalsh(spec):
+    matrix = sample(spec).matrix
+    assert _component_count(matrix) == 1
+    assert eigenvalues(matrix).eigenvalues.tobytes() == np.linalg.eigvalsh(matrix).tobytes()
+
+
+def _reference_labels(matrix):
+    """Smallest index of each index's component, by breadth-first search over the pattern."""
+    n = len(matrix)
+    linked = (matrix != 0) | (matrix != 0).T
+    labels = [-1] * n
+    for start in range(n):
+        if labels[start] < 0:
+            labels[start], frontier = start, [start]
+            while frontier:
+                i = frontier.pop()
+                for j in np.flatnonzero(linked[i]):
+                    if labels[j] < 0:
+                        labels[j] = start
+                        frontier.append(j)
+    return labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1))
+def test_component_labels_match_breadth_first_search(n, density, seed):
+    # one triangle only, so the labels must read links from either side
+    pattern = np.triu(np.random.default_rng(seed).random((n, n)) < density)
+    assert component_labels(pattern.astype(float)).tolist() == _reference_labels(pattern)
+
+
+def test_truncated_replicates_match_finite_n_truncated_cumulant():
+    spec = ModelSpec("heavy_tailed", 120, 3, {"tail_index": 1.5})
+    series = eesd_moments(spec, 2, replicates=8, truncation=1.0)
+    beta_2 = series.entries[1]
+    expected = effective_cumulants(spec, at_n=120, truncation=1.0).value(2)
+    assert abs(beta_2.value - expected) <= 4 * beta_2.error
+    # without truncation the same replicates are far heavier
+    assert eesd_moments(spec, 2, replicates=8).entries[1].value > 5 * expected
