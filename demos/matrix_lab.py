@@ -11,14 +11,15 @@ gives the z-scores for a theory comparison.
 import numpy as np
 
 from esdlab import (
+    CumulantSchedule,
     ModelSpec,
     compare_series,
     eesd_moments,
     eigenvalues,
+    graphon_series,
     histogram,
     sample,
     semicircle_density,
-    sparse_series,
     wasserstein2,
 )
 
@@ -37,10 +38,10 @@ for mid, dens in zip(mids, hist.density):
     bar = "#" * int(round(40 * dens))
     print(f"{mid:+.2f} {dens:10.3f} {semicircle_density(np.array([mid]))[0]:10.3f}  {bar}")
 
-# averaged moments over 20 replicates vs the sparse theory polynomial
+# averaged moments over 20 replicates vs the sparse limit, the constant schedule 2
 spec = ModelSpec("sparse_homogeneous", 500, seed=7, params={"rate": 2.0})
 simulated = eesd_moments(spec, 6, replicates=20)
-report = compare_series(sparse_series(2.0, 6), simulated)
+report = compare_series(graphon_series(CumulantSchedule.constant(2.0), 6), simulated)
 print("\nsparse rate=2, n=500, 20 replicates:")
 print(report.format_table())
 

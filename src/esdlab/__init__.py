@@ -24,11 +24,9 @@ _EXPORTS = {
     "errors": "CapacityError NumericError ValidationError",
     "expressions": "compile_expression",
     "graphons": "CumulantSchedule Graphon GraphonFamily block_family profile_family",
-    "models": "DEFAULT_SEED ModelSpec SampledMatrix effective_cumulants read_matrix sample "
-              "truncate write_matrix write_matrix_csv",
+    "models": "DEFAULT_SEED ModelSpec SampledMatrix effective_cumulants sample truncate",
     "moments": "CarlemanReport MomentEntry MomentSeries carleman_partial_sum graphon_series "
-               "hankel_min_eigenvalue homomorphism_density moment_graphon moment_sparse "
-               "sparse_series",
+               "hankel_min_eigenvalue homomorphism_density moment_graphon moment_sparse",
     "quadrature": "IntegralResult QuadratureConfig",
     "spectra": "ESD Histogram eesd_moments eigenvalues empirical_moment empirical_moments "
                "histogram replicate_esds semicircle_density spectral_moments wasserstein2",

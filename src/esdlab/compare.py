@@ -3,8 +3,8 @@
 A comparison lines up exact (or quadrature) limit moments against replicate
 means from the sampler and scores each order by z = (simulated - theory) / SE.
 The config parsers turn small JSON documents into kernel families or model
-specs; :func:`family_from_config` covers every theory kind but ``sparse``,
-whose moments stay the integer census polynomial. They only route keys: every
+specs; :func:`family_from_config` covers every theory kind, and ``sparse``
+is the constant schedule C_{2t} = rate. They only route keys: every
 kernel is read by :func:`esdlab.graphons.as_graphon`, every number by
 :func:`esdlab.graphons.require_number`, and the families are built by the
 builders of :mod:`esdlab.graphons`. The parsers are strict about unknown keys
@@ -20,7 +20,7 @@ from .errors import ValidationError
 from .graphons import (CumulantSchedule, GraphonFamily, as_graphon, block_family,
                        profile_family, require_number)
 from .models import ModelSpec, effective_cumulants
-from .moments import MomentSeries, graphon_series, sparse_series
+from .moments import MomentSeries, graphon_series
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 _SCHEDULE_KINDS = ("semicircle", "constant", "schedule")
@@ -75,20 +75,22 @@ def schedule_from_config(cfg: dict) -> CumulantSchedule:
 def theory_series_from_config(cfg: dict, two_k_max: int,
                               quad: QuadratureConfig = DEFAULT_CONFIG) -> MomentSeries:
     """Build the limit moment series described by a theory config."""
-    if _kind(cfg) == "sparse":
-        _reject_unknown(cfg, {"kind", "rate"}, "sparse")
-        rate = require_number(_required(cfg, "rate", "sparse"), "sparse rate")
-        return sparse_series(rate, two_k_max)
     return graphon_series(family_from_config(cfg), two_k_max, quad)
 
 
 def family_from_config(cfg: dict) -> GraphonFamily:
-    """Kernel family of a theory config of any kind but ``sparse``."""
+    """Kernel family of a theory config of any kind."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ValidationError("theory config must be an object with a 'kind'")
     kind = cfg["kind"]
     if kind in _SCHEDULE_KINDS:
         return schedule_from_config(cfg)
+    if kind == "sparse":
+        _reject_unknown(cfg, {"kind", "rate"}, "sparse")
+        rate = require_number(_required(cfg, "rate", "sparse"), "sparse rate")
+        if rate < 0:
+            raise ValidationError(f"mean degree must be nonnegative, got {rate}")
+        return CumulantSchedule(f"sparse lambda={rate}", rule=lambda two_k: rate)
     if kind == "graphon":
         _reject_unknown(cfg, {"kind", "g"}, "graphon family")
         entries = {order: as_graphon(g)

@@ -299,7 +299,9 @@ class CumulantSchedule(GraphonFamily):
     """Limits C_{2k} of n * E[entry^(2k)]: the family of constants C_{2k}.
 
     The member is None where C_{2k} is 0. ``value`` reads C_{2k} from
-    ``table``, else from ``rule``; an order in neither raises.
+    ``table``, else from ``rule``; an order in neither raises ValidationError,
+    and a rule that overflows or gives a value that is not finite raises
+    NumericError.
 
     >>> from esdlab.moments import moment_graphon
     >>> moment_graphon(CumulantSchedule.semicircle(), 6).value
@@ -317,10 +319,16 @@ class CumulantSchedule(GraphonFamily):
         for order, c in self.table:
             if order == two_k:
                 return c
-        if self.rule is not None:
-            return float(self.rule(two_k))
-        raise ValidationError(
-            f"schedule {self.description!r} has no cumulant of order {two_k}")
+        if self.rule is None:
+            raise ValidationError(
+                f"schedule {self.description!r} has no cumulant of order {two_k}")
+        try:
+            c = float(self.rule(two_k))
+        except OverflowError:
+            c = math.inf
+        if not math.isfinite(c):
+            raise NumericError(f"C_{two_k} of {self.description!r} is not finite")
+        return c
 
     def g(self, order: int) -> Optional[Graphon]:
         c = self.value(order)

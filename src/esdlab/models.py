@@ -15,14 +15,13 @@ indices, matching the convention used by the kernel-family limits.
 from __future__ import annotations
 
 import numbers
-import struct
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
 from .defaults import DEFAULT_SEED  # noqa: F401  (re-exported as models.DEFAULT_SEED)
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .expressions import compile_expression, expression_is_smooth
 from .graphons import (CumulantSchedule, Graphon, GraphonFamily, as_graphon, block_family,
                        profile_family, require_flag, require_number)
@@ -274,9 +273,12 @@ def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
     ``at_n=None`` returns the n -> infinity limit object; an integer gives the
     exact finite-n profile. Heavy tails need a ``truncation`` level B >= 0
     (entries beyond B times the natural scale dropped), otherwise moments
-    diverge.
+    diverge; any other variant given a ``truncation`` raises ValidationError,
+    since its moments here would ignore it.
     """
     p = spec.params
+    if truncation is not None and spec.variant != "heavy_tailed":
+        raise ValidationError(f"truncation applies only to heavy_tailed, not {spec.variant}")
     if spec.variant == "gaussian_wigner":
         if at_n is None:
             return CumulantSchedule.semicircle()
@@ -318,40 +320,6 @@ def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
         base = effective_cumulants(spec.base_spec(), at_n=at_n)
         return base.banded(p["half_width"], p.get("periodic", False))
     return block_family(p["masses"], {2: np.square(p["scales"])}, description="block gaussian")
-
-
-# -- matrix files --------------------------------------------------------------
-
-_MAGIC = b"ESDM"
-_CSV_LIMIT = 200
-
-
-def write_matrix(sampled: SampledMatrix, path: str) -> None:
-    """Binary row-major float64 with a (n, variant, seed) header."""
-    tag = sampled.spec.variant.encode()[:24].ljust(24, b"\0")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQQ", 1, sampled.n, sampled.spec.seed & 0xFFFFFFFFFFFFFFFF))
-        fh.write(tag)
-        np.ascontiguousarray(sampled.matrix, dtype=np.float64).tofile(fh)
-
-
-def read_matrix(path: str) -> tuple[np.ndarray, dict]:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValidationError(f"{path} is not a matrix file")
-        version, n, seed = struct.unpack("<IQQ", fh.read(20))
-        if version != 1:
-            raise ValidationError(f"unsupported matrix file version {version}")
-        tag = fh.read(24).rstrip(b"\0").decode()
-        matrix = np.fromfile(fh, dtype=np.float64, count=n * n).reshape(n, n)
-    return matrix, {"n": n, "seed": seed, "variant": tag}
-
-
-def write_matrix_csv(sampled: SampledMatrix, path: str) -> None:
-    if sampled.n > _CSV_LIMIT:
-        raise CapacityError(f"CSV export capped at n={_CSV_LIMIT}, got {sampled.n}")
-    np.savetxt(path, sampled.matrix, delimiter=",")
 
 
 def with_seed(spec: ModelSpec, seed: int) -> ModelSpec:

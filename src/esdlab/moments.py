@@ -11,19 +11,18 @@ blocks, variance profiles); this module only sums them.
 ``moment_graphon(block_family(masses, cells), 4)``. It passes vectors on
 the nodes of one quadrature rule, chosen once per moment from the kinds of
 the members up to that order (see :mod:`esdlab.quadrature`); a class of t
-nodes applies the matrix of its order-2t member to its message. A
-:class:`~esdlab.graphons.CumulantSchedule` is the family of constants
-C_{2t}, which takes the exact one-node rule, so its moments are plain float
-sums of C_{2t} products. A sum that overflows raises NumericError instead of
-returning inf or nan. Only the sparse polynomial stays in integers: its
-coefficients are the census by block count (see
-:func:`esdlab.combinatorics.count_ss_by_blocks`).
+nodes applies the matrix of its order-2t member to its message. Families on
+the one-node rule, a :class:`~esdlab.graphons.CumulantSchedule` (the family
+of constants C_{2t}) and periodic bands over constants, are summed exactly
+in Fractions and rounded once, so their moments are correctly rounded. A sum
+that overflows raises NumericError instead of returning inf or nan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -32,7 +31,7 @@ from .combinatorics import count_ss_by_blocks
 from .errors import NumericError, ValidationError
 from .graphons import CumulantSchedule, Graphon, GraphonFamily, require_even_order
 from .quadrature import (DEFAULT_CONFIG, IntegralResult, Nodes, QuadratureConfig,
-                         integrate_edge_product, integrate_on_nodes)
+                         integrate_edge_product, integrate_on_nodes, node_rule)
 from .trees import ColoredTree
 from .treesum import tree_sum
 
@@ -102,6 +101,14 @@ def hankel_min_eigenvalue(series: MomentSeries) -> float:
 
 # -- the sparse census polynomial (exact) -----------------------------------
 
+def _rounded(exact: Fraction, what: str) -> float:
+    """The float nearest ``exact``; beyond the float range raises NumericError."""
+    try:
+        return float(exact)
+    except OverflowError:
+        raise NumericError(f"{what} is not finite in floating point") from None
+
+
 @dataclass(frozen=True)
 class SparseMoment:
     """beta_{2k} of the sparse limit as a polynomial in the mean degree."""
@@ -112,15 +119,15 @@ class SparseMoment:
 
 
 def moment_sparse(lam: float, two_k: int) -> SparseMoment:
-    """Sum of lam^b over SS words, grouped by block count b."""
+    """Sum of lam^b over SS words, grouped by block count b, correctly rounded."""
     if lam < 0:
         raise ValidationError(f"mean degree must be nonnegative, got {lam}")
     if two_k % 2:
         return SparseMoment(two_k, (), 0.0)
     require_even_order(two_k)
     coefficients = tuple(sorted(count_ss_by_blocks(two_k).items()))
-    value = float(sum(c * lam**b for b, c in coefficients))
-    return SparseMoment(two_k, coefficients, value)
+    exact = sum(c * Fraction(lam)**b for b, c in coefficients)
+    return SparseMoment(two_k, coefficients, _rounded(exact, f"sparse beta_{two_k}"))
 
 
 # -- graphon families (tree integrals) --------------------------------------
@@ -148,8 +155,10 @@ def moment_graphon(family: GraphonFamily, two_k: int,
     """Sum of homomorphism densities over all colored trees of the given order.
 
     The members up to order two_k pick one node rule; on its nodes each member
-    is a matrix and the color-class recursion sums every tree at once. A value
-    or error estimate that is not finite raises NumericError.
+    is a matrix and the color-class recursion sums every tree at once. On the
+    one-node rule each member is the exact row integral of its kernel, C or
+    2*alpha*C for a periodic band over C, and the sum runs in Fractions. A
+    value or error estimate that is not finite raises NumericError.
     """
     if two_k % 2:
         return MomentEntry(two_k, 0.0, 0.0, EXACT)
@@ -157,6 +166,11 @@ def moment_graphon(family: GraphonFamily, two_k: int,
     k = two_k // 2
     members = {t: family.g(2 * t) for t in range(1, k + 1)}
     members = {t: g for t, g in members.items() if g is not None}
+    if node_rule(members.values()) == "point":
+        rows = {t: _row_integral(g) for t, g in members.items()}
+        exact = tree_sum(k, lambda t, f: None if t not in rows else rows[t] * f, Fraction(1))
+        return MomentEntry(two_k, _rounded(exact, f"beta_{two_k} of {family.description!r}"),
+                           0.0, EXACT)
 
     def evaluate(nodes: Nodes) -> float:
         kernels = {t: nodes.matrix(g) for t, g in members.items()}
@@ -176,13 +190,14 @@ def moment_graphon(family: GraphonFamily, two_k: int,
     return MomentEntry(two_k, result.value, result.error, provenance)
 
 
+def _row_integral(g: Graphon) -> Fraction:
+    """The exact row integral of a kernel on the one-node rule (see node_rule)."""
+    if g.kind == "banded":
+        return 2 * Fraction(g.alpha) * Fraction(g.base.value)
+    return Fraction(g.value)
+
+
 # -- series builders ---------------------------------------------------------
-
-def sparse_series(lam: float, two_k_max: int) -> MomentSeries:
-    entries = tuple(MomentEntry(two_k, moment_sparse(lam, two_k).value, 0.0, EXACT)
-                    for two_k in range(2, two_k_max + 1, 2))
-    return MomentSeries(entries, f"sparse lambda={lam}")
-
 
 def graphon_series(family: GraphonFamily, two_k_max: int,
                    config: QuadratureConfig = DEFAULT_CONFIG) -> MomentSeries:

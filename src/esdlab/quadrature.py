@@ -9,7 +9,7 @@ chosen once for all the kernels of an integral, from their kinds:
 
 * constants, and periodic bands over constants -> one node. A periodic band
   of half-width alpha covers 2*alpha of every row, so messages stay constant.
-  Exact.
+  Exact; :func:`esdlab.moments.moment_graphon` sums these in Fractions.
 * constants and piecewise-constant grids -> the cells of the union of the
   grids' breaks, one node per cell at its midpoint, weighted by its width.
   Exact.

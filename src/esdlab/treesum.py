@@ -14,9 +14,10 @@ applied to its own F(t, .), and beta_{2k} is F(1, k) for the root's class,
 integrated over the root's variable where there is one.
 
 The recursion is generic over the message type: anything with ``+``, ``*``
-between messages and ``*`` by a Python int. Flat schedules pass floats, the
-census by block count passes Python ints, and kernel families pass vectors
-on quadrature nodes.
+between messages and ``*`` by a Python int. Families on one node (flat
+schedules, periodic bands over constants) pass Fractions, the census by
+block count passes Python ints, and other kernel families pass vectors on
+quadrature nodes.
 """
 
 from __future__ import annotations

@@ -438,6 +438,19 @@ MALFORMED = {
     "asymmetric_kernel_with_bound": ("moments", "--theory-json",
                                      '{"kind":"graphon","g":{"2":{"expression":"2 + x - y",'
                                      '"bound":1e12}}}'),
+    # overflows: at the one rounding of an exact sum, and inside a cumulant rule
+    "overflowing_sparse_rate": ("moments", "--theory-json", '{"kind":"sparse","rate":1e300}',
+                                "--two-k", "4"),
+    "overflowing_heavy_cumulant": ("moments", "--theory-json",
+                                   '{"kind":"model","truncation":1e300,"spec":' + HEAVY_SPEC + '}',
+                                   "--two-k", "16"),
+    # only heavy tails take a truncation; elsewhere the theory would ignore it
+    "truncation_without_effect": ("compare", "--theory-json",
+                                  '{"kind":"model","truncation":0.5,"spec":{"variant":'
+                                  '"sparse_homogeneous","n":100,"seed":1,"params":{"rate":2.0}}}',
+                                  "--model-json",
+                                  '{"variant":"sparse_homogeneous","params":{"rate":2.0}}',
+                                  "--n", "100", "--reps", "3", "--two-k", "4"),
 }
 
 

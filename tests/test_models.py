@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 import esdlab
 
-from esdlab.errors import CapacityError, ValidationError
+from esdlab.errors import ValidationError
 from esdlab.graphons import GraphonFamily, block_family
 from esdlab.models import (
     VARIANTS,
@@ -21,12 +20,9 @@ from esdlab.models import (
     SampledMatrix,
     _row_rngs,
     effective_cumulants,
-    read_matrix,
     sample,
     truncate,
     with_seed,
-    write_matrix,
-    write_matrix_csv,
 )
 from esdlab.moments import moment_graphon
 
@@ -282,42 +278,6 @@ def test_spec_json_round_trip():
     assert clone == spec
 
 
-def test_matrix_file_round_trip(tmp_path):
-    spec = ModelSpec("gaussian_wigner", 37, 5)
-    sampled = sample(spec)
-    path = tmp_path / "w.esdm"
-    write_matrix(sampled, str(path))
-    matrix, meta = read_matrix(str(path))
-    assert np.array_equal(matrix, sampled.matrix)
-    assert meta["n"] == 37
-    assert meta["seed"] == 5
-
-    with pytest.raises(FileNotFoundError):
-        read_matrix(str(tmp_path / "missing.esdm"))
-    junk = tmp_path / "junk.esdm"
-    junk.write_bytes(b"not a matrix header")
-    with pytest.raises(ValidationError):
-        read_matrix(str(junk))
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from(["gaussian_wigner", "sparse_homogeneous", "sparse_inhomogeneous",
-                        "heavy_tailed", "block"]),
-       st.integers(1, 12), st.integers(0, 2**64 - 1))
-def test_matrix_file_round_trip_on_random_specs(variant, n, seed):
-    params = {"sparse_homogeneous": {"rate": 1.0},
-              "sparse_inhomogeneous": {"prob": "(x + y)/(2*n)"},
-              "heavy_tailed": {"tail_index": 1.5},
-              "block": {"masses": [0.5, 0.5], "scales": [[1.0, 2.0], [2.0, 1.0]]}}
-    sampled = sample(ModelSpec(variant, n, seed, params.get(variant, {})))
-    with tempfile.TemporaryDirectory() as folder:
-        path = os.path.join(folder, "m.esdm")
-        write_matrix(sampled, path)
-        matrix, meta = read_matrix(path)
-    assert np.array_equal(matrix, sampled.matrix)
-    assert meta == {"n": n, "seed": seed, "variant": variant}
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
        st.integers(1, 9))
@@ -341,16 +301,3 @@ def test_models_import_no_theory_modules():
     assert "esdlab.graphons" in loaded
     for theory in ("moments", "quadrature", "trees", "treesum", "combinatorics"):
         assert f"esdlab.{theory}" not in loaded
-
-
-def test_csv_export_capped(tmp_path):
-    small = sample(ModelSpec("gaussian_wigner", 6, 1))
-    target = tmp_path / "m.csv"
-    write_matrix_csv(small, str(target))
-    rows = target.read_text().strip().splitlines()
-    assert len(rows) == 6
-    assert len(rows[0].split(",")) == 6
-
-    big = sample(ModelSpec("gaussian_wigner", 201, 1))
-    with pytest.raises(CapacityError):
-        write_matrix_csv(big, str(tmp_path / "big.csv"))

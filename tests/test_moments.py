@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy import integrate
 from esdlab.combinatorics import Word, catalan, count_ss_by_blocks
 from esdlab.errors import NumericError, ValidationError
 from esdlab.graphons import Graphon, GraphonFamily, block_family, profile_family
+from esdlab.models import ModelSpec, effective_cumulants
 from esdlab.moments import (
     CumulantSchedule,
     MomentEntry,
@@ -21,7 +23,6 @@ from esdlab.moments import (
     homomorphism_density,
     moment_graphon,
     moment_sparse,
-    sparse_series,
 )
 from esdlab.quadrature import QuadratureConfig
 from esdlab.trees import enumerate_trees, tree_from_word
@@ -52,13 +53,31 @@ def test_semicircle_moments_are_catalan():
     assert moment_graphon(CumulantSchedule.semicircle(c2=2.0), 4).value == pytest.approx(8.0)
 
 
+def census_sum(weight: Fraction, two_k: int) -> Fraction:
+    """Exact sum over SS words of weight^(block count)."""
+    return sum(c * weight**b for b, c in count_ss_by_blocks(two_k).items())
+
+
 def test_constant_schedule_matches_sparse_polynomial():
-    for lam in (0.5, 1.0, 2.0, 3.5):
+    # the tree sum and the census polynomial are both the correctly rounded exact sum
+    for lam in (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 7.25):
         sched = CumulantSchedule.constant(lam)
-        for two_k in (2, 4, 6, 8, 10, 12):
-            assert moment_graphon(sched, two_k).value == pytest.approx(
-                moment_sparse(lam, two_k).value
-            )
+        for two_k in range(2, 21, 2):
+            exact = float(census_sum(Fraction(lam), two_k))
+            assert moment_graphon(sched, two_k).value == moment_sparse(lam, two_k).value == exact
+    for k in range(1, 13):
+        assert moment_graphon(CumulantSchedule.semicircle(), 2 * k).value == catalan(k)
+    # C_2t = rate * atom^2t, exact in floats here, so beta_2k = atom^2k * sum_b |SS_b| rate^b
+    atom, rate = 0.75, 1.5
+    two_point = effective_cumulants(
+        ModelSpec("triangular_twopoint", 1000, 1, {"atom": atom, "rate": rate}))
+    # a periodic band over a constant C has the member 2 * alpha * C at every order
+    band = CumulantSchedule.constant(1.5).banded(0.3, True)
+    for two_k in range(2, 17, 2):
+        want = Fraction(atom)**two_k * census_sum(Fraction(rate), two_k)
+        assert moment_graphon(two_point, two_k).value == float(want)
+        want = census_sum(2 * Fraction(0.3) * Fraction(1.5), two_k)
+        assert moment_graphon(band, two_k).value == float(want)
 
 
 def test_sparse_moment_frozen_values():
@@ -246,7 +265,7 @@ def test_series_builders_and_lookup():
     assert series.moment(4) == 2.0
     assert series.moment(5) == 0.0  # odd orders vanish by symmetry
 
-    sp = sparse_series(2.0, 6)
+    sp = graphon_series(CumulantSchedule.constant(2.0), 6)
     assert sp.moment(6) == pytest.approx(66.0)
 
     fam = CumulantSchedule("c2 = 1", rule=lambda order: 1.0 if order == 2 else 0.0)
@@ -276,7 +295,7 @@ def test_explicit_entries_win_over_parity():
 def test_hankel_and_moment_inequalities():
     for series in (
         graphon_series(CumulantSchedule.semicircle(), 12),
-        sparse_series(1.5, 12),
+        graphon_series(CumulantSchedule.constant(1.5), 12),
         graphon_series(CumulantSchedule.constant(0.7), 12),
     ):
         assert hankel_min_eigenvalue(series) >= -1e-8
