@@ -7,9 +7,10 @@ matching matrix ensembles and measures their spectra. The CLI and the
 comparison tools tie the two together.
 
 Every export and submodule is loaded on first access (PEP 562):
-``import esdlab`` imports nothing else, ``esdlab.enumerate_ss`` loads only
-the numpy-free combinatorics, and numpy comes in with the first name of a
-numpy-backed module such as ``esdlab.moment_graphon``.
+``import esdlab`` imports nothing else, and ``esdlab.enumerate_ss`` or
+``esdlab.moment_graphon`` loads no numpy. numpy comes in where arrays begin:
+with ``esdlab.quadrature`` and ``esdlab.spectra``, or the first grid,
+expression, sample or quadrature node a call builds.
 """
 
 import importlib
@@ -23,11 +24,12 @@ _EXPORTS = {
     "compare": "ComparisonReport compare_series theory_series_from_config",
     "errors": "CapacityError NumericError ValidationError",
     "expressions": "compile_expression",
-    "graphons": "CumulantSchedule Graphon GraphonFamily block_family profile_family",
+    "graphons": "CumulantSchedule Graphon GraphonFamily QuadratureConfig block_family "
+                "profile_family",
     "models": "DEFAULT_SEED ModelSpec SampledMatrix effective_cumulants sample truncate",
     "moments": "CarlemanReport MomentEntry MomentSeries carleman_partial_sum graphon_series "
-               "hankel_min_eigenvalue homomorphism_density moment_graphon moment_sparse",
-    "quadrature": "IntegralResult QuadratureConfig",
+               "moment_graphon moment_sparse",
+    "quadrature": "IntegralResult homomorphism_density",
     "spectra": "ESD Histogram eesd_moments eigenvalues empirical_moment empirical_moments "
                "histogram replicate_esds semicircle_density spectral_moments wasserstein2",
     "trees": "ColoredTree enumerate_trees tree_from_word validate_tree word_from_tree",

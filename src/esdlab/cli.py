@@ -13,7 +13,8 @@ Precedence is config file over flags over built-in defaults.
 
 Each subcommand imports what it runs when it runs: ss and circuits never load
 numpy or the theory and sampling modules; moments, simulate and compare load
-them inside their command functions.
+them inside their command functions. numpy loads only where arrays begin, so
+moments on a one-node family (listed in esdlab.moments) starts without it.
 
 Exit codes: 0 success, 2 validation or numeric trouble, 3 capacity or budget,
 4 comparison failure.
@@ -237,7 +238,7 @@ def cmd_ss(args: argparse.Namespace) -> int:
 
 def cmd_moments(args: argparse.Namespace) -> int:
     from .compare import theory_series_from_config
-    from .quadrature import QuadratureConfig
+    from .graphons import QuadratureConfig
 
     payload_cfg = _apply_config(args)
     theory = payload_cfg or _load_json(args.theory_json, "--theory-json")
@@ -276,7 +277,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     from .compare import (compare_series, model_spec_from_config, theory_series_from_config,
                           truncation_from_config)
-    from .quadrature import QuadratureConfig
+    from .graphons import QuadratureConfig
     from .spectra import eesd_moments
 
     payload_cfg = _apply_config(args)

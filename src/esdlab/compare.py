@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .graphons import (CumulantSchedule, GraphonFamily, as_graphon, block_family,
-                       profile_family, require_number)
+from .graphons import (DEFAULT_CONFIG, CumulantSchedule, GraphonFamily, QuadratureConfig,
+                       as_graphon, block_family, profile_family, require_number)
 from .models import ModelSpec, effective_cumulants
 from .moments import MomentSeries, graphon_series
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 _SCHEDULE_KINDS = ("semicircle", "constant", "schedule")
 

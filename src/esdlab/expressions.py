@@ -8,6 +8,8 @@ are not numbers here), + - * / **, unary minus, the functions
 abs/sin/cos/sqrt/exp, the constants pi and e, and
 ``ind(<comparison>)`` which turns a single <=, <, >= or > comparison into a
 0/1 indicator.  Everything else is rejected, so configs stay data, not code.
+
+Operations are named by their numpy ufuncs; :func:`compile_expression` imports numpy.
 """
 
 from __future__ import annotations
@@ -16,30 +18,23 @@ import ast
 import math
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import ValidationError
 
-_FUNCTIONS = {
-    "abs": np.abs,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sqrt": np.sqrt,
-    "exp": np.exp,
-}
+# syntax -> the name of the numpy ufunc that evaluates it
+_FUNCTIONS = ("abs", "sin", "cos", "sqrt", "exp")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _BINOPS = {
-    ast.Add: np.add,
-    ast.Sub: np.subtract,
-    ast.Mult: np.multiply,
-    ast.Div: np.divide,
-    ast.Pow: np.power,
+    ast.Add: "add",
+    ast.Sub: "subtract",
+    ast.Mult: "multiply",
+    ast.Div: "divide",
+    ast.Pow: "power",
 }
 _COMPARES = {
-    ast.LtE: np.less_equal,
-    ast.Lt: np.less,
-    ast.GtE: np.greater_equal,
-    ast.Gt: np.greater,
+    ast.LtE: "less_equal",
+    ast.Lt: "less",
+    ast.GtE: "greater_equal",
+    ast.Gt: "greater",
 }
 
 
@@ -50,6 +45,7 @@ def compile_expression(source: str, variables: Sequence[str] = ("x", "y")) -> Ca
     >>> float(f(0.5, 1.0))
     2.0
     """
+    import numpy as np
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
@@ -101,7 +97,8 @@ def compile_expression(source: str, variables: Sequence[str] = ("x", "y")) -> Ca
         if isinstance(node, ast.Expression):
             return evaluate(node.body, env)
         if isinstance(node, ast.BinOp):
-            return _BINOPS[type(node.op)](evaluate(node.left, env), evaluate(node.right, env))
+            ufunc = getattr(np, _BINOPS[type(node.op)])
+            return ufunc(evaluate(node.left, env), evaluate(node.right, env))
         if isinstance(node, ast.UnaryOp):
             value = evaluate(node.operand, env)
             return -value if isinstance(node.op, ast.USub) else +value
@@ -114,8 +111,8 @@ def compile_expression(source: str, variables: Sequence[str] = ("x", "y")) -> Ca
                 cmp_node = node.args[0]
                 lhs = evaluate(cmp_node.left, env)
                 rhs = evaluate(cmp_node.comparators[0], env)
-                return _COMPARES[type(cmp_node.ops[0])](lhs, rhs).astype(float)
-            return _FUNCTIONS[node.func.id](evaluate(node.args[0], env))
+                return getattr(np, _COMPARES[type(cmp_node.ops[0])])(lhs, rhs).astype(float)
+            return getattr(np, node.func.id)(evaluate(node.args[0], env))
         raise AssertionError(f"unchecked node {node!r}")
 
     def compiled(*args):

@@ -17,24 +17,28 @@ Four representations are supported, and the integration code exploits them:
 * callable/expression   Gauss-Legendre nodes when smooth, else a uniform grid
 * banded                any of the above times a band indicator
 
-:func:`as_graphon` reads every kernel a config may hold, and
-:func:`require_number`, :func:`float_array` and :func:`require_flag` accept
-only JSON numbers and booleans, so text such as ``"2"`` is an error rather
-than a number.
+:func:`node_rule` picks the integration rule for a set of kernels from these
+kinds, and :class:`QuadratureConfig` sets its Gauss points. :func:`as_graphon`
+reads every kernel a config may hold, and :func:`require_number`,
+:func:`float_array` and :func:`require_flag` accept only JSON numbers and
+booleans, so text such as ``"2"`` is an error rather than a number.
+
+Constants and the families of constants need no arrays: numpy is imported by
+:func:`float_array` (grids, block masses), :meth:`Graphon.eval`,
+:func:`band_indicator_values` and the check of a callable kernel.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
+from .defaults import DEFAULT_QUAD_POINTS
 from .errors import NumericError, ValidationError
 from .expressions import compile_expression, expression_is_smooth
 
-_SYMMETRY_GRID = np.linspace(0.0, 1.0, 29)
 _SYMMETRY_TOL = 1e-9
 
 
@@ -43,11 +47,10 @@ def _is_number(value) -> bool:
 
 
 def _all_numbers(values) -> bool:
-    if isinstance(values, np.ndarray):
-        return values.dtype.kind in "iuf"
     if isinstance(values, (list, tuple)):
         return all(_all_numbers(v) for v in values)
-    return _is_number(values)
+    dtype = getattr(values, "dtype", None)  # a numpy array or scalar
+    return _is_number(values) if dtype is None else dtype.kind in "iuf"
 
 
 def require_number(value, what: str) -> float:
@@ -59,6 +62,7 @@ def require_number(value, what: str) -> float:
 
 def float_array(values, what: str) -> np.ndarray:
     """``values`` as a float array; text or booleans at any depth raise ValidationError."""
+    import numpy as np
     if _all_numbers(values):
         try:
             return np.asarray(values, dtype=float)
@@ -86,8 +90,9 @@ class Graphon:
         self.alpha = alpha
         self.periodic = periodic
         self.label = label or kind
-        self.bound = float(bound) if bound is not None else self._estimate_bound()
-        self._check_symmetry()
+        if kind == "callable":
+            bound = self._check_callable(bound)
+        self.bound = float(bound)
 
     # -- constructors ------------------------------------------------------
 
@@ -102,16 +107,17 @@ class Graphon:
         cells = float_array(cells, "grid cells")
         if breaks.ndim != 1 or len(breaks) < 2 or breaks[0] != 0.0 or breaks[-1] != 1.0:
             raise ValidationError("grid breaks must run from 0.0 to 1.0")
-        if np.any(np.diff(breaks) <= 0):
+        if (breaks[1:] <= breaks[:-1]).any():
             raise ValidationError("grid breaks must be strictly increasing")
         d = len(breaks) - 1
         if cells.shape != (d, d):
             raise ValidationError(f"cell matrix must be {d}x{d} for {d+1} breaks, got {cells.shape}")
-        if not np.all(np.isfinite(cells)):
+        bound = float(abs(cells).max())  # inf or nan when any cell is
+        if not math.isfinite(bound):
             raise NumericError("grid cells contain non-finite values")
-        if not np.allclose(cells, cells.T, atol=0, rtol=0):
+        if (cells != cells.T).any():
             raise ValidationError("cell matrix must be symmetric")
-        return cls("grid", breaks=breaks, cells=cells, bound=float(np.max(np.abs(cells))),
+        return cls("grid", breaks=breaks, cells=cells, bound=bound,
                    smooth=False, label=label or "grid")
 
     @classmethod
@@ -135,7 +141,13 @@ class Graphon:
                        label=f"{self.label} * band({alpha}{', periodic' if periodic else ''})")
 
     def power_scale(self, exponent: int, scale: float) -> "Graphon":
-        """Pointwise scale * g(x,y)**exponent, preserving exact representations."""
+        """Pointwise scale * g(x,y)**exponent, exact forms kept; an overflow raises NumericError."""
+        try:
+            bound = abs(scale) * self.bound**exponent
+        except OverflowError:
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise NumericError(f"({self.label})^{exponent}*{scale} is not finite in floating point")
         if self.kind == "constant":
             return Graphon.constant(scale * self.value**exponent)
         if self.kind == "grid":
@@ -146,12 +158,13 @@ class Graphon:
         def powered(x, y):
             return scale * here.eval(x, y) ** exponent
 
-        return Graphon("callable", fn=powered, bound=abs(scale) * self.bound**exponent,
+        return Graphon("callable", fn=powered, bound=bound,
                        smooth=self.smooth, label=f"({self.label})^{exponent}*{scale}")
 
     # -- evaluation --------------------------------------------------------
 
     def eval(self, x, y) -> np.ndarray:
+        import numpy as np
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if self.kind == "constant":
@@ -167,39 +180,31 @@ class Graphon:
 
     # -- internals ---------------------------------------------------------
 
-    def _estimate_bound(self) -> float:
-        if self.kind == "constant":
-            return abs(self.value)
-        if self.kind == "grid":
-            return float(np.max(np.abs(self.cells)))
-        if self.kind == "banded":
-            return self.base.bound
-        sample = self.fn(_SYMMETRY_GRID[:, None], _SYMMETRY_GRID[None, :])
-        sample = np.asarray(sample, dtype=float)
-        if not np.all(np.isfinite(sample)):
-            raise NumericError(f"graphon {self.label!r} is non-finite on the unit square")
-        return float(np.max(np.abs(sample)))
+    def _check_callable(self, bound: float | None) -> float:
+        """``bound``, else max |g| on a check grid, where g must be finite and symmetric.
 
-    def _check_symmetry(self) -> None:
-        if self.kind in ("constant", "grid"):
-            return  # enforced structurally
-        if self.kind == "banded":
-            return  # indicator is symmetric; base already checked
-        sample = np.asarray(self.fn(_SYMMETRY_GRID[:, None], _SYMMETRY_GRID[None, :]), dtype=float)
+        Constants and grids are symmetric by construction, bands when their base is.
+        """
+        import numpy as np
+        grid = np.linspace(0.0, 1.0, 29)
+        sample = np.asarray(self.fn(grid[:, None], grid[None, :]), dtype=float)
         if not np.all(np.isfinite(sample)):
             raise NumericError(f"graphon {self.label!r} is non-finite on the unit square")
+        largest = float(np.max(np.abs(sample)))
         gap = float(np.max(np.abs(sample - sample.T)))
         # relative to the kernel's own values: a declared bound is never checked against them
-        if gap > _SYMMETRY_TOL * max(1.0, float(np.max(np.abs(sample)))):
+        if gap > _SYMMETRY_TOL * max(1.0, largest):
             raise ValidationError(
                 f"graphon {self.label!r} is not symmetric: max |g(x,y)-g(y,x)| = {gap:.3g} on the check grid"
             )
+        return largest if bound is None else bound
 
     def __repr__(self) -> str:
         return f"Graphon({self.label!r}, bound={self.bound:.4g})"
 
 
 def band_indicator_values(x, y, alpha: float, periodic: bool) -> np.ndarray:
+    import numpy as np
     gap = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
     inside = gap <= alpha
     if periodic:
@@ -249,6 +254,35 @@ def require_even_order(order: int, what: str = "even order >= 2 required") -> No
     """Raise ValidationError unless ``order`` is even and at least 2."""
     if order < 2 or order % 2:
         raise ValidationError(f"{what}, got {order}")
+
+
+def _row_constant(g: Graphon) -> bool:
+    return g.kind == "constant" or (g.kind == "banded" and g.periodic
+                                    and g.base.kind == "constant")
+
+
+def node_rule(kernels: Iterable[Graphon]) -> str:
+    """The rule for integrals of products of these kernels (see :mod:`esdlab.quadrature`)."""
+    kernels = list(kernels)
+    if all(_row_constant(g) for g in kernels):
+        return "point"
+    if all(g.kind in ("constant", "grid") for g in kernels):
+        return "cells"
+    if all(g.smooth for g in kernels):
+        return "gauss"
+    return "grid"
+
+
+@dataclass(frozen=True)
+class QuadratureConfig:
+    points: int = DEFAULT_QUAD_POINTS
+
+    def __post_init__(self):
+        if self.points < 2:
+            raise ValidationError("Gauss rule needs at least 2 points")
+
+
+DEFAULT_CONFIG = QuadratureConfig()
 
 
 class GraphonFamily:
@@ -354,12 +388,12 @@ def block_family(alphas: Sequence[float], cells_by_order: Mapping[int, object],
                  description: str = "") -> GraphonFamily:
     """Piecewise-constant family on the partition of [0,1] with the given masses."""
     alphas = float_array(alphas, "block masses")
-    if alphas.ndim != 1 or len(alphas) == 0 or not np.all(alphas > 0):  # nan is not > 0
+    if alphas.ndim != 1 or len(alphas) == 0 or not (alphas > 0).all():  # nan is not > 0
         raise ValidationError(f"block masses must be a list of positive numbers, "
                               f"got {alphas.tolist()!r}")
     if abs(alphas.sum() - 1.0) > 1e-12:
         raise ValidationError(f"block masses must sum to 1, got {float(alphas.sum())!r}")
-    breaks = np.concatenate([[0.0], np.cumsum(alphas)])
+    breaks = [0.0, *alphas.cumsum()]
     breaks[-1] = 1.0
     entries = {}
     for order, cells in cells_by_order.items():

@@ -10,21 +10,23 @@ generator built afresh for that key.
 
 Positions are mapped to the unit square via x = i/n, y = j/n with 1-based
 indices, matching the convention used by the kernel-family limits.
+
+Specs and flat entry moments need no arrays: numpy is imported by the sampler
+(:func:`sample`, :func:`_row_sampler`, :func:`_row_rngs`) and :func:`truncate`.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Optional
-
-import numpy as np
 
 from .defaults import DEFAULT_SEED  # noqa: F401  (re-exported as models.DEFAULT_SEED)
 from .errors import ValidationError
 from .expressions import compile_expression, expression_is_smooth
 from .graphons import (CumulantSchedule, Graphon, GraphonFamily, as_graphon, block_family,
-                       profile_family, require_flag, require_number)
+                       float_array, profile_family, require_flag, require_number)
 
 VARIANTS = (
     "gaussian_wigner",
@@ -154,6 +156,7 @@ def _row_rngs(seed: int, rows: Iterable[int]) -> Iterator[np.random.Generator]:
     counter 0 with an empty buffer, so draws made from one row's stream must be
     finished before the next row is requested.
     """
+    import numpy as np
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
     bits = np.random.Philox(key=key)
     rng = np.random.Generator(bits)
@@ -164,23 +167,13 @@ def _row_rngs(seed: int, rows: Iterable[int]) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def _block_sizes(masses: np.ndarray, n: int) -> np.ndarray:
-    """Integer block sizes by largest remainder, summing exactly to n."""
-    raw = masses * n
-    sizes = np.floor(raw).astype(int)
-    short = n - sizes.sum()
-    if short:
-        order = np.argsort(-(raw - sizes), kind="stable")
-        sizes[order[:short]] += 1
-    return sizes
-
-
 def _row_sampler(spec: ModelSpec):
     """Row function (rng, i) -> entries (i, j) for j = i .. n-1, one vectorized draw.
 
     Everything that does not depend on the row (compiled expressions,
     profiles, base models, block labels, band masks) is built once here.
     """
+    import numpy as np
     n = spec.n
     p = spec.params
     ys = (np.arange(n) + 1.0) / n
@@ -228,8 +221,14 @@ def _row_sampler(spec: ModelSpec):
             # is the +1 and biases beta_2 by exactly 1/n unless zeroed
             inside |= gap >= n - width
         return lambda rng, i: base(rng, i) * inside[:n - i]
-    # block: gaussian entries scaled by the (block(i), block(j)) standard deviation
-    sizes = _block_sizes(np.asarray(p["masses"], dtype=float), n)
+    # block: gaussian entries scaled by the (block(i), block(j)) standard deviation;
+    # integer block sizes by largest remainder, summing exactly to n
+    raw = np.asarray(p["masses"], dtype=float) * n
+    sizes = np.floor(raw).astype(int)
+    short = n - sizes.sum()
+    if short:
+        order = np.argsort(-(raw - sizes), kind="stable")
+        sizes[order[:short]] += 1
     labels = np.repeat(np.arange(len(sizes)), sizes)
     scales = np.asarray(p["scales"], dtype=float)
     return lambda rng, i: rng.standard_normal(n - i) / np.sqrt(n) * scales[labels[i], labels[i:]]
@@ -237,6 +236,7 @@ def _row_sampler(spec: ModelSpec):
 
 def sample(spec: ModelSpec) -> SampledMatrix:
     """Draw one symmetric matrix; deterministic in (spec, seed)."""
+    import numpy as np
     n = spec.n
     row = _row_sampler(spec)
     matrix = np.zeros((n, n))
@@ -253,6 +253,7 @@ def sample(spec: ModelSpec) -> SampledMatrix:
 
 def truncate(sampled: SampledMatrix, threshold: float) -> SampledMatrix:
     """Zero all entries with |x| > threshold; symmetry is preserved."""
+    import numpy as np
     if threshold < 0:
         raise ValidationError(f"truncation threshold must be >= 0, got {threshold}")
     kept = np.where(np.abs(sampled.matrix) <= threshold, sampled.matrix, 0.0)
@@ -262,7 +263,7 @@ def truncate(sampled: SampledMatrix, threshold: float) -> SampledMatrix:
 # -- analytic entry moments ---------------------------------------------------
 
 def _double_factorial_odd(two_k: int) -> float:
-    return float(np.prod(np.arange(1, two_k, 2, dtype=np.float64))) if two_k > 1 else 1.0
+    return math.prod((float(i) for i in range(1, two_k, 2)), start=1.0)
 
 
 def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
@@ -319,7 +320,8 @@ def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
     if spec.variant == "band":
         base = effective_cumulants(spec.base_spec(), at_n=at_n)
         return base.banded(p["half_width"], p.get("periodic", False))
-    return block_family(p["masses"], {2: np.square(p["scales"])}, description="block gaussian")
+    return block_family(p["masses"], {2: float_array(p["scales"], "block scales") ** 2},
+                        description="block gaussian")
 
 
 def with_seed(spec: ModelSpec, seed: int) -> ModelSpec:

@@ -8,14 +8,19 @@ No tree is listed: :func:`esdlab.treesum.tree_sum` sums over color classes.
 :mod:`esdlab.graphons` builds every kernel family (schedules, bands,
 blocks, variance profiles); this module only sums them.
 :func:`moment_graphon` is the one entry point for every limit moment, as in
-``moment_graphon(block_family(masses, cells), 4)``. It passes vectors on
-the nodes of one quadrature rule, chosen once per moment from the kinds of
-the members up to that order (see :mod:`esdlab.quadrature`); a class of t
-nodes applies the matrix of its order-2t member to its message. Families on
-the one-node rule, a :class:`~esdlab.graphons.CumulantSchedule` (the family
-of constants C_{2t}) and periodic bands over constants, are summed exactly
-in Fractions and rounded once, so their moments are correctly rounded. A sum
-that overflows raises NumericError instead of returning inf or nan.
+``moment_graphon(block_family(masses, cells), 4)``. It picks one node rule
+per moment from the kinds of the members up to that order
+(:func:`esdlab.graphons.node_rule`). Families on the one-node rule, a
+:class:`~esdlab.graphons.CumulantSchedule` (the family of constants C_{2t})
+and periodic bands over constants, are summed exactly in Fractions and
+rounded once, so their moments are correctly rounded. Every other family is
+summed on quadrature nodes by :func:`esdlab.quadrature.integrate_tree_sum`.
+A sum that overflows raises NumericError instead of returning inf or nan.
+
+No numpy is loaded here: :func:`moment_graphon` imports :mod:`esdlab.quadrature`
+only past the one-node rule, so ``moments`` on ``semicircle``, ``constant``,
+``schedule``, ``sparse``, a periodic ``band`` over them, or a ``model`` of
+``gaussian_wigner``, ``triangular_twopoint`` or ``sparse_homogeneous`` needs no numpy.
 """
 
 from __future__ import annotations
@@ -23,16 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Mapping, Sequence
 
 from .combinatorics import count_ss_by_blocks
 from .errors import NumericError, ValidationError
-from .graphons import CumulantSchedule, Graphon, GraphonFamily, require_even_order
-from .quadrature import (DEFAULT_CONFIG, IntegralResult, Nodes, QuadratureConfig,
-                         integrate_edge_product, integrate_on_nodes, node_rule)
-from .trees import ColoredTree
+from .graphons import (DEFAULT_CONFIG, CumulantSchedule, Graphon, GraphonFamily,
+                       QuadratureConfig, node_rule, require_even_order)
 from .treesum import tree_sum
 
 EXACT = "exact-combinatorial"
@@ -86,19 +87,6 @@ class MomentSeries:
         return rows
 
 
-def hankel_min_eigenvalue(series: MomentSeries) -> float:
-    """Smallest eigenvalue of the Hankel matrix [beta_{i+j}], beta_0 = 1.
-
-    A genuine moment sequence gives a positive semidefinite matrix; rounding
-    and quadrature error can push the minimum slightly negative, so callers
-    compare against a tolerance instead of zero.
-    """
-    top = max(series.orders())
-    size = top // 2 + 1
-    h = np.array([[series.moment(i + j) for j in range(size)] for i in range(size)])
-    return float(np.linalg.eigvalsh(h)[0])
-
-
 # -- the sparse census polynomial (exact) -----------------------------------
 
 def _rounded(exact: Fraction, what: str) -> float:
@@ -132,33 +120,16 @@ def moment_sparse(lam: float, two_k: int) -> SparseMoment:
 
 # -- graphon families (tree integrals) --------------------------------------
 
-def homomorphism_density(tree: ColoredTree, family: GraphonFamily,
-                         config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
-    """Integral over [0,1]^colors of the product of edge kernels of one tree.
-
-    The kernel on the edge into color c has order twice the number of c-colored
-    nodes; a missing family member makes the whole term zero.
-    """
-    factors: dict[int, Graphon] = {}
-    parent: dict[int, int] = {}
-    for (par, child), mult in tree.edge_multiplicities().items():
-        kernel = family.g(2 * mult)
-        if kernel is None:
-            return IntegralResult(0.0, 0.0, "exact")
-        factors[child] = kernel
-        parent[child] = par
-    return integrate_edge_product(factors, parent, len(factors) + 1, config)
-
-
 def moment_graphon(family: GraphonFamily, two_k: int,
                    config: QuadratureConfig = DEFAULT_CONFIG) -> MomentEntry:
     """Sum of homomorphism densities over all colored trees of the given order.
 
-    The members up to order two_k pick one node rule; on its nodes each member
-    is a matrix and the color-class recursion sums every tree at once. On the
-    one-node rule each member is the exact row integral of its kernel, C or
-    2*alpha*C for a periodic band over C, and the sum runs in Fractions. A
-    value or error estimate that is not finite raises NumericError.
+    The members up to order two_k pick one node rule. On the one-node rule
+    each member is the exact row integral of its kernel, C or 2*alpha*C for a
+    periodic band over C, and the color-class recursion runs in Fractions; on
+    any other rule :func:`esdlab.quadrature.integrate_tree_sum` runs it on
+    the rule's nodes. A value or error estimate that is not finite raises
+    NumericError.
     """
     if two_k % 2:
         return MomentEntry(two_k, 0.0, 0.0, EXACT)
@@ -172,17 +143,9 @@ def moment_graphon(family: GraphonFamily, two_k: int,
         return MomentEntry(two_k, _rounded(exact, f"beta_{two_k} of {family.description!r}"),
                            0.0, EXACT)
 
-    def evaluate(nodes: Nodes) -> float:
-        kernels = {t: nodes.matrix(g) for t, g in members.items()}
+    from .quadrature import integrate_tree_sum  # loads numpy
 
-        def edge(t: int, f: np.ndarray) -> Optional[np.ndarray]:
-            kernel = kernels.get(t)
-            return None if kernel is None else kernel @ (nodes.w * f)
-
-        return float(np.sum(nodes.w * tree_sum(k, edge, np.ones_like(nodes.w))))
-
-    with np.errstate(all="ignore"):  # an overflow is reported below, not warned about
-        result = integrate_on_nodes(evaluate, members.values(), config)
+    result = integrate_tree_sum(members, k, config)
     if not (math.isfinite(result.value) and math.isfinite(result.error)):
         raise NumericError(f"beta_{two_k} of {family.description!r} is not finite "
                            f"(value {result.value!r}, error {result.error!r})")
@@ -304,12 +267,13 @@ def _trend(terms: Sequence[float]) -> tuple[float, str]:
         return math.nan, "divergent"
     if len(terms) < 2:
         return math.nan, "inconclusive"
-    ks = np.arange(1, len(terms) + 1, dtype=float)
-    keep = ks >= len(terms) / 2.0
-    if keep.sum() < 2:
-        keep[-2:] = True
-    logs = np.log(np.asarray(terms, dtype=float)[keep])
-    slope = float(np.polyfit(np.log(ks[keep]), logs, 1)[0])
+    # least-squares line through (log k, log term) over k >= len(terms) / 2
+    first = (len(terms) + 1) // 2
+    xs = [math.log(k) for k in range(first, len(terms) + 1)]
+    ys = [math.log(t) for t in terms[first - 1:]]
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    slope = (math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+             / math.fsum((x - x_mean) ** 2 for x in xs))
     if slope >= -0.75:
         return slope, "diverging-trend"
     if slope > -1.3:

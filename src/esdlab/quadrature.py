@@ -3,13 +3,15 @@
 Every integrand here is a product of two-variable kernels along the edges of
 a rooted colored tree, one variable per color. On one weighted node set
 shared by all variables each kernel becomes a matrix g(x_i, x_j), and the
-product integrates by message passing (one tree) or by the color-class
-recursion of :mod:`esdlab.treesum` (all trees of an order). The rule is
-chosen once for all the kernels of an integral, from their kinds:
+product integrates by message passing (one tree, :func:`homomorphism_density`)
+or by the color-class recursion of :mod:`esdlab.treesum` (all trees of an
+order, :func:`integrate_tree_sum`). :func:`esdlab.graphons.node_rule` picks
+the rule once for all the kernels of an integral, from their kinds:
 
 * constants, and periodic bands over constants -> one node. A periodic band
   of half-width alpha covers 2*alpha of every row, so messages stay constant.
-  Exact; :func:`esdlab.moments.moment_graphon` sums these in Fractions.
+  Exact; :func:`esdlab.moments.moment_graphon` sums these in Fractions and
+  never loads this module.
 * constants and piecewise-constant grids -> the cells of the union of the
   grids' breaks, one node per cell at its midpoint, weighted by its width.
   Exact.
@@ -20,33 +22,26 @@ chosen once for all the kernels of an integral, from their kinds:
   band indicator takes its exact average over each pair of cells (a function
   of |i - j| only), which keeps the single-edge integral exact and the rule
   second order; other kernels are evaluated at cell midpoints.
+
+Here the arrays of a theory command begin; only the rules past one node import this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
-from .defaults import DEFAULT_QUAD_POINTS
 from .errors import NumericError, ValidationError
-from .graphons import Graphon
+from .graphons import DEFAULT_CONFIG, Graphon, GraphonFamily, QuadratureConfig, node_rule
+from .treesum import tree_sum
+
+if TYPE_CHECKING:
+    from .trees import ColoredTree
 
 #: cells of the finest uniform grid; its kernel matrices take 8 MB each
 GRID_CAP = 1024
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    points: int = DEFAULT_QUAD_POINTS
-
-    def __post_init__(self):
-        if self.points < 2:
-            raise ValidationError("Gauss rule needs at least 2 points")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -121,23 +116,6 @@ def _cell_nodes(kernels: Iterable[Graphon]) -> Nodes:
     return Nodes(0.5 * (breaks[:-1] + breaks[1:]), np.diff(breaks))
 
 
-def _row_constant(g: Graphon) -> bool:
-    return g.kind == "constant" or (g.kind == "banded" and g.periodic
-                                    and g.base.kind == "constant")
-
-
-def node_rule(kernels: Iterable[Graphon]) -> str:
-    """The rule for integrals of products of these kernels: point, cells, gauss or grid."""
-    kernels = list(kernels)
-    if all(_row_constant(g) for g in kernels):
-        return "point"
-    if all(g.kind in ("constant", "grid") for g in kernels):
-        return "cells"
-    if all(g.smooth for g in kernels):
-        return "gauss"
-    return "grid"
-
-
 def _grid_error(coarse: float, middle: float, fine: float) -> float:
     """Error of the finest of three grids, each twice as fine as the one before.
 
@@ -196,3 +174,41 @@ def integrate_edge_product(factors: Mapping[int, Graphon], parent: Mapping[int, 
             raise ValidationError(f"parent color {par} of {child} must be smaller")
     return integrate_on_nodes(lambda nodes: _message_pass(factors, parent, n_colors, nodes),
                               factors.values(), config)
+
+
+def homomorphism_density(tree: ColoredTree, family: GraphonFamily,
+                         config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
+    """Integral over [0,1]^colors of the product of edge kernels of one tree.
+
+    The kernel on the edge into color c has order twice the number of c-colored
+    nodes; a missing family member makes the whole term zero.
+    """
+    factors: dict[int, Graphon] = {}
+    parent: dict[int, int] = {}
+    for (par, child), mult in tree.edge_multiplicities().items():
+        kernel = family.g(2 * mult)
+        if kernel is None:
+            return IntegralResult(0.0, 0.0, "exact")
+        factors[child] = kernel
+        parent[child] = par
+    return integrate_edge_product(factors, parent, len(factors) + 1, config)
+
+
+def integrate_tree_sum(members: Mapping[int, Graphon], k: int,
+                       config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
+    """Sum over all colored trees with k edges of their edge-kernel integrals.
+
+    A class of t nodes applies the matrix of ``members[t]`` (order 2t) to its
+    message; an absent t zeroes its trees. Overflows come back non-finite, unwarned.
+    """
+    def evaluate(nodes: Nodes) -> float:
+        kernels = {t: nodes.matrix(g) for t, g in members.items()}
+
+        def edge(t: int, f: np.ndarray) -> Optional[np.ndarray]:
+            kernel = kernels.get(t)
+            return None if kernel is None else kernel @ (nodes.w * f)
+
+        return float(np.sum(nodes.w * tree_sum(k, edge, np.ones_like(nodes.w))))
+
+    with np.errstate(all="ignore"):
+        return integrate_on_nodes(evaluate, members.values(), config)

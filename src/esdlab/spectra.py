@@ -61,8 +61,11 @@ def component_labels(matrix: np.ndarray) -> np.ndarray:
     rows of the link pattern taken in label order, every root adopts the
     smallest label its members saw, and labels jump to their roots. The
     rounds stop when no index sees a label smaller than its own, or when
-    every label is 0.
+    every label is 0. When row 0 or column 0 links index 0 to every other
+    index, as in a dense draw, the labels are all 0 without a round.
     """
+    if len(matrix) == 0 or ((matrix[0, 1:] != 0) | (matrix[1:, 0] != 0)).all():
+        return np.zeros(len(matrix), dtype=int)
     linked = matrix != 0
     linked |= linked.T
     np.fill_diagonal(linked, True)
@@ -103,19 +106,6 @@ def eigenvalues(m) -> ESD:
         blocks = matrix[members[:, :, None], members[:, None, :]]
         parts.append(np.linalg.eigvalsh(blocks).ravel())
     return ESD(np.sort(np.concatenate(parts)), meta)
-
-
-def residual_check(matrix: np.ndarray, pairs: int = 10, seed: int = 0) -> float:
-    """Max ||Av - lambda v|| / ||A|| over randomly chosen eigenpairs."""
-    matrix = np.asarray(matrix, dtype=float)
-    values, vectors = np.linalg.eigh(matrix)
-    scale = np.linalg.norm(matrix, 2) or 1.0
-    picks = np.random.default_rng(seed).choice(len(values), size=min(pairs, len(values)),
-                                               replace=False)
-    worst = 0.0
-    for i in picks:
-        worst = max(worst, np.linalg.norm(matrix @ vectors[:, i] - values[i] * vectors[:, i]))
-    return float(worst / scale)
 
 
 def require_moment_order(k: int) -> None:

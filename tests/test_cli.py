@@ -444,6 +444,11 @@ MALFORMED = {
     "overflowing_heavy_cumulant": ("moments", "--theory-json",
                                    '{"kind":"model","truncation":1e300,"spec":' + HEAVY_SPEC + '}',
                                    "--two-k", "16"),
+    # a profile whose bound overflows when raised to the order
+    "overflowing_constant_profile": ("moments", "--theory-json",
+                                     '{"kind":"profile","sigma":1e200}', "--two-k", "8"),
+    "overflowing_expression_profile": ("moments", "--theory-json",
+                                       '{"kind":"profile","sigma":"1e200*x*y"}', "--two-k", "4"),
     # only heavy tails take a truncation; elsewhere the theory would ignore it
     "truncation_without_effect": ("compare", "--theory-json",
                                   '{"kind":"model","truncation":0.5,"spec":{"variant":'
@@ -634,9 +639,8 @@ def _python(*argv: str) -> subprocess.CompletedProcess:
                           timeout=120)
 
 
-@pytest.mark.parametrize("argv", [("ss", "2"), ("circuits", "abba")])
-def test_combinatorial_commands_load_no_numpy(argv):
-    # python -m esdlab.cli ARGV, reporting the modules it loaded at exit
+def _cli_modules(argv) -> tuple[subprocess.CompletedProcess, list[str]]:
+    """python -m esdlab.cli ARGV --reproducible, and the numpy and esdlab modules it loaded."""
     code = ("import atexit, runpy, sys\n"
             "atexit.register(lambda: print(sorted(m for m in sys.modules"
             " if m.split('.')[0] in ('numpy', 'esdlab')), file=sys.stderr))\n"
@@ -644,9 +648,39 @@ def test_combinatorial_commands_load_no_numpy(argv):
             "runpy.run_module('esdlab.cli', run_name='__main__', alter_sys=True)\n")
     done = _python("-c", code)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["command"] == argv[0]
-    assert done.stderr.strip() == str(["esdlab", "esdlab.circuits", "esdlab.combinatorics",
-                                       "esdlab.defaults", "esdlab.errors", "esdlab.treesum"])
+    return done, eval(done.stderr.strip().splitlines()[-1])
+
+
+TWO_POINT_MODEL = ('{"kind":"model","spec":{"variant":"triangular_twopoint","n":200,"seed":1,'
+                   '"params":{"atom":1.5,"rate":2.0}}}')
+
+
+@pytest.mark.parametrize("argv", [
+    ("ss", "2"),
+    ("circuits", "abba"),
+    # the one-node rule: every family sums in Fractions
+    ("moments", "--theory-json", '{"kind":"semicircle"}', "--two-k", "16"),
+    ("moments", "--theory-json", '{"kind":"sparse","rate":2.5}', "--two-k", "16"),
+    ("moments", "--theory-json", '{"kind":"schedule","values":{"2":1,"4":3,"6":0.5}}',
+     "--two-k", "6", "--format", "csv"),
+    ("moments", "--theory-json", '{"kind":"band","alpha":0.2,"periodic":true,'
+     '"base":{"kind":"constant","value":1.5}}', "--two-k", "12"),
+    ("moments", "--theory-json", TWO_POINT_MODEL, "--two-k", "14"),
+])
+def test_combinatorial_commands_load_no_numpy(capsys, argv):
+    done, loaded = _cli_modules(argv)
+    assert not [m for m in loaded if m.split(".")[0] == "numpy"]
+    assert run(capsys, *argv, "--reproducible")[1] == done.stdout
+    if argv[0] != "moments":
+        assert loaded == ["esdlab", "esdlab.circuits", "esdlab.combinatorics",
+                          "esdlab.defaults", "esdlab.errors", "esdlab.treesum"]
+
+
+def test_kernel_theory_still_loads_numpy(capsys):
+    argv = ("moments", "--theory-json", '{"kind":"band","alpha":0.2}', "--two-k", "6")
+    done, loaded = _cli_modules(argv)
+    assert "numpy" in loaded and "esdlab.quadrature" in loaded
+    assert run(capsys, *argv, "--reproducible")[1] == done.stdout
 
 
 def test_python_dash_m_esdlab_is_the_command_line():
@@ -668,6 +702,8 @@ def test_package_exports_resolve_lazily():
             "esdlab.enumerate_ss\n"
             "assert 'numpy' not in sys.modules\n"
             "esdlab.moment_graphon\n"
+            "assert 'numpy' not in sys.modules\n"
+            "esdlab.sample(esdlab.ModelSpec('gaussian_wigner', 4, 1))\n"
             "assert 'numpy' in sys.modules\n")
     done = _python("-c", code)
     assert done.returncode == 0, done.stderr

@@ -19,12 +19,10 @@ from esdlab.moments import (
     MomentSeries,
     carleman_partial_sum,
     graphon_series,
-    hankel_min_eigenvalue,
-    homomorphism_density,
     moment_graphon,
     moment_sparse,
 )
-from esdlab.quadrature import QuadratureConfig
+from esdlab.quadrature import QuadratureConfig, homomorphism_density
 from esdlab.trees import enumerate_trees, tree_from_word
 from esdlab.treesum import tree_sum
 
@@ -292,6 +290,19 @@ def test_explicit_entries_win_over_parity():
     assert series.moment(3) == 0.125
 
 
+def hankel_min_eigenvalue(series: MomentSeries) -> float:
+    """Smallest eigenvalue of the Hankel matrix [beta_{i+j}], beta_0 = 1.
+
+    A genuine moment sequence gives a positive semidefinite matrix; rounding
+    and quadrature error can push the minimum slightly negative, so callers
+    compare against a tolerance instead of zero.
+    """
+    top = max(series.orders())
+    size = top // 2 + 1
+    h = np.array([[series.moment(i + j) for j in range(size)] for i in range(size)])
+    return float(np.linalg.eigvalsh(h)[0])
+
+
 def test_hankel_and_moment_inequalities():
     for series in (
         graphon_series(CumulantSchedule.semicircle(), 12),
@@ -322,6 +333,19 @@ def test_carleman_reference_verdicts():
     )
     assert sq.verdict == "likely-fails"
     assert sq.slope < -1.3
+
+
+@pytest.mark.parametrize("big_k", [2, 3, 5, 8, 12])
+def test_carleman_slope_matches_polyfit(big_k):
+    # the least-squares slope in plain floats against np.polyfit over k >= K/2
+    for source in (CumulantSchedule.semicircle(), CumulantSchedule.constant(2.0),
+                   {2 * k: float(math.factorial(2 * k)) for k in range(1, big_k + 1)},
+                   {2 * k: float(math.factorial(2 * k)) ** 2 for k in range(1, big_k + 1)}):
+        report = carleman_partial_sum(source, big_k)
+        ks = np.arange(1, big_k + 1, dtype=float)
+        keep = ks >= big_k / 2.0
+        reference = np.polyfit(np.log(ks[keep]), np.log(np.array(report.terms)[keep]), 1)[0]
+        assert report.slope == pytest.approx(reference, rel=1e-12, abs=1e-12)
 
 
 def test_carleman_degenerate_schedule():

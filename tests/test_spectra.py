@@ -16,7 +16,6 @@ from esdlab.spectra import (
     empirical_moments,
     histogram,
     replicate_esds,
-    residual_check,
     semicircle_density,
     spectral_moments,
     wasserstein2,
@@ -47,6 +46,19 @@ def test_trace_moments_agree_with_eigenvalue_moments():
     from_traces = empirical_moments(m, 6)
     from_esd = [e.moment(k) for k in range(1, 7)]
     assert np.allclose(from_traces, from_esd, atol=1e-8)
+
+
+def residual_check(matrix: np.ndarray, pairs: int = 10, seed: int = 0) -> float:
+    """Max ||Av - lambda v|| / ||A|| over randomly chosen eigenpairs."""
+    matrix = np.asarray(matrix, dtype=float)
+    values, vectors = np.linalg.eigh(matrix)
+    scale = np.linalg.norm(matrix, 2) or 1.0
+    picks = np.random.default_rng(seed).choice(len(values), size=min(pairs, len(values)),
+                                               replace=False)
+    worst = 0.0
+    for i in picks:
+        worst = max(worst, np.linalg.norm(matrix @ vectors[:, i] - values[i] * vectors[:, i]))
+    return float(worst / scale)
 
 
 def test_residuals_small_on_exact_decomposition():
@@ -287,6 +299,26 @@ def test_component_labels_match_breadth_first_search(n, density, seed):
     # one triangle only, so the labels must read links from either side
     pattern = np.triu(np.random.default_rng(seed).random((n, n)) < density)
     assert component_labels(pattern.astype(float)).tolist() == _reference_labels(pattern)
+
+
+def _star(n: int, missing: int = 0) -> np.ndarray:
+    """Index 0 linked to every index but ``missing``, through either triangle."""
+    m = np.diag(np.arange(1.0, n + 1))
+    for j in range(1, n):
+        if j != missing:
+            m[(0, j) if j % 2 else (j, 0)] = 0.5
+    return m
+
+
+@pytest.mark.parametrize("matrix", [sample(ModelSpec("gaussian_wigner", 200, 4)).matrix,
+                                    _star(30), _star(30, missing=7), _star(2), np.ones((1, 1)),
+                                    np.zeros((0, 0))],
+                         ids=["dense", "star", "star-missing-one", "pair", "single", "empty"])
+def test_index_zero_linked_to_all_is_one_component(matrix):
+    labels = component_labels(matrix)
+    assert labels.tolist() == _reference_labels(matrix)
+    if not labels.any():
+        assert eigenvalues(matrix).eigenvalues.tobytes() == np.linalg.eigvalsh(matrix).tobytes()
 
 
 def test_truncated_replicates_match_finite_n_truncated_cumulant():
