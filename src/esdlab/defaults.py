@@ -7,7 +7,8 @@ the numpy-backed modules, so the defaults those modules use live here.
 #: root seed of the command line's sampling
 DEFAULT_SEED = 112358
 
-#: replicates * n^3 flop-scale guard for replicate_esds (one full eigensolve per replicate)
+#: replicates * n^3 flop-scale guard for simulated replicates: an upper bound, one full
+#: eigensolve each (sparse replicates of compare are summed over walks, far cheaper)
 DEFAULT_EESD_BUDGET = 4.0e12
 
 #: Gauss-Legendre nodes per variable for smooth kernels

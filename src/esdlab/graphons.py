@@ -227,7 +227,7 @@ def as_graphon(value) -> Graphon:
     if isinstance(value, Graphon):
         return value
     if _is_number(value):
-        return Graphon.constant(float(value))
+        return Graphon.constant(require_number(value, "kernel constant"))
     if isinstance(value, str):
         return Graphon.from_expression(value)
     if isinstance(value, dict) and set(value) in _KERNEL_FORMS:

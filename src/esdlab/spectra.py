@@ -1,21 +1,25 @@
 """Eigenvalue statistics: spectra, moments, histograms, and the d2 metric.
 
-Simulation has one replicate pipeline: replicate_esds derives a child seed per
-replicate, samples it once and solves it once (the budget counts one n^3
-eigensolve each), and every simulated moment is mean(eigenvalues**k) of those
-spectra. eigenvalues runs one eigensolve per connected component of the
-matrix's nonzero pattern: a matrix with several components is block-diagonal
-up to a permutation, and its spectrum is the union of the blocks' spectra, so
-a sparse draw solves a few smaller blocks while a connected one goes to a
-single full solve. empirical_moments computes the same moments independently
-from traces of matrix powers (tr(M^(a+b)) = sum(M^a * M^b), so only half the
-powers are formed); the tests use it to cross-check the eigensolver.
+Simulation has one replicate loop: each replicate gets a child seed, is
+sampled once and truncated if asked, and is measured once (the budget counts
+one n^3 eigensolve each, an upper bound). replicate_esds measures spectra,
+and simulate's moments are mean(eigenvalues**k) of them. eesd_moments, the
+moments compare reads, needs no spectrum: moment_row sums a sparse draw's
+closed walks over its nonzeros (walk_moments), exactly for integer entries,
+and gives a dense draw the eigenvalue means. eigenvalues runs one eigensolve
+per connected component of the matrix's nonzero pattern: a matrix with
+several components is block-diagonal up to a permutation, and its spectrum is
+the union of the blocks' spectra, so a sparse draw solves a few smaller
+blocks while a connected one goes to a single full solve. empirical_moments
+computes the same moments from traces of dense matrix powers
+(tr(M^(a+b)) = sum(M^a * M^b), so only half the powers are formed); the tests
+use it to cross-check the other two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -25,6 +29,15 @@ from .models import ModelSpec, SampledMatrix, sample, truncate, with_seed
 from .moments import MomentEntry, MomentSeries
 
 SIMULATION = "monte-carlo-simulation"
+T = TypeVar("T")
+
+# A draw with more than n^2 / _SPARSE_SHARE nonzeros is dense and goes to the
+# eigensolver. A walk join may hold max(n^2 / _SPARSE_SHARE, _MIN_JOIN) entries.
+# At about 85 bytes of peak memory per entry (sparse_homogeneous, n = 1000),
+# a join at that bound takes 1.3 n x n matrices, near the eigvalsh working copy
+# it replaces (1.1 matrices), or under 6 MB when n is small.
+_SPARSE_SHARE = 8
+_MIN_JOIN = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,6 +62,8 @@ def _as_matrix(m) -> tuple[np.ndarray, dict]:
             meta["truncated_at"] = m.truncated_at
         return m.matrix, meta
     matrix = np.asarray(m, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValidationError(f"need a square matrix, got shape {matrix.shape}")
     return matrix, {"variant": "raw"}
 
 
@@ -89,8 +104,6 @@ def eigenvalues(m) -> ESD:
     one stacked call, and the union of their spectra is sorted.
     """
     matrix, meta = _as_matrix(m)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValidationError(f"need a square matrix, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise NumericError("matrix has non-finite entries")
     labels = component_labels(matrix)
@@ -126,7 +139,7 @@ def empirical_moments(m, k_max: int) -> list[float]:
     require_moment_order(k_max)
     n = matrix.shape[0]
     powers = {1: matrix}
-    for a in range(2, (k_max + 2) // 2 + 1):
+    for a in range(2, (k_max + 1) // 2 + 1):
         powers[a] = powers[a - 1] @ matrix
     out = []
     for k in range(1, k_max + 1):
@@ -139,6 +152,81 @@ def empirical_moments(m, k_max: int) -> list[float]:
             raise NumericError(f"trace power overflowed at k={k}")
         out.append(float(value / n))
     return out
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericError below
+def walk_moments(m, k_max: int, max_join: Optional[int] = None) -> Optional[list[float]]:
+    """(1/n) tr(M^k) for k = 1..k_max, summed over closed walks on M's nonzeros.
+
+    M must be symmetric. Its nonzeros are sorted flat keys i*n + j with a CSR
+    row pointer. W^a, a <= ceil(k_max/2), joins each entry (i, m) of W^(a-1)
+    with row m of W; equal keys merge by np.unique and bincount, and merged
+    zeros are dropped. tr(W^k) is the sum of W^floor(k/2) * W^ceil(k/2) over
+    common keys, W^0 being the identity. Integer entries thus give exact sums
+    (below 2^53), divided once by n. Returns None instead of a join that would
+    hold more than ``max_join`` entries.
+
+    The 3-cycle has tr(A^k) = 2^k + 2(-1)^k:
+
+    >>> cycle = np.ones((3, 3)) - np.eye(3)
+    >>> walk_moments(cycle, 6)
+    [0.0, 2.0, 2.0, 6.0, 10.0, 22.0]
+    """
+    matrix, _ = _as_matrix(m)
+    require_moment_order(k_max)
+    n = len(matrix)
+    rows, cols = np.nonzero(matrix)
+    values = matrix[rows, cols]
+    if not np.all(np.isfinite(values)):
+        raise NumericError("matrix has non-finite entries")
+    row_start = np.searchsorted(rows, np.arange(n + 1))
+    degree = np.diff(row_start)
+    powers = [(np.arange(n) * (n + 1), np.ones(n)), (rows * n + cols, values)]
+    for _ in range(2, (k_max + 1) // 2 + 1):
+        keys, weights = powers[-1]
+        mid = keys % n
+        counts = degree[mid]
+        total = int(counts.sum())
+        if max_join is not None and total > max_join:
+            return None
+        # entry e of the power meets the nonzeros row_start[mid[e]] onwards of row mid[e]
+        src = np.repeat(np.arange(len(keys)), counts)
+        at = np.arange(total) - np.repeat(np.cumsum(counts) - counts - row_start[mid], counts)
+        joined = (keys - mid)[src] + cols[at]
+        products = weights[src] * values[at]
+        del src, at
+        keys, where = np.unique(joined, return_inverse=True)
+        del joined
+        weights = np.bincount(where, weights=products, minlength=len(keys))
+        del where, products
+        kept = weights != 0
+        powers.append((keys[kept], weights[kept]))
+    out = []
+    for k in range(1, k_max + 1):
+        (keys_a, weights_a), (keys_b, weights_b) = powers[k // 2], powers[(k + 1) // 2]
+        _, at_a, at_b = np.intersect1d(keys_a, keys_b, assume_unique=True, return_indices=True)
+        value = np.dot(weights_a[at_a], weights_b[at_b])
+        if not np.isfinite(value):
+            raise NumericError(f"walk sum overflowed at k={k}")
+        out.append(float(value / n))
+    return out
+
+
+def moment_row(m, k_max: int) -> list[float]:
+    """(1/n) tr(M^k), k = 1..k_max, of one replicate: by walks when M is sparse.
+
+    A matrix with more than n^2/8 nonzeros, or whose walk joins would pass
+    max(n^2/8, 2^16) entries, gets mean(eigenvalues**k) instead, bit for bit
+    the row spectral_moments reads from its spectrum.
+    """
+    matrix, _ = _as_matrix(m)
+    n = len(matrix)
+    if np.count_nonzero(matrix) <= n * n // _SPARSE_SHARE:
+        row = walk_moments(matrix, k_max, max(n * n // _SPARSE_SHARE, _MIN_JOIN))
+        if row is not None:
+            return row
+    esd = eigenvalues(m)
+    return [esd.moment(k) for k in range(1, k_max + 1)]
 
 
 def wasserstein2(e1: ESD, e2: ESD) -> float:
@@ -213,16 +301,10 @@ def semicircle_density(x, variance: float = 1.0) -> np.ndarray:
     return np.sqrt(np.maximum(4 * variance - x**2, 0.0)) / (2 * np.pi * variance)
 
 
-def replicate_esds(spec: ModelSpec, replicates: int, seed: Optional[int] = None,
-                   budget: float = DEFAULT_EESD_BUDGET,
-                   truncation: Optional[float] = None) -> list[ESD]:
-    """Spectra of independent replicates, each sampled once and solved once.
-
-    Replicates get independent derived seeds; with seed=None the spec's own
-    seed is the root, so the call is reproducible either way. A truncation
-    level B zeroes every entry with |x| > B (models.truncate) before the
-    replicate is solved.
-    """
+def _each_replicate(spec: ModelSpec, replicates: int, seed: Optional[int], budget: float,
+                    truncation: Optional[float], measure: Callable[[SampledMatrix], T]) -> list[T]:
+    """measure(draw) for each replicate's draw, in order; seeds and truncation as in
+    eesd_moments. The budget counts one n^3 eigensolve per replicate."""
     if replicates < 1:
         raise ValidationError("need at least one replicate")
     cost = replicates * float(spec.n) ** 3
@@ -232,14 +314,38 @@ def replicate_esds(spec: ModelSpec, replicates: int, seed: Optional[int] = None,
             "lower n or replicates, or raise the budget")
     root = spec.seed if seed is None else seed
     child_seeds = np.random.SeedSequence(root).generate_state(replicates, dtype=np.uint64)
-    esds = []
+    out = []
     for child in child_seeds:
         sampled = sample(with_seed(spec, int(child)))
         if truncation is not None:
             sampled = truncate(sampled, truncation)
-        esds.append(eigenvalues(sampled))
+        out.append(measure(sampled))
         del sampled  # so the next draw is made with no matrix held
-    return esds
+    return out
+
+
+def _moment_series(rows: Sequence[Sequence[float]], description: str) -> MomentSeries:
+    """Means over replicate rows of moments k = 1, 2, ..., with standard errors.
+
+    One replicate has no standard error; its errors are NaN.
+    """
+    table = np.array(rows)
+    means = table.mean(axis=0)
+    errors = (table.std(axis=0, ddof=1) / np.sqrt(len(table)) if len(table) > 1
+              else np.full(len(means), np.nan))
+    entries = tuple(MomentEntry(k, float(means[k - 1]), float(errors[k - 1]), SIMULATION)
+                    for k in range(1, len(means) + 1))
+    return MomentSeries(entries, description)
+
+
+def replicate_esds(spec: ModelSpec, replicates: int, seed: Optional[int] = None,
+                   budget: float = DEFAULT_EESD_BUDGET,
+                   truncation: Optional[float] = None) -> list[ESD]:
+    """Spectra of independent replicates, each sampled once and solved once.
+
+    Seeds and ``truncation`` as in eesd_moments.
+    """
+    return _each_replicate(spec, replicates, seed, budget, truncation, eigenvalues)
 
 
 def spectral_moments(esds: Sequence[ESD], k_max: int, description: str = "") -> MomentSeries:
@@ -248,25 +354,24 @@ def spectral_moments(esds: Sequence[ESD], k_max: int, description: str = "") -> 
     One replicate has no standard error; its errors are NaN.
     """
     require_moment_order(k_max)
-    table = np.array([[e.moment(k) for k in range(1, k_max + 1)] for e in esds])
-    means = table.mean(axis=0)
-    errors = (table.std(axis=0, ddof=1) / np.sqrt(len(esds)) if len(esds) > 1
-              else np.full(k_max, np.nan))
-    entries = tuple(MomentEntry(k, float(means[k - 1]), float(errors[k - 1]), SIMULATION)
-                    for k in range(1, k_max + 1))
-    return MomentSeries(entries, description)
+    return _moment_series([[e.moment(k) for k in range(1, k_max + 1)] for e in esds],
+                          description)
 
 
 def eesd_moments(spec: ModelSpec, k_max: int, replicates: int,
                  seed: Optional[int] = None,
                  budget: float = DEFAULT_EESD_BUDGET,
                  truncation: Optional[float] = None) -> MomentSeries:
-    """Replicate means and standard errors of the spectral moments, k = 1..k_max.
+    """Replicate means and standard errors of (1/n) tr(M^k), k = 1..k_max.
 
-    ``truncation`` is passed to replicate_esds.
+    Each replicate's row is moment_row of its draw. Replicates get independent
+    derived seeds; with seed=None the spec's own seed is the root, so the call
+    is reproducible either way. A truncation level B zeroes every entry with
+    |x| > B (models.truncate) before the row is taken.
     """
     if replicates < 2:
         raise ValidationError("need at least 2 replicates for a standard error")
     require_moment_order(k_max)
-    return spectral_moments(replicate_esds(spec, replicates, seed, budget, truncation), k_max,
-                            f"eesd {spec.variant} n={spec.n} reps={replicates}")
+    rows = _each_replicate(spec, replicates, seed, budget, truncation,
+                           lambda draw: moment_row(draw, k_max))
+    return _moment_series(rows, f"eesd {spec.variant} n={spec.n} reps={replicates}")

@@ -425,6 +425,10 @@ MALFORMED = {
                          "--n", "20"),
     "nan_sparse_rate": ("moments", "--theory-json", '{"kind":"sparse","rate":NaN}'),
     "infinite_semicircle_c2": ("moments", "--theory-json", '{"kind":"semicircle","c2":Infinity}'),
+    "infinite_bare_kernel_number": ("moments", "--theory-json",
+                                    '{"kind":"graphon","g":{"2":Infinity}}', "--two-k", "4"),
+    "nan_bare_kernel_number": ("moments", "--theory-json", '{"kind":"graphon","g":{"2":NaN}}',
+                               "--two-k", "4"),
     "nan_block_mass": ("simulate", "--model-json",
                        '{"variant":"block","params":{"masses":[NaN,0.5],"scales":[[1,0],[0,1]]}}',
                        "--n", "10"),

@@ -15,9 +15,11 @@ from esdlab.spectra import (
     empirical_moment,
     empirical_moments,
     histogram,
+    moment_row,
     replicate_esds,
     semicircle_density,
     spectral_moments,
+    walk_moments,
     wasserstein2,
 )
 
@@ -158,10 +160,12 @@ def test_replicate_esds_deterministic_and_distinct():
 def test_eesd_moments_match_trace_powers_of_the_same_replicates():
     spec = ModelSpec("sparse_homogeneous", 120, 43, {"rate": 2.0})
     esds = replicate_esds(spec, 5)
-    traces = np.array([empirical_moments(sample(with_seed(spec, e.source["seed"])), 6)
-                       for e in esds])
+    draws = [sample(with_seed(spec, e.source["seed"])) for e in esds]
+    traces = np.array([empirical_moments(d, 6) for d in draws])
+    walks = np.array([walk_moments(d, 6) for d in draws])
     series = eesd_moments(spec, 6, replicates=5)
-    assert series.values() == spectral_moments(esds, 6).values()
+    assert series.values() == walks.mean(axis=0).tolist()
+    assert np.allclose(series.values(), spectral_moments(esds, 6).values(), rtol=1e-12, atol=1e-14)
     assert np.allclose(series.values(), traces.mean(axis=0), rtol=1e-12, atol=1e-14)
     errors = [e.error for e in series.entries]
     assert np.allclose(errors, traces.std(axis=0, ddof=1) / np.sqrt(5), rtol=1e-9, atol=1e-14)
@@ -329,3 +333,75 @@ def test_truncated_replicates_match_finite_n_truncated_cumulant():
     assert abs(beta_2.value - expected) <= 4 * beta_2.error
     # without truncation the same replicates are far heavier
     assert eesd_moments(spec, 2, replicates=8).entries[1].value > 5 * expected
+
+
+def _sparse_zoo(n: int, zero_diagonal: bool) -> dict:
+    rate = min(2.0, n)
+    params = {
+        "sparse_homogeneous": {"rate": rate},
+        "sparse_inhomogeneous": {"prob": "(x + y)/(2*n)"},
+        "triangular_twopoint": {"atom": 2.0, "rate": rate},
+        "band": {"half_width": 0.3, "base": "sparse_homogeneous", "base_params": {"rate": rate}},
+    }
+    return {variant: sample(ModelSpec(variant, n, 11, p, zero_diagonal))
+            for variant, p in params.items()}
+
+
+@pytest.mark.parametrize("zero_diagonal", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 7, 150])
+def test_walk_sums_match_trace_powers(n, zero_diagonal):
+    for name, draw in _sparse_zoo(n, zero_diagonal).items():
+        for k_max in (1, 2, 5, 10):
+            walks = walk_moments(draw, k_max)
+            traces = empirical_moments(draw, k_max)
+            assert len(walks) == k_max
+            for k, (w, t) in enumerate(zip(walks, traces), start=1):
+                assert abs(w - t) <= 1e-12 * max(1.0, abs(t)), (name, k_max, k)
+
+
+@pytest.mark.parametrize("n", [7, 150])
+def test_walk_sums_of_zero_one_draws_are_exact(n):
+    # an integer walk count divided once by n, against integer matrix powers
+    for name in ("sparse_homogeneous", "sparse_inhomogeneous", "band"):
+        matrix = _sparse_zoo(n, False)[name].matrix
+        assert set(np.unique(matrix)) <= {0.0, 1.0}
+        power = np.eye(n, dtype=np.int64)
+        for k, value in enumerate(walk_moments(matrix, 10), start=1):
+            power = power @ matrix.astype(np.int64)
+            count = int(np.trace(power))
+            assert round(value * n) == count, (name, k)
+            assert value == count / n, (name, k)
+
+
+def test_walk_sums_of_zero_and_diagonal_matrices():
+    assert walk_moments(np.zeros((5, 5)), 4) == [0.0] * 4
+    assert moment_row(np.zeros((5, 5)), 4) == [0.0] * 4
+    diagonal = np.arange(-3.0, 4.0)
+    expected = [float(np.sum(diagonal**k) / 7) for k in range(1, 9)]
+    assert walk_moments(np.diag(diagonal), 8) == expected
+
+
+def test_dense_or_wide_draws_take_the_eigenvalue_row():
+    # more than n^2/8 nonzeros: dense
+    dense = sample(ModelSpec("sparse_homogeneous", 60, 3, {"rate": 30.0})).matrix
+    assert np.count_nonzero(dense) > 60 * 60 / 8
+    # few nonzeros, but a walk join past max(n^2/8, 2^16) entries
+    wide = sample(ModelSpec("sparse_homogeneous", 300, 3, {"rate": 30.0})).matrix
+    assert np.count_nonzero(wide) <= 300 * 300 / 8
+    assert walk_moments(wide, 6, max_join=2**16) is None
+    for matrix in (dense, wide):
+        esd = eigenvalues(matrix)
+        assert moment_row(matrix, 6) == [esd.moment(k) for k in range(1, 7)]
+    gaussian = sample(ModelSpec("gaussian_wigner", 40, 3))
+    assert moment_row(gaussian, 4) == [eigenvalues(gaussian).moment(k) for k in range(1, 5)]
+
+
+def test_walk_moments_validation():
+    with pytest.raises(ValidationError):
+        walk_moments(np.ones((2, 3)), 2)
+    with pytest.raises(ValidationError):
+        walk_moments(np.eye(2), 0)
+    with pytest.raises(NumericError):
+        walk_moments(np.diag([1.0, np.inf]), 2)
+    with pytest.raises(NumericError):
+        walk_moments(np.diag([1e200, 0.0]), 2)
