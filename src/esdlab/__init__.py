@@ -31,8 +31,7 @@ _EXPORTS = {
                "moment_graphon moment_sparse",
     "quadrature": "IntegralResult homomorphism_density",
     "spectra": "ESD Histogram eesd_moments eigenvalues empirical_moment empirical_moments "
-               "histogram replicate_esds semicircle_density spectral_moments walk_moments "
-               "wasserstein2",
+               "histogram replicate_esds semicircle_density spectral_moments wasserstein2",
     "trees": "ColoredTree enumerate_trees tree_from_word validate_tree word_from_tree",
     "treesum": "",
 }

@@ -5,7 +5,7 @@ sampled once and truncated if asked, and is measured once (the budget counts
 one n^3 eigensolve each, an upper bound). replicate_esds measures spectra,
 and simulate's moments are mean(eigenvalues**k) of them. eesd_moments, the
 moments compare reads, needs no spectrum: moment_row sums a sparse draw's
-closed walks over its nonzeros (walk_moments), exactly for integer entries,
+closed walks over its nonzeros (_walk_moments), exactly for integer entries,
 and gives a dense draw the eigenvalue means. eigenvalues runs one eigensolve
 per connected component of the matrix's nonzero pattern: a matrix with
 several components is block-diagonal up to a permutation, and its spectrum is
@@ -32,7 +32,8 @@ SIMULATION = "monte-carlo-simulation"
 T = TypeVar("T")
 
 # A draw with more than n^2 / _SPARSE_SHARE nonzeros is dense and goes to the
-# eigensolver. A walk join may hold max(n^2 / _SPARSE_SHARE, _MIN_JOIN) entries.
+# eigensolver. A walk join may hold max(n^2 / _SPARSE_SHARE, _MIN_JOIN) entries,
+# a bound checked from walk counts before any join is made.
 # At about 85 bytes of peak memory per entry (sparse_homogeneous, n = 1000),
 # a join at that bound takes 1.3 n x n matrices, near the eigvalsh working copy
 # it replaces (1.1 matrices), or under 6 MB when n is small.
@@ -154,41 +155,66 @@ def empirical_moments(m, k_max: int) -> list[float]:
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericError below
-def walk_moments(m, k_max: int, max_join: Optional[int] = None) -> Optional[list[float]]:
-    """(1/n) tr(M^k) for k = 1..k_max, summed over closed walks on M's nonzeros.
+def moment_row(m, k_max: int) -> list[float]:
+    """(1/n) tr(M^k), k = 1..k_max, of one symmetric replicate: by walks when M is sparse.
 
-    M must be symmetric. Its nonzeros are sorted flat keys i*n + j with a CSR
-    row pointer. W^a, a <= ceil(k_max/2), joins each entry (i, m) of W^(a-1)
-    with row m of W; equal keys merge by np.unique and bincount, and merged
-    zeros are dropped. tr(W^k) is the sum of W^floor(k/2) * W^ceil(k/2) over
-    common keys, W^0 being the identity. Integer entries thus give exact sums
-    (below 2^53), divided once by n. Returns None instead of a join that would
-    hold more than ``max_join`` entries.
-
-    The 3-cycle has tr(A^k) = 2^k + 2(-1)^k:
-
-    >>> cycle = np.ones((3, 3)) - np.eye(3)
-    >>> walk_moments(cycle, 6)
-    [0.0, 2.0, 2.0, 6.0, 10.0, 22.0]
+    A matrix with more than n^2/8 nonzeros, or whose walk joins could pass
+    max(n^2/8, 2^16) entries (_walk_moments), gets mean(eigenvalues**k)
+    instead, bit for bit the row spectral_moments reads from its spectrum.
     """
     matrix, _ = _as_matrix(m)
     require_moment_order(k_max)
     n = len(matrix)
-    rows, cols = np.nonzero(matrix)
-    values = matrix[rows, cols]
+    row = (_walk_moments(matrix, k_max) if np.count_nonzero(matrix) <= n * n // _SPARSE_SHARE
+           else None)
+    if row is not None:
+        return row
+    esd = eigenvalues(m)
+    return [esd.moment(k) for k in range(1, k_max + 1)]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericError below
+def _walk_moments(matrix: np.ndarray, k_max: int) -> Optional[list[float]]:
+    """(1/n) tr(W^k) for k = 1..k_max of a symmetric W, summed over closed walks on its nonzeros.
+
+    The nonzeros are sorted flat keys i*n + j with a CSR row pointer. W^a,
+    a <= ceil(k_max/2), joins each entry (i, m) of W^(a-1) with row m of W;
+    equal keys merge by np.unique and bincount, and merged zeros are dropped.
+    tr(W^k) is the sum of W^floor(k/2) * W^ceil(k/2) over common keys (W^0
+    the identity), which needs W symmetric. Integer entries thus give exact
+    sums (below 2^53), divided once by n.
+
+    The join forming W^a holds one entry per key (i, m) of W^(a-1) and nonzero
+    of row m, so at most as many as the nonzero pattern has walks of length a.
+    Those counts come from the degrees in O(nnz) per length, and when one
+    passes max(n^2/8, 2^16) the sum returns None before any join.
+
+    The 3-cycle has tr(A^k) = 2^k + 2(-1)^k:
+
+    >>> cycle = np.ones((3, 3)) - np.eye(3)
+    >>> _walk_moments(cycle, 6)
+    [0.0, 2.0, 2.0, 6.0, 10.0, 22.0]
+    """
+    n = len(matrix)
+    flat = np.flatnonzero(matrix != 0)  # several times faster than np.nonzero(matrix)
+    rows, cols = np.divmod(flat, n)
+    values = np.take(matrix, flat)
     if not np.all(np.isfinite(values)):
         raise NumericError("matrix has non-finite entries")
     row_start = np.searchsorted(rows, np.arange(n + 1))
     degree = np.diff(row_start)
-    powers = [(np.arange(n) * (n + 1), np.ones(n)), (rows * n + cols, values)]
+    limit = max(n * n // _SPARSE_SHARE, _MIN_JOIN)
+    walks = degree.astype(float)  # walks of length 1 from each index
+    for _ in range(2, (k_max + 1) // 2 + 1):
+        walks = np.bincount(rows, weights=walks[cols], minlength=n)
+        if walks.sum() > limit:
+            return None
+    powers = [(np.arange(n) * (n + 1), np.ones(n)), (flat, values)]
     for _ in range(2, (k_max + 1) // 2 + 1):
         keys, weights = powers[-1]
         mid = keys % n
         counts = degree[mid]
         total = int(counts.sum())
-        if max_join is not None and total > max_join:
-            return None
         # entry e of the power meets the nonzeros row_start[mid[e]] onwards of row mid[e]
         src = np.repeat(np.arange(len(keys)), counts)
         at = np.arange(total) - np.repeat(np.cumsum(counts) - counts - row_start[mid], counts)
@@ -210,23 +236,6 @@ def walk_moments(m, k_max: int, max_join: Optional[int] = None) -> Optional[list
             raise NumericError(f"walk sum overflowed at k={k}")
         out.append(float(value / n))
     return out
-
-
-def moment_row(m, k_max: int) -> list[float]:
-    """(1/n) tr(M^k), k = 1..k_max, of one replicate: by walks when M is sparse.
-
-    A matrix with more than n^2/8 nonzeros, or whose walk joins would pass
-    max(n^2/8, 2^16) entries, gets mean(eigenvalues**k) instead, bit for bit
-    the row spectral_moments reads from its spectrum.
-    """
-    matrix, _ = _as_matrix(m)
-    n = len(matrix)
-    if np.count_nonzero(matrix) <= n * n // _SPARSE_SHARE:
-        row = walk_moments(matrix, k_max, max(n * n // _SPARSE_SHARE, _MIN_JOIN))
-        if row is not None:
-            return row
-    esd = eigenvalues(m)
-    return [esd.moment(k) for k in range(1, k_max + 1)]
 
 
 def wasserstein2(e1: ESD, e2: ESD) -> float:

@@ -19,9 +19,9 @@ from esdlab.spectra import (
     replicate_esds,
     semicircle_density,
     spectral_moments,
-    walk_moments,
     wasserstein2,
 )
+from esdlab.spectra import _walk_moments
 
 
 def test_known_spectra():
@@ -162,7 +162,7 @@ def test_eesd_moments_match_trace_powers_of_the_same_replicates():
     esds = replicate_esds(spec, 5)
     draws = [sample(with_seed(spec, e.source["seed"])) for e in esds]
     traces = np.array([empirical_moments(d, 6) for d in draws])
-    walks = np.array([walk_moments(d, 6) for d in draws])
+    walks = np.array([_walk_moments(d.matrix, 6) for d in draws])
     series = eesd_moments(spec, 6, replicates=5)
     assert series.values() == walks.mean(axis=0).tolist()
     assert np.allclose(series.values(), spectral_moments(esds, 6).values(), rtol=1e-12, atol=1e-14)
@@ -352,7 +352,7 @@ def _sparse_zoo(n: int, zero_diagonal: bool) -> dict:
 def test_walk_sums_match_trace_powers(n, zero_diagonal):
     for name, draw in _sparse_zoo(n, zero_diagonal).items():
         for k_max in (1, 2, 5, 10):
-            walks = walk_moments(draw, k_max)
+            walks = _walk_moments(draw.matrix, k_max)
             traces = empirical_moments(draw, k_max)
             assert len(walks) == k_max
             for k, (w, t) in enumerate(zip(walks, traces), start=1):
@@ -366,7 +366,7 @@ def test_walk_sums_of_zero_one_draws_are_exact(n):
         matrix = _sparse_zoo(n, False)[name].matrix
         assert set(np.unique(matrix)) <= {0.0, 1.0}
         power = np.eye(n, dtype=np.int64)
-        for k, value in enumerate(walk_moments(matrix, 10), start=1):
+        for k, value in enumerate(_walk_moments(matrix, 10), start=1):
             power = power @ matrix.astype(np.int64)
             count = int(np.trace(power))
             assert round(value * n) == count, (name, k)
@@ -374,21 +374,22 @@ def test_walk_sums_of_zero_one_draws_are_exact(n):
 
 
 def test_walk_sums_of_zero_and_diagonal_matrices():
-    assert walk_moments(np.zeros((5, 5)), 4) == [0.0] * 4
+    assert _walk_moments(np.zeros((5, 5)), 4) == [0.0] * 4
     assert moment_row(np.zeros((5, 5)), 4) == [0.0] * 4
     diagonal = np.arange(-3.0, 4.0)
     expected = [float(np.sum(diagonal**k) / 7) for k in range(1, 9)]
-    assert walk_moments(np.diag(diagonal), 8) == expected
+    assert _walk_moments(np.diag(diagonal), 8) == expected
 
 
 def test_dense_or_wide_draws_take_the_eigenvalue_row():
     # more than n^2/8 nonzeros: dense
     dense = sample(ModelSpec("sparse_homogeneous", 60, 3, {"rate": 30.0})).matrix
     assert np.count_nonzero(dense) > 60 * 60 / 8
-    # few nonzeros, but a walk join past max(n^2/8, 2^16) entries
+    # few nonzeros, but more than max(n^2/8, 2^16) walks of length 2 and 3
     wide = sample(ModelSpec("sparse_homogeneous", 300, 3, {"rate": 30.0})).matrix
     assert np.count_nonzero(wide) <= 300 * 300 / 8
-    assert walk_moments(wide, 6, max_join=2**16) is None
+    assert _walk_moments(wide, 6) is None
+    assert _walk_moments(wide, 2) is not None  # no join
     for matrix in (dense, wide):
         esd = eigenvalues(matrix)
         assert moment_row(matrix, 6) == [esd.moment(k) for k in range(1, 7)]
@@ -396,12 +397,14 @@ def test_dense_or_wide_draws_take_the_eigenvalue_row():
     assert moment_row(gaussian, 4) == [eigenvalues(gaussian).moment(k) for k in range(1, 5)]
 
 
-def test_walk_moments_validation():
+def test_moment_row_validation():
     with pytest.raises(ValidationError):
-        walk_moments(np.ones((2, 3)), 2)
+        moment_row(np.ones((2, 3)), 2)
     with pytest.raises(ValidationError):
-        walk_moments(np.eye(2), 0)
+        moment_row(np.eye(2), 0)
+    sparse_overflow = np.zeros((20, 20))
+    sparse_overflow[0, 0] = 1e200
     with pytest.raises(NumericError):
-        walk_moments(np.diag([1.0, np.inf]), 2)
+        moment_row(sparse_overflow, 2)
     with pytest.raises(NumericError):
-        walk_moments(np.diag([1e200, 0.0]), 2)
+        _walk_moments(np.diag([1.0, np.inf]), 2)
