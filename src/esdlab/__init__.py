@@ -29,10 +29,10 @@ _EXPORTS = {
     "models": "DEFAULT_SEED ModelSpec SampledMatrix effective_cumulants sample truncate",
     "moments": "CarlemanReport MomentEntry MomentSeries carleman_partial_sum graphon_series "
                "moment_graphon moment_sparse",
-    "quadrature": "IntegralResult homomorphism_density",
-    "spectra": "ESD Histogram eesd_moments eigenvalues empirical_moment empirical_moments "
-               "histogram replicate_esds semicircle_density spectral_moments wasserstein2",
-    "trees": "ColoredTree enumerate_trees tree_from_word validate_tree word_from_tree",
+    "quadrature": "",
+    "spectra": "ESD Histogram eesd_moments eigenvalues empirical_moments histogram "
+               "replicate_esds semicircle_density spectral_moments wasserstein2",
+    "trees": "ColoredTree enumerate_trees tree_from_word word_from_tree",
     "treesum": "",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -46,6 +46,19 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="omit the timestamp so reruns are byte-identical")
 
 
+def non_negative(text: str) -> float:
+    """A budget or threshold, >= 0; NaN is refused, as every comparison with it is False."""
+    value = float(text)
+    if not value >= 0:
+        raise ValueError(f"{text!r} is not a number >= 0")
+    return value
+
+
+def _require_even_order(two_k: int) -> None:
+    if two_k < 2 or two_k % 2:
+        raise ValidationError(f"--two-k must be even and >= 2, got {two_k}")
+
+
 def _add_quadrature(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS,
                      help="Gauss-Legendre points per dimension")
@@ -78,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--reps", type=int, default=1)
     si.add_argument("--k-max", type=int, default=6)
     si.add_argument("--bins", type=int, help="histogram bin count (default Freedman-Diaconis)")
-    si.add_argument("--budget", type=float, default=DEFAULT_EESD_BUDGET)
+    si.add_argument("--budget", type=non_negative, default=DEFAULT_EESD_BUDGET)
     _add_common(si)
     si.set_defaults(func=cmd_simulate)
 
@@ -88,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--two-k", type=int, default=6)
     co.add_argument("--n", type=int, default=1000)
     co.add_argument("--reps", type=int, default=30)
-    co.add_argument("--threshold", type=float, default=4.0)
-    co.add_argument("--budget", type=float, default=DEFAULT_EESD_BUDGET)
+    co.add_argument("--threshold", type=non_negative, default=4.0)
+    co.add_argument("--budget", type=non_negative, default=DEFAULT_EESD_BUDGET)
     _add_quadrature(co)
     _add_common(co)
     co.set_defaults(func=cmd_compare)
@@ -98,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("word", help="letters as in 'abba', or comma-separated integers")
     ci.add_argument("--n-values", default="2,3,4,5",
                     help="comma-separated matrix sizes")
-    ci.add_argument("--budget", type=float, default=float(circuits_mod.DEFAULT_BUDGET))
+    ci.add_argument("--budget", type=non_negative, default=float(circuits_mod.DEFAULT_BUDGET))
     _add_common(ci)
     ci.set_defaults(func=cmd_circuits)
 
@@ -244,6 +257,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
     theory = payload_cfg or _load_json(args.theory_json, "--theory-json")
     if theory is None:
         raise ValidationError("moments needs --config or --theory-json")
+    _require_even_order(args.two_k)
     series = theory_series_from_config(theory, args.two_k, QuadratureConfig(args.quad_points))
     _emit(args, payload_cfg, {"series": series.to_json_dict()}, series.to_csv_rows())
     return 0
@@ -294,8 +308,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         model_cfg = _load_json(args.model_json, "--model-json")
     if theory_cfg is None or model_cfg is None:
         raise ValidationError("compare needs theory and model configs")
-    if args.two_k < 2 or args.two_k % 2:
-        raise ValidationError(f"--two-k must be even and >= 2, got {args.two_k}")
+    _require_even_order(args.two_k)
     theory = theory_series_from_config(theory_cfg, args.two_k, QuadratureConfig(args.quad_points))
     spec = model_spec_from_config(model_cfg, n=args.n, seed=args.seed)
     simulated = eesd_moments(spec, args.two_k, args.reps, budget=args.budget,

@@ -75,9 +75,13 @@ class Word:
         text = text.strip()
         if not text:
             raise ValidationError("empty word")
-        if "," in text or text[0].isdigit():
-            return cls(tuple(int(part) for part in text.split(",")))
-        return cls(tuple(_LETTERS.index(ch) + 1 for ch in text if not ch.isspace()))
+        try:
+            if "," in text or text[0].isdigit():
+                return cls(tuple(int(part) for part in text.split(",")))
+            return cls(tuple(_LETTERS.index(ch) + 1 for ch in text if not ch.isspace()))
+        except ValueError:
+            raise ValidationError(f"word {text!r} is neither letters a-z nor comma-separated "
+                                  "integers") from None
 
     def __str__(self) -> str:
         if self.n_letters <= 26:
@@ -98,10 +102,6 @@ class Word:
         for v in self.letters:
             counts[v - 1] += 1
         return tuple(counts)
-
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """The underlying set partition; alias for partition_from_word(self)."""
-        return partition_from_word(self)
 
 
 @dataclass(frozen=True)

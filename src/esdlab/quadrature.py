@@ -2,11 +2,11 @@
 
 Every integrand here is a product of two-variable kernels along the edges of
 a rooted colored tree, one variable per color. On one weighted node set
-shared by all variables each kernel becomes a matrix g(x_i, x_j), and the
-product integrates by message passing (one tree, :func:`homomorphism_density`)
-or by the color-class recursion of :mod:`esdlab.treesum` (all trees of an
-order, :func:`integrate_tree_sum`). :func:`esdlab.graphons.node_rule` picks
-the rule once for all the kernels of an integral, from their kinds:
+shared by all variables each kernel becomes a matrix g(x_i, x_j), and
+:func:`integrate_tree_sum` sums the products of all trees of an order at once
+by the color-class recursion of :mod:`esdlab.treesum`.
+:func:`esdlab.graphons.node_rule` picks the rule once for all the kernels of
+an integral, from their kinds:
 
 * constants, and periodic bands over constants -> one node. A periodic band
   of half-width alpha covers 2*alpha of every row, so messages stay constant.
@@ -29,16 +29,13 @@ Here the arrays of a theory command begin; only the rules past one node import t
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
-from .graphons import DEFAULT_CONFIG, Graphon, GraphonFamily, QuadratureConfig, node_rule
+from .errors import NumericError
+from .graphons import DEFAULT_CONFIG, Graphon, QuadratureConfig, node_rule
 from .treesum import tree_sum
-
-if TYPE_CHECKING:
-    from .trees import ColoredTree
 
 #: cells of the finest uniform grid; its kernel matrices take 8 MB each
 GRID_CAP = 1024
@@ -145,53 +142,6 @@ def integrate_on_nodes(evaluate: Callable[[Nodes], float], kernels: Iterable[Gra
         return IntegralResult(full, abs(full - half), "gauss")
     coarse, middle, fine = (evaluate(Nodes.uniform(GRID_CAP // s)) for s in (4, 2, 1))
     return IntegralResult(fine, _grid_error(coarse, middle, fine), "grid")
-
-
-def _message_pass(factors: Mapping[int, Graphon], parent: Mapping[int, int],
-                  n_colors: int, nodes: Nodes) -> float:
-    """Integrate the edge product on one node set shared by every color."""
-    messages = {c: np.ones_like(nodes.w) for c in range(n_colors)}
-    for child in range(n_colors - 1, 0, -1):
-        messages[parent[child]] *= nodes.matrix(factors[child]) @ (nodes.w * messages[child])
-    return float(np.sum(nodes.w * messages[0]))
-
-
-def integrate_edge_product(factors: Mapping[int, Graphon], parent: Mapping[int, int],
-                           n_colors: int,
-                           config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
-    """Integrate prod_edges g_e(x_parent(c), x_c) dx_0 ... dx_{n_colors-1}.
-
-    ``factors`` maps each non-root color to the kernel on its parent edge;
-    ``parent`` maps each non-root color to its parent color. The single-color
-    tree (no edges) integrates to 1.
-    """
-    if n_colors < 1:
-        raise ValidationError("need at least the root color")
-    if set(factors) != set(parent) or set(factors) != set(range(1, n_colors)):
-        raise ValidationError("edge factors must cover exactly the colors 1..n_colors-1")
-    for child, par in parent.items():
-        if not 0 <= par < child:
-            raise ValidationError(f"parent color {par} of {child} must be smaller")
-    return integrate_on_nodes(lambda nodes: _message_pass(factors, parent, n_colors, nodes),
-                              factors.values(), config)
-
-
-def homomorphism_density(tree: ColoredTree, family: GraphonFamily,
-                         config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
-    """Integral over [0,1]^colors of the product of edge kernels of one tree.
-
-    The kernel on the edge into color c has order twice the number of c-colored
-    nodes; a missing family member makes the whole term zero.
-    """
-    factors: dict[int, Graphon] = {}
-    parent: dict[int, int] = {}
-    for (par, child), mult in tree.edge_multiplicities().items():
-        kernel = family.g(2 * mult)
-        if kernel is None:
-            return IntegralResult(0.0, 0.0, "exact")
-        factors[child] = kernel
-        parent[child] = par
-    return integrate_edge_product(factors, parent, len(factors) + 1, config)
 
 
 def integrate_tree_sum(members: Mapping[int, Graphon], k: int,

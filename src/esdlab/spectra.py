@@ -128,12 +128,6 @@ def require_moment_order(k: int) -> None:
         raise ValidationError(f"moment order must be >= 1, got {k}")
 
 
-def empirical_moment(m, k: int) -> float:
-    """(1/n) tr(M^k) by repeated multiplication (no eigendecomposition)."""
-    require_moment_order(k)
-    return empirical_moments(m, k)[k - 1]
-
-
 def empirical_moments(m, k_max: int) -> list[float]:
     """(1/n) tr(M^k) for k = 1..k_max, via half powers."""
     matrix, _ = _as_matrix(m)

@@ -17,7 +17,9 @@ Because of (b)+(c) a color can never parent itself, so the walk is decodable
 from the word alone: a letter equal to the current node's color closes that
 node (step up), anything else opens a child (step down).  The words are
 listed by :func:`esdlab.combinatorics.enumerate_ss`, which runs this walk;
-:func:`enumerate_trees` decodes them.
+:func:`enumerate_trees` decodes them. :func:`word_from_tree` checks a tree by
+the same decoding: the tree's walk must spell a special symmetric word that
+decodes back to the tree.
 """
 
 from __future__ import annotations
@@ -49,75 +51,10 @@ class ColoredTree:
         visit(self)
         return mult
 
-    def to_json(self) -> dict:
-        return {
-            "color": self.color,
-            "children": [child.to_json() for child in self.children],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ColoredTree":
-        try:
-            color = int(data["color"])
-            children = tuple(cls.from_json(child) for child in data.get("children", []))
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed tree JSON: {exc}") from exc
-        return cls(color, children)
-
     def to_text(self) -> str:
         """Canonical balanced-parentheses form, e.g. "(0(1)(1(2))(3))"."""
         inner = "".join(child.to_text() for child in self.children)
         return f"({self.color}{inner})"
-
-
-@dataclass(frozen=True)
-class TreeReport:
-    """Per-property validation outcome for a colored tree."""
-
-    root_ok: bool
-    colors_contiguous: bool
-    parent_colors_ok: bool
-    depths_ok: bool
-    messages: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.root_ok and self.colors_contiguous and self.parent_colors_ok and self.depths_ok
-
-
-def validate_tree(tree: ColoredTree) -> TreeReport:
-    """Check the coloring properties one by one; returns a report, never raises."""
-    parent_colors: dict[int, set[int]] = {}
-    depths: dict[int, set[int]] = {}
-    counts: dict[int, int] = {}
-
-    def visit(node: ColoredTree, depth: int, parent: int | None) -> None:
-        counts[node.color] = counts.get(node.color, 0) + 1
-        depths.setdefault(node.color, set()).add(depth)
-        if parent is not None:
-            parent_colors.setdefault(node.color, set()).add(parent)
-        for child in node.children:
-            visit(child, depth + 1, node.color)
-
-    visit(tree, 0, None)
-
-    messages = []
-    root_ok = tree.color == 0 and counts.get(0, 0) == 1
-    if not root_ok:
-        messages.append(f"root must be the unique color-0 node (root color {tree.color}, color-0 count {counts.get(0, 0)})")
-    colors = sorted(counts)
-    colors_contiguous = colors == list(range(len(colors)))
-    if not colors_contiguous:
-        messages.append(f"colors must be 0..b without gaps, got {colors}")
-    bad_parents = {c: sorted(ps) for c, ps in parent_colors.items() if len(ps) > 1}
-    parent_colors_ok = not bad_parents
-    if bad_parents:
-        messages.append(f"same-colored nodes with differently colored parents: {bad_parents}")
-    bad_depths = {c: sorted(ds) for c, ds in depths.items() if len(ds) > 1}
-    depths_ok = not bad_depths
-    if bad_depths:
-        messages.append(f"same-colored nodes at different depths: {bad_depths}")
-    return TreeReport(root_ok, colors_contiguous, parent_colors_ok, depths_ok, tuple(messages))
 
 
 def _decode(word: Word) -> ColoredTree:
@@ -154,13 +91,9 @@ def word_from_tree(tree: ColoredTree) -> Word:
     """Read a tree back into its word via the depth-first closed walk.
 
     Each edge contributes its child's color twice, once when stepping down
-    and once when stepping up.  Colors are renumbered by first appearance in
-    the walk, so trees whose colors already follow that order (everything
-    produced by this module) round-trip exactly.
+    and once when stepping up. The tree must decode from that word, which
+    also refuses a valid coloring not numbered by first appearance.
     """
-    report = validate_tree(tree)
-    if not report.passed:
-        raise ValidationError("invalid colored tree: " + "; ".join(report.messages))
     letters: list[int] = []
 
     def visit(node: ColoredTree) -> None:
@@ -170,11 +103,11 @@ def word_from_tree(tree: ColoredTree) -> Word:
             letters.append(child.color)
 
     visit(tree)
-    relabel: dict[int, int] = {}
-    for value in letters:
-        if value not in relabel:
-            relabel[value] = len(relabel) + 1
-    return Word(tuple(relabel[v] for v in letters))
+    word = Word(tuple(letters))
+    if not (is_special_symmetric(word) and _decode(word) == tree):
+        raise ValidationError(f"{tree.to_text()} is not the colored tree of a special "
+                              "symmetric word")
+    return word
 
 
 def enumerate_trees(two_k: int) -> Iterator[ColoredTree]:

@@ -1,6 +1,7 @@
 """Command line interface: envelopes, formats, exit codes, config files."""
 
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -14,7 +15,7 @@ import pytest
 
 import esdlab
 
-from esdlab.cli import DEFAULT_SEED, main
+from esdlab.cli import DEFAULT_SEED, build_parser, main
 
 
 def run(capsys, *argv):
@@ -460,6 +461,15 @@ MALFORMED = {
                                   "--model-json",
                                   '{"variant":"sparse_homogeneous","params":{"rate":2.0}}',
                                   "--n", "100", "--reps", "3", "--two-k", "4"),
+    # a word that is neither letters a-z nor comma-separated integers
+    "capital_letters_word": ("circuits", "ABBA"),
+    "text_in_integer_word": ("circuits", "1,x"),
+    "punctuation_in_word": ("circuits", "a-b"),
+    # moments sums only even orders from 2 up, as compare does
+    "zero_moment_order": ("moments", "--theory-json", '{"kind":"semicircle"}', "--two-k", "0"),
+    "negative_moment_order": ("moments", "--theory-json", '{"kind":"semicircle"}',
+                              "--two-k", "-4"),
+    "odd_moment_order": ("moments", "--theory-json", '{"kind":"semicircle"}', "--two-k", "5"),
 }
 
 
@@ -635,6 +645,48 @@ def test_bad_config_overrides_exit_2(capsys, tmp_path, overrides, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+GAUSSIAN_COMPARE = {"theory": {"kind": "semicircle"}, "model": {"variant": "gaussian_wigner"}}
+
+
+# a NaN limit would switch its check off (every comparison with NaN is False)
+@pytest.mark.parametrize("argv, payload, flag, value", [
+    (("circuits", "abcdef", "--n-values", "6"), {}, "budget", "nan"),
+    (("circuits", "abcdef", "--n-values", "6"), {}, "budget", "-1"),
+    (("simulate", "--n", "20"), {"variant": "gaussian_wigner"}, "budget", "nan"),
+    (("compare", "--n", "20", "--reps", "3"), GAUSSIAN_COMPARE, "budget", "nan"),
+    (("compare", "--n", "20", "--reps", "3"), GAUSSIAN_COMPARE, "threshold", "nan"),
+    (("compare", "--n", "20", "--reps", "3"), GAUSSIAN_COMPARE, "threshold", "-1"),
+])
+def test_nan_and_negative_limits_exit_2(capsys, tmp_path, argv, payload, flag, value):
+    cfg = tmp_path / "limit.json"
+    cfg.write_text(json.dumps({**payload, "args": {flag: value}}))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "invalid value" in err
+
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, f"--{flag}", value])
+    assert exit_.value.code == 2
+    assert f"argument --{flag}" in capsys.readouterr().err
+
+
+def test_every_benchmark_command_parses(monkeypatch):
+    """Each benchmark command, with the flags its runner appends, is accepted."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # bench/run.py puts bench/ on it
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    runner = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", runner)  # its dataclasses look it up
+    spec.loader.exec_module(runner)
+    workloads = runner.workloads
+    argvs = [workloads.SETUP_ARGV] + [command.argv for build in workloads.WORKLOADS.values()
+                                      for command in build(1)]
+    parser = build_parser()
+    for argv in argvs:
+        threads = ("--parallel", "1") if argv[0] in runner.PARALLEL_SUBCOMMANDS else ()
+        assert parser.parse_args([*argv, *threads, "--reproducible"]).command == argv[0]
 
 
 def _python(*argv: str) -> subprocess.CompletedProcess:

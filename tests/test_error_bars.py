@@ -17,8 +17,8 @@ import pytest
 from esdlab.combinatorics import catalan, count_ss_by_blocks, enumerate_ss
 from esdlab.graphons import CumulantSchedule, Graphon, GraphonFamily, block_family
 from esdlab.moments import moment_graphon
-from esdlab.quadrature import homomorphism_density
 from esdlab.trees import enumerate_trees
+from tree_oracle import homomorphism_density
 
 ROUNDING = 1e-12
 

@@ -22,9 +22,10 @@ from esdlab.moments import (
     moment_graphon,
     moment_sparse,
 )
-from esdlab.quadrature import QuadratureConfig, homomorphism_density
+from esdlab.quadrature import QuadratureConfig
 from esdlab.trees import enumerate_trees, tree_from_word
 from esdlab.treesum import tree_sum
+from tree_oracle import homomorphism_density
 
 
 def beta4_by_nested_quadrature(g2, g4):

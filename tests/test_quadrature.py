@@ -1,4 +1,4 @@
-"""Edge-product integration: one node, exact cells, Gauss messages, uniform grids."""
+"""Node rules through the per-tree oracle: one node, exact cells, Gauss messages, grids."""
 
 import dataclasses
 
@@ -8,12 +8,8 @@ from scipy import integrate
 
 from esdlab.errors import ValidationError
 from esdlab.graphons import Graphon
-from esdlab.quadrature import (
-    GRID_CAP,
-    QuadratureConfig,
-    integrate_edge_product,
-    node_rule,
-)
+from esdlab.quadrature import GRID_CAP, QuadratureConfig, node_rule
+from tree_oracle import integrate_edge_product
 
 
 def test_single_color_is_unit():
@@ -96,16 +92,6 @@ def test_band_indicator_marginal():
     open_band = Graphon.constant(1.0).banded(0.25, periodic=False)
     res = integrate_edge_product({1: open_band}, {1: 0}, 2)
     assert res.value == pytest.approx(2 * 0.25 - 0.25**2, abs=5 * max(res.error, 1e-4))
-
-
-def test_tree_shape_validation():
-    g = Graphon.constant(1.0)
-    with pytest.raises(ValidationError):
-        integrate_edge_product({1: g}, {1: 2}, 2)  # parent above child
-    with pytest.raises(ValidationError):
-        integrate_edge_product({2: g}, {2: 0}, 2)  # color gap
-    with pytest.raises(ValidationError):
-        integrate_edge_product({}, {}, 0)
 
 
 def test_config_validation():

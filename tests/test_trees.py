@@ -6,13 +6,7 @@ from hypothesis import strategies as st
 
 from esdlab.combinatorics import Word, count_ss_by_blocks, enumerate_ss
 from esdlab.errors import ValidationError
-from esdlab.trees import (
-    ColoredTree,
-    enumerate_trees,
-    tree_from_word,
-    validate_tree,
-    word_from_tree,
-)
+from esdlab.trees import ColoredTree, enumerate_trees, tree_from_word, word_from_tree
 
 
 def leaf(color):
@@ -37,9 +31,7 @@ def test_known_small_trees():
 def test_word_tree_round_trip_everywhere():
     for two_k in range(2, 13, 2):
         for word in enumerate_ss(two_k):
-            tree = tree_from_word(word)
-            assert validate_tree(tree).passed
-            assert word_from_tree(tree) == word
+            assert word_from_tree(tree_from_word(word)) == word
         for tree in enumerate_trees(two_k):
             assert tree_from_word(word_from_tree(tree)) == tree
 
@@ -77,46 +69,35 @@ def test_edge_multiplicities_sum_to_half_length():
             assert sum(tree.edge_multiplicities().values()) == two_k // 2
 
 
-def test_json_round_trip():
-    for word in enumerate_ss(8):
-        tree = tree_from_word(word)
-        payload = tree.to_json()
-        assert set(payload) == {"color", "children"}
-        assert ColoredTree.from_json(payload) == tree
-
-
 def test_text_rendering_is_nested_parens():
     tree = tree_from_word(Word.from_string("abbacc"))
     assert tree.to_text() == "(0(1(2))(3))"
-    # text form is stable under round trip through json
-    assert ColoredTree.from_json(tree.to_json()).to_text() == tree.to_text()
 
 
-def test_validate_tree_reports_problems_without_raising():
-    report = validate_tree(leaf(1))
-    assert not report.passed
-    assert not report.root_ok
-    assert report.messages
+def node(color, *children):
+    return ColoredTree(color, children)
 
-    gap = ColoredTree(color=0, children=(leaf(2),))
-    assert not validate_tree(gap).colors_contiguous
 
-    # same color hanging off two different parents at two depths
-    tangled = ColoredTree(
-        color=0,
-        children=(
-            ColoredTree(color=1, children=(leaf(2),)),
-            leaf(2),
-        ),
-    )
-    report = validate_tree(tangled)
-    assert not report.passed
-    assert not report.parent_colors_ok
-    assert not report.depths_ok
+REJECTED_TREES = {
+    "root_not_color_0": node(5, leaf(1)),
+    "lone_root_not_color_0": leaf(1),
+    "color_gap": node(0, leaf(2)),
+    # color 2 hangs off a color-1 node and off a color-3 node, both at depth 2
+    "parents_of_two_colors": node(0, node(1, leaf(2)), node(3, leaf(2))),
+    # color 2 at depth 2 under color 1, and at depth 1 under the root
+    "two_depths": node(0, node(1, leaf(2)), leaf(2)),
+    "color_parents_itself": node(0, node(1, leaf(1))),
+    "second_color_0": node(0, leaf(0)),
+    "deep_second_color_0": node(0, node(1, leaf(0))),
+    # a valid coloring, numbered 2 before 1: the tree of "aabb" is (0(1)(2))
+    "not_first_appearance_order": node(0, leaf(2), leaf(1)),
+}
 
-    good = tree_from_word(Word.from_string("aabbcc"))
-    assert validate_tree(good).passed
-    assert validate_tree(good).messages == ()
+
+@pytest.mark.parametrize("tree", REJECTED_TREES.values(), ids=REJECTED_TREES.keys())
+def test_word_from_tree_rejects_invalid_trees(tree):
+    with pytest.raises(ValidationError):
+        word_from_tree(tree)
 
 
 def test_tree_from_word_rejects_non_ss_input():
