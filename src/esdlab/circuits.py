@@ -24,10 +24,9 @@ assignments.  Like the search, the bound stops growing with n.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import perm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .combinatorics import Word
 from .errors import CapacityError, ValidationError
@@ -35,8 +34,7 @@ from .errors import CapacityError, ValidationError
 DEFAULT_BUDGET = 10**9
 
 
-@dataclass(frozen=True)
-class CircuitCount:
+class CircuitCount(NamedTuple):
     word: Word
     n: int
     count: int

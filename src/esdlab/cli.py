@@ -1,9 +1,10 @@
 """Command-line front end: enumeration, theory moments, simulation, comparison.
 
-Subcommands: ss, moments, simulate, compare, circuits. Outputs are JSON
-(default) or CSV, to stdout or --out. Every document embeds the seed and a
-hash of the effective configuration; a timestamp is added unless
---reproducible is set, so reruns can be byte-identical.
+Subcommands: ss, moments, simulate, compare, circuits. ss prints one output
+mode: the word count (the default, or --count-only), --list or --by-blocks.
+Outputs are JSON (default) or CSV, to stdout or --out. Every document embeds
+the seed and a hash of the effective configuration; a timestamp is added
+unless --reproducible is set, so reruns can be byte-identical.
 
 A --config file is JSON. Its top level is the payload for the subcommand
 (theory description, model spec, or {"theory":..., "model":...} for compare;
@@ -12,8 +13,8 @@ command-line flags, each value read as the flag's own text would be.
 Precedence is config file over flags over built-in defaults.
 
 Each subcommand imports what it runs when it runs: ss and circuits never load
-numpy or the theory and sampling modules; moments, simulate and compare load
-them inside their command functions. numpy loads only where arrays begin, so
+numpy, dataclasses or the theory and sampling modules; moments, simulate and
+compare load them inside their command functions. numpy loads only where arrays begin, so
 moments on a one-node family (listed in esdlab.moments) starts without it.
 
 Exit codes: 0 success, 2 validation or numeric trouble, 3 capacity or budget,
@@ -221,6 +222,11 @@ def _emit(args: argparse.Namespace, payload_cfg: dict, document: dict,
 
 def cmd_ss(args: argparse.Namespace) -> int:
     _apply_args_only_config(args)
+    # checked here, not by argparse, because config "args" overrides skip the parser
+    modes = [f"--{dest.replace('_', '-')}" for dest in ("list", "by_blocks", "count_only")
+             if getattr(args, dest)]
+    if len(modes) > 1:
+        raise ValidationError(f"ss takes one output mode, got {' and '.join(modes)}")
     two_k = args.two_k
     if two_k < 1:
         raise ValidationError(f"length must be >= 1, got {two_k}")

@@ -7,6 +7,9 @@ growth strings and encode set partitions of {1, ..., k} with blocks numbered
 by first appearance.  Example: aabccba is the partition
 {{1,2,7},{3,6},{4,5}}.
 
+A :class:`Word` is an immutable record that compares, sorts and hashes by
+its letters; calling ``Word(...)`` checks that they are canonical.
+
 The module provides the predicates used to stratify words (even, symmetric,
 special symmetric), the census of special symmetric words by block count
 (from the color-class recursion, no enumeration) and three enumerators:
@@ -20,7 +23,9 @@ special symmetric), the census of special symmetric words by block count
   node of color c the next letter closes that node (c itself), opens a child
   of an existing color whose parent color is c, or opens a child of a fresh
   color.  A color's parent color fixes its depth, so the walk keeps no
-  depth map.
+  depth map.  The walk runs on one explicit stack of immutable frames, in
+  the same lexicographic order as a recursive walk, and builds each word
+  without re-validating it, since the walk only spells canonical words.
 * ``enumerate_nc2``: non-crossing pair partitions, generated independently
   from balanced bracket sequences with an explicit stack.  Used as an oracle
   for the identity "special symmetric pair partitions = non-crossing pair
@@ -30,8 +35,8 @@ special symmetric), the census of special symmetric words by block count
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import total_ordering
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapacityError, ValidationError
 from .treesum import tree_sum
@@ -40,24 +45,29 @@ from .treesum import tree_sum
 BRUTE_FORCE_MAX_K = 12
 
 _LETTERS = string.ascii_lowercase
+# letter v (1..26) as the byte of its ascii letter
+_ASCII_LETTERS = bytes.maketrans(bytes(range(1, 27)), _LETTERS.encode())
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Word:
     """A canonical word (restricted growth string) over positive integers.
 
     ``letters`` is 1-based: the first letter is always 1 and every new letter
-    is exactly one larger than the maximum seen so far.
+    is exactly one larger than the maximum seen so far. Words are immutable;
+    they compare, sort and hash by their letters, and never equal a tuple.
 
     >>> str(Word((1, 1, 2, 2)))
     'aabb'
     """
 
+    __slots__ = ("letters",)
     letters: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, letters: Iterable[int]):
+        letters = tuple(letters)  # a list would be mutable and unhashable
         seen_max = 0
-        for pos, letter in enumerate(self.letters):
+        for pos, letter in enumerate(letters):
             if not isinstance(letter, int) or letter < 1:
                 raise ValidationError(
                     f"letters must be positive integers, got {letter!r} at position {pos + 1}"
@@ -68,6 +78,7 @@ class Word:
                     f"appears before letter {seen_max + 1}"
                 )
             seen_max = max(seen_max, letter)
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def from_string(cls, text: str) -> "Word":
@@ -83,9 +94,35 @@ class Word:
             raise ValidationError(f"word {text!r} is neither letters a-z nor comma-separated "
                                   "integers") from None
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Word")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Word")
+
+    def __reduce__(self):
+        return Word, (self.letters,)
+
+    def __repr__(self) -> str:
+        return f"Word(letters={self.letters!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters < other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
+
     def __str__(self) -> str:
-        if self.n_letters <= 26:
-            return "".join(_LETTERS[v - 1] for v in self.letters)
+        # a canonical word of at most 26 positions has at most 26 letters
+        if len(self.letters) <= 26 or self.n_letters <= 26:
+            return bytes(self.letters).translate(_ASCII_LETTERS).decode()
         return ",".join(str(v) for v in self.letters)
 
     def __len__(self) -> int:
@@ -104,8 +141,14 @@ class Word:
         return tuple(counts)
 
 
-@dataclass(frozen=True)
-class SSClassification:
+def _canonical_word(letters: tuple[int, ...]) -> Word:
+    """A Word from letters known to be canonical, skipping the validation."""
+    word = object.__new__(Word)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
+class SSClassification(NamedTuple):
     """Stratification flags for one word."""
 
     is_even: bool
@@ -278,9 +321,15 @@ def enumerate_ss(two_k: int) -> Iterator[Word]:
 
     The walk offers its moves in letter order: closing the current node
     (its own color, smaller than any of its children's), then the existing
-    child colors, then the fresh one.  Every complete walk is a distinct
-    word.  Odd lengths yield nothing (the class is empty), mirroring the
-    mathematical convention rather than raising.
+    child colors, then the fresh one.  It runs on an explicit stack of
+    frames (letters, open path, parent colors, downs taken), pushing each
+    frame's moves in reverse so they pop in that order; once all two_k/2
+    downs are taken only closing moves remain, and they are appended at
+    once.  Every complete walk is a distinct canonical word, so the words
+    are built without re-validation.  The walk is lazy: it holds one frame
+    per pending move, never the whole list.  Odd lengths yield nothing (the
+    class is empty), mirroring the mathematical convention rather than
+    raising.
 
     >>> [str(w) for w in enumerate_ss(4)]
     ['aaaa', 'aabb', 'abba']
@@ -290,36 +339,22 @@ def enumerate_ss(two_k: int) -> Iterator[Word]:
     if two_k % 2:
         return
     k = two_k // 2
-    parent = [-1]  # parent color of each color; the root (color 0) has none
-    path = [0]  # colors of the open nodes, root first
-    letters: list[int] = []
-
-    def step(color: int, downs: int) -> Iterator[Word]:
-        letters.append(color)
-        yield from walk(downs)
-        letters.pop()
-
-    def walk(downs: int) -> Iterator[Word]:
-        if len(letters) == two_k:
-            yield Word(tuple(letters))
-            return
+    # the root (color 0) is the only open node and has no parent color
+    stack: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]] = [
+        ((), (0,), (-1,), 0)]
+    while stack:
+        letters, path, parent, downs = stack.pop()
+        if downs == k:  # close every open node, deepest first
+            yield _canonical_word(letters + path[:0:-1])
+            continue
         here = path[-1]
-        if here:  # close the current node
-            path.pop()
-            yield from step(here, downs)
-            path.append(here)
-        if downs == k:
-            return
-        for color in range(here + 1, len(parent) + 1):
-            if color == len(parent):
-                parent.append(here)  # the fresh color comes last
+        fresh = len(parent)
+        stack.append((letters + (fresh,), path + (fresh,), parent + (here,), downs + 1))
+        for color in range(fresh - 1, here, -1):
             if parent[color] == here:
-                path.append(color)
-                yield from step(color, downs + 1)
-                path.pop()
-        parent.pop()
-
-    yield from walk(0)
+                stack.append((letters + (color,), path + (color,), parent, downs + 1))
+        if here:
+            stack.append((letters + (here,), path[:-1], parent, downs))
 
 
 def count_ss_by_blocks(two_k: int) -> dict[int, int]:

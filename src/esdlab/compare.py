@@ -9,18 +9,22 @@ kernel is read by :func:`esdlab.graphons.as_graphon`, every number by
 :func:`esdlab.graphons.require_number`, and the families are built by the
 builders of :mod:`esdlab.graphons`. The parsers are strict about unknown keys
 so typos fail loudly, and a missing or malformed value raises ValidationError.
+:mod:`esdlab.models` is imported only for a ``model`` theory and a model spec.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
 from .graphons import (DEFAULT_CONFIG, CumulantSchedule, GraphonFamily, QuadratureConfig,
                        as_graphon, block_family, profile_family, require_number)
-from .models import ModelSpec, effective_cumulants
 from .moments import MomentSeries, graphon_series
+
+if TYPE_CHECKING:
+    from .models import ModelSpec
 
 _SCHEDULE_KINDS = ("semicircle", "constant", "schedule")
 
@@ -111,6 +115,8 @@ def family_from_config(cfg: dict) -> GraphonFamily:
         base = schedule_from_config(cfg.get("base", {"kind": "semicircle"}))
         return profile_family(_required(cfg, "sigma", "profile"), base)
     if kind == "model":
+        from .models import effective_cumulants
+
         _reject_unknown(cfg, {"kind", "spec", "truncation"}, "model theory")
         spec = model_spec_from_config(cfg.get("spec", {}))
         return effective_cumulants(spec, truncation=truncation_from_config(cfg))
@@ -131,6 +137,8 @@ def truncation_from_config(cfg: dict) -> float | None:
 def model_spec_from_config(cfg: dict, n: int | None = None,
                            seed: int | None = None) -> ModelSpec:
     """ModelSpec from JSON; explicit config values win over the fallbacks."""
+    from .models import ModelSpec
+
     if not isinstance(cfg, dict):
         raise ValidationError("model config must be an object")
     _reject_unknown(cfg, {"variant", "n", "seed", "params", "zero_diagonal"}, "model")

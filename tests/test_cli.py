@@ -470,6 +470,9 @@ MALFORMED = {
     "negative_moment_order": ("moments", "--theory-json", '{"kind":"semicircle"}',
                               "--two-k", "-4"),
     "odd_moment_order": ("moments", "--theory-json", '{"kind":"semicircle"}', "--two-k", "5"),
+    # ss prints one output mode
+    "ss_list_and_by_blocks": ("ss", "6", "--list", "--by-blocks"),
+    "ss_list_and_count_only": ("ss", "6", "--list", "--count-only"),
 }
 
 
@@ -526,6 +529,19 @@ def test_ss_and_circuits_configs_take_only_args(capsys, tmp_path, argv, payload)
     assert code == 2
     assert out == ""
     assert err.startswith("error: unknown keys") and "takes only 'args'" in err
+
+
+@pytest.mark.parametrize("argv, overrides", [
+    (("ss", "6"), {"list": True, "by_blocks": True}),
+    (("ss", "6", "--list"), {"count_only": True}),
+    (("ss", "6", "--by-blocks"), {"count_only": True}),
+])
+def test_ss_output_modes_from_config_exit_2(capsys, tmp_path, argv, overrides):
+    cfg = tmp_path / "modes.json"
+    cfg.write_text(json.dumps({"args": overrides}))
+    code, out, err = run(capsys, *argv, "--config", str(cfg), "--reproducible")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ss takes one output mode")
 
 
 def test_compare_config_takes_only_theory_model_and_args(capsys, tmp_path):
@@ -696,10 +712,12 @@ def _python(*argv: str) -> subprocess.CompletedProcess:
 
 
 def _cli_modules(argv) -> tuple[subprocess.CompletedProcess, list[str]]:
-    """python -m esdlab.cli ARGV --reproducible, and the numpy and esdlab modules it loaded."""
+    """python -m esdlab.cli ARGV --reproducible, and the numpy, esdlab, dataclasses and
+    inspect modules it loaded."""
     code = ("import atexit, runpy, sys\n"
             "atexit.register(lambda: print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('numpy', 'esdlab')), file=sys.stderr))\n"
+            " if m.split('.')[0] in ('numpy', 'esdlab', 'dataclasses', 'inspect')),"
+            " file=sys.stderr))\n"
             f"sys.argv = ['esdlab', *{list(argv)!r}, '--reproducible']\n"
             "runpy.run_module('esdlab.cli', run_name='__main__', alter_sys=True)\n")
     done = _python("-c", code)
@@ -728,8 +746,11 @@ def test_combinatorial_commands_load_no_numpy(capsys, argv):
     assert not [m for m in loaded if m.split(".")[0] == "numpy"]
     assert run(capsys, *argv, "--reproducible")[1] == done.stdout
     if argv[0] != "moments":
+        # nor dataclasses, which pulls in inspect, ast, dis and tokenize
         assert loaded == ["esdlab", "esdlab.circuits", "esdlab.combinatorics",
                           "esdlab.defaults", "esdlab.errors", "esdlab.treesum"]
+    elif json.loads(argv[2])["kind"] != "model":
+        assert "esdlab.models" not in loaded
 
 
 def test_kernel_theory_still_loads_numpy(capsys):

@@ -1,6 +1,12 @@
 """Word/partition plumbing and the special symmetric enumeration."""
 
 import itertools
+import os
+import pickle
+import string
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -22,6 +28,7 @@ from esdlab.combinatorics import (
     partition_from_word,
     word_from_partition,
 )
+import esdlab
 from esdlab.errors import CapacityError, ValidationError
 
 
@@ -45,6 +52,46 @@ def test_word_canonical_form_enforced():
         Word.from_string("")
     # canonical words are fine, including the 12-letter alphabet edge
     Word.from_string("abcdefghijkl")
+
+
+def test_words_compare_sort_and_hash_by_their_letters():
+    aaaa, aabb, abba = (Word.from_string(t) for t in ("aaaa", "aabb", "abba"))
+    assert sorted([abba, aabb, aaaa, Word((1, 1, 2, 2))]) == [aaaa, aabb, aabb, abba]
+    assert Word((1, 1, 2, 2)) == aabb and hash(Word((1, 1, 2, 2))) == hash(aabb)
+    assert Word([1, 1, 2, 2]) == aabb and hash(Word([1, 1, 2, 2])) == hash(aabb)
+    assert len({aaaa, aabb, abba, Word((1, 1, 2, 2))}) == 3
+    assert aabb < abba <= abba and abba > aabb >= aabb
+    assert Word((1, 2)) < Word((1, 2, 1))
+    assert repr(aabb) == "Word(letters=(1, 1, 2, 2))"
+
+
+def test_a_word_is_not_a_tuple():
+    assert Word((1, 1)) != (1, 1)
+    assert Word((1, 1)) != ((1, 1),)
+    assert (1, 1) != Word((1, 1))
+    with pytest.raises(TypeError):
+        Word((1, 1)) < (1, 2)
+
+
+def test_words_are_immutable():
+    w = Word.from_string("abba")
+    with pytest.raises(AttributeError):
+        w.letters = (1, 1)
+    with pytest.raises(AttributeError):
+        w.extra = 1
+    with pytest.raises(AttributeError):
+        del w.letters
+    assert w.letters == (1, 2, 2, 1)
+    assert pickle.loads(pickle.dumps(w)) == w
+
+
+def test_words_past_26_letters_print_in_comma_form():
+    letters = tuple(range(1, 28))
+    assert str(Word(letters[:26])) == string.ascii_lowercase
+    assert str(Word(letters)) == ",".join(str(v) for v in letters)
+    assert Word.from_string(str(Word(letters))) == Word(letters)
+    # more than 26 positions but at most 26 letters still prints as letters
+    assert str(Word((1,) * 30 + (2,))) == "a" * 30 + "b"
 
 
 def test_partition_must_cover_without_overlap():
@@ -126,6 +173,25 @@ def test_long_enumeration_matches_the_census():
     for w in words:
         tally[w.n_letters] = tally.get(w.n_letters, 0) + 1
     assert tally == count_ss_by_blocks(14)
+
+
+def test_enumerated_words_pass_validation():
+    # enumerate_ss builds its words unchecked; Word() checks them again
+    for w in enumerate_ss(12):
+        assert w == Word(w.letters)
+
+
+def test_enumeration_is_lazy():
+    # listing every word of length 60 would never finish or fit in memory
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from esdlab.combinatorics import enumerate_ss\n"
+            "print(next(enumerate_ss(60)))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(esdlab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "a" * 60 + "\n"
 
 
 @st.composite
