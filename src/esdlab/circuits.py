@@ -29,9 +29,8 @@ from math import perm
 from typing import NamedTuple, Sequence
 
 from .combinatorics import Word
+from .defaults import DEFAULT_CIRCUIT_BUDGET
 from .errors import CapacityError, ValidationError
-
-DEFAULT_BUDGET = 10**9
 
 
 class CircuitCount(NamedTuple):
@@ -60,7 +59,7 @@ def _budget_estimate(word: Word, n: int) -> int:
     return estimate
 
 
-def count_circuits(word: Word, n: int, budget: int = DEFAULT_BUDGET) -> CircuitCount:
+def count_circuits(word: Word, n: int, budget: int = DEFAULT_CIRCUIT_BUDGET) -> CircuitCount:
     """Exact |Pi(word)| for matrices of size n.
 
     >>> count_circuits(Word.from_string("aa"), 5).count
@@ -180,6 +179,6 @@ def classify_occurrences(
     return labels
 
 
-def ratio_table(word: Word, n_values: Sequence[int], budget: int = DEFAULT_BUDGET) -> list[CircuitCount]:
+def ratio_table(word: Word, n_values: Sequence[int], budget: int = DEFAULT_CIRCUIT_BUDGET) -> list[CircuitCount]:
     """count_circuits across several n, for convergence tables."""
     return [count_circuits(word, n, budget=budget) for n in n_values]

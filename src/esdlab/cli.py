@@ -12,10 +12,13 @@ ss and circuits take no payload); an optional "args" object overrides
 command-line flags, each value read as the flag's own text would be.
 Precedence is config file over flags over built-in defaults.
 
-Each subcommand imports what it runs when it runs: ss and circuits never load
-numpy, dataclasses or the theory and sampling modules; moments, simulate and
-compare load them inside their command functions. numpy loads only where arrays begin, so
-moments on a one-node family (listed in esdlab.moments) starts without it.
+Each subcommand imports what it runs when it runs: ss loads combinatorics,
+circuits loads circuits and combinatorics, and neither loads numpy,
+dataclasses or the theory and sampling modules; moments, simulate and
+compare load them inside their command functions, and csv loads only for
+CSV output. numpy loads only where arrays begin, so moments on a family of
+an exact rule (one cell, or the cells of a grid: listed in esdlab.moments)
+starts without it and without dataclasses.
 
 Exit codes: 0 success, 2 validation or numeric trouble, 3 capacity or budget,
 4 comparison failure.
@@ -24,17 +27,13 @@ Exit codes: 0 success, 2 validation or numeric trouble, 3 capacity or budget,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import io
 import json
 import sys
 import time
-from fractions import Fraction
 
-from . import circuits as circuits_mod
-from . import combinatorics as comb
-from .defaults import DEFAULT_EESD_BUDGET, DEFAULT_QUAD_POINTS, DEFAULT_SEED
+from .defaults import DEFAULT_CIRCUIT_BUDGET, DEFAULT_EESD_BUDGET, DEFAULT_QUAD_POINTS, DEFAULT_SEED
 from .errors import CapacityError, NumericError, ValidationError
 
 
@@ -112,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("word", help="letters as in 'abba', or comma-separated integers")
     ci.add_argument("--n-values", default="2,3,4,5",
                     help="comma-separated matrix sizes")
-    ci.add_argument("--budget", type=non_negative, default=float(circuits_mod.DEFAULT_BUDGET))
+    ci.add_argument("--budget", type=non_negative, default=float(DEFAULT_CIRCUIT_BUDGET))
     _add_common(ci)
     ci.set_defaults(func=cmd_circuits)
 
@@ -206,6 +205,8 @@ def _emit(args: argparse.Namespace, payload_cfg: dict, document: dict,
     if args.format == "csv":
         if csv_rows is None:
             raise ValidationError(f"{args.command} has no CSV form for this output")
+        import csv
+
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows)
         text = buf.getvalue()
@@ -221,6 +222,8 @@ def _emit(args: argparse.Namespace, payload_cfg: dict, document: dict,
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_ss(args: argparse.Namespace) -> int:
+    from . import combinatorics as comb
+
     _apply_args_only_config(args)
     # checked here, not by argparse, because config "args" overrides skip the parser
     modes = [f"--{dest.replace('_', '-')}" for dest in ("list", "by_blocks", "count_only")
@@ -329,6 +332,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_circuits(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
+    from . import circuits as circuits_mod
+    from . import combinatorics as comb
+
     _apply_args_only_config(args)
     word = comb.Word.from_string(args.word)
     try:

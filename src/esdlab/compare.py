@@ -15,8 +15,7 @@ so typos fail loudly, and a missing or malformed value raises ValidationError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ValidationError
 from .graphons import (DEFAULT_CONFIG, CumulantSchedule, GraphonFamily, QuadratureConfig,
@@ -152,8 +151,7 @@ def model_spec_from_config(cfg: dict, n: int | None = None,
                      cfg.get("zero_diagonal", False))
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     order: int
     theory: float
     simulated: float
@@ -161,8 +159,7 @@ class ComparisonRow:
     z: float
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     rows: tuple[ComparisonRow, ...]
     threshold: float
 

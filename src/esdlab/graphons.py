@@ -20,11 +20,12 @@ Four representations are supported, and the integration code exploits them:
 :func:`node_rule` picks the integration rule for a set of kernels from these
 kinds, and :class:`QuadratureConfig` sets its Gauss points. :func:`as_graphon`
 reads every kernel a config may hold, and :func:`require_number`,
-:func:`float_array` and :func:`require_flag` accept only JSON numbers and
+:func:`float_rows` and :func:`require_flag` accept only JSON numbers and
 booleans, so text such as ``"2"`` is an error rather than a number.
 
-Constants and the families of constants need no arrays: numpy is imported by
-:func:`float_array` (grids, block masses), :meth:`Graphon.eval`,
+Constants, grids and the families built from them (schedules, blocks,
+profiles over a grid) need no arrays: a grid keeps its breaks and cells as
+tuples of Python floats. numpy is imported only by :meth:`Graphon.eval`,
 :func:`band_indicator_values` and the check of a callable kernel.
 """
 
@@ -32,8 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .defaults import DEFAULT_QUAD_POINTS
 from .errors import NumericError, ValidationError
@@ -46,13 +46,6 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _all_numbers(values) -> bool:
-    if isinstance(values, (list, tuple)):
-        return all(_all_numbers(v) for v in values)
-    dtype = getattr(values, "dtype", None)  # a numpy array or scalar
-    return _is_number(values) if dtype is None else dtype.kind in "iuf"
-
-
 def require_number(value, what: str) -> float:
     """``value`` as a float when it is a finite real number; text, booleans and nan raise."""
     if not (_is_number(value) and math.isfinite(value)):
@@ -60,22 +53,39 @@ def require_number(value, what: str) -> float:
     return float(value)
 
 
-def float_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array; text or booleans at any depth raise ValidationError."""
-    import numpy as np
-    if _all_numbers(values):
+def float_rows(values, what: str) -> tuple:
+    """``values`` as nested tuples of floats, and their shape as numpy would give it.
+
+    A number is a float of shape (); text or booleans at any depth, and ragged
+    nesting, raise ValidationError.
+    """
+    def read(value):
+        value = value.tolist() if hasattr(value, "tolist") else value  # numpy input
+        if isinstance(value, (list, tuple)):
+            items = [read(v) for v in value]
+            shapes = {shape for _, shape in items}
+            if len(shapes) > 1:
+                raise ValueError
+            return tuple(v for v, _ in items), (len(items), *(shapes.pop() if shapes else ()))
+        if not _is_number(value):
+            raise ValueError
         try:
-            return np.asarray(values, dtype=float)
-        except ValueError:  # ragged nesting
-            pass
-    raise ValidationError(f"{what} must be numbers, got {values!r}")
+            return float(value), ()
+        except OverflowError:  # an int beyond the float range
+            return math.inf, ()
+
+    try:
+        return read(values)
+    except ValueError:
+        raise ValidationError(f"{what} must be numbers, got {values!r}") from None
 
 
 class Graphon:
     """One bounded symmetric function on the unit square."""
 
     def __init__(self, kind: str, *, value: float | None = None,
-                 breaks: np.ndarray | None = None, cells: np.ndarray | None = None,
+                 breaks: tuple[float, ...] | None = None,
+                 cells: tuple[tuple[float, ...], ...] | None = None,
                  fn: Callable | None = None, bound: float | None = None,
                  smooth: bool = True, base: "Graphon | None" = None,
                  alpha: float | None = None, periodic: bool | None = None,
@@ -103,20 +113,20 @@ class Graphon:
 
     @classmethod
     def from_grid(cls, breaks: Iterable[float], cells, label: str = "") -> "Graphon":
-        breaks = float_array(breaks, "grid breaks")
-        cells = float_array(cells, "grid cells")
-        if breaks.ndim != 1 or len(breaks) < 2 or breaks[0] != 0.0 or breaks[-1] != 1.0:
+        breaks, shape = float_rows(breaks, "grid breaks")
+        if len(shape) != 1 or shape[0] < 2 or breaks[0] != 0.0 or breaks[-1] != 1.0:
             raise ValidationError("grid breaks must run from 0.0 to 1.0")
-        if (breaks[1:] <= breaks[:-1]).any():
+        if any(b <= a for a, b in zip(breaks, breaks[1:])):
             raise ValidationError("grid breaks must be strictly increasing")
+        cells, shape = float_rows(cells, "grid cells")
         d = len(breaks) - 1
-        if cells.shape != (d, d):
-            raise ValidationError(f"cell matrix must be {d}x{d} for {d+1} breaks, got {cells.shape}")
-        bound = float(abs(cells).max())  # inf or nan when any cell is
-        if not math.isfinite(bound):
+        if shape != (d, d):
+            raise ValidationError(f"cell matrix must be {d}x{d} for {d+1} breaks, got {shape}")
+        if not all(math.isfinite(c) for row in cells for c in row):
             raise NumericError("grid cells contain non-finite values")
-        if (cells != cells.T).any():
+        if any(cells[i][j] != cells[j][i] for i in range(d) for j in range(i)):
             raise ValidationError("cell matrix must be symmetric")
+        bound = max(abs(c) for row in cells for c in row)
         return cls("grid", breaks=breaks, cells=cells, bound=bound,
                    smooth=False, label=label or "grid")
 
@@ -151,8 +161,8 @@ class Graphon:
         if self.kind == "constant":
             return Graphon.constant(scale * self.value**exponent)
         if self.kind == "grid":
-            return Graphon.from_grid(self.breaks, scale * self.cells**exponent,
-                                     label=f"({self.label})^{exponent}*{scale}")
+            cells = [[scale * c**exponent for c in row] for row in self.cells]
+            return Graphon.from_grid(self.breaks, cells, label=f"({self.label})^{exponent}*{scale}")
         here = self
 
         def powered(x, y):
@@ -170,9 +180,10 @@ class Graphon:
         if self.kind == "constant":
             return np.full(np.broadcast(x, y).shape, self.value)
         if self.kind == "grid":
-            ix = np.clip(np.searchsorted(self.breaks, x, side="right") - 1, 0, len(self.breaks) - 2)
-            iy = np.clip(np.searchsorted(self.breaks, y, side="right") - 1, 0, len(self.breaks) - 2)
-            return self.cells[ix, iy]
+            breaks, last = np.asarray(self.breaks), len(self.breaks) - 2
+            ix = np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, last)
+            iy = np.clip(np.searchsorted(breaks, y, side="right") - 1, 0, last)
+            return np.asarray(self.cells)[ix, iy]
         if self.kind == "banded":
             return self.base.eval(x, y) * band_indicator_values(x, y, self.alpha, self.periodic)
         out = np.asarray(self.fn(x, y), dtype=float)
@@ -262,7 +273,12 @@ def _row_constant(g: Graphon) -> bool:
 
 
 def node_rule(kernels: Iterable[Graphon]) -> str:
-    """The rule for integrals of products of these kernels (see :mod:`esdlab.quadrature`)."""
+    """The rule for integrals of products of these kernels.
+
+    "point" (every kernel row-constant) and "cells" (constants and grids) are
+    exact and summed in Fractions by :func:`esdlab.moments.moment_graphon`;
+    "gauss" and "grid" are the approximate rules of :mod:`esdlab.quadrature`.
+    """
     kernels = list(kernels)
     if all(_row_constant(g) for g in kernels):
         return "point"
@@ -273,13 +289,19 @@ def node_rule(kernels: Iterable[Graphon]) -> str:
     return "grid"
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class _QuadratureFields(NamedTuple):
     points: int = DEFAULT_QUAD_POINTS
 
-    def __post_init__(self):
-        if self.points < 2:
+
+class QuadratureConfig(_QuadratureFields):
+    """Gauss-Legendre points per variable, the one setting of the node rules."""
+
+    __slots__ = ()
+
+    def __new__(cls, points: int = DEFAULT_QUAD_POINTS):
+        if points < 2:
             raise ValidationError("Gauss rule needs at least 2 points")
+        return super().__new__(cls, points)
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -387,19 +409,20 @@ class CumulantSchedule(GraphonFamily):
 def block_family(alphas: Sequence[float], cells_by_order: Mapping[int, object],
                  description: str = "") -> GraphonFamily:
     """Piecewise-constant family on the partition of [0,1] with the given masses."""
-    alphas = float_array(alphas, "block masses")
-    if alphas.ndim != 1 or len(alphas) == 0 or not (alphas > 0).all():  # nan is not > 0
-        raise ValidationError(f"block masses must be a list of positive numbers, "
-                              f"got {alphas.tolist()!r}")
-    if abs(alphas.sum() - 1.0) > 1e-12:
-        raise ValidationError(f"block masses must sum to 1, got {float(alphas.sum())!r}")
-    breaks = [0.0, *alphas.cumsum()]
+    masses, shape = float_rows(alphas, "block masses")
+    if len(shape) != 1 or not masses or not all(a > 0 for a in masses):  # nan is not > 0
+        raise ValidationError(f"block masses must be a list of positive numbers, got {alphas!r}")
+    breaks = [0.0]
+    for a in masses:
+        breaks.append(breaks[-1] + a)
+    if abs(breaks[-1] - 1.0) > 1e-12:
+        raise ValidationError(f"block masses must sum to 1, got {breaks[-1]!r}")
     breaks[-1] = 1.0
     entries = {}
     for order, cells in cells_by_order.items():
         require_even_order(int(order))
         entries[int(order)] = Graphon.from_grid(breaks, cells, label=f"block order {order}")
-    return GraphonFamily(entries, description=description or f"{len(alphas)} blocks")
+    return GraphonFamily(entries, description=description or f"{len(masses)} blocks")
 
 
 def profile_family(sigma, schedule: CumulantSchedule) -> GraphonFamily:

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Optional
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .defaults import DEFAULT_SEED  # noqa: F401  (re-exported as models.DEFAULT_SEED)
 from .errors import ValidationError
 from .expressions import compile_expression, expression_is_smooth
 from .graphons import (CumulantSchedule, Graphon, GraphonFamily, as_graphon, block_family,
-                       float_array, profile_family, require_flag, require_number)
+                       profile_family, require_flag, require_number)
 
 VARIANTS = (
     "gaussian_wigner",
@@ -56,17 +56,25 @@ _PARAM_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """Declarative description of one ensemble: variant, size, seed, parameters."""
-
+class _SpecFields(NamedTuple):
     variant: str
     n: int
     seed: int
-    params: Mapping = field(default_factory=dict)
+    params: Mapping = MappingProxyType({})  # read-only, so one default serves every spec
     zero_diagonal: bool = False
 
-    def __post_init__(self):
+
+class ModelSpec(_SpecFields):
+    """Declarative description of one ensemble: variant, size, seed, parameters."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._validate()
+        return self
+
+    def _validate(self):
         if self.variant not in VARIANTS:
             raise ValidationError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
         for key in ("n", "seed"):
@@ -136,8 +144,7 @@ class ModelSpec:
                 "params": dict(self.params), "zero_diagonal": self.zero_diagonal}
 
 
-@dataclass(frozen=True)
-class SampledMatrix:
+class SampledMatrix(NamedTuple):
     """Dense symmetric draw plus the spec that produced it."""
 
     matrix: np.ndarray
@@ -320,9 +327,9 @@ def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
     if spec.variant == "band":
         base = effective_cumulants(spec.base_spec(), at_n=at_n)
         return base.banded(p["half_width"], p.get("periodic", False))
-    return block_family(p["masses"], {2: float_array(p["scales"], "block scales") ** 2},
-                        description="block gaussian")
+    squares = [[float(s) * float(s) for s in row] for row in p["scales"]]
+    return block_family(p["masses"], {2: squares}, description="block gaussian")
 
 
 def with_seed(spec: ModelSpec, seed: int) -> ModelSpec:
-    return replace(spec, seed=seed)
+    return spec._replace(seed=seed)

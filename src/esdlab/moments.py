@@ -10,27 +10,31 @@ blocks, variance profiles); this module only sums them.
 :func:`moment_graphon` is the one entry point for every limit moment, as in
 ``moment_graphon(block_family(masses, cells), 4)``. It picks one node rule
 per moment from the kinds of the members up to that order
-(:func:`esdlab.graphons.node_rule`). Families on the one-node rule, a
-:class:`~esdlab.graphons.CumulantSchedule` (the family of constants C_{2t})
-and periodic bands over constants, are summed exactly in Fractions and
-rounded once, so their moments are correctly rounded. Every other family is
-summed on quadrature nodes by :func:`esdlab.quadrature.integrate_tree_sum`.
-A sum that overflows raises NumericError instead of returning inf or nan.
+(:func:`esdlab.graphons.node_rule`). Families on an exact rule are summed
+in Fractions over cells and rounded once, so their moments are correctly
+rounded. A :class:`~esdlab.graphons.CumulantSchedule` (the family of
+constants C_{2t}) and a periodic band over constants take one cell; blocks,
+grids and profiles over a grid take the cells of the grids' breaks. Every
+other family is summed on quadrature nodes by
+:func:`esdlab.quadrature.integrate_tree_sum`. A sum that overflows raises
+NumericError instead of returning inf or nan.
 
 No numpy is loaded here: :func:`moment_graphon` imports :mod:`esdlab.quadrature`
-only past the one-node rule, so ``moments`` on ``semicircle``, ``constant``,
-``schedule``, ``sparse``, a periodic ``band`` over them, or a ``model`` of
-``gaussian_wigner``, ``triangular_twopoint`` or ``sparse_homogeneous`` needs no numpy.
+only past the exact rules, so ``moments`` on ``semicircle``, ``constant``,
+``schedule``, ``sparse``, a periodic ``band`` over them, ``block``, a
+``graphon`` of constants and grids, a ``profile`` over a grid, or a ``model``
+of ``gaussian_wigner``, ``triangular_twopoint``, ``sparse_homogeneous`` or
+``block`` needs no numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from operator import mul
+from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .combinatorics import count_ss_by_blocks
 from .errors import NumericError, ValidationError
 from .graphons import (DEFAULT_CONFIG, CumulantSchedule, Graphon, GraphonFamily,
                        QuadratureConfig, node_rule, require_even_order)
@@ -40,16 +44,14 @@ EXACT = "exact-combinatorial"
 QUADRATURE = "quadrature"
 
 
-@dataclass(frozen=True)
-class MomentEntry:
+class MomentEntry(NamedTuple):
     order: int
     value: float
     error: float
     provenance: str
 
 
-@dataclass(frozen=True)
-class MomentSeries:
+class MomentSeries(NamedTuple):
     """Even moments beta_2, beta_4, ... with per-entry provenance."""
 
     entries: tuple[MomentEntry, ...]
@@ -97,8 +99,7 @@ def _rounded(exact: Fraction, what: str) -> float:
         raise NumericError(f"{what} is not finite in floating point") from None
 
 
-@dataclass(frozen=True)
-class SparseMoment:
+class SparseMoment(NamedTuple):
     """beta_{2k} of the sparse limit as a polynomial in the mean degree."""
 
     order: int
@@ -113,6 +114,8 @@ def moment_sparse(lam: float, two_k: int) -> SparseMoment:
     if two_k % 2:
         return SparseMoment(two_k, (), 0.0)
     require_even_order(two_k)
+    from .combinatorics import count_ss_by_blocks
+
     coefficients = tuple(sorted(count_ss_by_blocks(two_k).items()))
     exact = sum(c * Fraction(lam)**b for b, c in coefficients)
     return SparseMoment(two_k, coefficients, _rounded(exact, f"sparse beta_{two_k}"))
@@ -124,12 +127,11 @@ def moment_graphon(family: GraphonFamily, two_k: int,
                    config: QuadratureConfig = DEFAULT_CONFIG) -> MomentEntry:
     """Sum of homomorphism densities over all colored trees of the given order.
 
-    The members up to order two_k pick one node rule. On the one-node rule
-    each member is the exact row integral of its kernel, C or 2*alpha*C for a
-    periodic band over C, and the color-class recursion runs in Fractions; on
-    any other rule :func:`esdlab.quadrature.integrate_tree_sum` runs it on
-    the rule's nodes. A value or error estimate that is not finite raises
-    NumericError.
+    The members up to order two_k pick one node rule. On the exact rules
+    ("point" and "cells") the color-class recursion runs in Fractions over
+    the cells of :func:`_cell_sum`; on any other rule
+    :func:`esdlab.quadrature.integrate_tree_sum` runs it on the rule's nodes.
+    A value or error estimate that is not finite raises NumericError.
     """
     if two_k % 2:
         return MomentEntry(two_k, 0.0, 0.0, EXACT)
@@ -137,9 +139,9 @@ def moment_graphon(family: GraphonFamily, two_k: int,
     k = two_k // 2
     members = {t: family.g(2 * t) for t in range(1, k + 1)}
     members = {t: g for t, g in members.items() if g is not None}
-    if node_rule(members.values()) == "point":
-        rows = {t: _row_integral(g) for t, g in members.items()}
-        exact = tree_sum(k, lambda t, f: None if t not in rows else rows[t] * f, Fraction(1))
+    rule = node_rule(members.values())
+    if rule in ("point", "cells"):
+        exact = _cell_sum(members, k, one_cell=rule == "point")
         return MomentEntry(two_k, _rounded(exact, f"beta_{two_k} of {family.description!r}"),
                            0.0, EXACT)
 
@@ -149,8 +151,31 @@ def moment_graphon(family: GraphonFamily, two_k: int,
     if not (math.isfinite(result.value) and math.isfinite(result.error)):
         raise NumericError(f"beta_{two_k} of {family.description!r} is not finite "
                            f"(value {result.value!r}, error {result.error!r})")
-    provenance = EXACT if result.method == "exact" else QUADRATURE
-    return MomentEntry(two_k, result.value, result.error, provenance)
+    return MomentEntry(two_k, result.value, result.error, QUADRATURE)
+
+
+def _cell_sum(members: Mapping[int, Graphon], k: int, one_cell: bool) -> Fraction:
+    """beta_{2k} summed exactly over the cells of the exact rule.
+
+    On one cell each member is its row integral, C or 2*alpha*C for a
+    periodic band over C, and messages are single Fractions. Otherwise the
+    cells are those of the union of the grids' breaks; a member acts on a
+    message by its cell values times the cell widths, and a message holds
+    one Fraction per cell.
+    """
+    if one_cell:
+        rows = {t: _row_integral(g) for t, g in members.items()}
+        return tree_sum(k, lambda t, f: None if t not in rows else rows[t] * f, Fraction(1))
+    breaks = sorted({Fraction(b) for g in members.values() if g.kind == "grid" for b in g.breaks})
+    widths = [b - a for a, b in zip(breaks, breaks[1:])]
+    weighted = {t: [list(map(mul, row, widths)) for row in _cell_values(g, breaks)]
+                for t, g in members.items()}
+
+    def edge(t: int, f: _Cells):
+        rows = weighted.get(t)
+        return None if rows is None else _Cells([sum(map(mul, row, f)) for row in rows])
+
+    return sum(map(mul, widths, tree_sum(k, edge, _Cells([Fraction(1)] * len(widths)))))
 
 
 def _row_integral(g: Graphon) -> Fraction:
@@ -158,6 +183,31 @@ def _row_integral(g: Graphon) -> Fraction:
     if g.kind == "banded":
         return 2 * Fraction(g.alpha) * Fraction(g.base.value)
     return Fraction(g.value)
+
+
+def _cell_values(g: Graphon, breaks: Sequence[Fraction]) -> list[list[Fraction]]:
+    """The value of a constant or grid kernel on each pair of cells between ``breaks``."""
+    cells = len(breaks) - 1
+    if g.kind == "constant":
+        return [[Fraction(g.value)] * cells] * cells
+    index = [bisect_right(g.breaks, b) - 1 for b in breaks[:-1]]
+    return [[Fraction(g.cells[i][j]) for j in index] for i in index]
+
+
+class _Cells(tuple):
+    """A message with one Fraction per cell: ``+`` and ``*`` act cell by cell."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "_Cells") -> "_Cells":
+        return _Cells([a + b for a, b in zip(self, other)])
+
+    def __mul__(self, other) -> "_Cells":
+        if isinstance(other, int):
+            return _Cells([a * other for a in self])
+        return _Cells([a * b for a, b in zip(self, other)])
+
+    __rmul__ = __mul__
 
 
 # -- series builders ---------------------------------------------------------
@@ -181,8 +231,7 @@ def _bound_lookup(source) -> Callable[[int], float]:
     raise ValidationError(f"cannot read moment bounds from {type(source).__name__}")
 
 
-@dataclass(frozen=True)
-class CarlemanReport:
+class CarlemanReport(NamedTuple):
     """Partial sums of alpha_{2k}^(-1/2k) and a growth-trend verdict.
 
     Divergence of the full series is what the moment-determinacy condition

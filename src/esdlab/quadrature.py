@@ -1,4 +1,4 @@
-"""Node rules for integrals of kernel products over [0,1]^colors.
+"""The approximate node rules for integrals of kernel products over [0,1]^colors.
 
 Every integrand here is a product of two-variable kernels along the edges of
 a rooted colored tree, one variable per color. On one weighted node set
@@ -6,15 +6,11 @@ shared by all variables each kernel becomes a matrix g(x_i, x_j), and
 :func:`integrate_tree_sum` sums the products of all trees of an order at once
 by the color-class recursion of :mod:`esdlab.treesum`.
 :func:`esdlab.graphons.node_rule` picks the rule once for all the kernels of
-an integral, from their kinds:
+an integral, from their kinds. Its exact rules, one node for row-constant
+kernels and the cells of the breaks for constants and grids, are summed in
+Fractions by :func:`esdlab.moments.moment_graphon`, which never loads this
+module for them. The two rules here are:
 
-* constants, and periodic bands over constants -> one node. A periodic band
-  of half-width alpha covers 2*alpha of every row, so messages stay constant.
-  Exact; :func:`esdlab.moments.moment_graphon` sums these in Fractions and
-  never loads this module.
-* constants and piecewise-constant grids -> the cells of the union of the
-  grids' breaks, one node per cell at its midpoint, weighted by its width.
-  Exact.
 * smooth kernels -> Gauss-Legendre on ``points`` and ``points // 2`` nodes;
   the value is the first, the error the gap between the two.
 * anything else -> uniform grids of GRID_CAP/4, GRID_CAP/2 and GRID_CAP
@@ -23,7 +19,7 @@ an integral, from their kinds:
   of |i - j| only), which keeps the single-edge integral exact and the rule
   second order; other kernels are evaluated at cell midpoints.
 
-Here the arrays of a theory command begin; only the rules past one node import this module.
+Here the arrays of a theory command begin; only the rules past the exact ones import this module.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ GRID_CAP = 1024
 class IntegralResult:
     value: float
     error: float
-    method: str  # "exact" | "gauss" | "grid"
+    method: str  # "gauss" | "grid" here; "exact" from the per-tree oracle of the tests
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,14 +101,6 @@ def _gauss_nodes(points: int) -> Nodes:
     return Nodes(0.5 * (x + 1.0), 0.5 * w)
 
 
-def _cell_nodes(kernels: Iterable[Graphon]) -> Nodes:
-    breaks = np.array([0.0, 1.0])
-    for g in kernels:
-        if g.kind == "grid":
-            breaks = np.union1d(breaks, g.breaks)
-    return Nodes(0.5 * (breaks[:-1] + breaks[1:]), np.diff(breaks))
-
-
 def _grid_error(coarse: float, middle: float, fine: float) -> float:
     """Error of the finest of three grids, each twice as fine as the one before.
 
@@ -129,14 +117,8 @@ def _grid_error(coarse: float, middle: float, fine: float) -> float:
 
 def integrate_on_nodes(evaluate: Callable[[Nodes], float], kernels: Iterable[Graphon],
                        config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
-    """Run ``evaluate`` on the node sets of the rule these kernels call for."""
-    kernels = list(kernels)
-    rule = node_rule(kernels)  # no kernels (a tree without edges) takes one node
-    if rule == "point":
-        return IntegralResult(evaluate(Nodes.uniform(1)), 0.0, "exact")
-    if rule == "cells":
-        return IntegralResult(evaluate(_cell_nodes(kernels)), 0.0, "exact")
-    if rule == "gauss":
+    """Run ``evaluate`` on the node sets of Gauss or, for any kernels not smooth, the grid."""
+    if node_rule(kernels) == "gauss":
         full = evaluate(_gauss_nodes(config.points))
         half = evaluate(_gauss_nodes(max(2, config.points // 2)))
         return IntegralResult(full, abs(full - half), "gauss")

@@ -727,12 +727,14 @@ def _cli_modules(argv) -> tuple[subprocess.CompletedProcess, list[str]]:
 
 TWO_POINT_MODEL = ('{"kind":"model","spec":{"variant":"triangular_twopoint","n":200,"seed":1,'
                    '"params":{"atom":1.5,"rate":2.0}}}')
+GRID = {"breaks": [0, 0.25, 1], "cells": [[1.5, 0.3], [0.3, 0.8]]}
+BLOCK_CELLS = [[1.5, 0.4], [0.4, 0.8]]
 
 
 @pytest.mark.parametrize("argv", [
     ("ss", "2"),
     ("circuits", "abba"),
-    # the one-node rule: every family sums in Fractions
+    # the exact rules: every family sums in Fractions, on one cell ...
     ("moments", "--theory-json", '{"kind":"semicircle"}', "--two-k", "16"),
     ("moments", "--theory-json", '{"kind":"sparse","rate":2.5}', "--two-k", "16"),
     ("moments", "--theory-json", '{"kind":"schedule","values":{"2":1,"4":3,"6":0.5}}',
@@ -740,17 +742,36 @@ TWO_POINT_MODEL = ('{"kind":"model","spec":{"variant":"triangular_twopoint","n":
     ("moments", "--theory-json", '{"kind":"band","alpha":0.2,"periodic":true,'
      '"base":{"kind":"constant","value":1.5}}', "--two-k", "12"),
     ("moments", "--theory-json", TWO_POINT_MODEL, "--two-k", "14"),
+    # ... or on the cells of the grids' breaks
+    ("moments", "--theory-json", json.dumps({"kind": "block", "masses": [0.3, 0.7],
+                                             "cells": {"2": BLOCK_CELLS, "4": GRID["cells"]}}),
+     "--two-k", "10"),
+    ("moments", "--theory-json", json.dumps({"kind": "graphon", "g": {"2": GRID, "4": 1.5}}),
+     "--two-k", "8"),
+    ("moments", "--theory-json", json.dumps({"kind": "profile", "sigma": GRID}), "--two-k", "8"),
+    ("moments", "--theory-json", json.dumps({"kind": "model", "spec": {
+        "variant": "block", "n": 100, "seed": 1,
+        "params": {"masses": [0.4, 0.6], "scales": BLOCK_CELLS}}}), "--two-k", "8"),
 ])
 def test_combinatorial_commands_load_no_numpy(capsys, argv):
     done, loaded = _cli_modules(argv)
     assert not [m for m in loaded if m.split(".")[0] == "numpy"]
     assert run(capsys, *argv, "--reproducible")[1] == done.stdout
-    if argv[0] != "moments":
-        # nor dataclasses, which pulls in inspect, ast, dis and tokenize
+    # nor dataclasses, which pulls in inspect, ast, dis and tokenize
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+    if argv[0] == "ss":
+        assert loaded == ["esdlab", "esdlab.combinatorics", "esdlab.defaults", "esdlab.errors",
+                          "esdlab.treesum"]
+    elif argv[0] == "circuits":
         assert loaded == ["esdlab", "esdlab.circuits", "esdlab.combinatorics",
                           "esdlab.defaults", "esdlab.errors", "esdlab.treesum"]
-    elif json.loads(argv[2])["kind"] != "model":
-        assert "esdlab.models" not in loaded
+    else:
+        assert "esdlab.combinatorics" not in loaded and "esdlab.quadrature" not in loaded
+        assert ("esdlab.models" in loaded) == (json.loads(argv[2])["kind"] == "model")
+        if "--format" not in argv:
+            entries = json.loads(done.stdout)["series"]["entries"]
+            assert {(e["provenance"], e["error_estimate"]) for e in entries} == {
+                ("exact-combinatorial", 0.0)}
 
 
 def test_kernel_theory_still_loads_numpy(capsys):

@@ -15,10 +15,11 @@ from functools import lru_cache
 import pytest
 
 from esdlab.combinatorics import catalan, count_ss_by_blocks, enumerate_ss
-from esdlab.graphons import CumulantSchedule, Graphon, GraphonFamily, block_family
+from esdlab.graphons import (CumulantSchedule, Graphon, GraphonFamily, as_graphon, block_family,
+                             profile_family)
 from esdlab.moments import moment_graphon
 from esdlab.trees import enumerate_trees
-from tree_oracle import homomorphism_density
+from tree_oracle import exact_density, homomorphism_density
 
 ROUNDING = 1e-12
 
@@ -99,6 +100,40 @@ def test_two_block_kernel_against_tree_densities():
         entry = moment_graphon(fam, two_k)
         assert entry.provenance == "exact-combinatorial"
         assert_covers(entry, truth, cap=0.0)
+
+
+GRID = {"breaks": [0, 0.25, 1], "cells": [[1.5, 0.3], [0.3, 0.7]]}
+CELL_FAMILIES = {
+    "two_blocks": block_family([0.3, 0.7], {2: [[1.5, 0.4], [0.4, 0.8]],
+                                            4: [[2.0, 0.3], [0.3, 1.2]]}),
+    "three_blocks": block_family([0.1, 0.6, 0.3], {2: [[1.1, 0.2, 0.7], [0.2, 0.9, 0.35],
+                                                       [0.7, 0.35, 1.3]]}),
+    # a grid, a grid on other breaks and a constant: four cells between them
+    "mixed_grids": GraphonFamily({2: GRID, 4: {"breaks": [0, 0.5, 0.6, 1.0],
+                                                "cells": [[1, 2, 0.5], [2, 0.1, 3], [0.5, 3, 1]]},
+                                  6: 0.3}),
+    "profile_over_grid": profile_family(GRID, CumulantSchedule("two cumulants", ((2, 1.0), (4, 3.0)),
+                                                              rule=lambda two_k: 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CELL_FAMILIES))
+def test_block_and_grid_values_are_correctly_rounded(name):
+    fam = CELL_FAMILIES[name]
+    for two_k in range(2, 11, 2):
+        truth = sum(exact_density(t, fam) for t in enumerate_trees(two_k))
+        entry = moment_graphon(fam, two_k)
+        assert entry.provenance == "exact-combinatorial" and entry.error == 0.0
+        assert entry.value == float(truth), (two_k, entry.value, float(truth))
+
+
+@pytest.mark.parametrize("c", [0.7, 1.0, 2.5])
+def test_one_cell_grid_is_the_constant_schedule_bit_for_bit(c):
+    cell = as_graphon({"breaks": [0, 1], "cells": [[c]]})
+    for fam, flat in ((GraphonFamily({2: cell}), CumulantSchedule.semicircle(c)),
+                      (GraphonFamily(rule=lambda order: cell), CumulantSchedule.constant(c))):
+        for two_k in range(2, 13, 2):
+            assert moment_graphon(fam, two_k) == moment_graphon(flat, two_k)
 
 
 def test_indicator_kernel_second_moment():

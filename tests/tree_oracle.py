@@ -2,17 +2,31 @@
 
 moment_graphon sums all colored trees of an order at once by the color-class
 recursion. Here each tree is integrated on its own by message passing, from
-the last color back to the root, on the node sets that
-esdlab.quadrature.integrate_on_nodes picks for its kernels.
+the last color back to the root. Its kernels pick the nodes: one node for
+row-constant kernels, one node per cell of the grids' breaks (at the cell's
+midpoint, weighted by its width) for constants and grids, both exact, and
+otherwise the approximate rules of esdlab.quadrature.integrate_on_nodes.
 """
 
-from typing import Mapping
+from fractions import Fraction
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from esdlab.graphons import DEFAULT_CONFIG, Graphon, GraphonFamily, QuadratureConfig
+from esdlab.graphons import DEFAULT_CONFIG, Graphon, GraphonFamily, QuadratureConfig, node_rule
 from esdlab.quadrature import IntegralResult, Nodes, integrate_on_nodes
 from esdlab.trees import ColoredTree
+
+
+def exact_nodes(kernels: Iterable[Graphon]) -> Nodes:
+    """The nodes of the exact rules: one node, or the cells of the union of the grids' breaks."""
+    breaks = np.array([0.0, 1.0])
+    for g in kernels:
+        if g.kind == "grid":
+            breaks = np.union1d(breaks, g.breaks)
+    if len(breaks) == 2:
+        return Nodes.uniform(1)  # also the exact cell average of a periodic band
+    return Nodes(0.5 * (breaks[:-1] + breaks[1:]), np.diff(breaks))
 
 
 def integrate_edge_product(factors: Mapping[int, Graphon], parent: Mapping[int, int],
@@ -30,22 +44,58 @@ def integrate_edge_product(factors: Mapping[int, Graphon], parent: Mapping[int, 
             messages[parent[child]] *= nodes.matrix(factors[child]) @ (nodes.w * messages[child])
         return float(np.sum(nodes.w * messages[0]))
 
+    if node_rule(factors.values()) in ("point", "cells"):
+        return IntegralResult(message_pass(exact_nodes(factors.values())), 0.0, "exact")
     return integrate_on_nodes(message_pass, factors.values(), config)
+
+
+def _tree_factors(tree: ColoredTree, family: GraphonFamily) -> Optional[tuple[dict, dict]]:
+    """The kernel on the edge into each non-root color and that color's parent, or None
+    when a kernel is missing. The kernel on the edge into color c has order twice the
+    number of c-colored nodes."""
+    factors: dict[int, Graphon] = {}
+    parent: dict[int, int] = {}
+    for (par, child), mult in tree.edge_multiplicities().items():
+        kernel = family.g(2 * mult)
+        if kernel is None:
+            return None
+        factors[child] = kernel
+        parent[child] = par
+    return factors, parent
 
 
 def homomorphism_density(tree: ColoredTree, family: GraphonFamily,
                          config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
     """Integral over [0,1]^colors of the product of one tree's edge kernels.
 
-    The kernel on the edge into color c has order twice the number of c-colored
-    nodes; a missing family member makes the whole term zero.
+    A missing family member makes the whole term zero.
     """
-    factors: dict[int, Graphon] = {}
-    parent: dict[int, int] = {}
-    for (par, child), mult in tree.edge_multiplicities().items():
-        kernel = family.g(2 * mult)
-        if kernel is None:
-            return IntegralResult(0.0, 0.0, "exact")
-        factors[child] = kernel
-        parent[child] = par
+    found = _tree_factors(tree, family)
+    if found is None:
+        return IntegralResult(0.0, 0.0, "exact")
+    factors, parent = found
     return integrate_edge_product(factors, parent, len(factors) + 1, config)
+
+
+def exact_density(tree: ColoredTree, family: GraphonFamily) -> Fraction:
+    """homomorphism_density in Fractions, for families of constants and grids.
+
+    Messages pass over the cells of the union of the grids' breaks; each kernel
+    is read at the midpoints of a pair of cells and each cell weighs its width.
+    """
+    found = _tree_factors(tree, family)
+    if found is None:
+        return Fraction(0)
+    factors, parent = found
+    breaks = sorted({Fraction(b) for g in factors.values() if g.kind == "grid"
+                     for b in g.breaks} | {Fraction(0), Fraction(1)})
+    widths = [b - a for a, b in zip(breaks, breaks[1:])]
+    mids = np.array([float((a + b) / 2) for a, b in zip(breaks, breaks[1:])])
+    messages = {c: [Fraction(1)] * len(widths) for c in range(len(factors) + 1)}
+    for child in range(len(factors), 0, -1):
+        values = factors[child].eval(mids[:, None], mids[None, :]).tolist()
+        below = [w * m for w, m in zip(widths, messages[child])]
+        messages[parent[child]] = [
+            m * sum(Fraction(v) * b for v, b in zip(row, below))
+            for m, row in zip(messages[parent[child]], values)]
+    return sum(w * m for w, m in zip(widths, messages[0]))
