@@ -9,14 +9,15 @@ comparison tools tie the two together.
 Every export and submodule is loaded on first access (PEP 562):
 ``import esdlab`` imports nothing else, and ``esdlab.enumerate_ss`` or
 ``esdlab.moment_graphon`` loads no numpy. numpy comes in where arrays begin:
-with ``esdlab.quadrature`` and ``esdlab.spectra``, or the first grid,
-expression, sample or quadrature node a call builds.
+with ``esdlab.quadrature`` and ``esdlab.spectra``, or the first
+expression evaluated on arrays, sample or quadrature node a call builds.
 """
 
 import importlib
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
+    "cells": "",
     "circuits": "CircuitCount classify_occurrences count_circuits ratio_table",
     "combinatorics": "SSClassification Word catalan classify count_ss_by_blocks enumerate_nc2 "
                      "enumerate_partitions_brute enumerate_ss is_even is_special_symmetric "

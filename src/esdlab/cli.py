@@ -17,8 +17,8 @@ circuits loads circuits and combinatorics, and neither loads numpy,
 dataclasses or the theory and sampling modules; moments, simulate and
 compare load them inside their command functions, and csv loads only for
 CSV output. numpy loads only where arrays begin, so moments on a family of
-an exact rule (one cell, or the cells of a grid: listed in esdlab.moments)
-starts without it and without dataclasses.
+an exact rule (one cell, or the pieces of grids, polynomials and open bands:
+listed in esdlab.moments) starts without it and without dataclasses.
 
 Exit codes: 0 success, 2 validation or numeric trouble, 3 capacity or budget,
 4 comparison failure.

@@ -14,8 +14,13 @@ Four representations are supported, and the integration code exploits them:
 
 * constant              exact integrals, trivially
 * grid                  piecewise constant on a break grid; exact cell sums
-* callable/expression   Gauss-Legendre nodes when smooth, else a uniform grid
-* banded                any of the above times a band indicator
+* callable/expression   exact when it is a polynomial in x and y (it then
+                        carries its :func:`~esdlab.expressions.polynomial_form`);
+                        otherwise Gauss-Legendre nodes when smooth, else a
+                        uniform grid
+* banded                any of the above times a band indicator; exact for an
+                        open band over an exact kernel, and for a periodic band
+                        over a constant
 
 :func:`node_rule` picks the integration rule for a set of kernels from these
 kinds, and :class:`QuadratureConfig` sets its Gauss points. :func:`as_graphon`
@@ -23,23 +28,30 @@ reads every kernel a config may hold, and :func:`require_number`,
 :func:`float_rows` and :func:`require_flag` accept only JSON numbers and
 booleans, so text such as ``"2"`` is an error rather than a number.
 
-Constants, grids and the families built from them (schedules, blocks,
-profiles over a grid) need no arrays: a grid keeps its breaks and cells as
-tuples of Python floats. numpy is imported only by :meth:`Graphon.eval`,
-:func:`band_indicator_values` and the check of a callable kernel.
+Constants, grids, polynomials and the families built from them (schedules,
+blocks, profiles over a grid or a polynomial, open bands over any of these)
+need no arrays: a grid keeps its breaks and cells as tuples of Python floats,
+and a polynomial kernel is checked on its exact form. numpy is imported only
+by :meth:`Graphon.eval`, :func:`band_indicator_values`, a compiled expression
+when it is called, and the check of a callable kernel without an exact form.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .defaults import DEFAULT_QUAD_POINTS
 from .errors import NumericError, ValidationError
-from .expressions import compile_expression, expression_is_smooth
+from .expressions import compile_expression, expression_is_smooth, polynomial_form, power_form
 
 _SYMMETRY_TOL = 1e-9
+#: most breaks the exact cell rule takes for a band: a band of half-width alpha
+#: shifts each break, 0 and 1 included, to up to 1/alpha + 1 places, so a band
+#: over a constant or a polynomial may be as narrow as 1/64
+MAX_BAND_BREAKS = 130
 
 
 def _is_number(value) -> bool:
@@ -89,7 +101,7 @@ class Graphon:
                  fn: Callable | None = None, bound: float | None = None,
                  smooth: bool = True, base: "Graphon | None" = None,
                  alpha: float | None = None, periodic: bool | None = None,
-                 label: str = ""):
+                 form: dict | None = None, label: str = ""):
         self.kind = kind
         self.value = value
         self.breaks = breaks
@@ -99,6 +111,7 @@ class Graphon:
         self.base = base
         self.alpha = alpha
         self.periodic = periodic
+        self.form = form  # exact polynomial of a callable, see expressions.polynomial_form
         self.label = label or kind
         if kind == "callable":
             bound = self._check_callable(bound)
@@ -134,7 +147,13 @@ class Graphon:
     def from_expression(cls, source: str, bound: float | None = None) -> "Graphon":
         fn = compile_expression(source, ("x", "y"))
         return cls("callable", fn=fn, bound=bound, smooth=expression_is_smooth(source),
-                   label=source)
+                   form=polynomial_form(source, ("x", "y")), label=source)
+
+    @classmethod
+    def from_form(cls, form: dict, label: str) -> "Graphon":
+        """The polynomial kernel of an exact form, evaluated term by term."""
+        terms = _float_terms(form)
+        return cls("callable", fn=lambda x, y: _form_value(terms, x, y), form=form, label=label)
 
     @classmethod
     def from_callable(cls, fn: Callable, bound: float | None = None,
@@ -164,11 +183,14 @@ class Graphon:
             cells = [[scale * c**exponent for c in row] for row in self.cells]
             return Graphon.from_grid(self.breaks, cells, label=f"({self.label})^{exponent}*{scale}")
         here = self
+        form = None if self.form is None else power_form(self.form, exponent)
+        if form is not None:
+            form = {key: Fraction(scale) * c for key, c in form.items()}
 
         def powered(x, y):
             return scale * here.eval(x, y) ** exponent
 
-        return Graphon("callable", fn=powered, bound=bound,
+        return Graphon("callable", fn=powered, bound=bound, form=form,
                        smooth=self.smooth, label=f"({self.label})^{exponent}*{scale}")
 
     # -- evaluation --------------------------------------------------------
@@ -194,8 +216,22 @@ class Graphon:
     def _check_callable(self, bound: float | None) -> float:
         """``bound``, else max |g| on a check grid, where g must be finite and symmetric.
 
-        Constants and grids are symmetric by construction, bands when their base is.
+        An exact form is symmetric when its coefficients are, and its values on
+        the grid come from its terms in floating point, without numpy. Constants
+        and grids are symmetric by construction, bands when their base is.
         """
+        if self.form is not None:
+            if any(self.form.get((q, p)) != c for (p, q), c in self.form.items()):
+                raise ValidationError(f"graphon {self.label!r} is not symmetric in x and y")
+            grid = [i / 28 for i in range(29)]
+            try:
+                terms = _float_terms(self.form)
+                largest = max(abs(_form_value(terms, x, y)) for x in grid for y in grid)
+            except (OverflowError, ZeroDivisionError):  # a huge coefficient, or 0 ** -1
+                largest = math.inf
+            if not math.isfinite(largest):
+                raise NumericError(f"graphon {self.label!r} is non-finite on the unit square")
+            return largest if bound is None else bound
         import numpy as np
         grid = np.linspace(0.0, 1.0, 29)
         sample = np.asarray(self.fn(grid[:, None], grid[None, :]), dtype=float)
@@ -212,6 +248,16 @@ class Graphon:
 
     def __repr__(self) -> str:
         return f"Graphon({self.label!r}, bound={self.bound:.4g})"
+
+
+def _float_terms(form: dict) -> list[tuple[float, float, float]]:
+    """(coefficient, x exponent, y exponent) of each term of an exact form, as floats."""
+    return [(float(c), float(p), float(q)) for (p, q), c in form.items()]
+
+
+def _form_value(terms, x, y):
+    """The sum of the terms at (x, y): Python floats or numpy arrays."""
+    return sum(c * x**p * y**q for c, p, q in terms)
 
 
 def band_indicator_values(x, y, alpha: float, periodic: bool) -> np.ndarray:
@@ -272,18 +318,37 @@ def _row_constant(g: Graphon) -> bool:
                                     and g.base.kind == "constant")
 
 
+def _exact(g: Graphon) -> bool:
+    """Whether the cell rule sums ``g`` exactly: a constant, a grid, a polynomial
+    with nonnegative integer exponents, or an open band over one of these."""
+    if g.kind == "banded":
+        return not g.periodic and g.base.kind != "banded" and _exact(g.base)
+    return g.kind in ("constant", "grid") or (
+        g.form is not None and all(type(e) is int and e >= 0 for key in g.form for e in key))
+
+
+def grid_breaks(kernels: Iterable[Graphon]) -> set[float]:
+    """0, 1 and the breaks of every grid among the kernels and the bases of their bands."""
+    bases = [g.base if g.kind == "banded" else g for g in kernels]
+    return {b for g in bases if g.kind == "grid" for b in g.breaks} | {0.0, 1.0}
+
+
 def node_rule(kernels: Iterable[Graphon]) -> str:
     """The rule for integrals of products of these kernels.
 
-    "point" (every kernel row-constant) and "cells" (constants and grids) are
-    exact and summed in Fractions by :func:`esdlab.moments.moment_graphon`;
-    "gauss" and "grid" are the approximate rules of :mod:`esdlab.quadrature`.
+    "point" (every kernel row-constant) and "cells" (constants, grids,
+    polynomials and open bands over them, all bands of one half-width and at
+    most MAX_BAND_BREAKS breaks) are exact and summed in Fractions by
+    :func:`esdlab.moments.moment_graphon`; "gauss" (every kernel smooth) and
+    "grid" are the approximate rules of :mod:`esdlab.quadrature`.
     """
     kernels = list(kernels)
     if all(_row_constant(g) for g in kernels):
         return "point"
-    if all(g.kind in ("constant", "grid") for g in kernels):
-        return "cells"
+    alphas = {g.alpha for g in kernels if g.kind == "banded"}
+    if all(map(_exact, kernels)) and len(alphas) <= 1:
+        if not alphas or len(grid_breaks(kernels)) * (1 / min(alphas) + 1) <= MAX_BAND_BREAKS:
+            return "cells"
     if all(g.smooth for g in kernels):
         return "gauss"
     return "grid"

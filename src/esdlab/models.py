@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .defaults import DEFAULT_SEED  # noqa: F401  (re-exported as models.DEFAULT_SEED)
 from .errors import ValidationError
-from .expressions import compile_expression, expression_is_smooth
+from .expressions import compile_expression, expression_is_smooth, polynomial_form
 from .graphons import (CumulantSchedule, Graphon, GraphonFamily, as_graphon, block_family,
                        profile_family, require_flag, require_number)
 
@@ -41,7 +41,8 @@ VARIANTS = (
 
 _BASE_VARIANTS = ("gaussian_wigner", "triangular_twopoint", "sparse_homogeneous")
 
-# Stand-in for n -> infinity when taking numeric limits of n * p(x, y, n).
+# Stand-in for n -> infinity when taking numeric limits of n * p(x, y, n) that
+# is not a polynomial; polynomials in (x, y, 1/n) take the exact limit.
 _LIMIT_N = 1.0e8
 
 _PARAM_KEYS = {
@@ -279,10 +280,13 @@ def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
 
     Flat variants give a CumulantSchedule, the family of constants.
     ``at_n=None`` returns the n -> infinity limit object; an integer gives the
-    exact finite-n profile. Heavy tails need a ``truncation`` level B >= 0
-    (entries beyond B times the natural scale dropped), otherwise moments
-    diverge; any other variant given a ``truncation`` raises ValidationError,
-    since its moments here would ignore it.
+    exact finite-n profile. The limit of a ``sparse_inhomogeneous`` prob that
+    is a polynomial in (x, y, 1/n) is exact, and one whose n * prob grows with
+    n raises ValidationError; any other prob is evaluated at n = _LIMIT_N.
+    Heavy tails need a ``truncation`` level B >= 0 (entries beyond B times the
+    natural scale dropped), otherwise moments diverge; any other variant given
+    a ``truncation`` raises ValidationError, since its moments here would
+    ignore it.
     """
     p = spec.params
     if truncation is not None and spec.variant != "heavy_tailed":
@@ -300,6 +304,12 @@ def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
     if spec.variant == "sparse_homogeneous":
         return CumulantSchedule.constant(p["rate"])
     if spec.variant == "sparse_inhomogeneous":
+        form = polynomial_form(str(p["prob"]), ("x", "y", "n")) if at_n is None else None
+        if form is not None:
+            kernel = Graphon.from_form(_limit_of_n_times(form, p["prob"]),
+                                       label=f"lim n * ({p['prob']})")
+            return GraphonFamily(rule=lambda order: kernel,
+                                 description=f"sparse profile {p['prob']!r}")
         prob_fn = compile_expression(str(p["prob"]), ("x", "y", "n"))
         n_eval = _LIMIT_N if at_n is None else float(at_n)
         kernel = Graphon.from_callable(
@@ -329,6 +339,18 @@ def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
         return base.banded(p["half_width"], p.get("periodic", False))
     squares = [[float(s) * float(s) for s in row] for row in p["scales"]]
     return block_family(p["masses"], {2: squares}, description="block gaussian")
+
+
+def _limit_of_n_times(form: dict, prob) -> dict:
+    """The terms of n * p(x, y, n) that neither grow nor vanish as n -> infinity.
+
+    ``form`` is the polynomial form of p in (x, y, n); a term whose power of n
+    stays positive has no limit and raises ValidationError.
+    """
+    if any(e > -1 for _, _, e in form):
+        raise ValidationError(f"n * prob grows without bound as n -> infinity for prob {prob!r}; "
+                              "the sparse limit needs prob = O(1/n)")
+    return {(p, q): c for (p, q, e), c in form.items() if e == -1}
 
 
 def with_seed(spec: ModelSpec, seed: int) -> ModelSpec:

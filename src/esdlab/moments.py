@@ -11,28 +11,31 @@ blocks, variance profiles); this module only sums them.
 ``moment_graphon(block_family(masses, cells), 4)``. It picks one node rule
 per moment from the kinds of the members up to that order
 (:func:`esdlab.graphons.node_rule`). Families on an exact rule are summed
-in Fractions over cells and rounded once, so their moments are correctly
-rounded. A :class:`~esdlab.graphons.CumulantSchedule` (the family of
-constants C_{2t}) and a periodic band over constants take one cell; blocks,
-grids and profiles over a grid take the cells of the grids' breaks. Every
-other family is summed on quadrature nodes by
+in Fractions and rounded once, so their moments are correctly rounded, with
+error 0. A :class:`~esdlab.graphons.CumulantSchedule` (the family of
+constants C_{2t}) and a periodic band over constants take one cell, summed
+here. Blocks, grids, polynomial kernels in x and y, and open bands over any
+of these take the pieces between the grids' breaks and the band's shifts of
+them, summed by :func:`esdlab.cells.cell_sum`. Every other family
+(transcendental, ``ind`` or ``abs`` kernels, periodic bands over a
+non-constant base) is summed on quadrature nodes by
 :func:`esdlab.quadrature.integrate_tree_sum`. A sum that overflows raises
 NumericError instead of returning inf or nan.
 
-No numpy is loaded here: :func:`moment_graphon` imports :mod:`esdlab.quadrature`
-only past the exact rules, so ``moments`` on ``semicircle``, ``constant``,
-``schedule``, ``sparse``, a periodic ``band`` over them, ``block``, a
-``graphon`` of constants and grids, a ``profile`` over a grid, or a ``model``
-of ``gaussian_wigner``, ``triangular_twopoint``, ``sparse_homogeneous`` or
-``block`` needs no numpy.
+No numpy is loaded here: :func:`moment_graphon` imports :mod:`esdlab.cells`
+only for the pieces and :mod:`esdlab.quadrature` only past the exact rules,
+so ``moments`` on ``semicircle``, ``constant``, ``schedule``, ``sparse``, a
+``band`` over them (periodic or open), ``block``, a ``graphon`` of
+constants, grids and polynomials, a ``profile`` over a grid or a
+polynomial, or a ``model`` of ``gaussian_wigner``, ``triangular_twopoint``,
+``sparse_homogeneous``, ``block``, an open ``band`` over these, or
+``sparse_inhomogeneous`` with a polynomial ``prob`` needs no numpy.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
-from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import NumericError, ValidationError
@@ -127,10 +130,11 @@ def moment_graphon(family: GraphonFamily, two_k: int,
                    config: QuadratureConfig = DEFAULT_CONFIG) -> MomentEntry:
     """Sum of homomorphism densities over all colored trees of the given order.
 
-    The members up to order two_k pick one node rule. On the exact rules
-    ("point" and "cells") the color-class recursion runs in Fractions over
-    the cells of :func:`_cell_sum`; on any other rule
-    :func:`esdlab.quadrature.integrate_tree_sum` runs it on the rule's nodes.
+    The members up to order two_k pick one node rule. On the exact rules the
+    color-class recursion runs in Fractions: here on one cell ("point"), and
+    in :func:`esdlab.cells.cell_sum` on the pieces of [0, 1] ("cells"). On
+    any other rule :func:`esdlab.quadrature.integrate_tree_sum` runs it on the
+    rule's nodes.
     A value or error estimate that is not finite raises NumericError.
     """
     if two_k % 2:
@@ -141,7 +145,13 @@ def moment_graphon(family: GraphonFamily, two_k: int,
     members = {t: g for t, g in members.items() if g is not None}
     rule = node_rule(members.values())
     if rule in ("point", "cells"):
-        exact = _cell_sum(members, k, one_cell=rule == "point")
+        if rule == "point":  # each member is its row integral, and messages are Fractions
+            rows = {t: _row_integral(g) for t, g in members.items()}
+            exact = tree_sum(k, lambda t, f: None if t not in rows else rows[t] * f, Fraction(1))
+        else:
+            from .cells import cell_sum
+
+            exact = cell_sum(members, k)
         return MomentEntry(two_k, _rounded(exact, f"beta_{two_k} of {family.description!r}"),
                            0.0, EXACT)
 
@@ -154,60 +164,11 @@ def moment_graphon(family: GraphonFamily, two_k: int,
     return MomentEntry(two_k, result.value, result.error, QUADRATURE)
 
 
-def _cell_sum(members: Mapping[int, Graphon], k: int, one_cell: bool) -> Fraction:
-    """beta_{2k} summed exactly over the cells of the exact rule.
-
-    On one cell each member is its row integral, C or 2*alpha*C for a
-    periodic band over C, and messages are single Fractions. Otherwise the
-    cells are those of the union of the grids' breaks; a member acts on a
-    message by its cell values times the cell widths, and a message holds
-    one Fraction per cell.
-    """
-    if one_cell:
-        rows = {t: _row_integral(g) for t, g in members.items()}
-        return tree_sum(k, lambda t, f: None if t not in rows else rows[t] * f, Fraction(1))
-    breaks = sorted({Fraction(b) for g in members.values() if g.kind == "grid" for b in g.breaks})
-    widths = [b - a for a, b in zip(breaks, breaks[1:])]
-    weighted = {t: [list(map(mul, row, widths)) for row in _cell_values(g, breaks)]
-                for t, g in members.items()}
-
-    def edge(t: int, f: _Cells):
-        rows = weighted.get(t)
-        return None if rows is None else _Cells([sum(map(mul, row, f)) for row in rows])
-
-    return sum(map(mul, widths, tree_sum(k, edge, _Cells([Fraction(1)] * len(widths)))))
-
-
 def _row_integral(g: Graphon) -> Fraction:
     """The exact row integral of a kernel on the one-node rule (see node_rule)."""
     if g.kind == "banded":
         return 2 * Fraction(g.alpha) * Fraction(g.base.value)
     return Fraction(g.value)
-
-
-def _cell_values(g: Graphon, breaks: Sequence[Fraction]) -> list[list[Fraction]]:
-    """The value of a constant or grid kernel on each pair of cells between ``breaks``."""
-    cells = len(breaks) - 1
-    if g.kind == "constant":
-        return [[Fraction(g.value)] * cells] * cells
-    index = [bisect_right(g.breaks, b) - 1 for b in breaks[:-1]]
-    return [[Fraction(g.cells[i][j]) for j in index] for i in index]
-
-
-class _Cells(tuple):
-    """A message with one Fraction per cell: ``+`` and ``*`` act cell by cell."""
-
-    __slots__ = ()
-
-    def __add__(self, other: "_Cells") -> "_Cells":
-        return _Cells([a + b for a, b in zip(self, other)])
-
-    def __mul__(self, other) -> "_Cells":
-        if isinstance(other, int):
-            return _Cells([a * other for a in self])
-        return _Cells([a * b for a, b in zip(self, other)])
-
-    __rmul__ = __mul__
 
 
 # -- series builders ---------------------------------------------------------

@@ -7,9 +7,13 @@ shared by all variables each kernel becomes a matrix g(x_i, x_j), and
 by the color-class recursion of :mod:`esdlab.treesum`.
 :func:`esdlab.graphons.node_rule` picks the rule once for all the kernels of
 an integral, from their kinds. Its exact rules, one node for row-constant
-kernels and the cells of the breaks for constants and grids, are summed in
-Fractions by :func:`esdlab.moments.moment_graphon`, which never loads this
-module for them. The two rules here are:
+kernels and the pieces of the breaks for constants, grids, polynomials and
+open bands over them, are summed in Fractions by
+:func:`esdlab.moments.moment_graphon`, which never loads this module for
+them. So only kernels with no exact rule come here: transcendental ones,
+``ind`` and ``abs`` steps and kinks, periodic bands over a non-constant base,
+bands of two widths, and bands too narrow for their breaks
+(:data:`esdlab.graphons.MAX_BAND_BREAKS`). The two rules here are:
 
 * smooth kernels -> Gauss-Legendre on ``points`` and ``points // 2`` nodes;
   the value is the first, the error the gap between the two.
@@ -19,7 +23,8 @@ module for them. The two rules here are:
   of |i - j| only), which keeps the single-edge integral exact and the rule
   second order; other kernels are evaluated at cell midpoints.
 
-Here the arrays of a theory command begin; only the rules past the exact ones import this module.
+Called directly, :func:`integrate_tree_sum` runs these rules on any kernels,
+exact kinds included. Here the arrays of a theory command begin.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Callable, Iterable, Mapping, Optional
 import numpy as np
 
 from .errors import NumericError
-from .graphons import DEFAULT_CONFIG, Graphon, QuadratureConfig, node_rule
+from .graphons import DEFAULT_CONFIG, Graphon, QuadratureConfig
 from .treesum import tree_sum
 
 #: cells of the finest uniform grid; its kernel matrices take 8 MB each
@@ -118,7 +123,7 @@ def _grid_error(coarse: float, middle: float, fine: float) -> float:
 def integrate_on_nodes(evaluate: Callable[[Nodes], float], kernels: Iterable[Graphon],
                        config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
     """Run ``evaluate`` on the node sets of Gauss or, for any kernels not smooth, the grid."""
-    if node_rule(kernels) == "gauss":
+    if all(g.smooth for g in kernels):
         full = evaluate(_gauss_nodes(config.points))
         half = evaluate(_gauss_nodes(max(2, config.points // 2)))
         return IntegralResult(full, abs(full - half), "gauss")

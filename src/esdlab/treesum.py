@@ -16,8 +16,9 @@ integrated over the root's variable where there is one.
 The recursion is generic over the message type: anything with ``+``, ``*``
 between messages and ``*`` by a Python int. Families on one node (flat
 schedules, periodic bands over constants) pass Fractions, the census by
-block count passes Python ints, and other kernel families pass vectors on
-quadrature nodes.
+block count passes Python ints, the other exact kernel families pass
+piecewise polynomials with Fraction coefficients, and the rest pass vectors
+on quadrature nodes.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -487,6 +488,49 @@ def test_malformed_configs_exit_2(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _sparse_profile(prob: str) -> str:
+    return json.dumps({"kind": "model", "spec": {"variant": "sparse_inhomogeneous", "n": 1000,
+                                                 "seed": 1, "params": {"prob": prob}}})
+
+
+def test_sparse_profile_limit_is_exact_or_refused(capsys):
+    # n * prob of a polynomial in (x, y, 1/n) has an exact limit, or none
+    code, out, err = run(capsys, "moments", "--theory-json", _sparse_profile("x*y"))
+    assert (code, out) == (2, "")
+    assert err == ("error: n * prob grows without bound as n -> infinity for prob 'x*y'; "
+                   "the sparse limit needs prob = O(1/n)\n")
+    code, out, err = run(capsys, "moments", "--theory-json",
+                         _sparse_profile("(x + y)/(2*n) + x*y/n**2"), "--two-k", "4",
+                         "--reproducible")
+    assert code == 0, err
+    entries = json.loads(out)["series"]["entries"]
+    # every order's member is g = (x + y)/2, with row integral m(x) = x/2 + 1/4:
+    # beta_2 = 1/2 and beta_4 = 2 int m^2 + int g = 13/24 + 1/2
+    assert [(e["beta"], e["error_estimate"], e["provenance"]) for e in entries] == [
+        (0.5, 0.0, "exact-combinatorial"), (float(Fraction(25, 24)), 0.0, "exact-combinatorial")]
+    # any other prob keeps the numeric limit
+    code, out, err = run(capsys, "moments", "--theory-json", _sparse_profile("exp(-x*y)/n"),
+                         "--reproducible")
+    assert code == 0, err
+    assert json.loads(out)["series"]["entries"][0]["provenance"] == "quadrature"
+
+
+def test_band_over_a_sparse_base_is_correctly_rounded(capsys):
+    model = {"variant": "band", "n": 1000, "seed": 1,
+             "params": {"half_width": 0.2, "base": "sparse_homogeneous",
+                        "base_params": {"rate": 2.0}}}
+    code, out, err = run(capsys, "moments", "--theory-json",
+                         json.dumps({"kind": "model", "spec": model}), "--two-k", "2",
+                         "--reproducible")
+    assert code == 0, err
+    (entry,) = json.loads(out)["series"]["entries"]
+    # beta_2 = 2 (2a - a^2) for the double a nearest 0.2, which lies 1.1e-17 above it:
+    # 0.72 + 3.6e-17, whose nearest double is the one above 0.72
+    a = Fraction(0.2)
+    assert entry["beta"] == float(2 * (2 * a - a * a)) == 0.7200000000000001
+    assert (entry["error_estimate"], entry["provenance"]) == (0.0, "exact-combinatorial")
+
+
 def test_block_mass_error_prints_a_plain_number(capsys):
     code, out, err = run(capsys, "simulate", "--model-json",
                          '{"variant":"block","params":{"masses":[0.5,0.4],'
@@ -712,11 +756,11 @@ def _python(*argv: str) -> subprocess.CompletedProcess:
 
 
 def _cli_modules(argv) -> tuple[subprocess.CompletedProcess, list[str]]:
-    """python -m esdlab.cli ARGV --reproducible, and the numpy, esdlab, dataclasses and
-    inspect modules it loaded."""
+    """python -m esdlab.cli ARGV --reproducible, and the numpy, esdlab, dataclasses,
+    inspect and ast modules it loaded."""
     code = ("import atexit, runpy, sys\n"
             "atexit.register(lambda: print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('numpy', 'esdlab', 'dataclasses', 'inspect')),"
+            " if m.split('.')[0] in ('numpy', 'esdlab', 'dataclasses', 'inspect', 'ast')),"
             " file=sys.stderr))\n"
             f"sys.argv = ['esdlab', *{list(argv)!r}, '--reproducible']\n"
             "runpy.run_module('esdlab.cli', run_name='__main__', alter_sys=True)\n")
@@ -752,6 +796,13 @@ BLOCK_CELLS = [[1.5, 0.4], [0.4, 0.8]]
     ("moments", "--theory-json", json.dumps({"kind": "model", "spec": {
         "variant": "block", "n": 100, "seed": 1,
         "params": {"masses": [0.4, 0.6], "scales": BLOCK_CELLS}}}), "--two-k", "8"),
+    # ... or as polynomials in x on the pieces of a band or of one cell
+    ("moments", "--theory-json", '{"kind":"band","alpha":0.2}', "--two-k", "10"),
+    ("moments", "--theory-json", '{"kind":"profile","sigma":"2*sqrt(x*y)"}', "--two-k", "10"),
+    ("moments", "--theory-json", '{"kind":"graphon","g":{"2":"4*x*y"}}', "--two-k", "8"),
+    ("moments", "--theory-json", json.dumps({"kind": "model", "spec": {
+        "variant": "sparse_inhomogeneous", "n": 1000, "seed": 1,
+        "params": {"prob": "2.0*x*y/n"}}}), "--two-k", "8"),
 ])
 def test_combinatorial_commands_load_no_numpy(capsys, argv):
     done, loaded = _cli_modules(argv)
@@ -768,14 +819,27 @@ def test_combinatorial_commands_load_no_numpy(capsys, argv):
     else:
         assert "esdlab.combinatorics" not in loaded and "esdlab.quadrature" not in loaded
         assert ("esdlab.models" in loaded) == (json.loads(argv[2])["kind"] == "model")
+        # only an expression is parsed
+        assert ("ast" in loaded) == bool(_expressions(json.loads(argv[2])))
         if "--format" not in argv:
             entries = json.loads(done.stdout)["series"]["entries"]
             assert {(e["provenance"], e["error_estimate"]) for e in entries} == {
                 ("exact-combinatorial", 0.0)}
 
 
+def _expressions(cfg) -> list[str]:
+    """The expression texts anywhere in a theory config."""
+    if isinstance(cfg, dict):
+        return [e for key, value in cfg.items() if key not in ("kind", "variant")
+                for e in _expressions(value)]
+    if isinstance(cfg, list):
+        return [e for value in cfg for e in _expressions(value)]
+    return [cfg] if isinstance(cfg, str) else []
+
+
 def test_kernel_theory_still_loads_numpy(capsys):
-    argv = ("moments", "--theory-json", '{"kind":"band","alpha":0.2}', "--two-k", "6")
+    argv = ("moments", "--theory-json", '{"kind":"graphon","g":{"2":"1 + cos(2*pi*(x - y))"}}',
+            "--two-k", "6")
     done, loaded = _cli_modules(argv)
     assert "numpy" in loaded and "esdlab.quadrature" in loaded
     assert run(capsys, *argv, "--reproducible")[1] == done.stdout

@@ -18,6 +18,7 @@ from esdlab.combinatorics import catalan, count_ss_by_blocks, enumerate_ss
 from esdlab.graphons import (CumulantSchedule, Graphon, GraphonFamily, as_graphon, block_family,
                              profile_family)
 from esdlab.moments import moment_graphon
+from esdlab.quadrature import integrate_tree_sum
 from esdlab.trees import enumerate_trees
 from tree_oracle import exact_density, homomorphism_density
 
@@ -64,8 +65,8 @@ def rank_one_truth(k):
 def test_rank_one_against_plane_trees(two_k):
     fam = GraphonFamily(entries={2: Graphon.from_expression("4*x*y")})
     entry = moment_graphon(fam, two_k)
-    assert entry.provenance == "quadrature"
-    assert_covers(entry, float(rank_one_truth(two_k // 2)), cap=1e-9)
+    assert entry.provenance == "exact-combinatorial" and entry.error == 0.0
+    assert entry.value == float(rank_one_truth(two_k // 2))
 
 
 def test_rank_one_truth_starts_right():
@@ -86,11 +87,50 @@ def test_open_band_low_orders(alpha):
     sched = CumulantSchedule.semicircle()
     # the row integral m(x) is x + alpha, 2 alpha, 1 - x + alpha on three pieces,
     # and beta_4 = 2 * int m^2 (star and path; the doubled edge has no order-4 kernel)
-    second = moment_graphon(sched.banded(alpha, False), 2)
-    assert second.provenance == "quadrature"
-    assert_covers(second, 2 * alpha - alpha**2, cap=1e-12)
-    fourth = moment_graphon(sched.banded(alpha, False), 4)
-    assert_covers(fourth, 8 * alpha**2 - 20 * alpha**3 / 3, cap=1e-5)
+    a = Fraction(alpha)
+    for two_k, truth in ((2, 2 * a - a**2), (4, 8 * a**2 - 20 * a**3 / 3)):
+        entry = moment_graphon(sched.banded(alpha, False), two_k)
+        assert entry.provenance == "exact-combinatorial" and entry.error == 0.0
+        assert entry.value == float(truth)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.25, 0.3])
+def test_open_band_lies_within_the_grid_rule(alpha):
+    # the uniform grids of esdlab.quadrature, still reached when called directly
+    fam = CumulantSchedule.semicircle().banded(alpha, False)
+    for two_k in range(2, 13, 2):
+        members = {t: fam.g(2 * t) for t in range(1, two_k // 2 + 1)}
+        grid = integrate_tree_sum({t: g for t, g in members.items() if g is not None}, two_k // 2)
+        assert grid.method == "grid"
+        entry = moment_graphon(fam, two_k)
+        assert entry.provenance == "exact-combinatorial"
+        assert_covers(grid, entry.value, cap=1e-4)
+
+
+PIECE_FAMILIES = {
+    "band_over_blocks": block_family([0.3, 0.7], {2: [[1.5, 0.4], [0.4, 0.8]],
+                                                  4: [[2.0, 0.3], [0.3, 1.2]]}).banded(0.2, False),
+    "band_over_polynomials": GraphonFamily({2: "1 + x*y", 4: "x + y"}).banded(0.25, False),
+    "polynomial_and_grid": GraphonFamily({2: {"breaks": [0, 0.25, 1],
+                                              "cells": [[1.5, 0.3], [0.3, 0.7]]},
+                                          4: "(x + y)**2/4", 6: 0.5}),
+    "polynomial_profile": profile_family("0.5 + 0.5*x*y", CumulantSchedule(
+        "two cumulants", ((2, 1.0), (4, 3.0)), rule=lambda two_k: 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIECE_FAMILIES))
+def test_exact_pieces_lie_within_the_approximate_rules(name):
+    # bands over grids and polynomials, and polynomials beside grids, against the
+    # Gauss or grid rule of esdlab.quadrature on the same members
+    fam = PIECE_FAMILIES[name]
+    for two_k in range(2, 11, 2):
+        members = {t: fam.g(2 * t) for t in range(1, two_k // 2 + 1)}
+        approximate = integrate_tree_sum({t: g for t, g in members.items() if g is not None},
+                                         two_k // 2)
+        entry = moment_graphon(fam, two_k)
+        assert entry.provenance == "exact-combinatorial" and entry.error == 0.0
+        assert_covers(approximate, entry.value, cap=0.05)
 
 
 def test_two_block_kernel_against_tree_densities():

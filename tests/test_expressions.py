@@ -1,6 +1,7 @@
 """Safe kernel expressions: grammar, vectorization, smoothness flag."""
 
 import keyword
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from esdlab.errors import ValidationError
-from esdlab.expressions import compile_expression, expression_is_smooth
+from esdlab.expressions import compile_expression, expression_is_smooth, polynomial_form
 
 
 def test_basic_arithmetic_and_vectorization():
@@ -98,3 +99,26 @@ def test_absolute_values_are_not_smooth():
     # a kink on the diagonal: the Gauss error estimate could under-report there
     assert not expression_is_smooth("1 - abs(x - y)")
     assert not expression_is_smooth("abs (x - 0.5) * abs(y - 0.5)")
+
+
+def test_polynomial_forms_are_exact():
+    half = Fraction(1, 2)
+    assert polynomial_form("4*x*y") == {(1, 1): 4}
+    assert polynomial_form("2*sqrt(x*y)") == {(half, half): 2}
+    assert polynomial_form("(x + y)**2 - 2*x*y") == {(2, 0): 1, (0, 2): 1}
+    assert polynomial_form("sqrt(0.25*x**2)/2 - -y") == {(1, 0): Fraction(1, 4), (0, 1): 1}
+    # a float literal is its exact binary value, and 1/3 a third
+    assert polynomial_form("0.1*x + x/3") == {(1, 0): Fraction(0.1) + Fraction(1, 3)}
+    assert polynomial_form("x**0 + 0*y") == {(0, 0): 1}
+    assert polynomial_form("2.0*x*y/n", ("x", "y", "n")) == {(1, 1, -1): 2}
+    assert polynomial_form("(x + y)/(2*n)", ("x", "y", "n")) == {(1, 0, -1): half, (0, 1, -1): half}
+
+
+@pytest.mark.parametrize("source", [
+    "sin(x*y)", "pi*x", "e + y", "ind(x < y)", "abs(x - y)", "exp(x)",
+    "x/(x + y)", "x/0", "x**y", "x**2.0", "x**-1", "sqrt(2*x)", "sqrt(x + y)", "sqrt(-x)",
+    "1e999*x", "x**65", "(x**40)**2",
+])
+def test_non_polynomials_have_no_form(source):
+    assert polynomial_form(source) is None
+    compile_expression(source)  # each is still a valid expression

@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate
 
 from esdlab.errors import ValidationError
-from esdlab.graphons import Graphon
-from esdlab.quadrature import GRID_CAP, QuadratureConfig, node_rule
+from esdlab.graphons import Graphon, node_rule
+from esdlab.quadrature import GRID_CAP, QuadratureConfig
 from tree_oracle import integrate_edge_product
 
 
@@ -105,10 +105,24 @@ def test_node_rule_follows_kernel_kinds():
     grid = Graphon.from_grid([0.0, 0.5, 1.0], [[1.0, 2.0], [2.0, 4.0]])
     periodic = Graphon.constant(1.0).banded(0.3, periodic=True)
     open_band = Graphon.constant(1.0).banded(0.3, periodic=False)
+    polynomial = Graphon.from_expression("x*y")
     assert node_rule([]) == "point"
     assert node_rule([Graphon.constant(2.0), periodic]) == "point"
     assert node_rule([Graphon.constant(2.0), grid]) == "cells"
-    assert node_rule([Graphon.constant(2.0), Graphon.from_expression("x*y")]) == "gauss"
-    assert node_rule([open_band]) == "grid"
+    # polynomials in x and y, and open bands over any exact kernel, are exact too
+    assert node_rule([Graphon.constant(2.0), polynomial]) == "cells"
+    assert node_rule([open_band, grid.banded(0.3, False), polynomial.banded(0.3, False)]) == "cells"
+    # half-integer powers are exact only once a power makes them whole
+    root = Graphon.from_expression("2*sqrt(x*y)")
+    assert node_rule([root]) == "gauss" and node_rule([root.power_scale(2, 1.0)]) == "cells"
+    # periodic bands over non-constants, bands of two widths, and bands of too many pieces
     assert node_rule([grid, periodic]) == "grid"
+    assert node_rule([polynomial.banded(0.3, True)]) == "grid"
+    assert node_rule([open_band, Graphon.constant(1.0).banded(0.2, False)]) == "grid"
+    assert node_rule([Graphon.constant(1.0).banded(1 / 64, False)]) == "cells"
+    assert node_rule([Graphon.constant(1.0).banded(0.01, False)]) == "grid"
+    fine = Graphon.from_grid([i / 16 for i in range(17)], [[1.0] * 16] * 16)
+    assert node_rule([fine.banded(0.25, False)]) == "cells"
+    assert node_rule([fine.banded(0.1, False)]) == "grid"
+    assert node_rule([Graphon.from_expression("1 + cos(2*pi*(x - y))")]) == "gauss"
     assert node_rule([Graphon.from_expression("1 - abs(x - y)")]) == "grid"

@@ -5,7 +5,8 @@ recursion. Here each tree is integrated on its own by message passing, from
 the last color back to the root. Its kernels pick the nodes: one node for
 row-constant kernels, one node per cell of the grids' breaks (at the cell's
 midpoint, weighted by its width) for constants and grids, both exact, and
-otherwise the approximate rules of esdlab.quadrature.integrate_on_nodes.
+otherwise the approximate rules of esdlab.quadrature.integrate_on_nodes, which
+also take the polynomials and open bands that moment_graphon sums exactly.
 """
 
 from fractions import Fraction
@@ -44,7 +45,8 @@ def integrate_edge_product(factors: Mapping[int, Graphon], parent: Mapping[int, 
             messages[parent[child]] *= nodes.matrix(factors[child]) @ (nodes.w * messages[child])
         return float(np.sum(nodes.w * messages[0]))
 
-    if node_rule(factors.values()) in ("point", "cells"):
+    if node_rule(factors.values()) == "point" or all(
+            g.kind in ("constant", "grid") for g in factors.values()):
         return IntegralResult(message_pass(exact_nodes(factors.values())), 0.0, "exact")
     return integrate_on_nodes(message_pass, factors.values(), config)
 
