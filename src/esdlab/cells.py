@@ -1,13 +1,19 @@
-"""The exact cell rule: kernel families summed in Fractions over pieces of [0, 1].
+"""The exact cell rule: kernel families summed in integers over pieces of [0, 1].
 
 :func:`esdlab.moments.moment_graphon` sends here every family whose node
 rule is "cells" (:func:`esdlab.graphons.node_rule`): blocks, grids,
 polynomial kernels in x and y, any mix of these, and open bands over any of
 them. The color-class recursion of :mod:`esdlab.treesum` runs on messages
-that are polynomials in x on each piece of a :class:`_Partition`, with
-Fraction coefficients (:class:`_Pieces`); over constants and grids a message
-has degree 0, one Fraction per cell. A member acts on a message by
-:func:`_edge`. The sum is exact, so the moment is rounded once.
+that are polynomials on each piece of a :class:`_Partition` (:class:`_Pieces`);
+over constants and grids a message has degree 0, one number per cell. A
+member acts on a message by :func:`_edge`. The sum is exact, so the moment is
+rounded once.
+
+Breaks and half-widths are floats, so they share a power of two B as common
+denominator. Messages are polynomials in X = B*x, in which every break and
+the half-width are integers, and their coefficients are integers over one
+common denominator per message: the rule runs on Python ints and reduces one
+fraction per member application, never one per operation.
 
 Families on one cell (schedules, periodic bands over constants) are summed
 by :mod:`esdlab.moments` itself, which imports this module only for the
@@ -37,38 +43,68 @@ def cell_sum(members: Mapping[int, Graphon], k: int) -> Fraction:
         apply = edges.get(t)
         return None if apply is None else apply(f)
 
-    return sum(pieces.integrals(tree_sum(k, edge, pieces.one), 0))
+    nums, den = pieces.integrals(tree_sum(k, edge, pieces.one), 0)
+    return Fraction(sum(nums), den * pieces.scale)  # dx = dX / B
 
 
-class _Pieces(tuple):
-    """A message: a polynomial in x on each piece. Entry p holds the
-    coefficients of x**p, one per piece; ``+`` and ``*`` act piece by piece."""
+class _Pieces:
+    """A message: a polynomial in X on each piece, in integers over one common
+    denominator. ``rows[p][i] / den`` is the coefficient of X**p on piece i;
+    ``+`` and ``*`` act piece by piece on Python ints."""
 
-    __slots__ = ()
+    __slots__ = ("rows", "den")
+
+    def __init__(self, rows: list, den: int = 1):
+        self.rows, self.den = rows, den
+
+    @classmethod
+    def reduced(cls, rows: list, den: int) -> "_Pieces":
+        """The message rows / den, with the common factor of all its integers taken out."""
+        g = math.gcd(den, *(c for row in rows for c in row))
+        return cls([[c // g for c in row] for row in rows], den // g) if g > 1 else cls(rows, den)
 
     def __add__(self, other: "_Pieces") -> "_Pieces":
-        if len(self) < len(other):
-            self, other = other, self
-        summed = [list(map(add, r, s)) for r, s in zip(self, other)]
-        return _Pieces(summed + list(self[len(other):]))
+        a, b, den = self.rows, other.rows, self.den
+        if other.den != den:
+            g = math.gcd(den, other.den)
+            a, b = _scaled_rows(a, other.den // g), _scaled_rows(b, den // g)
+            den *= other.den // g
+        if len(a) < len(b):
+            a, b = b, a
+        return _Pieces([list(map(add, r, s)) for r, s in zip(a, b)] + a[len(b):], den)
 
     def __mul__(self, other) -> "_Pieces":
         if isinstance(other, int):
-            return _Pieces([[a * other for a in row] for row in self])
-        if len(self) == len(other) == 1:  # degree 0, as over constants and grids
-            return _Pieces([list(map(mul, self[0], other[0]))])
-        out: list = [None] * (len(self) + len(other) - 1)
-        for p, row in enumerate(self):
-            for q, col in enumerate(other):
+            return _Pieces(_scaled_rows(self.rows, other), self.den)
+        a, b = self.rows, other.rows
+        if len(a) == len(b) == 1:  # degree 0, as over constants and grids
+            return _Pieces([list(map(mul, a[0], b[0]))], self.den * other.den)
+        out: list = [None] * (len(a) + len(b) - 1)
+        for p, row in enumerate(a):
+            for q, col in enumerate(b):
                 product = list(map(mul, row, col))
                 out[p + q] = product if out[p + q] is None else list(map(add, out[p + q], product))
-        return _Pieces(out)
+        return _Pieces(out, self.den * other.den)
 
     __rmul__ = __mul__
 
 
+def _over_common(rows: list) -> tuple[list, int]:
+    """Rows of Fractions or ints as integer rows over their least common denominator."""
+    den = math.lcm(*(c.denominator for row in rows for c in row))
+    return [[c.numerator * (den // c.denominator) for c in row] for row in rows], den
+
+
+def _scaled_rows(rows: list, s: int) -> list:
+    return rows if s == 1 else [[c * s for c in row] for row in rows]
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
+
+
 class _Partition:
-    """The pieces of [0, 1] that the exact cell rule sums over.
+    """The pieces of [0, 1] that the exact cell rule sums over, in X = B*x.
 
     Their breaks are 0, 1 and every grid's breaks. With an open band of
     half-width alpha they are also shifted by every multiple of alpha that
@@ -80,67 +116,83 @@ class _Partition:
     def __init__(self, kernels: Iterable[Graphon]):
         kernels = list(kernels)
         breaks = set(map(Fraction, grid_breaks(kernels)))
-        self.alpha = next((Fraction(g.alpha) for g in kernels if g.kind == "banded"), None)
-        if self.alpha is not None:
-            reach = math.floor(1 / self.alpha)
-            breaks = {b + j * self.alpha for b in breaks for j in range(-reach, reach + 1)
-                      if 0 <= b + j * self.alpha <= 1}
-        breaks = sorted(breaks)
-        self.left, self.right = breaks[:-1], breaks[1:]
-        if self.alpha is not None:
+        alpha = next((Fraction(g.alpha) for g in kernels if g.kind == "banded"), None)
+        if alpha is not None:
+            reach = math.floor(1 / alpha)
+            breaks = {b + j * alpha for b in breaks for j in range(-reach, reach + 1)
+                      if 0 <= b + j * alpha <= 1}
+        self.breaks = sorted(breaks)
+        self.scale = math.lcm(*(b.denominator for b in self.breaks))  # B; alpha is a break
+        ends = [int(b * self.scale) for b in self.breaks]
+        self.left, self.right = ends[:-1], ends[1:]
+        if alpha is not None:
+            self.alpha = int(alpha * self.scale)
             start = {a: i for i, a in enumerate(self.left)}
             self.below = [start.get(a - self.alpha) for a in self.left]
             self.above = [start.get(a + self.alpha) for a in self.left]
-        self.one = _Pieces([[Fraction(1)] * len(self.left)])
-        self._powers: dict[int, list[Fraction]] = {}
+        self.one = _Pieces([[1] * len(self.left)])
+        self._gaps: dict[int, list[int]] = {}
 
-    def integrals(self, f: _Pieces, q: int) -> list:
-        """The integral of y**q f(y) over each piece."""
-        rows = [list(map(mul, row, self._power_integrals(p + q))) for p, row in enumerate(f)]
-        return rows[0] if len(rows) == 1 else [sum(column) for column in zip(*rows)]
+    def integrals(self, f: _Pieces, q: int) -> tuple[list, int]:
+        """The integral of Y**q F(Y) dY over each piece: integer numerators and
+        their common denominator, ``f.den`` times :meth:`divisor`."""
+        divisor = self.divisor(f, q)
+        total = [0] * len(self.left)
+        for p, row in enumerate(f.rows):
+            e = p + q + 1
+            total = list(map(add, total, map(mul, row, self._power_gaps(e, divisor // e))))
+        return total, divisor * f.den
 
-    def _power_integrals(self, e: int) -> list[Fraction]:
-        if e not in self._powers:
-            self._powers[e] = [(b**(e + 1) - a**(e + 1)) / (e + 1)
-                               for a, b in zip(self.left, self.right)]
-        return self._powers[e]
+    @staticmethod
+    def divisor(f: _Pieces, q: int) -> int:
+        """The common multiple of the powers p + q + 1 an integral of Y**q F(Y) divides by."""
+        return math.lcm(*range(q + 1, q + len(f.rows) + 1))
 
-    def windows(self, f: _Pieces, q: int, cells) -> list[list]:
-        """On each piece I, the coefficients in x of the integral of
-        c(I, J) y**q f(y) over y in [x - alpha, x + alpha] and in [0, 1].
+    def _power_gaps(self, e: int, s: int) -> list[int]:
+        """s * (b**e - a**e) on each piece [a, b]."""
+        if e not in self._gaps:
+            self._gaps[e] = [b**e - a**e for a, b in zip(self.left, self.right)]
+        return self._gaps[e] if s == 1 else [s * g for g in self._gaps[e]]
 
-        c is the grid ``cells`` on pieces (I, J), or 1. A piece wholly inside
-        the window adds its integral; the piece below adds the antiderivative
-        from x - alpha to its end, and the piece above from its start to
-        x + alpha, each a Taylor shift of a polynomial by -+alpha.
+    def windows(self, f: _Pieces, q: int, cells) -> tuple[list[list[int]], int]:
+        """On each piece I, the integer coefficients in X of the integral of
+        c(I, J) Y**q F(Y) over Y in [X - alpha, X + alpha] and in [0, B], and
+        their common denominator.
+
+        c is the grid ``cells`` on pieces (I, J) (integer rows over a common
+        denominator), or 1. A piece wholly inside the window adds its
+        integral; the piece below adds the antiderivative from X - alpha to
+        its end, and the piece above from its start to X + alpha, each a
+        Taylor shift of a polynomial by -+alpha.
         """
-        whole = self.integrals(f, q)
+        whole, den = self.integrals(f, q)
+        divisor = den // f.den
+        rows, cells_den = cells or ([[1] * len(whole)] * len(whole), 1)
         out = []
-        for i, (lo, hi) in enumerate(zip(self.below, self.above)):
-            weights = cells[i] if cells else [1] * len(whole)
-            first = 0 if lo is None else lo + 1
+        for weights, lo, hi in zip(rows, self.below, self.above):
+            first = 0 if lo is None else lo  # piece lo whole, less its part below X - alpha
             last = len(whole) if hi is None else hi
-            window = [sum(map(mul, weights[first:last], whole[first:last]))]
+            window = [_dot(weights[first:last], whole[first:last])]
             if lo is not None:
-                window[0] += weights[lo] * whole[lo]
-                below = _shifted(self._antiderivative(f, q, lo), -self.alpha)
+                below = _shifted(self._antiderivative(f, q, lo, divisor), -self.alpha)
                 _add_scaled(window, -weights[lo], below)
             if hi is not None:
-                above = _shifted(self._antiderivative(f, q, hi), self.alpha)
+                above = _shifted(self._antiderivative(f, q, hi, divisor), self.alpha)
                 _add_scaled(window, weights[hi], above)
             out.append(window)
-        return out
+        return out, den * cells_den
 
-    def _antiderivative(self, f: _Pieces, q: int, j: int) -> list:
-        """Coefficients of the integral of t**q f(t) from the start of piece j to y."""
-        coefficients = [0] * (len(f) + q + 1)
-        for p, row in enumerate(f):
-            coefficients[p + q + 1] = row[j] / (p + q + 1)
+    def _antiderivative(self, f: _Pieces, q: int, j: int, divisor: int) -> list[int]:
+        """Integer coefficients, over ``divisor * f.den``, of the integral of
+        t**q F(t) from the start of piece j to Y."""
+        coefficients = [0] * (len(f.rows) + q + 1)
+        for p, row in enumerate(f.rows):
+            coefficients[p + q + 1] = row[j] * (divisor // (p + q + 1))
         coefficients[0] = -_value(coefficients, self.left[j])
         return coefficients
 
 
-def _value(coefficients: list, x: Fraction):
+def _value(coefficients: list, x: int) -> int:
     """A polynomial's value at x, by Horner's rule."""
     total = 0
     for c in reversed(coefficients):
@@ -148,7 +200,7 @@ def _value(coefficients: list, x: Fraction):
     return total
 
 
-def _shifted(coefficients: list, s: Fraction) -> list:
+def _shifted(coefficients: list, s: int) -> list:
     """Coefficients of P(x + s) from those of P(x), by Horner's rule in x + s."""
     out: list = []
     for c in reversed(coefficients):
@@ -174,46 +226,50 @@ def _edge(g: Graphon, pieces: _Partition) -> Callable[[_Pieces], _Pieces]:
     for x on piece I and y on piece J: a constant is one term (0, 0) and a
     grid the term 1 times its cells. So the action is sum_pq a_pq x**p times
     the integrals of c(I, .) y**q f(y): over [0, 1], or over the band's window.
+    In X = B*x a term is a_pq X**p Y**q dY / B**(p + q + 1).
     """
     band = g.kind == "banded"
     base = g.base if band else g
     cells = None
     if base.kind == "grid":
-        terms, cells = {(0, 0): 1}, _cell_values(base, pieces.left)
+        terms, cells = {(0, 0): 1}, _cell_values(base, pieces.breaks[:-1])
     elif base.kind == "constant":
         terms = {(0, 0): Fraction(base.value)}
     else:
         terms = base.form
+    # every term over the one denominator A * B**(top + 1)
+    top = max((p + q for p, q in terms), default=0)
+    (numerators,), den_terms = _over_common([list(terms.values())])
+    den_terms *= pieces.scale ** (top + 1)
+    weights = {(p, q): a * pieces.scale ** (top - p - q) for (p, q), a in zip(terms, numerators)}
     powers = sorted({q for _, q in terms})
+    n = len(pieces.left)
+
+    def integrals(f: _Pieces, q: int) -> tuple[list[list[int]], int]:
+        whole, den = pieces.integrals(f, q)
+        if cells:
+            return [[_dot(row, whole)] for row in cells[0]], den * cells[1]
+        return [[sum(whole)]] * n, den
 
     def apply(f: _Pieces) -> _Pieces:
-        if band:
-            windows = {q: pieces.windows(f, q, cells) for q in powers}
-            polys: list = []
-            for i in range(len(pieces.left)):
-                poly: list = []
-                for (p, q), a in terms.items():
-                    _add_scaled(poly, a, windows[q][i], p)
-                polys.append(poly)
-            degree = max(1, *map(len, polys))
-            return _Pieces([[poly[p] if p < len(poly) else 0 for poly in polys]
-                            for p in range(degree)])
-        sums = {}
-        for q in powers:
-            whole = pieces.integrals(f, q)
-            sums[q] = ([sum(map(mul, row, whole)) for row in cells] if cells
-                       else [sum(whole)] * len(whole))
-        rows: dict = {}
-        for (p, q), a in terms.items():
-            term = sums[q] if a == 1 else [a * s for s in sums[q]]
-            rows[p] = term if p not in rows else list(map(add, rows[p], term))
-        zeros = [0] * len(pieces.left)
-        return _Pieces([rows.get(p, zeros) for p in range(max(rows, default=0) + 1)])
+        per_q = {q: pieces.windows(f, q, cells) if band else integrals(f, q) for q in powers}
+        den = math.lcm(*(d for _, d in per_q.values()))
+        polys: list = [[] for _ in range(n)]
+        for (p, q), w in weights.items():
+            windows, d = per_q[q]
+            w *= den // d
+            for poly, window in zip(polys, windows):
+                _add_scaled(poly, w, window, p)
+        degree = max(1, *map(len, polys))
+        return _Pieces.reduced([[poly[p] if p < len(poly) else 0 for poly in polys]
+                                for p in range(degree)], den * den_terms)
 
     return apply
 
 
-def _cell_values(g: Graphon, lefts: Sequence[Fraction]) -> list[list[Fraction]]:
-    """A grid's value on each pair of pieces, given the pieces' left ends."""
+def _cell_values(g: Graphon, lefts: Sequence[Fraction]) -> tuple[list[list[int]], int]:
+    """A grid's value on each pair of pieces, given the pieces' left ends: integer
+    rows over their common denominator."""
+    rows, den = _over_common([list(map(Fraction, row)) for row in g.cells])
     index = [bisect_right(g.breaks, b) - 1 for b in lefts]
-    return [[Fraction(g.cells[i][j]) for j in index] for i in index]
+    return [[rows[i][j] for j in index] for i in index], den

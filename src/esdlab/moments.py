@@ -11,7 +11,7 @@ blocks, variance profiles); this module only sums them.
 ``moment_graphon(block_family(masses, cells), 4)``. It picks one node rule
 per moment from the kinds of the members up to that order
 (:func:`esdlab.graphons.node_rule`). Families on an exact rule are summed
-in Fractions and rounded once, so their moments are correctly rounded, with
+in rationals and rounded once, so their moments are correctly rounded, with
 error 0. A :class:`~esdlab.graphons.CumulantSchedule` (the family of
 constants C_{2t}) and a periodic band over constants take one cell, summed
 here. Blocks, grids, polynomial kernels in x and y, and open bands over any
@@ -131,8 +131,9 @@ def moment_graphon(family: GraphonFamily, two_k: int,
     """Sum of homomorphism densities over all colored trees of the given order.
 
     The members up to order two_k pick one node rule. On the exact rules the
-    color-class recursion runs in Fractions: here on one cell ("point"), and
-    in :func:`esdlab.cells.cell_sum` on the pieces of [0, 1] ("cells"). On
+    color-class recursion runs in rationals: here in Fractions on one cell
+    ("point"), and in :func:`esdlab.cells.cell_sum` on the pieces of [0, 1]
+    ("cells"). On
     any other rule :func:`esdlab.quadrature.integrate_tree_sum` runs it on the
     rule's nodes.
     A value or error estimate that is not finite raises NumericError.

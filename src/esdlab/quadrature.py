@@ -8,7 +8,7 @@ by the color-class recursion of :mod:`esdlab.treesum`.
 :func:`esdlab.graphons.node_rule` picks the rule once for all the kernels of
 an integral, from their kinds. Its exact rules, one node for row-constant
 kernels and the pieces of the breaks for constants, grids, polynomials and
-open bands over them, are summed in Fractions by
+open bands over them, are summed in rationals by
 :func:`esdlab.moments.moment_graphon`, which never loads this module for
 them. So only kernels with no exact rule come here: transcendental ones,
 ``ind`` and ``abs`` steps and kinks, periodic bands over a non-constant base,
@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Mapping, Optional
 import numpy as np
 
 from .errors import NumericError
-from .graphons import DEFAULT_CONFIG, Graphon, QuadratureConfig
+from .graphons import DEFAULT_CONFIG, Graphon, QuadratureConfig, approximate_rule
 from .treesum import tree_sum
 
 #: cells of the finest uniform grid; its kernel matrices take 8 MB each
@@ -123,7 +123,7 @@ def _grid_error(coarse: float, middle: float, fine: float) -> float:
 def integrate_on_nodes(evaluate: Callable[[Nodes], float], kernels: Iterable[Graphon],
                        config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
     """Run ``evaluate`` on the node sets of Gauss or, for any kernels not smooth, the grid."""
-    if all(g.smooth for g in kernels):
+    if approximate_rule(kernels) == "gauss":
         full = evaluate(_gauss_nodes(config.points))
         half = evaluate(_gauss_nodes(max(2, config.points // 2)))
         return IntegralResult(full, abs(full - half), "gauss")

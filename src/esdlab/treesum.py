@@ -17,7 +17,8 @@ The recursion is generic over the message type: anything with ``+``, ``*``
 between messages and ``*`` by a Python int. Families on one node (flat
 schedules, periodic bands over constants) pass Fractions, the census by
 block count passes Python ints, the other exact kernel families pass
-piecewise polynomials with Fraction coefficients, and the rest pass vectors
+piecewise polynomials with integer coefficients over one denominator, and
+the rest pass vectors
 on quadrature nodes.
 """
 

@@ -8,6 +8,7 @@ operations than the truth. Flat and census checks are exact.
 """
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -90,6 +91,43 @@ def test_open_band_low_orders(alpha):
     a = Fraction(alpha)
     for two_k, truth in ((2, 2 * a - a**2), (4, 8 * a**2 - 20 * a**3 / 3)):
         entry = moment_graphon(sched.banded(alpha, False), two_k)
+        assert entry.provenance == "exact-combinatorial" and entry.error == 0.0
+        assert entry.value == float(truth)
+
+
+def _band_over_blocks_truth(masses, cells, alpha):
+    """beta_2 and beta_4 of a block grid of order-2 cells times an open band,
+    in Fractions. The row integral m(x) is linear between the block breaks
+    and their shifts by +-alpha, so on such a piece of length h with m1, m2,
+    m3 its values at the quarter points, int m = h m2 and
+    int m^2 = h (m2^2 + (m3 - m1)^2 / 3); beta_4 is 2 int m^2."""
+    breaks = [Fraction(0)]
+    for mass in masses:
+        breaks.append(breaks[-1] + Fraction(mass))
+    a = Fraction(alpha)
+
+    def m(x):  # sum over blocks J of c(I, J) |[x - a, x + a] & J| for x inside block I
+        i = bisect_right(breaks, x) - 1
+        return sum(Fraction(cells[i][j]) * max(Fraction(0), min(hi, x + a) - max(lo, x - a))
+                   for j, (lo, hi) in enumerate(zip(breaks, breaks[1:])))
+
+    kinks = sorted({b + s for b in breaks for s in (-a, 0, a) if 0 <= b + s <= 1})
+    beta_2 = beta_4 = Fraction(0)
+    for lo, hi in zip(kinks, kinks[1:]):
+        h = hi - lo
+        m1, m2, m3 = (m(lo + h * t / 4) for t in (1, 2, 3))
+        beta_2 += h * m2
+        beta_4 += 2 * h * (m2**2 + (m3 - m1)**2 / 3)
+    return beta_2, beta_4
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.25, 0.35])
+def test_band_over_blocks_low_orders(alpha):
+    # block breaks that are not multiples of the half-width, so windows cross them
+    masses, cells = [0.3, 0.45, 0.25], [[1.5, 0.4, 0.9], [0.4, 0.8, 0.1], [0.9, 0.1, 2.0]]
+    fam = block_family(masses, {2: cells}).banded(alpha, False)
+    for two_k, truth in zip((2, 4), _band_over_blocks_truth(masses, cells, alpha)):
+        entry = moment_graphon(fam, two_k)
         assert entry.provenance == "exact-combinatorial" and entry.error == 0.0
         assert entry.value == float(truth)
 

@@ -51,6 +51,16 @@ def test_expression_kernel_requires_symmetry():
         Graphon.from_expression("x - y")
 
 
+def test_polynomial_kernel_symmetry_allows_rounding():
+    # 0.1*3 and 0.3 are different doubles, but the kernel is symmetric to rounding,
+    # as the check grid sees it; the exact rule then sums the coefficients as read
+    g = Graphon.from_expression("0.1*3*x + 0.3*y")
+    assert g.form is not None and g.form[(1, 0)] != g.form[(0, 1)]
+    assert g.bound == pytest.approx(0.6)
+    with pytest.raises(ValidationError):
+        Graphon.from_expression("0.3*x + 0.3000001*y")
+
+
 def test_callable_kernel_and_bound_estimate():
     g = Graphon.from_callable(lambda x, y: 4 * x * y)
     assert g.eval(0.5, 0.5) == pytest.approx(1.0)

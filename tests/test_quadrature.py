@@ -119,10 +119,11 @@ def test_node_rule_follows_kernel_kinds():
     assert node_rule([grid, periodic]) == "grid"
     assert node_rule([polynomial.banded(0.3, True)]) == "grid"
     assert node_rule([open_band, Graphon.constant(1.0).banded(0.2, False)]) == "grid"
-    assert node_rule([Graphon.constant(1.0).banded(1 / 64, False)]) == "cells"
-    assert node_rule([Graphon.constant(1.0).banded(0.01, False)]) == "grid"
-    fine = Graphon.from_grid([i / 16 for i in range(17)], [[1.0] * 16] * 16)
-    assert node_rule([fine.banded(0.25, False)]) == "cells"
-    assert node_rule([fine.banded(0.1, False)]) == "grid"
+    # at most MAX_BAND_BREAKS = 42 break slots: breaks times 1/alpha + 1
+    assert node_rule([Graphon.constant(1.0).banded(0.05, False)]) == "cells"
+    assert node_rule([Graphon.constant(1.0).banded(0.045, False)]) == "grid"
+    fine = Graphon.from_grid([i / 8 for i in range(9)], [[1.0] * 8] * 8)
+    assert node_rule([fine.banded(0.5, False)]) == "cells"
+    assert node_rule([fine.banded(0.25, False)]) == "grid"
     assert node_rule([Graphon.from_expression("1 + cos(2*pi*(x - y))")]) == "gauss"
     assert node_rule([Graphon.from_expression("1 - abs(x - y)")]) == "grid"
