@@ -25,8 +25,7 @@ _EXPORTS = {
     "compare": "ComparisonReport compare_series theory_series_from_config",
     "errors": "CapacityError NumericError ValidationError",
     "expressions": "compile_expression",
-    "graphons": "CumulantSchedule Graphon GraphonFamily QuadratureConfig block_family "
-                "profile_family",
+    "graphons": "CumulantSchedule Graphon GraphonFamily block_family profile_family",
     "models": "DEFAULT_SEED ModelSpec SampledMatrix effective_cumulants sample truncate",
     "moments": "CarlemanReport MomentEntry MomentSeries carleman_partial_sum graphon_series "
                "moment_graphon moment_sparse",

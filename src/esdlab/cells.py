@@ -1,13 +1,13 @@
 """The exact cell rule: kernel families summed in integers over pieces of [0, 1].
 
 :func:`esdlab.moments.moment_graphon` sends here every family whose node
-rule is "cells" (:func:`esdlab.graphons.node_rule`): blocks, grids,
-polynomial kernels in x and y, any mix of these, and open bands over any of
-them. The color-class recursion of :mod:`esdlab.treesum` runs on messages
-that are polynomials on each piece of a :class:`_Partition` (:class:`_Pieces`);
-over constants and grids a message has degree 0, one number per cell. A
-member acts on a message by :func:`_edge`. The sum is exact, so the moment is
-rounded once.
+rule is "cells" (:func:`esdlab.graphons.node_rule`): schedules and periodic
+bands over constants, on one cell; blocks, grids, polynomial kernels in x
+and y, any mix of these, and open bands over any of them. The color-class
+recursion of :mod:`esdlab.treesum` runs on messages that are polynomials on
+each piece of a :class:`_Partition` (:class:`_Pieces`); over constants and
+grids a message has degree 0, one number per cell. A member acts on a
+message by :func:`_edge`. The sum is exact, so the moment is rounded once.
 
 Breaks and half-widths are floats, so they share a power of two B as common
 denominator. Messages are polynomials in X = B*x, in which every break and
@@ -15,9 +15,7 @@ the half-width are integers, and their coefficients are integers over one
 common denominator per message: the rule runs on Python ints and reduces one
 fraction per member application, never one per operation.
 
-Families on one cell (schedules, periodic bands over constants) are summed
-by :mod:`esdlab.moments` itself, which imports this module only for the
-others; no numpy is loaded here.
+No numpy is loaded here.
 """
 
 from __future__ import annotations
@@ -116,7 +114,8 @@ class _Partition:
     def __init__(self, kernels: Iterable[Graphon]):
         kernels = list(kernels)
         breaks = set(map(Fraction, grid_breaks(kernels)))
-        alpha = next((Fraction(g.alpha) for g in kernels if g.kind == "banded"), None)
+        alpha = next((Fraction(g.alpha) for g in kernels
+                      if g.kind == "banded" and not g.periodic), None)
         if alpha is not None:
             reach = math.floor(1 / alpha)
             breaks = {b + j * alpha for b in breaks for j in range(-reach, reach + 1)
@@ -225,16 +224,22 @@ def _edge(g: Graphon, pieces: _Partition) -> Callable[[_Pieces], _Pieces]:
     The member's base is a sum of terms a_pq x**p y**q times a cell value c(I, J)
     for x on piece I and y on piece J: a constant is one term (0, 0) and a
     grid the term 1 times its cells. So the action is sum_pq a_pq x**p times
-    the integrals of c(I, .) y**q f(y): over [0, 1], or over the band's window.
-    In X = B*x a term is a_pq X**p Y**q dY / B**(p + q + 1).
+    the integrals of c(I, .) y**q f(y): over [0, 1], or over an open band's
+    window. In X = B*x a term is a_pq X**p Y**q dY / B**(p + q + 1).
+
+    A periodic band over a constant c comes here only with every kernel
+    row-constant (see node_rule), on one cell: its rows all integrate to
+    2*alpha*c, so it is the constant term 2*alpha*c.
     """
-    band = g.kind == "banded"
+    band = g.kind == "banded" and not g.periodic
     base = g.base if band else g
     cells = None
     if base.kind == "grid":
         terms, cells = {(0, 0): 1}, _cell_values(base, pieces.breaks[:-1])
     elif base.kind == "constant":
         terms = {(0, 0): Fraction(base.value)}
+    elif base.kind == "banded":
+        terms = {(0, 0): 2 * Fraction(base.alpha) * Fraction(base.base.value)}
     else:
         terms = base.form
     # every term over the one denominator A * B**(top + 1)

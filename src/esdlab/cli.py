@@ -17,8 +17,10 @@ circuits loads circuits and combinatorics, and neither loads numpy,
 dataclasses or the theory and sampling modules; moments, simulate and
 compare load them inside their command functions, and csv loads only for
 CSV output. numpy loads only where arrays begin, so moments on a family of
-an exact rule (one cell, or the pieces of grids, polynomials and open bands:
-listed in esdlab.moments) starts without it and without dataclasses.
+the exact cell rule (schedules and periodic bands over constants on one
+cell, grids, polynomials and open bands on their pieces: listed in
+esdlab.moments) starts without it and without dataclasses. No flag chooses
+or tunes a node rule: the kernels pick it.
 
 Exit codes: 0 success, 2 validation or numeric trouble, 3 capacity or budget,
 4 comparison failure.
@@ -33,7 +35,7 @@ import json
 import sys
 import time
 
-from .defaults import DEFAULT_CIRCUIT_BUDGET, DEFAULT_EESD_BUDGET, DEFAULT_QUAD_POINTS, DEFAULT_SEED
+from .defaults import DEFAULT_CIRCUIT_BUDGET, DEFAULT_EESD_BUDGET, DEFAULT_SEED
 from .errors import CapacityError, NumericError, ValidationError
 
 
@@ -59,11 +61,6 @@ def _require_even_order(two_k: int) -> None:
         raise ValidationError(f"--two-k must be even and >= 2, got {two_k}")
 
 
-def _add_quadrature(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS,
-                     help="Gauss-Legendre points per dimension")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="esdlab",
@@ -81,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     mo = subs.add_parser("moments", help="limit moment series from a theory config")
     mo.add_argument("--theory-json", help="inline theory config (JSON object)")
     mo.add_argument("--two-k", type=int, default=10, help="largest even order")
-    _add_quadrature(mo)
     _add_common(mo)
     mo.set_defaults(func=cmd_moments)
 
@@ -103,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--reps", type=int, default=30)
     co.add_argument("--threshold", type=non_negative, default=4.0)
     co.add_argument("--budget", type=non_negative, default=DEFAULT_EESD_BUDGET)
-    _add_quadrature(co)
     _add_common(co)
     co.set_defaults(func=cmd_compare)
 
@@ -260,14 +255,13 @@ def cmd_ss(args: argparse.Namespace) -> int:
 
 def cmd_moments(args: argparse.Namespace) -> int:
     from .compare import theory_series_from_config
-    from .graphons import QuadratureConfig
 
     payload_cfg = _apply_config(args)
     theory = payload_cfg or _load_json(args.theory_json, "--theory-json")
     if theory is None:
         raise ValidationError("moments needs --config or --theory-json")
     _require_even_order(args.two_k)
-    series = theory_series_from_config(theory, args.two_k, QuadratureConfig(args.quad_points))
+    series = theory_series_from_config(theory, args.two_k)
     _emit(args, payload_cfg, {"series": series.to_json_dict()}, series.to_csv_rows())
     return 0
 
@@ -300,7 +294,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     from .compare import (compare_series, model_spec_from_config, theory_series_from_config,
                           truncation_from_config)
-    from .graphons import QuadratureConfig
     from .spectra import eesd_moments
 
     payload_cfg = _apply_config(args)
@@ -318,7 +311,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if theory_cfg is None or model_cfg is None:
         raise ValidationError("compare needs theory and model configs")
     _require_even_order(args.two_k)
-    theory = theory_series_from_config(theory_cfg, args.two_k, QuadratureConfig(args.quad_points))
+    theory = theory_series_from_config(theory_cfg, args.two_k)
     spec = model_spec_from_config(model_cfg, n=args.n, seed=args.seed)
     simulated = eesd_moments(spec, args.two_k, args.reps, budget=args.budget,
                              truncation=truncation_from_config(theory_cfg))

@@ -18,8 +18,8 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ValidationError
-from .graphons import (DEFAULT_CONFIG, CumulantSchedule, GraphonFamily, QuadratureConfig,
-                       as_graphon, block_family, profile_family, require_number)
+from .graphons import (CumulantSchedule, GraphonFamily, as_graphon, block_family,
+                       profile_family, require_number)
 from .moments import MomentSeries, graphon_series
 
 if TYPE_CHECKING:
@@ -74,10 +74,9 @@ def schedule_from_config(cfg: dict) -> CumulantSchedule:
     raise ValidationError(f"{kind!r} is not a cumulant schedule kind")
 
 
-def theory_series_from_config(cfg: dict, two_k_max: int,
-                              quad: QuadratureConfig = DEFAULT_CONFIG) -> MomentSeries:
+def theory_series_from_config(cfg: dict, two_k_max: int) -> MomentSeries:
     """Build the limit moment series described by a theory config."""
-    return graphon_series(family_from_config(cfg), two_k_max, quad)
+    return graphon_series(family_from_config(cfg), two_k_max)
 
 
 def family_from_config(cfg: dict) -> GraphonFamily:

@@ -13,6 +13,3 @@ DEFAULT_EESD_BUDGET = 4.0e12
 
 #: largest number of assignments ``count_circuits`` may explore before it refuses
 DEFAULT_CIRCUIT_BUDGET = 10**9
-
-#: Gauss-Legendre nodes per variable for smooth kernels
-DEFAULT_QUAD_POINTS = 32

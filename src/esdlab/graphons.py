@@ -16,14 +16,14 @@ Four representations are supported, and the integration code exploits them:
 * grid                  piecewise constant on a break grid; exact cell sums
 * callable/expression   exact when it is a polynomial in x and y (it then
                         carries its :func:`~esdlab.expressions.polynomial_form`);
-                        otherwise Gauss-Legendre nodes when smooth, else a
-                        uniform grid
+                        otherwise quadrature: Gauss-Legendre nodes when
+                        smooth, else a uniform grid
 * banded                any of the above times a band indicator; exact for an
                         open band over an exact kernel, and for a periodic band
                         over a constant
 
 :func:`node_rule` picks the integration rule for a set of kernels from these
-kinds, and :class:`QuadratureConfig` sets its Gauss points. :func:`as_graphon`
+kinds: the exact cells, or quadrature; neither takes a setting. :func:`as_graphon`
 reads every kernel a config may hold, and :func:`require_number`,
 :func:`float_rows` and :func:`require_flag` accept only JSON numbers and
 booleans, so text such as ``"2"`` is an error rather than a number.
@@ -41,9 +41,8 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .defaults import DEFAULT_QUAD_POINTS
 from .errors import NumericError, ValidationError
 from .expressions import compile_expression, expression_is_smooth, polynomial_form, power_form
 
@@ -336,47 +335,24 @@ def grid_breaks(kernels: Iterable[Graphon]) -> set[float]:
     return {b for g in bases if g.kind == "grid" for b in g.breaks} | {0.0, 1.0}
 
 
-def approximate_rule(kernels: Iterable[Graphon]) -> str:
-    """The approximate rule of :mod:`esdlab.quadrature` for these kernels:
-    "gauss" when every kernel is smooth, else "grid"."""
-    return "gauss" if all(g.smooth for g in kernels) else "grid"
-
-
 def node_rule(kernels: Iterable[Graphon]) -> str:
     """The rule for integrals of products of these kernels.
 
-    "point" (every kernel row-constant) and "cells" (constants, grids,
-    polynomials and open bands over them, all bands of one half-width and at
-    most MAX_BAND_BREAKS break slots) are exact and summed in rationals by
-    :func:`esdlab.moments.moment_graphon`; any other kernels take their
-    :func:`approximate_rule`.
+    "cells" is exact, summed in rationals by :func:`esdlab.cells.cell_sum`:
+    every kernel row-constant (constants and periodic bands over them, so
+    every message is one number), or constants, grids, polynomials and open
+    bands over them, all bands of one half-width and at most MAX_BAND_BREAKS
+    break slots. Any other kernels take "quadrature"
+    (:func:`esdlab.quadrature.integrate_tree_sum`).
     """
     kernels = list(kernels)
     if all(_row_constant(g) for g in kernels):
-        return "point"
+        return "cells"
     alphas = {g.alpha for g in kernels if g.kind == "banded"}
     if all(map(_exact, kernels)) and len(alphas) <= 1:
         if not alphas or len(grid_breaks(kernels)) * (1 / min(alphas) + 1) <= MAX_BAND_BREAKS:
             return "cells"
-    return approximate_rule(kernels)
-
-
-class _QuadratureFields(NamedTuple):
-    points: int = DEFAULT_QUAD_POINTS
-
-
-class QuadratureConfig(_QuadratureFields):
-    """Gauss-Legendre points per variable, the one setting of the node rules."""
-
-    __slots__ = ()
-
-    def __new__(cls, points: int = DEFAULT_QUAD_POINTS):
-        if points < 2:
-            raise ValidationError("Gauss rule needs at least 2 points")
-        return super().__new__(cls, points)
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+    return "quadrature"
 
 
 class GraphonFamily:

@@ -10,21 +10,21 @@ blocks, variance profiles); this module only sums them.
 :func:`moment_graphon` is the one entry point for every limit moment, as in
 ``moment_graphon(block_family(masses, cells), 4)``. It picks one node rule
 per moment from the kinds of the members up to that order
-(:func:`esdlab.graphons.node_rule`). Families on an exact rule are summed
-in rationals and rounded once, so their moments are correctly rounded, with
-error 0. A :class:`~esdlab.graphons.CumulantSchedule` (the family of
-constants C_{2t}) and a periodic band over constants take one cell, summed
-here. Blocks, grids, polynomial kernels in x and y, and open bands over any
-of these take the pieces between the grids' breaks and the band's shifts of
-them, summed by :func:`esdlab.cells.cell_sum`. Every other family
+(:func:`esdlab.graphons.node_rule`), and takes no settings. Families on the
+exact rule are summed in rationals by :func:`esdlab.cells.cell_sum` and
+rounded once, so their moments are correctly rounded, with error 0: a
+:class:`~esdlab.graphons.CumulantSchedule` (the family of constants C_{2t})
+and a periodic band over constants on one cell; blocks, grids, polynomial
+kernels in x and y, and open bands over any of these on the pieces between
+the grids' breaks and the band's shifts of them. Every other family
 (transcendental, ``ind`` or ``abs`` kernels, periodic bands over a
 non-constant base) is summed on quadrature nodes by
 :func:`esdlab.quadrature.integrate_tree_sum`. A sum that overflows raises
 NumericError instead of returning inf or nan.
 
-No numpy is loaded here: :func:`moment_graphon` imports :mod:`esdlab.cells`
-only for the pieces and :mod:`esdlab.quadrature` only past the exact rules,
-so ``moments`` on ``semicircle``, ``constant``, ``schedule``, ``sparse``, a
+No numpy is loaded here: :func:`moment_graphon` imports
+:mod:`esdlab.quadrature` only past the exact rule, so ``moments`` on
+``semicircle``, ``constant``, ``schedule``, ``sparse``, a
 ``band`` over them (periodic or open), ``block``, a ``graphon`` of
 constants, grids and polynomials, a ``profile`` over a grid or a
 polynomial, or a ``model`` of ``gaussian_wigner``, ``triangular_twopoint``,
@@ -39,9 +39,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import NumericError, ValidationError
-from .graphons import (DEFAULT_CONFIG, CumulantSchedule, Graphon, GraphonFamily,
-                       QuadratureConfig, node_rule, require_even_order)
-from .treesum import tree_sum
+from .graphons import CumulantSchedule, GraphonFamily, node_rule, require_even_order
 
 EXACT = "exact-combinatorial"
 QUADRATURE = "quadrature"
@@ -126,16 +124,13 @@ def moment_sparse(lam: float, two_k: int) -> SparseMoment:
 
 # -- graphon families (tree integrals) --------------------------------------
 
-def moment_graphon(family: GraphonFamily, two_k: int,
-                   config: QuadratureConfig = DEFAULT_CONFIG) -> MomentEntry:
+def moment_graphon(family: GraphonFamily, two_k: int) -> MomentEntry:
     """Sum of homomorphism densities over all colored trees of the given order.
 
-    The members up to order two_k pick one node rule. On the exact rules the
-    color-class recursion runs in rationals: here in Fractions on one cell
-    ("point"), and in :func:`esdlab.cells.cell_sum` on the pieces of [0, 1]
-    ("cells"). On
-    any other rule :func:`esdlab.quadrature.integrate_tree_sum` runs it on the
-    rule's nodes.
+    The members up to order two_k pick one node rule. On "cells" the
+    color-class recursion runs in rationals, in :func:`esdlab.cells.cell_sum`
+    on the pieces of [0, 1]; on "quadrature"
+    :func:`esdlab.quadrature.integrate_tree_sum` runs it on the rule's nodes.
     A value or error estimate that is not finite raises NumericError.
     """
     if two_k % 2:
@@ -144,40 +139,26 @@ def moment_graphon(family: GraphonFamily, two_k: int,
     k = two_k // 2
     members = {t: family.g(2 * t) for t in range(1, k + 1)}
     members = {t: g for t, g in members.items() if g is not None}
-    rule = node_rule(members.values())
-    if rule in ("point", "cells"):
-        if rule == "point":  # each member is its row integral, and messages are Fractions
-            rows = {t: _row_integral(g) for t, g in members.items()}
-            exact = tree_sum(k, lambda t, f: None if t not in rows else rows[t] * f, Fraction(1))
-        else:
-            from .cells import cell_sum
+    if node_rule(members.values()) == "cells":
+        from .cells import cell_sum
 
-            exact = cell_sum(members, k)
+        exact = cell_sum(members, k)
         return MomentEntry(two_k, _rounded(exact, f"beta_{two_k} of {family.description!r}"),
                            0.0, EXACT)
 
     from .quadrature import integrate_tree_sum  # loads numpy
 
-    result = integrate_tree_sum(members, k, config)
+    result = integrate_tree_sum(members, k)
     if not (math.isfinite(result.value) and math.isfinite(result.error)):
         raise NumericError(f"beta_{two_k} of {family.description!r} is not finite "
                            f"(value {result.value!r}, error {result.error!r})")
     return MomentEntry(two_k, result.value, result.error, QUADRATURE)
 
 
-def _row_integral(g: Graphon) -> Fraction:
-    """The exact row integral of a kernel on the one-node rule (see node_rule)."""
-    if g.kind == "banded":
-        return 2 * Fraction(g.alpha) * Fraction(g.base.value)
-    return Fraction(g.value)
-
-
 # -- series builders ---------------------------------------------------------
 
-def graphon_series(family: GraphonFamily, two_k_max: int,
-                   config: QuadratureConfig = DEFAULT_CONFIG) -> MomentSeries:
-    entries = tuple(moment_graphon(family, two_k, config)
-                    for two_k in range(2, two_k_max + 1, 2))
+def graphon_series(family: GraphonFamily, two_k_max: int) -> MomentSeries:
+    entries = tuple(moment_graphon(family, two_k) for two_k in range(2, two_k_max + 1, 2))
     return MomentSeries(entries, family.description)
 
 

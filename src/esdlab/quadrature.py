@@ -6,16 +6,17 @@ shared by all variables each kernel becomes a matrix g(x_i, x_j), and
 :func:`integrate_tree_sum` sums the products of all trees of an order at once
 by the color-class recursion of :mod:`esdlab.treesum`.
 :func:`esdlab.graphons.node_rule` picks the rule once for all the kernels of
-an integral, from their kinds. Its exact rules, one node for row-constant
-kernels and the pieces of the breaks for constants, grids, polynomials and
-open bands over them, are summed in rationals by
+an integral, from their kinds. Its exact rule, the cells of
+:mod:`esdlab.cells` for row-constant kernels and for constants, grids,
+polynomials and open bands over them, is summed in rationals by
 :func:`esdlab.moments.moment_graphon`, which never loads this module for
-them. So only kernels with no exact rule come here: transcendental ones,
+it. So only kernels on the "quadrature" rule come here: transcendental ones,
 ``ind`` and ``abs`` steps and kinks, periodic bands over a non-constant base,
 bands of two widths, and bands too narrow for their breaks
-(:data:`esdlab.graphons.MAX_BAND_BREAKS`). The two rules here are:
+(:data:`esdlab.graphons.MAX_BAND_BREAKS`). :func:`integrate_on_nodes` picks
+one of two node sets from the kernels, and neither takes a setting:
 
-* smooth kernels -> Gauss-Legendre on ``points`` and ``points // 2`` nodes;
+* smooth kernels -> Gauss-Legendre on GAUSS_POINTS and GAUSS_POINTS/2 nodes;
   the value is the first, the error the gap between the two.
 * anything else -> uniform grids of GRID_CAP/4, GRID_CAP/2 and GRID_CAP
   cells; the value is the finest, the error the gap to the one before. A
@@ -35,11 +36,13 @@ from typing import Callable, Iterable, Mapping, Optional
 import numpy as np
 
 from .errors import NumericError
-from .graphons import DEFAULT_CONFIG, Graphon, QuadratureConfig, approximate_rule
+from .graphons import Graphon
 from .treesum import tree_sum
 
 #: cells of the finest uniform grid; its kernel matrices take 8 MB each
 GRID_CAP = 1024
+#: Gauss-Legendre nodes per variable for smooth kernels; the error is the gap to half as many
+GAUSS_POINTS = 32
 
 
 @dataclass(frozen=True)
@@ -120,19 +123,18 @@ def _grid_error(coarse: float, middle: float, fine: float) -> float:
     return gap
 
 
-def integrate_on_nodes(evaluate: Callable[[Nodes], float], kernels: Iterable[Graphon],
-                       config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
+def integrate_on_nodes(evaluate: Callable[[Nodes], float],
+                       kernels: Iterable[Graphon]) -> IntegralResult:
     """Run ``evaluate`` on the node sets of Gauss or, for any kernels not smooth, the grid."""
-    if approximate_rule(kernels) == "gauss":
-        full = evaluate(_gauss_nodes(config.points))
-        half = evaluate(_gauss_nodes(max(2, config.points // 2)))
+    if all(g.smooth for g in kernels):
+        full = evaluate(_gauss_nodes(GAUSS_POINTS))
+        half = evaluate(_gauss_nodes(GAUSS_POINTS // 2))
         return IntegralResult(full, abs(full - half), "gauss")
     coarse, middle, fine = (evaluate(Nodes.uniform(GRID_CAP // s)) for s in (4, 2, 1))
     return IntegralResult(fine, _grid_error(coarse, middle, fine), "grid")
 
 
-def integrate_tree_sum(members: Mapping[int, Graphon], k: int,
-                       config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
+def integrate_tree_sum(members: Mapping[int, Graphon], k: int) -> IntegralResult:
     """Sum over all colored trees with k edges of their edge-kernel integrals.
 
     A class of t nodes applies the matrix of ``members[t]`` (order 2t) to its
@@ -148,4 +150,4 @@ def integrate_tree_sum(members: Mapping[int, Graphon], k: int,
         return float(np.sum(nodes.w * tree_sum(k, edge, np.ones_like(nodes.w))))
 
     with np.errstate(all="ignore"):
-        return integrate_on_nodes(evaluate, members.values(), config)
+        return integrate_on_nodes(evaluate, members.values())

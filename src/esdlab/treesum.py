@@ -14,12 +14,10 @@ applied to its own F(t, .), and beta_{2k} is F(1, k) for the root's class,
 integrated over the root's variable where there is one.
 
 The recursion is generic over the message type: anything with ``+``, ``*``
-between messages and ``*`` by a Python int. Families on one node (flat
-schedules, periodic bands over constants) pass Fractions, the census by
-block count passes Python ints, the other exact kernel families pass
-piecewise polynomials with integer coefficients over one denominator, and
-the rest pass vectors
-on quadrature nodes.
+between messages and ``*`` by a Python int. The census by block count
+passes Python ints, the exact kernel families (flat schedules included, on
+one cell) pass piecewise polynomials with integer coefficients over one
+denominator, and the rest pass vectors on quadrature nodes.
 """
 
 from __future__ import annotations

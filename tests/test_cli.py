@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -675,16 +676,17 @@ def test_missing_config_file_exits_2(capsys, tmp_path):
 
 def test_config_overrides_read_like_the_flags(capsys, tmp_path):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"kind": "semicircle", "args": {"two_k": "4", "quad_points": 16,
+    cfg.write_text(json.dumps({"kind": "semicircle", "args": {"two_k": "4", "seed": 16,
                                                                 "reproducible": True}}))
     code, out, _ = run(capsys, "moments", "--config", str(cfg))
     assert code == 0
     doc = json.loads(out)
     assert [e["two_k"] for e in doc["series"]["entries"]] == [2, 4]
+    assert doc["seed"] == 16
     assert "timestamp" not in doc
 
     by_flags = run(capsys, "moments", "--theory-json", '{"kind":"semicircle"}', "--two-k", "4",
-                   "--quad-points", "16", "--reproducible")[1]
+                   "--seed", "16", "--reproducible")[1]
     assert json.loads(by_flags)["series"] == doc["series"]
 
 
@@ -697,6 +699,7 @@ def test_config_overrides_read_like_the_flags(capsys, tmp_path):
     ({"reproducible": "yes"}, "must be true or false"),
     ({"help": True}, "unknown flag"),
     ({"actions": {}}, "unknown flag"),
+    ({"quad_points": 16}, "unknown flag"),  # the Gauss order is fixed, not a setting
 ])
 def test_bad_config_overrides_exit_2(capsys, tmp_path, overrides, message):
     cfg = tmp_path / "bad.json"
@@ -730,6 +733,29 @@ def test_nan_and_negative_limits_exit_2(capsys, tmp_path, argv, payload, flag, v
         main([*argv, f"--{flag}", value])
     assert exit_.value.code == 2
     assert f"argument --{flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("moments", "--theory-json", '{"kind":"semicircle"}'),
+    ("compare", "--theory-json", '{"kind":"semicircle"}', "--model-json",
+     '{"variant":"gaussian_wigner"}'),
+])
+def test_gauss_points_are_no_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--quad-points", "16"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --quad-points 16" in capsys.readouterr().err
+
+
+def test_config_reference_names_every_flag():
+    """docs/config_schemas.md names each long option of the parser, and no other."""
+    subparsers = next(a for a in build_parser()._actions if a.choices and a.dest == "command")
+    flags = {option for sub in subparsers.choices.values() for action in sub._actions
+             for option in action.option_strings if option.startswith("--")} - {"--help"}
+    reference = (Path(__file__).resolve().parents[1] / "docs" / "config_schemas.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", reference))
+    assert flags - named == set(), "flags the reference does not name"
+    assert named - flags == set(), "flags the reference names that the parser lacks"
 
 
 def test_every_benchmark_command_parses(monkeypatch):
@@ -778,7 +804,7 @@ BLOCK_CELLS = [[1.5, 0.4], [0.4, 0.8]]
 @pytest.mark.parametrize("argv", [
     ("ss", "2"),
     ("circuits", "abba"),
-    # the exact rules: every family sums in Fractions, on one cell ...
+    # the exact cell rule: every family sums in integers, on one cell ...
     ("moments", "--theory-json", '{"kind":"semicircle"}', "--two-k", "16"),
     ("moments", "--theory-json", '{"kind":"sparse","rate":2.5}', "--two-k", "16"),
     ("moments", "--theory-json", '{"kind":"schedule","values":{"2":1,"4":3,"6":0.5}}',
@@ -818,6 +844,7 @@ def test_combinatorial_commands_load_no_numpy(capsys, argv):
                           "esdlab.defaults", "esdlab.errors", "esdlab.treesum"]
     else:
         assert "esdlab.combinatorics" not in loaded and "esdlab.quadrature" not in loaded
+        assert "esdlab.cells" in loaded  # one rule sums them all, one cell included
         assert ("esdlab.models" in loaded) == (json.loads(argv[2])["kind"] == "model")
         # only an expression is parsed
         assert ("ast" in loaded) == bool(_expressions(json.loads(argv[2])))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from esdlab.errors import ValidationError
 from esdlab.graphons import Graphon, node_rule
-from esdlab.quadrature import GRID_CAP, QuadratureConfig
+from esdlab.quadrature import GRID_CAP, integrate_tree_sum
 from tree_oracle import integrate_edge_product
 
 
@@ -52,7 +51,7 @@ def test_gauss_matches_adaptive_quadrature_on_smooth_kernels():
 
 def test_grid_engages_for_non_smooth_and_gauss_for_deep_smooth_factors():
     rough = Graphon.from_expression("1 + ind(x + y < 1)")
-    assert node_rule([rough]) == "grid"
+    assert node_rule([rough]) == "quadrature"
     res = integrate_edge_product({1: rough}, {1: 0}, 2)
     assert res.method == "grid"
     # midpoints of the anti-diagonal cells sit on x + y = 1, which drops half a
@@ -79,10 +78,11 @@ def test_gauss_is_deterministic_and_points_set_its_error():
     assert a.method == "gauss"
     assert a.value == pytest.approx(exact, abs=1e-14)
     assert a.error <= 1e-14
-    # 4 nodes against 2: a coarser rule reports a larger error that still covers it
-    coarse = integrate_edge_product({1: g}, {1: 0}, 2, QuadratureConfig(points=4))
-    assert coarse.method == "gauss"
-    assert 1e-10 < abs(coarse.value - exact) <= coarse.error <= 1e-3
+    # a sharper kernel reports a larger error, the gap of 32 nodes to 16, that still covers it
+    sharp = integrate_edge_product({1: Graphon.from_expression("exp(-80*(x + y))")}, {1: 0}, 2)
+    assert sharp.method == "gauss"
+    assert 1e-10 < sharp.error <= 1e-3
+    assert abs(sharp.value - ((1 - np.exp(-80.0)) / 80) ** 2) <= sharp.error
 
 
 def test_band_indicator_marginal():
@@ -92,13 +92,10 @@ def test_band_indicator_marginal():
     assert res.value == pytest.approx(2 * 0.25 - 0.25**2, abs=5 * max(res.error, 1e-4))
 
 
-def test_config_validation():
-    with pytest.raises(ValidationError):
-        QuadratureConfig(points=1)
-    assert QuadratureConfig(points=2).points == 2
-    # the node rule follows from the kernels; only the Gauss order is a setting
-    assert QuadratureConfig._fields == ("points",)
-    assert QuadratureConfig().points == 32
+def _quadrature_nodes(kernels) -> str:
+    """The node set of the quadrature rule for these kernels, "gauss" or "grid"."""
+    assert node_rule(kernels) == "quadrature"
+    return integrate_tree_sum(dict(enumerate(kernels, 1)), 1).method
 
 
 def test_node_rule_follows_kernel_kinds():
@@ -106,24 +103,25 @@ def test_node_rule_follows_kernel_kinds():
     periodic = Graphon.constant(1.0).banded(0.3, periodic=True)
     open_band = Graphon.constant(1.0).banded(0.3, periodic=False)
     polynomial = Graphon.from_expression("x*y")
-    assert node_rule([]) == "point"
-    assert node_rule([Graphon.constant(2.0), periodic]) == "point"
+    # row-constant kernels take one cell
+    assert node_rule([]) == "cells"
+    assert node_rule([Graphon.constant(2.0), periodic]) == "cells"
     assert node_rule([Graphon.constant(2.0), grid]) == "cells"
     # polynomials in x and y, and open bands over any exact kernel, are exact too
     assert node_rule([Graphon.constant(2.0), polynomial]) == "cells"
     assert node_rule([open_band, grid.banded(0.3, False), polynomial.banded(0.3, False)]) == "cells"
     # half-integer powers are exact only once a power makes them whole
     root = Graphon.from_expression("2*sqrt(x*y)")
-    assert node_rule([root]) == "gauss" and node_rule([root.power_scale(2, 1.0)]) == "cells"
+    assert _quadrature_nodes([root]) == "gauss" and node_rule([root.power_scale(2, 1.0)]) == "cells"
     # periodic bands over non-constants, bands of two widths, and bands of too many pieces
-    assert node_rule([grid, periodic]) == "grid"
-    assert node_rule([polynomial.banded(0.3, True)]) == "grid"
-    assert node_rule([open_band, Graphon.constant(1.0).banded(0.2, False)]) == "grid"
+    assert _quadrature_nodes([grid, periodic]) == "grid"
+    assert _quadrature_nodes([polynomial.banded(0.3, True)]) == "grid"
+    assert _quadrature_nodes([open_band, Graphon.constant(1.0).banded(0.2, False)]) == "grid"
     # at most MAX_BAND_BREAKS = 42 break slots: breaks times 1/alpha + 1
     assert node_rule([Graphon.constant(1.0).banded(0.05, False)]) == "cells"
-    assert node_rule([Graphon.constant(1.0).banded(0.045, False)]) == "grid"
+    assert _quadrature_nodes([Graphon.constant(1.0).banded(0.045, False)]) == "grid"
     fine = Graphon.from_grid([i / 8 for i in range(9)], [[1.0] * 8] * 8)
     assert node_rule([fine.banded(0.5, False)]) == "cells"
-    assert node_rule([fine.banded(0.25, False)]) == "grid"
-    assert node_rule([Graphon.from_expression("1 + cos(2*pi*(x - y))")]) == "gauss"
-    assert node_rule([Graphon.from_expression("1 - abs(x - y)")]) == "grid"
+    assert _quadrature_nodes([fine.banded(0.25, False)]) == "grid"
+    assert _quadrature_nodes([Graphon.from_expression("1 + cos(2*pi*(x - y))")]) == "gauss"
+    assert _quadrature_nodes([Graphon.from_expression("1 - abs(x - y)")]) == "grid"

@@ -2,11 +2,13 @@
 
 moment_graphon sums all colored trees of an order at once by the color-class
 recursion. Here each tree is integrated on its own by message passing, from
-the last color back to the root. Its kernels pick the nodes: one node for
-row-constant kernels, one node per cell of the grids' breaks (at the cell's
-midpoint, weighted by its width) for constants and grids, both exact, and
-otherwise the approximate rules of esdlab.quadrature.integrate_on_nodes, which
-also take the polynomials and open bands that moment_graphon sums exactly.
+the last color back to the root. Its kernels pick the nodes, decided here
+from their kinds rather than by esdlab's own node rule: one node for
+row-constant kernels (constants and periodic bands over constants), one node
+per cell of the grids' breaks (at the cell's midpoint, weighted by its width)
+for constants and grids, both exact, and otherwise the approximate rules of
+esdlab.quadrature.integrate_on_nodes, which also take the polynomials and open
+bands that moment_graphon sums exactly.
 """
 
 from fractions import Fraction
@@ -14,7 +16,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from esdlab.graphons import DEFAULT_CONFIG, Graphon, GraphonFamily, QuadratureConfig, node_rule
+from esdlab.graphons import Graphon, GraphonFamily
 from esdlab.quadrature import IntegralResult, Nodes, integrate_on_nodes
 from esdlab.trees import ColoredTree
 
@@ -30,9 +32,14 @@ def exact_nodes(kernels: Iterable[Graphon]) -> Nodes:
     return Nodes(0.5 * (breaks[:-1] + breaks[1:]), np.diff(breaks))
 
 
+def _row_constant(g: Graphon) -> bool:
+    """A constant, or a periodic band over one: every row integrates to the same number."""
+    return g.kind == "constant" or (g.kind == "banded" and g.periodic
+                                    and g.base.kind == "constant")
+
+
 def integrate_edge_product(factors: Mapping[int, Graphon], parent: Mapping[int, int],
-                           n_colors: int,
-                           config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
+                           n_colors: int) -> IntegralResult:
     """Integrate prod_c g_c(x_parent(c), x_c) dx_0 ... dx_{n_colors-1}.
 
     ``factors`` maps each non-root color to the kernel on its parent edge and
@@ -45,10 +52,10 @@ def integrate_edge_product(factors: Mapping[int, Graphon], parent: Mapping[int, 
             messages[parent[child]] *= nodes.matrix(factors[child]) @ (nodes.w * messages[child])
         return float(np.sum(nodes.w * messages[0]))
 
-    if node_rule(factors.values()) == "point" or all(
+    if all(map(_row_constant, factors.values())) or all(
             g.kind in ("constant", "grid") for g in factors.values()):
         return IntegralResult(message_pass(exact_nodes(factors.values())), 0.0, "exact")
-    return integrate_on_nodes(message_pass, factors.values(), config)
+    return integrate_on_nodes(message_pass, factors.values())
 
 
 def _tree_factors(tree: ColoredTree, family: GraphonFamily) -> Optional[tuple[dict, dict]]:
@@ -66,8 +73,7 @@ def _tree_factors(tree: ColoredTree, family: GraphonFamily) -> Optional[tuple[di
     return factors, parent
 
 
-def homomorphism_density(tree: ColoredTree, family: GraphonFamily,
-                         config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
+def homomorphism_density(tree: ColoredTree, family: GraphonFamily) -> IntegralResult:
     """Integral over [0,1]^colors of the product of one tree's edge kernels.
 
     A missing family member makes the whole term zero.
@@ -76,7 +82,7 @@ def homomorphism_density(tree: ColoredTree, family: GraphonFamily,
     if found is None:
         return IntegralResult(0.0, 0.0, "exact")
     factors, parent = found
-    return integrate_edge_product(factors, parent, len(factors) + 1, config)
+    return integrate_edge_product(factors, parent, len(factors) + 1)
 
 
 def exact_density(tree: ColoredTree, family: GraphonFamily) -> Fraction:
