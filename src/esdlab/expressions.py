@@ -1,28 +1,36 @@
 """Tiny arithmetic expression language for graphons and profiles.
 
 Accepts strings like ``"4*x*y"``, ``"0.5 + 0.25*(x + y)"``,
-``"ind(abs(x - y) <= 0.25)"`` or ``"sin(pi*(x + y)/n)"`` and compiles them to
-vectorized numpy callables.  Only a whitelisted subset of Python expression
-syntax is allowed: the declared variables, numeric literals (True and False
-are not numbers here), + - * / **, unary minus, the functions
-abs/sin/cos/sqrt/exp, the constants pi and e, and
+``"ind(abs(x - y) <= 0.25)"`` or ``"sin(pi*(x + y)/n)"``. Only a whitelisted
+subset of Python expression syntax is allowed: the declared variables,
+numeric literals (True and False are not numbers here), + - * / **, unary
+minus, the functions abs/sin/cos/sqrt/exp, the constants pi and e, and
 ``ind(<comparison>)`` which turns a single <=, <, >= or > comparison into a
-0/1 indicator.  Everything else is rejected, so configs stay data, not code.
+0/1 indicator. Everything else is rejected, so configs stay data, not code.
+Whitespace and comments do not matter.
 
-:func:`polynomial_form` reads the same text as an exact polynomial where it
-is one: ``"2*sqrt(x*y)"`` is 2 x^(1/2) y^(1/2) and ``"2.0*x*y/n"`` is
-2 x y n^(-1), with Fraction coefficients. Kernels with such a form are
-summed exactly by :mod:`esdlab.moments` and never evaluated.
+:func:`compile_expression` is the one reader: one walk of the parsed tree
+checks it and gives an :class:`Expression`, which reads the text three ways.
+Called, it evaluates the text with numpy's ufuncs in the order the text
+applies them, every literal as a float (``2**64`` is 1.8446744073709552e19,
+``2**-1`` is 0.5; a literal too large for a float raises ValidationError).
+``smooth`` is False exactly when the text calls ``ind`` or ``abs``, whose
+jumps and kinks can make a Gauss rule's error estimate under-report.
+``form`` is the text as an exact polynomial where it is one, with literals
+read as their exact values: ``"2*sqrt(x*y)"`` is 2 x^(1/2) y^(1/2) and
+``"2.0*x*y/n"`` is 2 x y n^(-1), with Fraction coefficients. A kernel whose
+form has whole exponents is summed exactly by :mod:`esdlab.moments`; one
+with half-integer exponents, such as the graphon ``2*sqrt(x*y)``, takes Gauss.
+:mod:`esdlab.graphons` evaluates every form on its symmetry-check grid.
 
-Operations are named by their numpy ufuncs. ``ast`` is imported only by the
-functions that parse, and numpy only when a compiled expression is called.
+``ast`` is imported only to parse, and numpy only when an Expression is called.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ValidationError
 
@@ -31,6 +39,7 @@ from .errors import ValidationError
 _FUNCTIONS = ("abs", "sin", "cos", "sqrt", "exp")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _BINOPS = {"Add": "add", "Sub": "subtract", "Mult": "multiply", "Div": "divide", "Pow": "power"}
+_UNARY = {"USub": "negative", "UAdd": "positive"}
 _COMPARES = {"LtE": "less_equal", "Lt": "less", "GtE": "greater_equal", "Gt": "greater"}
 #: largest |exponent| of any variable in a polynomial form; beyond it a form is None
 MAX_DEGREE = 64
@@ -48,98 +57,132 @@ def _kind(node) -> str:
     return type(node).__name__
 
 
-def compile_expression(source: str, variables: Sequence[str] = ("x", "y")) -> Callable:
-    """Compile ``source`` to a function of the given positional variables.
+class Expression:
+    """A checked expression text: call it with one array or number per variable.
+
+    Its evaluator is made on the first call, as closures over numpy's ufuncs.
+    """
+
+    __slots__ = ("source", "smooth", "form", "_names", "_plan", "_evaluate")
+
+    def __init__(self, source: str, names: tuple, plan: tuple, smooth: bool,
+                 form: Optional[dict]):
+        self.source, self.smooth, self.form = source, smooth, form
+        self._names, self._plan, self._evaluate = names, plan, None
+
+    def __call__(self, *args):
+        import numpy as np
+        if len(args) != len(self._names):
+            raise TypeError(f"expression expects {len(self._names)} arguments {self._names}, "
+                            f"got {len(args)}")
+        if self._evaluate is None:
+            self._evaluate = _closure(self._plan, np)
+        return self._evaluate([np.asarray(a, dtype=float) for a in args])
+
+
+def _closure(plan: tuple, np):
+    """The function of the argument list that a plan describes: ("arg", index),
+    ("const", float), ("ind", comparison plan) or (ufunc name, operand plans...)."""
+    head, *parts = plan
+    if head == "arg":
+        index, = parts
+        return lambda args: args[index]
+    if head == "const":
+        value, = parts
+        return lambda args: value
+    operands = [_closure(part, np) for part in parts]
+    if head == "ind":
+        test, = operands
+        return lambda args: test(args).astype(float)
+    ufunc = getattr(np, head)
+    if len(operands) == 1:
+        operand, = operands
+        return lambda args: ufunc(operand(args))
+    left, right = operands
+    return lambda args: ufunc(left(args), right(args))
+
+
+def compile_expression(source: str, variables: Sequence[str] = ("x", "y")) -> Expression:
+    """Check ``source`` and read it as a function of the given positional variables.
 
     >>> f = compile_expression("4*x*y")
-    >>> float(f(0.5, 1.0))
-    2.0
+    >>> float(f(0.5, 1.0)), f.smooth, f.form
+    (2.0, True, {(1, 1): Fraction(4, 1)})
+    >>> g = compile_expression("2*sqrt(x*y) + ind(y < 1/4)")
+    >>> g.smooth, g.form is None
+    (False, True)
     """
-    tree = _parse(source)
     names = tuple(variables)
+    one = (0,) * len(names)
+    calls = set()
 
-    def check(node) -> None:
+    def walk(node) -> tuple[tuple, Optional[dict]]:
+        """The evaluation plan and exact form (None if not a polynomial) of a node."""
         kind = _kind(node)
-        if kind == "Expression":
-            check(node.body)
-        elif kind == "BinOp" and _kind(node.op) in _BINOPS:
-            check(node.left)
-            check(node.right)
-        elif kind == "UnaryOp" and _kind(node.op) in ("USub", "UAdd"):
-            check(node.operand)
-        elif kind == "Constant":
-            if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
-                raise ValidationError(f"literal {node.value!r} not allowed in expressions")
-        elif kind == "Name":
-            if node.id not in names and node.id not in _CONSTANTS:
-                raise ValidationError(
-                    f"unknown name {node.id!r}; allowed variables: {', '.join(names)}"
-                )
-        elif kind == "Call":
+        if kind == "BinOp" and _kind(node.op) in _BINOPS:
+            op = _kind(node.op)
+            (left, p), (right, q) = walk(node.left), walk(node.right)
+            exponent = node.right.value if _kind(node.right) == "Constant" else None
+            return (_BINOPS[op], left, right), _binop_form(op, p, q, exponent, one)
+        if kind == "UnaryOp" and _kind(node.op) in _UNARY:
+            plan, form = walk(node.operand)
+            if form is not None and _kind(node.op) == "USub":
+                form = {key: -c for key, c in form.items()}
+            return (_UNARY[_kind(node.op)], plan), form
+        if kind == "Constant":
+            value = node.value
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValidationError(f"literal {value!r} not allowed in expressions")
+            try:
+                number = float(value)
+            except OverflowError:
+                raise ValidationError(f"a literal in {source!r} is too large for a float") from None
+            exact = _add({}, {one: Fraction(value)}) if math.isfinite(number) else None
+            return ("const", number), exact
+        if kind == "Name":
+            if node.id in names:
+                return ("arg", names.index(node.id)), {
+                    tuple(int(name == node.id) for name in names): Fraction(1)}
+            if node.id in _CONSTANTS:
+                return ("const", _CONSTANTS[node.id]), None
+            raise ValidationError(
+                f"unknown name {node.id!r}; allowed variables: {', '.join(names)}")
+        if kind == "Call":
             if _kind(node.func) != "Name" or node.keywords:
                 raise ValidationError("only plain calls to whitelisted functions are allowed")
             fn = node.func.id
+            calls.add(fn)
             if fn == "ind":
                 if len(node.args) != 1 or _kind(node.args[0]) != "Compare":
                     raise ValidationError("ind(...) takes exactly one comparison")
-                cmp_node = node.args[0]
-                if len(cmp_node.ops) != 1 or _kind(cmp_node.ops[0]) not in _COMPARES:
+                test = node.args[0]
+                if len(test.ops) != 1 or _kind(test.ops[0]) not in _COMPARES:
                     raise ValidationError("ind(...) supports a single <=, <, >= or > comparison")
-                check(cmp_node.left)
-                check(cmp_node.comparators[0])
-            elif fn in _FUNCTIONS:
+                (left, _), (right, _) = walk(test.left), walk(test.comparators[0])
+                return ("ind", (_COMPARES[_kind(test.ops[0])], left, right)), None
+            if fn in _FUNCTIONS:
                 if len(node.args) != 1:
                     raise ValidationError(f"{fn}() takes exactly one argument")
-                check(node.args[0])
-            else:
-                raise ValidationError(f"function {fn!r} not allowed in expressions")
-        else:
-            raise ValidationError(f"syntax {kind} not allowed in expressions")
+                plan, form = walk(node.args[0])
+                return (fn, plan), _sqrt_form(form) if fn == "sqrt" else None
+            raise ValidationError(f"function {fn!r} not allowed in expressions")
+        raise ValidationError(f"syntax {kind} not allowed in expressions")
 
-    check(tree)
-
-    def evaluate(node, env: dict, np):
-        kind = _kind(node)
-        if kind == "Expression":
-            return evaluate(node.body, env, np)
-        if kind == "BinOp":
-            ufunc = getattr(np, _BINOPS[_kind(node.op)])
-            return ufunc(evaluate(node.left, env, np), evaluate(node.right, env, np))
-        if kind == "UnaryOp":
-            value = evaluate(node.operand, env, np)
-            return -value if _kind(node.op) == "USub" else +value
-        if kind == "Constant":
-            return node.value
-        if kind == "Name":
-            return env[node.id] if node.id in env else _CONSTANTS[node.id]
-        if kind == "Call":
-            if node.func.id == "ind":
-                cmp_node = node.args[0]
-                lhs = evaluate(cmp_node.left, env, np)
-                rhs = evaluate(cmp_node.comparators[0], env, np)
-                return getattr(np, _COMPARES[_kind(cmp_node.ops[0])])(lhs, rhs).astype(float)
-            return getattr(np, node.func.id)(evaluate(node.args[0], env, np))
-        raise AssertionError(f"unchecked node {node!r}")
-
-    def compiled(*args):
-        import numpy as np
-        if len(args) != len(names):
-            raise TypeError(f"expression expects {len(names)} arguments {names}, got {len(args)}")
-        env = dict(zip(names, (np.asarray(a, dtype=float) for a in args)))
-        return evaluate(tree, env, np)
-
-    compiled.source = source  # type: ignore[attr-defined]
-    return compiled
+    plan, form = walk(_parse(source).body)
+    return Expression(source, names, plan, smooth=not calls & {"ind", "abs"}, form=form)
 
 
 # -- exact polynomial forms ---------------------------------------------------
+#
+# A form maps a tuple of exponents, one per variable, to a nonzero Fraction
+# coefficient; an exponent is an int, or a Fraction where it is a half-integer.
+# + - *, / by a single term, ** by an integer literal from 0 to MAX_DEGREE, and
+# sqrt of a single term whose coefficient is the square of a rational keep a
+# polynomial; the variables are nonnegative on their domain, so sqrt(x**2) is
+# x. pi, e, inf, the other functions, ind, and exponents past MAX_DEGREE do not.
 
-class _NotPolynomial(Exception):
-    pass
-
-
-def _exponent(value: Fraction):
-    """An exponent as an int when it is whole, else the Fraction itself."""
+def _exponent(value):
+    """An exponent, an int or a Fraction, as an int when it is whole."""
     return int(value) if value.denominator == 1 else value
 
 
@@ -150,13 +193,14 @@ def _add(a: dict, b: dict) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-def _multiply(a: dict, b: dict) -> dict:
+def _multiply(a: dict, b: dict) -> Optional[dict]:
+    """The product of two forms, or None past MAX_DEGREE."""
     out: dict = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
-            key = tuple(_exponent(Fraction(i) + j) for i, j in zip(ka, kb))
+            key = tuple(_exponent(i + j) for i, j in zip(ka, kb))
             if any(abs(e) > MAX_DEGREE for e in key):
-                raise _NotPolynomial
+                return None
             out[key] = out.get(key, 0) + ca * cb
     return {key: c for key, c in out.items() if c}
 
@@ -168,102 +212,40 @@ def power_form(form: dict, exponent: int) -> Optional[dict]:
     {(1, 1): Fraction(4, 1)}
     """
     result = form
-    try:
-        for _ in range(exponent - 1):
-            result = _multiply(result, form)
-    except _NotPolynomial:
-        return None
+    for _ in range(exponent - 1):
+        result = _multiply(result, form)
+        if result is None:
+            break
     return result
 
 
-def _square_root(c: Fraction) -> Fraction:
-    if c < 0:
-        raise _NotPolynomial
-    top, bottom = math.isqrt(c.numerator), math.isqrt(c.denominator)
-    if top * top != c.numerator or bottom * bottom != c.denominator:
-        raise _NotPolynomial
-    return Fraction(top, bottom)
-
-
-def polynomial_form(source: str, variables: Sequence[str] = ("x", "y")) -> Optional[dict]:
-    """``source`` as an exact polynomial, or None when it is not one.
-
-    The form maps a tuple of exponents, one per variable, to a nonzero
-    Fraction coefficient; an exponent is an int, or a Fraction where it is a
-    half-integer. Literals are read exactly (a float ``f`` as
-    ``Fraction(f)``). ``+``, ``-``, ``*``, ``/`` by a single term, ``**`` by
-    an integer literal from 0 to MAX_DEGREE, and ``sqrt`` of a single term
-    whose coefficient is the square of a rational keep a polynomial; the
-    variables are nonnegative on their domain, so sqrt(x**2) is x. pi, e,
-    the other functions, ``ind``, and any exponent beyond MAX_DEGREE give
-    None; so does anything :func:`compile_expression` would reject, except
-    text that does not parse, which raises ValidationError.
-
-    >>> polynomial_form("2*sqrt(x*y) + y/4")
-    {(Fraction(1, 2), Fraction(1, 2)): Fraction(2, 1), (0, 1): Fraction(1, 4)}
-    >>> polynomial_form("sin(x*y)") is None
-    True
-    """
-    names = tuple(variables)
-    one = (0,) * len(names)
-
-    def walk(node) -> dict:
-        kind = _kind(node)
-        if kind == "Expression":
-            return walk(node.body)
-        if kind == "Constant" and type(node.value) in (int, float):
-            return _add({}, {one: Fraction(node.value)})
-        if kind == "Name":
-            if node.id not in names:
-                raise _NotPolynomial  # pi or e
-            return {tuple(int(name == node.id) for name in names): Fraction(1)}
-        if kind == "UnaryOp" and _kind(node.op) in ("USub", "UAdd"):
-            form = walk(node.operand)
-            return {key: -c for key, c in form.items()} if _kind(node.op) == "USub" else form
-        if kind == "BinOp":
-            op, left = _kind(node.op), walk(node.left)
-            if op == "Pow":
-                power = node.right
-                if (_kind(power) != "Constant" or type(power.value) is not int
-                        or power.value > MAX_DEGREE):
-                    raise _NotPolynomial
-                if power.value == 0:
-                    return {one: Fraction(1)}
-                result = power_form(left, power.value)
-                if result is None:
-                    raise _NotPolynomial
-                return result
-            right = walk(node.right)
-            if op == "Add":
-                return _add(left, right)
-            if op == "Sub":
-                return _add(left, {key: -c for key, c in right.items()})
-            if op == "Mult":
-                return _multiply(left, right)
-            if op == "Div" and len(right) == 1:  # only by a single nonzero term
-                (key, c), = right.items()
-                return _multiply(left, {tuple(-e for e in key): 1 / c})
-        if (kind == "Call" and _kind(node.func) == "Name" and node.func.id == "sqrt"
-                and len(node.args) == 1 and not node.keywords):
-            form = walk(node.args[0])
-            if len(form) > 1:
-                raise _NotPolynomial
-            return {tuple(_exponent(Fraction(e) / 2) for e in key): _square_root(c)
-                    for key, c in form.items()}
-        raise _NotPolynomial
-
-    try:
-        return walk(_parse(source))
-    except (_NotPolynomial, OverflowError, ValueError):  # inf and nan literals
+def _binop_form(op: str, left: Optional[dict], right: Optional[dict], exponent,
+                one: tuple) -> Optional[dict]:
+    """The form of ``left op right``; ``exponent`` is the literal right of ``**``, if any."""
+    if left is None or right is None or (op == "Div" and len(right) != 1):
         return None
+    if op == "Pow":
+        if type(exponent) is not int or exponent > MAX_DEGREE:
+            return None
+        return {one: Fraction(1)} if exponent == 0 else power_form(left, exponent)
+    if op in ("Add", "Sub"):
+        return _add(left, right if op == "Add" else {key: -c for key, c in right.items()})
+    if op == "Div":  # by its single nonzero term
+        (key, c), = right.items()
+        right = {tuple(-e for e in key): 1 / c}
+    return _multiply(left, right)
 
 
-def expression_is_smooth(source: str) -> bool:
-    """Heuristic: an expression without indicators or absolute values is smooth.
-
-    Both make jumps or kinks, where a Gauss rule's error estimate (the gap to
-    the half-order rule) can under-report.
-    """
-    compact = source.replace(" ", "")
-    return "ind(" not in compact and "abs(" not in compact
-
+def _sqrt_form(form: Optional[dict]) -> Optional[dict]:
+    """The form of sqrt(form): one term whose coefficient is a rational square, else None."""
+    if form is None or len(form) > 1:
+        return None
+    out = {}
+    for key, c in form.items():
+        if c < 0:
+            return None
+        top, bottom = math.isqrt(c.numerator), math.isqrt(c.denominator)
+        if top * top != c.numerator or bottom * bottom != c.denominator:
+            return None
+        out[tuple(_exponent(Fraction(e) / 2) for e in key)] = Fraction(top, bottom)
+    return out

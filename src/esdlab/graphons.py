@@ -15,7 +15,8 @@ Four representations are supported, and the integration code exploits them:
 * constant              exact integrals, trivially
 * grid                  piecewise constant on a break grid; exact cell sums
 * callable/expression   exact when it is a polynomial in x and y (it then
-                        carries its :func:`~esdlab.expressions.polynomial_form`);
+                        carries the ``form`` its text was read with, see
+                        :class:`~esdlab.expressions.Expression`);
                         otherwise quadrature: Gauss-Legendre nodes when
                         smooth, else a uniform grid
 * banded                any of the above times a band indicator; exact for an
@@ -32,8 +33,10 @@ Constants, grids, polynomials and the families built from them (schedules,
 blocks, profiles over a grid or a polynomial, open bands over any of these)
 need no arrays: a grid keeps its breaks and cells as tuples of Python floats,
 and a polynomial kernel is checked on its exact form. numpy is imported only
-by :meth:`Graphon.eval`, :func:`band_indicator_values`, a compiled expression
-when it is called, and the check of a callable kernel without an exact form.
+by :meth:`Graphon.eval`, :func:`band_indicator_values`, an expression when it
+is called, and the check of a callable kernel without an exact form; and
+:mod:`esdlab.expressions` only to read a kernel's text, once per kernel, or
+to raise the form read from it to a power.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import NumericError, ValidationError
-from .expressions import compile_expression, expression_is_smooth, polynomial_form, power_form
 
 _SYMMETRY_TOL = 1e-9
 #: most break slots an open band may have on the exact cell rule. A band of
@@ -113,7 +115,7 @@ class Graphon:
         self.base = base
         self.alpha = alpha
         self.periodic = periodic
-        self.form = form  # exact polynomial of a callable, see expressions.polynomial_form
+        self.form = form  # exact polynomial of a callable, see expressions.Expression
         self.label = label or kind
         if kind == "callable":
             bound = self._check_callable(bound)
@@ -147,9 +149,9 @@ class Graphon:
 
     @classmethod
     def from_expression(cls, source: str, bound: float | None = None) -> "Graphon":
+        from .expressions import compile_expression
         fn = compile_expression(source, ("x", "y"))
-        return cls("callable", fn=fn, bound=bound, smooth=expression_is_smooth(source),
-                   form=polynomial_form(source, ("x", "y")), label=source)
+        return cls("callable", fn=fn, bound=bound, smooth=fn.smooth, form=fn.form, label=source)
 
     @classmethod
     def from_form(cls, form: dict, label: str) -> "Graphon":
@@ -185,7 +187,10 @@ class Graphon:
             cells = [[scale * c**exponent for c in row] for row in self.cells]
             return Graphon.from_grid(self.breaks, cells, label=f"({self.label})^{exponent}*{scale}")
         here = self
-        form = None if self.form is None else power_form(self.form, exponent)
+        form = None
+        if self.form is not None:  # read from an expression's text
+            from .expressions import power_form
+            form = power_form(self.form, exponent)
         if form is not None:
             form = {key: Fraction(scale) * c for key, c in form.items()}
 

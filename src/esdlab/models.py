@@ -13,6 +13,8 @@ indices, matching the convention used by the kernel-family limits.
 
 Specs and flat entry moments need no arrays: numpy is imported by the sampler
 (:func:`sample`, :func:`_row_sampler`, :func:`_row_rngs`) and :func:`truncate`.
+:mod:`esdlab.expressions` loads only to read a ``sparse_inhomogeneous`` prob,
+once per spec check, sample or cumulant family (a profile is read by graphons).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .defaults import DEFAULT_SEED  # noqa: F401  (re-exported as models.DEFAULT_SEED)
 from .errors import ValidationError
-from .expressions import compile_expression, expression_is_smooth, polynomial_form
 from .graphons import (CumulantSchedule, Graphon, GraphonFamily, as_graphon, block_family,
                        profile_family, require_flag, require_number)
 
@@ -109,6 +110,7 @@ class ModelSpec(_SpecFields):
             if rate <= 0 or rate > self.n:
                 raise ValidationError(f"mean degree must lie in (0, n], got {rate}")
         elif self.variant == "sparse_inhomogeneous":
+            from .expressions import compile_expression
             compile_expression(str(self._require("prob")), ("x", "y", "n"))
         elif self.variant == "heavy_tailed":
             a = number("tail_index")
@@ -198,6 +200,7 @@ def _row_sampler(spec: ModelSpec):
         rate_p = p["rate"] / n
         return lambda rng, i: (rng.random(n - i) < rate_p).astype(float)
     if spec.variant == "sparse_inhomogeneous":
+        from .expressions import compile_expression
         prob_fn = compile_expression(str(p["prob"]), ("x", "y", "n"))
 
         def inhomogeneous(rng, i):
@@ -304,18 +307,16 @@ def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
     if spec.variant == "sparse_homogeneous":
         return CumulantSchedule.constant(p["rate"])
     if spec.variant == "sparse_inhomogeneous":
-        form = polynomial_form(str(p["prob"]), ("x", "y", "n")) if at_n is None else None
-        if form is not None:
-            kernel = Graphon.from_form(_limit_of_n_times(form, p["prob"]),
-                                       label=f"lim n * ({p['prob']})")
-            return GraphonFamily(rule=lambda order: kernel,
-                                 description=f"sparse profile {p['prob']!r}")
+        from .expressions import compile_expression
         prob_fn = compile_expression(str(p["prob"]), ("x", "y", "n"))
-        n_eval = _LIMIT_N if at_n is None else float(at_n)
-        kernel = Graphon.from_callable(
-            lambda x, y: n_eval * prob_fn(x, y, n_eval),
-            smooth=expression_is_smooth(str(p["prob"])),
-            label=f"{n_eval:g} * ({p['prob']})")
+        if at_n is None and prob_fn.form is not None:
+            kernel = Graphon.from_form(_limit_of_n_times(prob_fn.form, p["prob"]),
+                                       label=f"lim n * ({p['prob']})")
+        else:
+            n_eval = _LIMIT_N if at_n is None else float(at_n)
+            kernel = Graphon.from_callable(lambda x, y: n_eval * prob_fn(x, y, n_eval),
+                                           smooth=prob_fn.smooth,
+                                           label=f"{n_eval:g} * ({p['prob']})")
         return GraphonFamily(rule=lambda order: kernel,
                              description=f"sparse profile {p['prob']!r}")
     if spec.variant == "heavy_tailed":

@@ -159,8 +159,9 @@ def moment_row(m, k_max: int) -> list[float]:
     matrix, _ = _as_matrix(m)
     require_moment_order(k_max)
     n = len(matrix)
-    row = (_walk_moments(matrix, k_max) if np.count_nonzero(matrix) <= n * n // _SPARSE_SHARE
-           else None)
+    nonzero = matrix != 0
+    row = (_walk_moments(matrix, k_max, nonzero)
+           if np.count_nonzero(nonzero) <= n * n // _SPARSE_SHARE else None)
     if row is not None:
         return row
     esd = eigenvalues(m)
@@ -168,10 +169,12 @@ def moment_row(m, k_max: int) -> list[float]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericError below
-def _walk_moments(matrix: np.ndarray, k_max: int) -> Optional[list[float]]:
+def _walk_moments(matrix: np.ndarray, k_max: int,
+                  nonzero: Optional[np.ndarray] = None) -> Optional[list[float]]:
     """(1/n) tr(W^k) for k = 1..k_max of a symmetric W, summed over closed walks on its nonzeros.
 
-    The nonzeros are sorted flat keys i*n + j with a CSR row pointer. W^a,
+    The nonzeros (of ``nonzero``, the mask W != 0 if the caller has made it)
+    are sorted flat keys i*n + j with a CSR row pointer. W^a,
     a <= ceil(k_max/2), joins each entry (i, m) of W^(a-1) with row m of W;
     equal keys merge by np.unique and bincount, and merged zeros are dropped.
     tr(W^k) is the sum of W^floor(k/2) * W^ceil(k/2) over common keys (W^0
@@ -190,7 +193,7 @@ def _walk_moments(matrix: np.ndarray, k_max: int) -> Optional[list[float]]:
     [0.0, 2.0, 2.0, 6.0, 10.0, 22.0]
     """
     n = len(matrix)
-    flat = np.flatnonzero(matrix != 0)  # several times faster than np.nonzero(matrix)
+    flat = np.flatnonzero(matrix != 0 if nonzero is None else nonzero)  # faster than np.nonzero
     rows, cols = np.divmod(flat, n)
     values = np.take(matrix, flat)
     if not np.all(np.isfinite(values)):

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import json
+import math
 import os
 import pkgutil
 import re
@@ -516,6 +517,54 @@ def test_sparse_profile_limit_is_exact_or_refused(capsys):
     assert json.loads(out)["series"]["entries"][0]["provenance"] == "quadrature"
 
 
+def _graphon_moments(capsys, kernel: str, two_k: int) -> list[dict]:
+    code, out, err = run(capsys, "moments", "--theory-json",
+                         json.dumps({"kind": "graphon", "g": {"2": kernel}}),
+                         "--two-k", str(two_k), "--reproducible")
+    assert code == 0, err
+    return json.loads(out)["series"]["entries"]
+
+
+def _profile_spectrum(capsys, profile: str) -> tuple:
+    code, out, err = run(capsys, "simulate", "--model-json",
+                         json.dumps({"variant": "variance_profile",
+                                     "params": {"profile": profile}}),
+                         "--n", "24", "--reps", "2", "--k-max", "2", "--reproducible")
+    assert code == 0, err
+    doc = json.loads(out)
+    return doc["eigenvalues"], [(m["value"], m["se"]) for m in doc["moments"]]
+
+
+def test_a_power_of_two_past_int64_is_its_float(capsys):
+    # in int64 2**64 was 0, and beta_2 read 0.0 with error 0
+    (entry,) = _graphon_moments(capsys, "cos(x - y)*2**64", 2)
+    truth = 2.0**64 * 2 * (1 - math.cos(1.0))  # int int cos(x - y) = 2 (1 - cos 1)
+    assert truth == pytest.approx(1.6960e19, rel=1e-4)
+    assert abs(entry["beta"] - truth) <= entry["error_estimate"] + 1e-12 * truth
+
+
+def test_a_profile_with_a_large_power_samples_that_profile(capsys):
+    # in int64 this profile was 1, and simulate sampled the unscaled matrix
+    assert (_profile_spectrum(capsys, "x*y*2**64 + 1")
+            == _profile_spectrum(capsys, "x*y*1.8446744073709552e19 + 1"))
+
+
+def test_a_negative_integer_power_is_a_float(capsys):
+    # numpy refuses integers to negative integer powers: both commands exited 1
+    assert _profile_spectrum(capsys, "2**-1") == _profile_spectrum(capsys, "0.5")
+    for entry in _graphon_moments(capsys, "2**-1", 4):  # g = 1/2: beta_2k = C_k / 2^k
+        k = entry["two_k"] // 2
+        truth = math.comb(2 * k, k) / (k + 1) / 2**k
+        assert abs(entry["beta"] - truth) <= entry["error_estimate"] + 1e-12
+
+
+def test_a_literal_too_large_for_a_float_exits_2(capsys):
+    code, out, err = run(capsys, "moments", "--theory-json",
+                         json.dumps({"kind": "graphon", "g": {"2": "sin(x*y)*1" + "0" * 400}}))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a literal in 'sin(x*y)*1000") and "too large for a float" in err
+
+
 def test_band_over_a_sparse_base_is_correctly_rounded(capsys):
     model = {"variant": "band", "n": 1000, "seed": 1,
              "params": {"half_width": 0.2, "base": "sparse_homogeneous",
@@ -846,8 +895,9 @@ def test_combinatorial_commands_load_no_numpy(capsys, argv):
         assert "esdlab.combinatorics" not in loaded and "esdlab.quadrature" not in loaded
         assert "esdlab.cells" in loaded  # one rule sums them all, one cell included
         assert ("esdlab.models" in loaded) == (json.loads(argv[2])["kind"] == "model")
-        # only an expression is parsed
-        assert ("ast" in loaded) == bool(_expressions(json.loads(argv[2])))
+        # only an expression is read, and only its reader parses
+        has_text = bool(_expressions(json.loads(argv[2])))
+        assert ("ast" in loaded) == ("esdlab.expressions" in loaded) == has_text
         if "--format" not in argv:
             entries = json.loads(done.stdout)["series"]["entries"]
             assert {(e["provenance"], e["error_estimate"]) for e in entries} == {

@@ -1,0 +1,68 @@
+"""Golden CLI documents for expression kernels: each must come out byte for byte.
+
+Each case is one ``--reproducible`` command whose kernels are expression text,
+one per node rule an expression can take (the exact cell rule, Gauss, the
+grid) and one per command that samples from an expression. The documents in
+golden/cli/ pin its exit code and stdout. Regenerate them only when a change
+is meant to change these numbers, and say why where the change is recorded:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from esdlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli"
+
+_INHOMOGENEOUS = {"variant": "sparse_inhomogeneous", "params": {"prob": "(x + y)/(2*n)"}}
+
+CASES = {
+    "moments_graphon_polynomial": (
+        "moments", "--theory-json", '{"kind":"graphon","g":{"2":"4*x*y"}}', "--two-k", "8"),
+    "moments_graphon_smooth": (
+        "moments", "--theory-json", '{"kind":"graphon","g":{"2":"1 + cos(2*pi*(x - y))"}}',
+        "--two-k", "6"),
+    "moments_graphon_step": (
+        "moments", "--theory-json", '{"kind":"graphon","g":{"2":"ind(x + y < 1)"}}',
+        "--two-k", "6"),
+    "moments_profile_sqrt": (
+        "moments", "--theory-json", '{"kind":"profile","sigma":"2*sqrt(x*y)"}', "--two-k", "10"),
+    "simulate_variance_profile": (
+        "simulate", "--model-json",
+        '{"variant":"variance_profile","params":{"profile":"0.5 + 0.5*ind(x + y < 1)"}}',
+        "--n", "64", "--reps", "2"),
+    "compare_sparse_inhomogeneous": (
+        "compare", "--theory-json",
+        json.dumps({"kind": "model", "spec": {**_INHOMOGENEOUS, "n": 100, "seed": 1}}),
+        "--model-json", json.dumps(_INHOMOGENEOUS), "--n", "100", "--reps", "5", "--two-k", "4"),
+}
+
+
+def document(argv) -> dict:
+    """The argv, exit code and stdout of one ``--reproducible`` run of ``argv``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*argv, "--reproducible"])
+    return {"argv": list(argv), "exit_code": code, "stdout": out.getvalue()}
+
+
+def test_golden_cli_covers_every_case():
+    assert {path.stem for path in GOLDEN.glob("*.json")} == set(CASES)
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_cli_document_matches_golden(label):
+    assert document(CASES[label]) == json.loads((GOLDEN / f"{label}.json").read_text())
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for label, argv in sorted(CASES.items()):
+        (GOLDEN / f"{label}.json").write_text(json.dumps(document(argv), indent=2) + "\n")
+    print(f"wrote {len(CASES)} documents to {GOLDEN}")

@@ -396,6 +396,35 @@ def test_dense_or_wide_draws_take_the_eigenvalue_row():
     assert moment_row(gaussian, 4) == [eigenvalues(gaussian).moment(k) for k in range(1, 5)]
 
 
+@pytest.mark.parametrize("nonzeros, route", [(32, "_walk_moments"), (33, "eigenvalues")])
+def test_moment_row_takes_walks_up_to_an_eighth_of_the_entries_nonzero(
+        monkeypatch, nonzeros, route):
+    import esdlab.spectra as spectra
+
+    n = 16  # n^2/8 = 32
+    matrix = np.zeros((n, n))
+    rows, cols = np.triu_indices(n, 1)
+    matrix[rows[:16], cols[:16]] = matrix[cols[:16], rows[:16]] = 2.0
+    matrix[0, 0] = nonzeros - 32  # one diagonal entry makes 33
+    assert np.count_nonzero(matrix) == nonzeros
+    taken = []
+
+    def spy(name):
+        original = getattr(spectra, name)
+
+        def wrapper(*args):
+            taken.append(name)
+            return original(*args)
+        return wrapper
+
+    for name in ("_walk_moments", "eigenvalues"):
+        monkeypatch.setattr(spectra, name, spy(name))
+    row = moment_row(matrix, 6)
+    assert taken == [route]
+    assert row == (_walk_moments(matrix, 6) if route == "_walk_moments"
+                   else [eigenvalues(matrix).moment(k) for k in range(1, 7)])
+
+
 def test_moment_row_validation():
     with pytest.raises(ValidationError):
         moment_row(np.ones((2, 3)), 2)
