@@ -20,8 +20,8 @@ from esdlab import (
     GraphonFamily,
     block_family,
     carleman_partial_sum,
+    count_ss_by_blocks,
     moment_graphon,
-    moment_sparse,
     profile_family,
 )
 
@@ -30,9 +30,11 @@ sched = CumulantSchedule.semicircle()
 print("semicircle:", [moment_graphon(sched, 2 * k).value for k in range(1, 6)])
 
 # sparse Bernoulli(lambda/n) entries: a polynomial in lambda per order
-print("sparse lam=2:", [moment_sparse(2.0, 2 * k).value for k in range(1, 4)])
-print("  order 6 decomposition:", moment_sparse(2.0, 6).coefficients,
-      "-> 1*2 + 6*4 + 5*8 =", moment_sparse(2.0, 6).value)
+# (a constant schedule: the tree with b colors weighs lam^b)
+sparse = CumulantSchedule.constant(2.0)
+print("sparse lam=2:", [moment_graphon(sparse, 2 * k).value for k in range(1, 4)])
+print("  order 6 decomposition:", sorted(count_ss_by_blocks(6).items()),
+      "-> 1*2 + 6*4 + 5*8 =", moment_graphon(sparse, 6).value)
 
 # an inhomogeneous variance kernel; smooth kernels integrate by quadrature
 fam = GraphonFamily(entries={2: Graphon.from_expression("4*x*y")})

@@ -28,7 +28,7 @@ _EXPORTS = {
     "graphons": "CumulantSchedule Graphon GraphonFamily block_family profile_family",
     "models": "DEFAULT_SEED ModelSpec SampledMatrix effective_cumulants sample truncate",
     "moments": "CarlemanReport MomentEntry MomentSeries carleman_partial_sum graphon_series "
-               "moment_graphon moment_sparse",
+               "moment_graphon",
     "quadrature": "",
     "spectra": "ESD Histogram eesd_moments eigenvalues empirical_moments histogram "
                "replicate_esds semicircle_density spectral_moments wasserstein2",

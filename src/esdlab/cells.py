@@ -3,7 +3,8 @@
 :func:`esdlab.moments.moment_graphon` sends here every family whose node
 rule is "cells" (:func:`esdlab.graphons.node_rule`): schedules and periodic
 bands over constants, on one cell; blocks, grids, polynomial kernels in x
-and y, any mix of these, and open bands over any of them. The color-class
+and y, any mix of these, and open bands over any of them. Each member is
+read from its fields: its cells, its form, and its band. The color-class
 recursion of :mod:`esdlab.treesum` runs on messages that are polynomials on
 each piece of a :class:`_Partition` (:class:`_Pieces`); over constants and
 grids a message has degree 0, one number per cell. A member acts on a
@@ -115,7 +116,7 @@ class _Partition:
         kernels = list(kernels)
         breaks = set(map(Fraction, grid_breaks(kernels)))
         alpha = next((Fraction(g.alpha) for g in kernels
-                      if g.kind == "banded" and not g.periodic), None)
+                      if g.alpha is not None and not g.periodic), None)
         if alpha is not None:
             reach = math.floor(1 / alpha)
             breaks = {b + j * alpha for b in breaks for j in range(-reach, reach + 1)
@@ -221,27 +222,25 @@ def _add_scaled(into: list, a, poly: list, offset: int = 0) -> None:
 def _edge(g: Graphon, pieces: _Partition) -> Callable[[_Pieces], _Pieces]:
     """The action f -> integral of g(x, y) f(y) dy of a member on the exact rule.
 
-    The member's base is a sum of terms a_pq x**p y**q times a cell value c(I, J)
-    for x on piece I and y on piece J: a constant is one term (0, 0) and a
-    grid the term 1 times its cells. So the action is sum_pq a_pq x**p times
+    Without its band the member is a sum of terms a_pq x**p y**q (its form,
+    or the one term (0, 0) with coefficient 1) times a cell value c(I, J) for
+    x on piece I and y on piece J. So the action is sum_pq a_pq x**p times
     the integrals of c(I, .) y**q f(y): over [0, 1], or over an open band's
     window. In X = B*x a term is a_pq X**p Y**q dY / B**(p + q + 1).
 
-    A periodic band over a constant c comes here only with every kernel
-    row-constant (see node_rule), on one cell: its rows all integrate to
-    2*alpha*c, so it is the constant term 2*alpha*c.
+    A member of one cell folds its cell value into its terms. A periodic
+    band comes here only with every kernel row-constant (see node_rule), on
+    one cell: its rows all integrate to 2*alpha*c, so it is the constant
+    term 2*alpha*c.
     """
-    band = g.kind == "banded" and not g.periodic
-    base = g.base if band else g
+    band = g.alpha is not None and not g.periodic
+    terms = {(0, 0): 1} if g.form is None else g.form
     cells = None
-    if base.kind == "grid":
-        terms, cells = {(0, 0): 1}, _cell_values(base, pieces.breaks[:-1])
-    elif base.kind == "constant":
-        terms = {(0, 0): Fraction(base.value)}
-    elif base.kind == "banded":
-        terms = {(0, 0): 2 * Fraction(base.alpha) * Fraction(base.base.value)}
+    if len(g.cells) > 1:
+        cells = _cell_values(g, pieces.breaks[:-1])
     else:
-        terms = base.form
+        c = Fraction(g.cells[0][0]) * (2 * Fraction(g.alpha) if g.periodic else 1)
+        terms = {key: c * a for key, a in terms.items()}
     # every term over the one denominator A * B**(top + 1)
     top = max((p + q for p, q in terms), default=0)
     (numerators,), den_terms = _over_common([list(terms.values())])

@@ -10,21 +10,22 @@ A CumulantSchedule is the family of a flat ensemble, whose order-2j member
 is the constant C_{2j}; :meth:`GraphonFamily.banded`, :func:`block_family`
 and :func:`profile_family` build the structured ones.
 
-Four representations are supported, and the integration code exploits them:
+Every kernel is one record, the product of three factors, and the
+integration code reads those fields:
 
-* constant              exact integrals, trivially
-* grid                  piecewise constant on a break grid; exact cell sums
-* callable/expression   exact when it is a polynomial in x and y (it then
-                        carries the ``form`` its text was read with, see
-                        :class:`~esdlab.expressions.Expression`);
-                        otherwise quadrature: Gauss-Legendre nodes when
-                        smooth, else a uniform grid
-* banded                any of the above times a band indicator; exact for an
-                        open band over an exact kernel, and for a periodic band
-                        over a constant
+* cells                 its value on a grid cell between ``breaks``; a single
+                        cell for a constant or a function
+* form or fn            its exact polynomial ``form`` in x and y, or the
+                        function ``fn`` where it has no form (an expression
+                        keeps both, see :class:`~esdlab.expressions.Expression`);
+                        neither for a constant or a grid
+* band                  the band indicator of half-width ``alpha``, periodic
+                        or open, when ``alpha`` is set
 
 :func:`node_rule` picks the integration rule for a set of kernels from these
-kinds: the exact cells, or quadrature; neither takes a setting. :func:`as_graphon`
+fields: the exact cells, for cells times a polynomial on an open band or none,
+and for one cell on a periodic band; or quadrature, Gauss-Legendre nodes when
+smooth, else a uniform grid. Neither takes a setting. :func:`as_graphon`
 reads every kernel a config may hold, and :func:`require_number`,
 :func:`float_rows` and :func:`require_flag` accept only JSON numbers and
 booleans, so text such as ``"2"`` is an error rather than a number.
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import NumericError, ValidationError
@@ -97,35 +97,29 @@ def float_rows(values, what: str) -> tuple:
 
 
 class Graphon:
-    """One bounded symmetric function on the unit square."""
+    """One bounded symmetric function on the unit square: its grid cell value, times
+    its function ``fn`` (exact ``form``) if any, times its band indicator if ``alpha``."""
 
-    def __init__(self, kind: str, *, value: float | None = None,
-                 breaks: tuple[float, ...] | None = None,
-                 cells: tuple[tuple[float, ...], ...] | None = None,
-                 fn: Callable | None = None, bound: float | None = None,
-                 smooth: bool = True, base: "Graphon | None" = None,
-                 alpha: float | None = None, periodic: bool | None = None,
-                 form: dict | None = None, label: str = ""):
-        self.kind = kind
-        self.value = value
+    def __init__(self, *, breaks: tuple[float, ...] = (0.0, 1.0),
+                 cells: tuple[tuple[float, ...], ...] = ((1.0,),),
+                 fn: Callable | None = None, form: dict | None = None, bound: float = 1.0,
+                 smooth: bool = True, alpha: float | None = None, periodic: bool = False,
+                 label: str = "kernel"):
         self.breaks = breaks
         self.cells = cells
         self.fn = fn
+        self.form = form  # exact polynomial of fn, see expressions.Expression
+        self.bound = float(bound)
         self.smooth = smooth
-        self.base = base
         self.alpha = alpha
         self.periodic = periodic
-        self.form = form  # exact polynomial of a callable, see expressions.Expression
-        self.label = label or kind
-        if kind == "callable":
-            bound = self._check_callable(bound)
-        self.bound = float(bound)
+        self.label = label
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, value: float, label: str = "") -> "Graphon":
-        return cls("constant", value=float(value), bound=abs(float(value)),
+        return cls(cells=((float(value),),), bound=abs(float(value)),
                    label=label or f"const {value}")
 
     @classmethod
@@ -133,7 +127,7 @@ class Graphon:
         breaks, shape = float_rows(breaks, "grid breaks")
         if len(shape) != 1 or shape[0] < 2 or breaks[0] != 0.0 or breaks[-1] != 1.0:
             raise ValidationError("grid breaks must run from 0.0 to 1.0")
-        if any(b <= a for a, b in zip(breaks, breaks[1:])):
+        if not all(a < b for a, b in zip(breaks, breaks[1:])):  # nan is not < anything
             raise ValidationError("grid breaks must be strictly increasing")
         cells, shape = float_rows(cells, "grid cells")
         d = len(breaks) - 1
@@ -144,117 +138,129 @@ class Graphon:
         if any(cells[i][j] != cells[j][i] for i in range(d) for j in range(i)):
             raise ValidationError("cell matrix must be symmetric")
         bound = max(abs(c) for row in cells for c in row)
-        return cls("grid", breaks=breaks, cells=cells, bound=bound,
-                   smooth=False, label=label or "grid")
+        return cls(breaks=breaks, cells=cells, bound=bound, smooth=False, label=label or "grid")
 
     @classmethod
     def from_expression(cls, source: str, bound: float | None = None) -> "Graphon":
         from .expressions import compile_expression
         fn = compile_expression(source, ("x", "y"))
-        return cls("callable", fn=fn, bound=bound, smooth=fn.smooth, form=fn.form, label=source)
+        return cls.from_callable(fn, bound, fn.smooth, source, fn.form)
 
     @classmethod
     def from_form(cls, form: dict, label: str) -> "Graphon":
         """The polynomial kernel of an exact form, evaluated term by term."""
         terms = _float_terms(form)
-        return cls("callable", fn=lambda x, y: _form_value(terms, x, y), form=form, label=label)
+        return cls.from_callable(lambda x, y: _form_value(terms, x, y), label=label, form=form)
 
     @classmethod
-    def from_callable(cls, fn: Callable, bound: float | None = None,
-                      smooth: bool = True, label: str = "") -> "Graphon":
-        return cls("callable", fn=fn, bound=bound, smooth=smooth, label=label or "callable")
+    def from_callable(cls, fn: Callable, bound: float | None = None, smooth: bool = True,
+                      label: str = "", form: dict | None = None) -> "Graphon":
+        """The kernel ``fn``, whose exact polynomial is ``form`` if it has one."""
+        label = label or "callable"
+        return cls(fn=fn, form=form, bound=_checked_bound(fn, form, bound, label), smooth=smooth,
+                   label=label)
 
     def banded(self, alpha: float, periodic: bool) -> "Graphon":
         """This graphon multiplied by the band indicator of half-width alpha."""
         if not 0 < alpha <= 0.5:
             raise ValidationError(f"band half-width must satisfy 0 < alpha <= 1/2, got {alpha}")
-        return Graphon("banded", base=self, alpha=float(alpha),
+        if self.alpha is not None:
+            raise ValidationError(f"{self.label!r} already has a band")
+        return Graphon(breaks=self.breaks, cells=self.cells, fn=self.fn, form=self.form,
+                       bound=self.bound, smooth=False, alpha=float(alpha),
                        periodic=require_flag(periodic, "band periodic"),
-                       bound=self.bound, smooth=False,
                        label=f"{self.label} * band({alpha}{', periodic' if periodic else ''})")
 
     def power_scale(self, exponent: int, scale: float) -> "Graphon":
-        """Pointwise scale * g(x,y)**exponent, exact forms kept; an overflow raises NumericError."""
+        """Pointwise scale * g(x,y)**exponent; an overflow raises NumericError.
+
+        Each cell c becomes scale * c**exponent in floating point, the function
+        and its exact form their powers, and a band stays itself: an indicator
+        to a power is itself.
+        """
         try:
             bound = abs(scale) * self.bound**exponent
         except OverflowError:
             bound = math.inf
+        label = f"({self.label})^{exponent}*{scale}"
         if not math.isfinite(bound):
-            raise NumericError(f"({self.label})^{exponent}*{scale} is not finite in floating point")
-        if self.kind == "constant":
-            return Graphon.constant(scale * self.value**exponent)
-        if self.kind == "grid":
-            cells = [[scale * c**exponent for c in row] for row in self.cells]
-            return Graphon.from_grid(self.breaks, cells, label=f"({self.label})^{exponent}*{scale}")
-        here = self
-        form = None
-        if self.form is not None:  # read from an expression's text
-            from .expressions import power_form
-            form = power_form(self.form, exponent)
-        if form is not None:
-            form = {key: Fraction(scale) * c for key, c in form.items()}
+            raise NumericError(f"{label} is not finite in floating point")
+        fn = form = None
+        if self.fn is not None:
+            here = self.fn
 
-        def powered(x, y):
-            return scale * here.eval(x, y) ** exponent
+            def fn(x, y):  # a whole array, even where ``here`` gives one value
+                import numpy as np
+                value = np.asarray(here(x, y), dtype=float)
+                return np.broadcast_to(value, np.broadcast(x, y).shape) ** exponent
 
-        return Graphon("callable", fn=powered, bound=bound, form=form,
-                       smooth=self.smooth, label=f"({self.label})^{exponent}*{scale}")
+            if self.form is not None:  # read from an expression's text
+                from .expressions import power_form
+                form = power_form(self.form, exponent)
+            bound = _checked_bound(fn, form, bound, label)
+        cells = tuple(tuple(scale * c**exponent for c in row) for row in self.cells)
+        return Graphon(breaks=self.breaks, cells=cells, fn=fn, form=form, bound=bound,
+                       smooth=self.smooth, alpha=self.alpha, periodic=self.periodic, label=label)
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, x, y) -> np.ndarray:
+    def eval(self, x, y, band: bool = True) -> np.ndarray:
+        """g(x, y) on arrays; ``band=False`` leaves out the band indicator."""
         import numpy as np
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if self.kind == "constant":
-            return np.full(np.broadcast(x, y).shape, self.value)
-        if self.kind == "grid":
+        shape = np.broadcast(x, y).shape
+        if len(self.cells) > 1:
             breaks, last = np.asarray(self.breaks), len(self.breaks) - 2
             ix = np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, last)
             iy = np.clip(np.searchsorted(breaks, y, side="right") - 1, 0, last)
-            return np.asarray(self.cells)[ix, iy]
-        if self.kind == "banded":
-            return self.base.eval(x, y) * band_indicator_values(x, y, self.alpha, self.periodic)
-        out = np.asarray(self.fn(x, y), dtype=float)
-        return np.broadcast_to(out, np.broadcast(x, y).shape)
-
-    # -- internals ---------------------------------------------------------
-
-    def _check_callable(self, bound: float | None) -> float:
-        """``bound``, else max |g| on a check grid, where g must be finite and symmetric.
-
-        A kernel with an exact form is evaluated term by term in floating
-        point, without numpy; any other through its function. Constants and
-        grids are symmetric by construction, bands when their base is.
-        """
-        if self.form is not None:
-            grid = [i / 28 for i in range(29)]
-            try:
-                terms = _float_terms(self.form)
-                sample = [[_form_value(terms, x, y) for y in grid] for x in grid]
-                largest = max(abs(v) for row in sample for v in row)
-            except (OverflowError, ZeroDivisionError):  # a huge coefficient, or 0 ** -1
-                largest = math.inf
-            if not math.isfinite(largest):
-                raise NumericError(f"graphon {self.label!r} is non-finite on the unit square")
-            gap = max(abs(row[j] - sample[j][i]) for i, row in enumerate(sample) for j in range(i))
+            value = np.asarray(self.cells)[ix, iy]
         else:
-            import numpy as np
-            grid = np.linspace(0.0, 1.0, 29)
-            sample = np.asarray(self.fn(grid[:, None], grid[None, :]), dtype=float)
-            if not np.all(np.isfinite(sample)):
-                raise NumericError(f"graphon {self.label!r} is non-finite on the unit square")
-            largest = float(np.max(np.abs(sample)))
-            gap = float(np.max(np.abs(sample - sample.T)))
-        # relative to the kernel's own values: a declared bound is never checked against them
-        if gap > _SYMMETRY_TOL * max(1.0, largest):
-            raise ValidationError(
-                f"graphon {self.label!r} is not symmetric: max |g(x,y)-g(y,x)| = {gap:.3g} on the check grid"
-            )
-        return largest if bound is None else bound
+            value = np.full(shape, self.cells[0][0]) if self.fn is None else self.cells[0][0]
+        if self.fn is not None:
+            value = value * np.asarray(self.fn(x, y), dtype=float)
+        if band and self.alpha is not None:
+            value = value * band_indicator_values(x, y, self.alpha, self.periodic)
+        return np.broadcast_to(value, shape)
 
     def __repr__(self) -> str:
         return f"Graphon({self.label!r}, bound={self.bound:.4g})"
+
+
+def _checked_bound(fn: Callable, form: dict | None, bound: float | None, label: str) -> float:
+    """``bound``, else max |fn| on a check grid, where fn must be finite and symmetric.
+
+    A function with an exact form is evaluated term by term in floating
+    point, without numpy; any other through numpy. A declared bound must be
+    at least 0.
+    """
+    if bound is not None and not bound >= 0:
+        raise ValidationError(f"kernel bound of {label!r} must be at least 0, got {bound!r}")
+    if form is not None:
+        grid = [i / 28 for i in range(29)]
+        try:
+            terms = _float_terms(form)
+            sample = [[_form_value(terms, x, y) for y in grid] for x in grid]
+            largest = max(abs(v) for row in sample for v in row)
+        except (OverflowError, ZeroDivisionError):  # a huge coefficient, or 0 ** -1
+            largest = math.inf
+        if not math.isfinite(largest):
+            raise NumericError(f"graphon {label!r} is non-finite on the unit square")
+        gap = max(abs(row[j] - sample[j][i]) for i, row in enumerate(sample) for j in range(i))
+    else:
+        import numpy as np
+        grid = np.linspace(0.0, 1.0, 29)
+        sample = np.asarray(fn(grid[:, None], grid[None, :]), dtype=float)
+        if not np.all(np.isfinite(sample)):
+            raise NumericError(f"graphon {label!r} is non-finite on the unit square")
+        largest = float(np.max(np.abs(sample)))
+        gap = float(np.max(np.abs(sample - sample.T)))
+    # relative to the kernel's own values: a declared bound is never checked against them
+    if gap > _SYMMETRY_TOL * max(1.0, largest):
+        raise ValidationError(
+            f"graphon {label!r} is not symmetric: max |g(x,y)-g(y,x)| = {gap:.3g} on the check grid"
+        )
+    return largest if bound is None else bound
 
 
 def _float_terms(form: dict) -> list[tuple[float, float, float]]:
@@ -321,23 +327,20 @@ def require_even_order(order: int, what: str = "even order >= 2 required") -> No
 
 
 def _row_constant(g: Graphon) -> bool:
-    return g.kind == "constant" or (g.kind == "banded" and g.periodic
-                                    and g.base.kind == "constant")
+    """One cell and no function, unbanded or on a periodic band: every row integrates alike."""
+    return len(g.cells) == 1 and g.fn is None and (g.alpha is None or g.periodic)
 
 
 def _exact(g: Graphon) -> bool:
-    """Whether the cell rule sums ``g`` exactly: a constant, a grid, a polynomial
-    with nonnegative integer exponents, or an open band over one of these."""
-    if g.kind == "banded":
-        return not g.periodic and g.base.kind != "banded" and _exact(g.base)
-    return g.kind in ("constant", "grid") or (
-        g.form is not None and all(type(e) is int and e >= 0 for key in g.form for e in key))
+    """Whether the cell rule sums ``g`` exactly: cells times no function or a
+    polynomial with nonnegative integer exponents, unbanded or on an open band."""
+    return not g.periodic and (g.fn is None or g.form is not None and all(
+        type(e) is int and e >= 0 for key in g.form for e in key))
 
 
 def grid_breaks(kernels: Iterable[Graphon]) -> set[float]:
-    """0, 1 and the breaks of every grid among the kernels and the bases of their bands."""
-    bases = [g.base if g.kind == "banded" else g for g in kernels]
-    return {b for g in bases if g.kind == "grid" for b in g.breaks} | {0.0, 1.0}
+    """0, 1 and the breaks of every kernel's grid."""
+    return {b for g in kernels for b in g.breaks} | {0.0, 1.0}
 
 
 def node_rule(kernels: Iterable[Graphon]) -> str:
@@ -353,7 +356,7 @@ def node_rule(kernels: Iterable[Graphon]) -> str:
     kernels = list(kernels)
     if all(_row_constant(g) for g in kernels):
         return "cells"
-    alphas = {g.alpha for g in kernels if g.kind == "banded"}
+    alphas = {g.alpha for g in kernels if g.alpha is not None}
     if all(map(_exact, kernels)) and len(alphas) <= 1:
         if not alphas or len(grid_breaks(kernels)) * (1 / min(alphas) + 1) <= MAX_BAND_BREAKS:
             return "cells"

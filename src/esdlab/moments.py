@@ -90,7 +90,7 @@ class MomentSeries(NamedTuple):
         return rows
 
 
-# -- the sparse census polynomial (exact) -----------------------------------
+# -- graphon families (tree integrals) --------------------------------------
 
 def _rounded(exact: Fraction, what: str) -> float:
     """The float nearest ``exact``; beyond the float range raises NumericError."""
@@ -99,30 +99,6 @@ def _rounded(exact: Fraction, what: str) -> float:
     except OverflowError:
         raise NumericError(f"{what} is not finite in floating point") from None
 
-
-class SparseMoment(NamedTuple):
-    """beta_{2k} of the sparse limit as a polynomial in the mean degree."""
-
-    order: int
-    coefficients: tuple[tuple[int, int], ...]  # (block count b, |SS_b|)
-    value: float
-
-
-def moment_sparse(lam: float, two_k: int) -> SparseMoment:
-    """Sum of lam^b over SS words, grouped by block count b, correctly rounded."""
-    if lam < 0:
-        raise ValidationError(f"mean degree must be nonnegative, got {lam}")
-    if two_k % 2:
-        return SparseMoment(two_k, (), 0.0)
-    require_even_order(two_k)
-    from .combinatorics import count_ss_by_blocks
-
-    coefficients = tuple(sorted(count_ss_by_blocks(two_k).items()))
-    exact = sum(c * Fraction(lam)**b for b, c in coefficients)
-    return SparseMoment(two_k, coefficients, _rounded(exact, f"sparse beta_{two_k}"))
-
-
-# -- graphon families (tree integrals) --------------------------------------
 
 def moment_graphon(family: GraphonFamily, two_k: int) -> MomentEntry:
     """Sum of homomorphism densities over all colored trees of the given order.

@@ -6,7 +6,7 @@ shared by all variables each kernel becomes a matrix g(x_i, x_j), and
 :func:`integrate_tree_sum` sums the products of all trees of an order at once
 by the color-class recursion of :mod:`esdlab.treesum`.
 :func:`esdlab.graphons.node_rule` picks the rule once for all the kernels of
-an integral, from their kinds. Its exact rule, the cells of
+an integral, from their fields (cells, form, band). Its exact rule, the cells of
 :mod:`esdlab.cells` for row-constant kernels and for constants, grids,
 polynomials and open bands over them, is summed in rationals by
 :func:`esdlab.moments.moment_graphon`, which never loads this module for
@@ -20,12 +20,13 @@ one of two node sets from the kernels, and neither takes a setting:
   the value is the first, the error the gap between the two.
 * anything else -> uniform grids of GRID_CAP/4, GRID_CAP/2 and GRID_CAP
   cells; the value is the finest, the error the gap to the one before. A
-  band indicator takes its exact average over each pair of cells (a function
-  of |i - j| only), which keeps the single-edge integral exact and the rule
-  second order; other kernels are evaluated at cell midpoints.
+  kernel is evaluated at cell midpoints without its band, and its band
+  indicator takes its exact average over each pair of cells (a function of
+  |i - j| only), which keeps the single-edge integral exact and the rule
+  second order.
 
 Called directly, :func:`integrate_tree_sum` runs these rules on any kernels,
-exact kinds included. Here the arrays of a theory command begin.
+exact ones included. Here the arrays of a theory command begin.
 """
 
 from __future__ import annotations
@@ -69,10 +70,9 @@ class Nodes:
         return cls((np.arange(cells) + 0.5) / cells, np.full(cells, 1.0 / cells), cells)
 
     def matrix(self, g: Graphon) -> np.ndarray:
-        if g.kind == "banded":
-            kernel = self.matrix(g.base) * _band_cell_average(self.cells, g.alpha, g.periodic)
-        else:
-            kernel = g.eval(self.x[:, None], self.x[None, :])
+        kernel = g.eval(self.x[:, None], self.x[None, :], band=False)
+        if g.alpha is not None:
+            kernel = kernel * _band_cell_average(self.cells, g.alpha, g.periodic)
         if not np.all(np.isfinite(kernel)):
             raise NumericError(f"kernel {g.label!r} is non-finite at quadrature nodes")
         return kernel

@@ -26,11 +26,7 @@ from esdlab.combinatorics import (
 )
 from esdlab.graphons import Graphon, GraphonFamily
 from esdlab.models import ModelSpec, sample, truncate
-from esdlab.moments import (
-    CumulantSchedule,
-    moment_graphon,
-    moment_sparse,
-)
+from esdlab.moments import CumulantSchedule, moment_graphon
 from esdlab.models import DEFAULT_SEED
 from esdlab.spectra import eesd_moments, eigenvalues, wasserstein2
 from esdlab.trees import enumerate_trees, tree_from_word, word_from_tree
@@ -112,7 +108,7 @@ def test_criterion_06_gaussian_semicircle_moments():
 
 
 def test_criterion_07_sparse_fourth_moment():
-    theory = moment_sparse(2.0, 4).value
+    theory = moment_graphon(CumulantSchedule.constant(2.0), 4).value
     ok = theory == 10.0
     spec = ModelSpec("sparse_homogeneous", 1000, DEFAULT_SEED, {"rate": 2.0})
     series = eesd_moments(spec, 4, replicates=30)

@@ -442,6 +442,14 @@ MALFORMED = {
                            '{"kind":"graphon","g":{"2":"1 + True*x*y"}}'),
     "bool_model_prob": ("simulate", "--model-json",
                         '{"variant":"sparse_inhomogeneous","params":{"prob":true}}', "--n", "10"),
+    # json reads NaN, which no comparison of grid breaks may let through
+    "nan_grid_break": ("moments", "--theory-json",
+                       '{"kind":"graphon","g":{"2":{"breaks":[0,NaN,1],"cells":[[1,2],[2,1]]}}}'),
+    "nan_profile_grid_break": ("moments", "--theory-json",
+                               '{"kind":"profile","sigma":{"breaks":[0,NaN,1],'
+                               '"cells":[[1,2],[2,1]]}}'),
+    "negative_kernel_bound": ("moments", "--theory-json",
+                              '{"kind":"graphon","g":{"2":{"expression":"x*y","bound":-1}}}'),
     # a declared bound does not widen the symmetry tolerance
     "asymmetric_kernel_with_bound": ("moments", "--theory-json",
                                      '{"kind":"graphon","g":{"2":{"expression":"2 + x - y",'

@@ -1,10 +1,13 @@
-"""Golden CLI documents for expression kernels: each must come out byte for byte.
+"""Golden CLI documents: each must come out byte for byte.
 
-Each case is one ``--reproducible`` command whose kernels are expression text,
-one per node rule an expression can take (the exact cell rule, Gauss, the
-grid) and one per command that samples from an expression. The documents in
-golden/cli/ pin its exit code and stdout. Regenerate them only when a change
-is meant to change these numbers, and say why where the change is recorded:
+Each case is one ``--reproducible`` command. Those whose kernels are expression
+text take one per node rule an expression can take (the exact cell rule,
+Gauss, the grid) and one per command that samples from an expression. The
+others take one per kind of kernel a theory config builds (blocks, open and
+periodic bands, a profile over a grid), and the word census and circuit
+counts. The documents in golden/cli/ pin its exit code and stdout.
+Regenerate them only when a change is meant to change these numbers, and say
+why where the change is recorded:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -21,6 +24,7 @@ from esdlab.cli import main
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 
 _INHOMOGENEOUS = {"variant": "sparse_inhomogeneous", "params": {"prob": "(x + y)/(2*n)"}}
+_GRID = {"breaks": [0, 0.25, 1], "cells": [[2, 0.5], [0.5, 1]]}
 
 CASES = {
     "moments_graphon_polynomial": (
@@ -41,6 +45,24 @@ CASES = {
         "compare", "--theory-json",
         json.dumps({"kind": "model", "spec": {**_INHOMOGENEOUS, "n": 100, "seed": 1}}),
         "--model-json", json.dumps(_INHOMOGENEOUS), "--n", "100", "--reps", "5", "--two-k", "4"),
+    "moments_block": (
+        "moments", "--theory-json",
+        json.dumps({"kind": "block", "masses": [0.25, 0.75],
+                    "cells": {"2": _GRID["cells"], "4": [[3, 1], [1, 0.5]]}}), "--two-k", "8"),
+    "moments_band_open": (
+        "moments", "--theory-json", '{"kind":"band","alpha":0.3,"periodic":false}', "--two-k", "8"),
+    "moments_band_periodic": (
+        "moments", "--theory-json", '{"kind":"band","alpha":0.3,"periodic":true}', "--two-k", "8"),
+    "moments_band_periodic_polynomial": (
+        "moments", "--theory-json",
+        '{"kind":"band","alpha":0.3,"periodic":true,"base":{"kind":"graphon","g":{"2":"x*y"}}}',
+        "--two-k", "6"),
+    "moments_profile_grid": (
+        "moments", "--theory-json",
+        json.dumps({"kind": "profile", "sigma": _GRID, "base": {"kind": "constant", "value": 2}}),
+        "--two-k", "8"),
+    "ss_by_blocks": ("ss", "8", "--by-blocks"),
+    "circuits_abba": ("circuits", "abba"),
 }
 
 

@@ -11,6 +11,7 @@ from esdlab.graphons import (
     as_graphon,
     band_indicator_values,
 )
+from esdlab.moments import carleman_partial_sum
 
 
 def test_constant_kernel():
@@ -95,15 +96,47 @@ def test_banded_wrapper_multiplies():
 
 def test_power_scale_preserves_exact_kinds():
     c = Graphon.constant(2.0).power_scale(4, 0.5)
-    assert c.kind == "constant"
+    assert (c.cells, c.fn, c.form) == (((8.0,),), None, None)
     assert c.eval(0.2, 0.2) == pytest.approx(2.0**4 * 0.5)
     grid = Graphon.from_grid([0.0, 0.5, 1.0], [[1.0, 2.0], [2.0, 3.0]])
     squared = grid.power_scale(2, 1.0)
-    assert squared.kind == "grid"
+    assert squared.breaks == grid.breaks and squared.cells == ((1.0, 4.0), (4.0, 9.0))
     assert squared.eval(0.9, 0.9) == pytest.approx(9.0)
     smooth = Graphon.from_expression("4*x*y").power_scale(2, 2.0)
     assert smooth.eval(0.5, 0.5) == pytest.approx(2.0)
     assert smooth.smooth
+
+
+def test_power_scale_keeps_a_band():
+    # an indicator to a power is itself: (c * x*y * band)^2 * s = s c^2 x^2 y^2 * band
+    band = Graphon.from_expression("x*y").power_scale(1, 3.0).banded(0.25, periodic=True)
+    squared = band.power_scale(2, 0.5)
+    assert (squared.alpha, squared.periodic) == (0.25, True)
+    x = np.array([0.1, 0.3, 0.5, 0.9, 0.05])
+    y = np.array([0.2, 0.7, 0.6, 0.1, 0.95])
+    inside = (np.abs(x - y) <= 0.25) | (np.abs(x - y) >= 0.75)
+    np.testing.assert_allclose(squared.eval(x, y), 0.5 * 9.0 * (x * y) ** 2 * inside, rtol=1e-15)
+    assert squared.form == {(2, 2): 1} and squared.cells == ((4.5,),)
+    grid = Graphon.from_grid([0.0, 0.5, 1.0], [[1.0, 2.0], [2.0, 3.0]]).banded(0.3, False)
+    cubed = grid.power_scale(3, 2.0)
+    assert (cubed.alpha, cubed.periodic, cubed.cells) == (0.3, False, ((2.0, 16.0), (16.0, 54.0)))
+    assert cubed.eval(0.4, 0.6) == 16.0 and cubed.eval(0.1, 0.9) == 0.0
+
+
+def test_a_band_over_a_band_is_refused():
+    band = Graphon.constant(1.0).banded(0.3, periodic=False)
+    for periodic in (False, True):
+        with pytest.raises(ValidationError, match="already has a band"):
+            band.banded(0.2, periodic)
+
+
+def test_kernel_bound_must_be_nonnegative():
+    with pytest.raises(ValidationError, match="at least 0"):
+        as_graphon({"expression": "x*y", "bound": -1})
+    with pytest.raises(ValidationError, match="at least 0"):
+        Graphon.from_callable(lambda x, y: x * y, bound=float("nan"))
+    bounded = GraphonFamily({2: as_graphon({"expression": "x*y", "bound": 0.0})})
+    assert carleman_partial_sum(bounded, 2).verdict == "divergent"
 
 
 def test_as_graphon_coercion():

@@ -10,6 +10,7 @@ import pytest
 from scipy import integrate
 
 from esdlab.combinatorics import Word, catalan, count_ss_by_blocks
+from esdlab.compare import family_from_config
 from esdlab.errors import NumericError, ValidationError
 from esdlab.graphons import Graphon, GraphonFamily, block_family, profile_family
 from esdlab.models import ModelSpec, effective_cumulants
@@ -20,7 +21,6 @@ from esdlab.moments import (
     carleman_partial_sum,
     graphon_series,
     moment_graphon,
-    moment_sparse,
 )
 from esdlab.trees import enumerate_trees, tree_from_word
 from esdlab.treesum import tree_sum
@@ -62,7 +62,7 @@ def test_constant_schedule_matches_sparse_polynomial():
         sched = CumulantSchedule.constant(lam)
         for two_k in range(2, 21, 2):
             exact = float(census_sum(Fraction(lam), two_k))
-            assert moment_graphon(sched, two_k).value == moment_sparse(lam, two_k).value == exact
+            assert moment_graphon(sched, two_k).value == exact
     for k in range(1, 13):
         assert moment_graphon(CumulantSchedule.semicircle(), 2 * k).value == catalan(k)
     # C_2t = rate * atom^2t, exact in floats here, so beta_2k = atom^2k * sum_b |SS_b| rate^b
@@ -79,20 +79,29 @@ def test_constant_schedule_matches_sparse_polynomial():
 
 
 def test_sparse_moment_frozen_values():
-    assert moment_sparse(1.0, 2).value == 1.0
-    assert moment_sparse(2.0, 4).value == pytest.approx(2 * 4 + 2)  # 2 lam^2 + lam
-    six = moment_sparse(2.0, 6)
-    assert six.coefficients == ((1, 1), (2, 6), (3, 5))
-    assert six.value == pytest.approx(1 * 2 + 6 * 4 + 5 * 8)
-    assert moment_sparse(2.0, 3).value == 0.0
+    assert moment_graphon(CumulantSchedule.constant(1.0), 2).value == 1.0
+    assert moment_graphon(CumulantSchedule.constant(2.0), 4).value == 10.0  # 2 lam^2 + lam
+    assert moment_graphon(CumulantSchedule.constant(2.0), 6).value == 66.0  # 1*2 + 6*4 + 5*8
+    assert moment_graphon(CumulantSchedule.constant(2.0), 3).value == 0.0
     with pytest.raises(ValidationError):
-        moment_sparse(-1.0, 4)
+        family_from_config({"kind": "sparse", "rate": -1.0})
 
 
 def test_sparse_coefficients_are_block_counts():
+    # beta_2k of the constant schedule lam is a polynomial in lam of degree k:
+    # solving for it from k + 1 integer values gives |SS_b| as the coefficient of lam^b
     for two_k in (2, 4, 6, 8, 10):
-        table = count_ss_by_blocks(two_k)
-        assert dict(moment_sparse(1.0, two_k).coefficients) == table
+        k = two_k // 2
+        rows = [[Fraction(lam) ** b for b in range(k + 1)] + [
+            Fraction(moment_graphon(CumulantSchedule.constant(float(lam)), two_k).value)]
+            for lam in range(k + 1)]
+        for i in range(k + 1):  # Gauss-Jordan elimination, exact
+            rows[i] = [v / rows[i][i] for v in rows[i]]
+            for j in range(k + 1):
+                if j != i:
+                    rows[j] = [a - rows[j][i] * b for a, b in zip(rows[j], rows[i])]
+        coefficients = {b: row[-1] for b, row in enumerate(rows) if row[-1]}
+        assert coefficients == count_ss_by_blocks(two_k)
 
 
 def test_missing_cumulant_raises():

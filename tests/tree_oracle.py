@@ -3,12 +3,12 @@
 moment_graphon sums all colored trees of an order at once by the color-class
 recursion. Here each tree is integrated on its own by message passing, from
 the last color back to the root. Its kernels pick the nodes, decided here
-from their kinds rather than by esdlab's own node rule: one node for
-row-constant kernels (constants and periodic bands over constants), one node
-per cell of the grids' breaks (at the cell's midpoint, weighted by its width)
-for constants and grids, both exact, and otherwise the approximate rules of
-esdlab.quadrature.integrate_on_nodes, which also take the polynomials and open
-bands that moment_graphon sums exactly.
+from their fields rather than by esdlab's own node rule: one node for
+row-constant kernels (one cell and no function, alone or on a periodic
+band), one node per cell of the grids' breaks (at the cell's midpoint,
+weighted by its width) for kernels of cells alone, both exact, and otherwise
+the approximate rules of esdlab.quadrature.integrate_on_nodes, which also
+take the polynomials and open bands that moment_graphon sums exactly.
 """
 
 from fractions import Fraction
@@ -25,17 +25,15 @@ def exact_nodes(kernels: Iterable[Graphon]) -> Nodes:
     """The nodes of the exact rules: one node, or the cells of the union of the grids' breaks."""
     breaks = np.array([0.0, 1.0])
     for g in kernels:
-        if g.kind == "grid":
-            breaks = np.union1d(breaks, g.breaks)
+        breaks = np.union1d(breaks, g.breaks)
     if len(breaks) == 2:
         return Nodes.uniform(1)  # also the exact cell average of a periodic band
     return Nodes(0.5 * (breaks[:-1] + breaks[1:]), np.diff(breaks))
 
 
 def _row_constant(g: Graphon) -> bool:
-    """A constant, or a periodic band over one: every row integrates to the same number."""
-    return g.kind == "constant" or (g.kind == "banded" and g.periodic
-                                    and g.base.kind == "constant")
+    """One cell and no function, alone or on a periodic band: every row integrates alike."""
+    return len(g.cells) == 1 and g.fn is None and (g.alpha is None or g.periodic)
 
 
 def integrate_edge_product(factors: Mapping[int, Graphon], parent: Mapping[int, int],
@@ -53,7 +51,7 @@ def integrate_edge_product(factors: Mapping[int, Graphon], parent: Mapping[int, 
         return float(np.sum(nodes.w * messages[0]))
 
     if all(map(_row_constant, factors.values())) or all(
-            g.kind in ("constant", "grid") for g in factors.values()):
+            g.fn is None and g.alpha is None for g in factors.values()):
         return IntegralResult(message_pass(exact_nodes(factors.values())), 0.0, "exact")
     return integrate_on_nodes(message_pass, factors.values())
 
@@ -95,8 +93,8 @@ def exact_density(tree: ColoredTree, family: GraphonFamily) -> Fraction:
     if found is None:
         return Fraction(0)
     factors, parent = found
-    breaks = sorted({Fraction(b) for g in factors.values() if g.kind == "grid"
-                     for b in g.breaks} | {Fraction(0), Fraction(1)})
+    breaks = sorted({Fraction(b) for g in factors.values() for b in g.breaks}
+                    | {Fraction(0), Fraction(1)})
     widths = [b - a for a, b in zip(breaks, breaks[1:])]
     mids = np.array([float((a + b) / 2) for a, b in zip(breaks, breaks[1:])])
     messages = {c: [Fraction(1)] * len(widths) for c in range(len(factors) + 1)}
