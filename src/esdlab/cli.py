@@ -29,7 +29,6 @@ Exit codes: 0 success, 2 validation or numeric trouble, 3 capacity or budget,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import sys
@@ -184,11 +183,28 @@ def _apply_args_only_config(args: argparse.Namespace) -> None:
                               f"{args.command} takes only 'args'")
 
 
+def _sha256_hex(blob: bytes) -> str:
+    """The SHA-256 hex digest of ``blob``, from the interpreter's built-in hash.
+
+    Importing hashlib maps OpenSSL's libcrypto, a few megabytes of resident
+    memory and milliseconds of start-up on every command; hashlib falls back
+    to these same modules, so the digests agree.
+    """
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:  # a build without the built-in hashes
+        from hashlib import sha256
+    return sha256(blob).hexdigest()
+
+
 def _config_digest(payload: dict, args: argparse.Namespace) -> str:
     mirror = {k: v for k, v in vars(args).items()
               if k not in ("func", "actions", "config", "out", "parallel")}
     blob = json.dumps({"payload": payload, "args": mirror}, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return _sha256_hex(blob.encode())
 
 
 def _emit(args: argparse.Namespace, payload_cfg: dict, document: dict,

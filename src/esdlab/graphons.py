@@ -364,7 +364,11 @@ def node_rule(kernels: Iterable[Graphon]) -> str:
 
 
 class GraphonFamily:
-    """Map from even order 2j to a Graphon; missing orders are zero."""
+    """Map from even order 2j to a Graphon; missing orders are zero.
+
+    ``rule`` builds the member of an order not in ``entries``, once: the member,
+    or None, is kept for later calls, and a rule that raises keeps nothing.
+    """
 
     def __init__(self, entries: Mapping[int, Graphon] | None = None,
                  rule: Callable[[int], Optional[Graphon]] | None = None,
@@ -376,6 +380,7 @@ class GraphonFamily:
             if graphon is not None:
                 self.entries[order] = as_graphon(graphon)
         self.rule = rule
+        self._built: dict[int, Optional[Graphon]] = {}
         self.description = description or "graphon family"
 
     def g(self, order: int) -> Optional[Graphon]:
@@ -383,9 +388,11 @@ class GraphonFamily:
         require_even_order(order, "order must be even and >= 2")
         if order in self.entries:
             return self.entries[order]
-        if self.rule is not None:
-            return self.rule(order)
-        return None
+        if self.rule is None:
+            return None
+        if order not in self._built:
+            self._built[order] = self.rule(order)
+        return self._built[order]
 
     def bound(self, order: int) -> float:
         graphon = self.g(order)

@@ -1,5 +1,6 @@
 """Command line interface: envelopes, formats, exit codes, config files."""
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -840,11 +841,11 @@ def _python(*argv: str) -> subprocess.CompletedProcess:
 
 def _cli_modules(argv) -> tuple[subprocess.CompletedProcess, list[str]]:
     """python -m esdlab.cli ARGV --reproducible, and the numpy, esdlab, dataclasses,
-    inspect and ast modules it loaded."""
+    inspect, ast, hashlib, _hashlib and _ssl modules it loaded."""
     code = ("import atexit, runpy, sys\n"
             "atexit.register(lambda: print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('numpy', 'esdlab', 'dataclasses', 'inspect', 'ast')),"
-            " file=sys.stderr))\n"
+            " if m.split('.')[0] in ('numpy', 'esdlab', 'dataclasses', 'inspect', 'ast',"
+            " 'hashlib', '_hashlib', '_ssl')), file=sys.stderr))\n"
             f"sys.argv = ['esdlab', *{list(argv)!r}, '--reproducible']\n"
             "runpy.run_module('esdlab.cli', run_name='__main__', alter_sys=True)\n")
     done = _python("-c", code)
@@ -886,6 +887,9 @@ BLOCK_CELLS = [[1.5, 0.4], [0.4, 0.8]]
     ("moments", "--theory-json", json.dumps({"kind": "model", "spec": {
         "variant": "sparse_inhomogeneous", "n": 1000, "seed": 1,
         "params": {"prob": "2.0*x*y/n"}}}), "--two-k", "8"),
+    ("moments", "--theory-json", json.dumps({"kind": "model", "spec": {
+        "variant": "heavy_tailed", "n": 300, "seed": 1, "params": {"tail_index": 1.5}},
+        "truncation": 1.0}), "--two-k", "8"),
 ])
 def test_combinatorial_commands_load_no_numpy(capsys, argv):
     done, loaded = _cli_modules(argv)
@@ -893,6 +897,8 @@ def test_combinatorial_commands_load_no_numpy(capsys, argv):
     assert run(capsys, *argv, "--reproducible")[1] == done.stdout
     # nor dataclasses, which pulls in inspect, ast, dis and tokenize
     assert "dataclasses" not in loaded and "inspect" not in loaded
+    # nor hashlib, whose _hashlib maps OpenSSL's libcrypto
+    assert not {"hashlib", "_hashlib", "_ssl"} & set(loaded)
     if argv[0] == "ss":
         assert loaded == ["esdlab", "esdlab.combinatorics", "esdlab.defaults", "esdlab.errors",
                           "esdlab.treesum"]
@@ -920,6 +926,19 @@ def _expressions(cfg) -> list[str]:
     if isinstance(cfg, list):
         return [e for value in cfg for e in _expressions(value)]
     return [cfg] if isinstance(cfg, str) else []
+
+
+@pytest.mark.parametrize("blob", [b"", b'{"payload": {"kind": "semicircle"}}',
+                                  "β_4 of σ(x,y) = √(xy)".encode()])
+def test_config_digest_is_sha256(monkeypatch, blob):
+    from esdlab.cli import _sha256_hex
+
+    expected = hashlib.sha256(blob).hexdigest()
+    assert _sha256_hex(blob) == expected
+    # without the built-in modules it falls back to hashlib
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert _sha256_hex(blob) == expected
 
 
 def test_kernel_theory_still_loads_numpy(capsys):

@@ -4,8 +4,8 @@ Each case is one ``--reproducible`` command. Those whose kernels are expression
 text take one per node rule an expression can take (the exact cell rule,
 Gauss, the grid) and one per command that samples from an expression. The
 others take one per kind of kernel a theory config builds (blocks, open and
-periodic bands, a profile over a grid), and the word census and circuit
-counts. The documents in golden/cli/ pin its exit code and stdout.
+periodic bands, a profile over a grid, a model's schedule with a truncated
+heavy tail), and the word census and circuit counts. The documents in golden/cli/ pin its exit code and stdout.
 Regenerate them only when a change is meant to change these numbers, and say
 why where the change is recorded:
 
@@ -61,6 +61,11 @@ CASES = {
         "moments", "--theory-json",
         json.dumps({"kind": "profile", "sigma": _GRID, "base": {"kind": "constant", "value": 2}}),
         "--two-k", "8"),
+    "moments_model_heavy_tailed": (
+        "moments", "--theory-json",
+        json.dumps({"kind": "model", "spec": {"variant": "heavy_tailed", "n": 300, "seed": 1,
+                                              "params": {"tail_index": 1.5}},
+                    "truncation": 1.0}), "--two-k", "8"),
     "ss_by_blocks": ("ss", "8", "--by-blocks"),
     "circuits_abba": ("circuits", "abba"),
 }

@@ -10,8 +10,9 @@ from esdlab.graphons import (
     GraphonFamily,
     as_graphon,
     band_indicator_values,
+    profile_family,
 )
-from esdlab.moments import carleman_partial_sum
+from esdlab.moments import carleman_partial_sum, graphon_series
 
 
 def test_constant_kernel():
@@ -177,3 +178,32 @@ def test_family_banded_composes():
     assert g.eval(0.5, 0.55) == 2.0
     assert g.eval(0.1, 0.6) == 0.0
     assert fam.g(4) is None
+
+
+def test_family_builds_each_member_once(monkeypatch):
+    calls = []
+    power_scale = Graphon.power_scale
+    monkeypatch.setattr(Graphon, "power_scale",
+                        lambda self, *args: calls.append(args) or power_scale(self, *args))
+    fam = profile_family("1 + 0.5*cos(2*pi*(x-y))", CumulantSchedule.constant(1.0))
+    graphon_series(fam, 10)
+    assert len(calls) == 5  # one per order 2, 4, ..., 10, though beta_10 asks for all five
+    assert fam.g(4) is fam.g(4)
+
+
+def test_family_keeps_a_zero_member_but_not_an_error():
+    built = []
+
+    def rule(order):
+        built.append(order)
+        if order == 6:
+            raise NumericError("too large")
+        return None if order == 4 else Graphon.constant(1.0)
+
+    fam = GraphonFamily(rule=rule)
+    assert fam.g(4) is None and fam.g(4) is None
+    for _ in range(2):
+        with pytest.raises(NumericError):
+            fam.g(6)
+    assert fam.g(2) is fam.g(2)
+    assert built == [4, 6, 6, 2]
