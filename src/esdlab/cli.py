@@ -1,7 +1,8 @@
 """Command-line front end: enumeration, theory moments, simulation, comparison.
 
 Subcommands: ss, moments, simulate, compare, circuits. ss prints one output
-mode: the word count (the default, or --count-only), --list or --by-blocks.
+mode: the word count (the default, or --count-only), --list or --by-blocks;
+--list streams the words under the census's count and checks the two agree.
 Outputs are JSON (default) or CSV, to stdout or --out. Every document embeds
 the seed and a hash of the effective configuration; a timestamp is added
 unless --reproducible is set, so reruns can be byte-identical.
@@ -29,13 +30,19 @@ Exit codes: 0 success, 2 validation or numeric trouble, 3 capacity or budget,
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
+import itertools
 import json
 import sys
 import time
+from collections.abc import Iterable, Iterator
+from json.encoder import encode_basestring_ascii
 
 from .defaults import DEFAULT_CIRCUIT_BUDGET, DEFAULT_EESD_BUDGET, DEFAULT_SEED
 from .errors import CapacityError, NumericError, ValidationError
+
+#: strings per write when a JSON array is streamed
+_STREAM_BATCH = 4096
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -208,26 +215,45 @@ def _config_digest(payload: dict, args: argparse.Namespace) -> str:
 
 
 def _emit(args: argparse.Namespace, payload_cfg: dict, document: dict,
-          csv_rows: list[list] | None = None) -> None:
+          csv_rows: Iterable[list] | None = None) -> None:
+    """Write the document, as JSON or as ``csv_rows``, to --out or stdout.
+
+    A top-level value of ``document`` that is an iterator of strings is written
+    as a JSON array a batch at a time, and ``csv_rows`` may be any iterable, so
+    a listing is never held whole in memory.
+    """
     document = {"command": args.command, "seed": args.seed,
                 "config_sha256": _config_digest(payload_cfg, args), **document}
     if not args.reproducible:
         document["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    if args.format == "csv":
-        if csv_rows is None:
-            raise ValidationError(f"{args.command} has no CSV form for this output")
-        import csv
+    if args.format == "csv" and csv_rows is None:
+        raise ValidationError(f"{args.command} has no CSV form for this output")
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if args.format == "csv":
+            import csv
 
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(document, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            csv.writer(fh, lineterminator="\n").writerows(csv_rows)
+        else:
+            _write_json(fh, document)
+
+
+def _write_json(fh, document: dict) -> None:
+    """Write ``json.dumps(document, indent=2) + "\n"``, streaming an iterator value."""
+    key = next((k for k, v in document.items() if isinstance(v, Iterator)), None)
+    if key is None:
+        fh.write(json.dumps(document, indent=2) + "\n")
+        return
+    # a top-level key, unlike a nested one, follows a newline and two spaces
+    entry = f"\n  {json.dumps(key)}: "
+    head, _, tail = json.dumps({**document, key: None}, indent=2).partition(entry + "null")
+    fh.write(head + entry)
+    items = map(encode_basestring_ascii, document[key])  # json.dumps's own string encoder
+    opened = False
+    while batch := list(itertools.islice(items, _STREAM_BATCH)):
+        fh.write((",\n    " if opened else "[\n    ") + ",\n    ".join(batch))
+        opened = True
+    fh.write(("\n  ]" if opened else "[]") + tail + "\n")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -249,23 +275,31 @@ def cmd_ss(args: argparse.Namespace) -> int:
                "note": "odd lengths admit no special symmetric words (every block is even)"}
         _emit(args, {}, doc, [["word"]])
         return 0
-    doc: dict = {"two_k": two_k}
-    rows: list[list]
+    by_blocks = comb.count_ss_by_blocks(two_k)
+    count = sum(by_blocks.values())
     if args.by_blocks:
-        by_blocks = comb.count_ss_by_blocks(two_k)
-        doc["by_blocks"] = {str(b): c for b, c in sorted(by_blocks.items())}
-        doc["count"] = sum(by_blocks.values())
-        rows = [["blocks", "count"]] + [[b, c] for b, c in sorted(by_blocks.items())]
+        rows = [[b, c] for b, c in sorted(by_blocks.items())]
+        doc = {"two_k": two_k, "by_blocks": {str(b): c for b, c in rows}, "count": count}
+        _emit(args, {}, doc, [["blocks", "count"], *rows])
     elif args.list:
-        words = [str(w) for w in comb.enumerate_ss(two_k)]
-        doc["count"] = len(words)
-        doc["words"] = words
-        rows = [["word"]] + [[w] for w in words]
+        # the words stream after the count, which therefore comes from the census;
+        # their number then checks the word walk against the census
+        written = 0
+
+        def words():
+            nonlocal written
+            for word in comb.enumerate_ss(two_k):
+                written += 1
+                yield str(word)
+
+        listing = words()
+        _emit(args, {}, {"two_k": two_k, "count": count, "words": listing},
+              itertools.chain([["word"]], ([w] for w in listing)))
+        if written != count:
+            raise RuntimeError(f"ss {two_k} --list wrote {written} words, "
+                               f"but the census counts {count}")
     else:
-        count = sum(comb.count_ss_by_blocks(two_k).values())
-        doc["count"] = count
-        rows = [["two_k", "count"], [two_k, count]]
-    _emit(args, {}, doc, rows)
+        _emit(args, {}, {"two_k": two_k, "count": count}, [["two_k", "count"], [two_k, count]])
     return 0
 
 

@@ -16,11 +16,12 @@ applies them, every literal as a float (``2**64`` is 1.8446744073709552e19,
 ``2**-1`` is 0.5; a literal too large for a float raises ValidationError).
 ``smooth`` is False exactly when the text calls ``ind`` or ``abs``, whose
 jumps and kinks can make a Gauss rule's error estimate under-report.
-``form`` is the text as an exact polynomial where it is one, with literals
-read as their exact values: ``"2*sqrt(x*y)"`` is 2 x^(1/2) y^(1/2) and
-``"2.0*x*y/n"`` is 2 x y n^(-1), with Fraction coefficients. A kernel whose
-form has whole exponents is summed exactly by :mod:`esdlab.moments`; one
-with half-integer exponents, such as the graphon ``2*sqrt(x*y)``, takes Gauss.
+``form`` is the text as an exact polynomial where it is one, built on first
+read (a sampler never reads it), with literals read as their exact values:
+``"2*sqrt(x*y)"`` is 2 x^(1/2) y^(1/2) and ``"2.0*x*y/n"`` is 2 x y n^(-1),
+with Fraction coefficients. A kernel whose form has whole exponents is summed
+exactly by :mod:`esdlab.moments`; one with half-integer exponents, such as the
+graphon ``2*sqrt(x*y)``, takes Gauss.
 :mod:`esdlab.graphons` evaluates every form on its symmetry-check grid.
 
 ``ast`` is imported only to parse, and numpy only when an Expression is called.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import ValidationError
 
@@ -63,12 +64,20 @@ class Expression:
     Its evaluator is made on the first call, as closures over numpy's ufuncs.
     """
 
-    __slots__ = ("source", "smooth", "form", "_names", "_plan", "_evaluate")
+    __slots__ = ("source", "smooth", "_form", "_names", "_plan", "_evaluate")
 
     def __init__(self, source: str, names: tuple, plan: tuple, smooth: bool,
-                 form: Optional[dict]):
-        self.source, self.smooth, self.form = source, smooth, form
+                 form: Callable[[], Optional[dict]]):
+        self.source, self.smooth, self._form = source, smooth, form
         self._names, self._plan, self._evaluate = names, plan, None
+
+    @property
+    def form(self) -> Optional[dict]:
+        """The exact polynomial of the text, or None; built on first read, since a
+        large power can take seconds that an evaluation never needs."""
+        if callable(self._form):
+            self._form = self._form()
+        return self._form
 
     def __call__(self, *args):
         import numpy as np
@@ -116,19 +125,19 @@ def compile_expression(source: str, variables: Sequence[str] = ("x", "y")) -> Ex
     one = (0,) * len(names)
     calls = set()
 
-    def walk(node) -> tuple[tuple, Optional[dict]]:
-        """The evaluation plan and exact form (None if not a polynomial) of a node."""
+    def walk(node) -> tuple[tuple, Callable[[], Optional[dict]]]:
+        """The evaluation plan of a node, and a function that builds its exact
+        form (None if not a polynomial)."""
         kind = _kind(node)
         if kind == "BinOp" and _kind(node.op) in _BINOPS:
             op = _kind(node.op)
             (left, p), (right, q) = walk(node.left), walk(node.right)
             exponent = node.right.value if _kind(node.right) == "Constant" else None
-            return (_BINOPS[op], left, right), _binop_form(op, p, q, exponent, one)
+            return (_BINOPS[op], left, right), lambda: _binop_form(op, p(), q(), exponent, one)
         if kind == "UnaryOp" and _kind(node.op) in _UNARY:
             plan, form = walk(node.operand)
-            if form is not None and _kind(node.op) == "USub":
-                form = {key: -c for key, c in form.items()}
-            return (_UNARY[_kind(node.op)], plan), form
+            negated = (lambda: _negate(form())) if _kind(node.op) == "USub" else form
+            return (_UNARY[_kind(node.op)], plan), negated
         if kind == "Constant":
             value = node.value
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -137,14 +146,15 @@ def compile_expression(source: str, variables: Sequence[str] = ("x", "y")) -> Ex
                 number = float(value)
             except OverflowError:
                 raise ValidationError(f"a literal in {source!r} is too large for a float") from None
-            exact = _add({}, {one: Fraction(value)}) if math.isfinite(number) else None
-            return ("const", number), exact
+            if not math.isfinite(number):
+                return ("const", number), _no_form
+            return ("const", number), lambda: _add({}, {one: Fraction(value)})
         if kind == "Name":
             if node.id in names:
-                return ("arg", names.index(node.id)), {
-                    tuple(int(name == node.id) for name in names): Fraction(1)}
+                key = tuple(int(name == node.id) for name in names)
+                return ("arg", names.index(node.id)), lambda: {key: Fraction(1)}
             if node.id in _CONSTANTS:
-                return ("const", _CONSTANTS[node.id]), None
+                return ("const", _CONSTANTS[node.id]), _no_form
             raise ValidationError(
                 f"unknown name {node.id!r}; allowed variables: {', '.join(names)}")
         if kind == "Call":
@@ -159,12 +169,12 @@ def compile_expression(source: str, variables: Sequence[str] = ("x", "y")) -> Ex
                 if len(test.ops) != 1 or _kind(test.ops[0]) not in _COMPARES:
                     raise ValidationError("ind(...) supports a single <=, <, >= or > comparison")
                 (left, _), (right, _) = walk(test.left), walk(test.comparators[0])
-                return ("ind", (_COMPARES[_kind(test.ops[0])], left, right)), None
+                return ("ind", (_COMPARES[_kind(test.ops[0])], left, right)), _no_form
             if fn in _FUNCTIONS:
                 if len(node.args) != 1:
                     raise ValidationError(f"{fn}() takes exactly one argument")
                 plan, form = walk(node.args[0])
-                return (fn, plan), _sqrt_form(form) if fn == "sqrt" else None
+                return (fn, plan), (lambda: _sqrt_form(form())) if fn == "sqrt" else _no_form
             raise ValidationError(f"function {fn!r} not allowed in expressions")
         raise ValidationError(f"syntax {kind} not allowed in expressions")
 
@@ -184,6 +194,15 @@ def compile_expression(source: str, variables: Sequence[str] = ("x", "y")) -> Ex
 def _exponent(value):
     """An exponent, an int or a Fraction, as an int when it is whole."""
     return int(value) if value.denominator == 1 else value
+
+
+def _no_form() -> None:
+    """The form of a node that is not a polynomial."""
+    return None
+
+
+def _negate(form: Optional[dict]) -> Optional[dict]:
+    return None if form is None else {key: -c for key, c in form.items()}
 
 
 def _add(a: dict, b: dict) -> dict:
@@ -229,7 +248,7 @@ def _binop_form(op: str, left: Optional[dict], right: Optional[dict], exponent,
             return None
         return {one: Fraction(1)} if exponent == 0 else power_form(left, exponent)
     if op in ("Add", "Sub"):
-        return _add(left, right if op == "Add" else {key: -c for key, c in right.items()})
+        return _add(left, right if op == "Add" else _negate(right))
     if op == "Div":  # by its single nonzero term
         (key, c), = right.items()
         right = {tuple(-e for e in key): 1 / c}

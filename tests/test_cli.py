@@ -1,8 +1,10 @@
 """Command line interface: envelopes, formats, exit codes, config files."""
 
+import csv
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -20,6 +22,7 @@ import pytest
 import esdlab
 
 from esdlab.cli import DEFAULT_SEED, build_parser, main
+from esdlab.combinatorics import enumerate_ss
 
 
 def run(capsys, *argv):
@@ -62,6 +65,71 @@ def test_ss_odd_length_is_empty_but_ok(capsys):
     code, out, _ = run(capsys, "ss", "5", "--reproducible")
     assert code == 0
     assert json.loads(out)["count"] == 0
+
+
+@pytest.mark.parametrize("two_k", [2, 4, 5, 8, 12])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_ss_list_streams_the_materialised_document(capsys, tmp_path, two_k, fmt):
+    words = [str(w) for w in enumerate_ss(two_k)]
+    argv = ["ss", str(two_k), "--list", "--format", fmt, "--reproducible"]
+    code, streamed, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "listing"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == streamed
+    if fmt == "json":
+        head = json.loads(streamed)
+        doc = {"command": "ss", "seed": DEFAULT_SEED, "config_sha256": head["config_sha256"],
+               "two_k": two_k, "count": len(words), "words": words}
+        if two_k % 2:
+            doc["note"] = head["note"]
+        assert streamed == json.dumps(doc, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([["word"], *([w] for w in words)])
+        assert streamed == buf.getvalue()
+
+
+def test_ss_list_streams_the_timestamp_after_the_words(capsys):
+    code, out, _ = run(capsys, "ss", "6", "--list")
+    doc = json.loads(out)
+    assert code == 0 and list(doc)[-2:] == ["words", "timestamp"]
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+# A child's ru_maxrss counts the peak of the process that started it (exec keeps the
+# high-water mark), so a small interpreter starts the command, not this test process.
+_PEAK_RSS = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "esdlab", *sys.argv[1:]],
+                         stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_ss_list_runs_in_constant_memory():
+    peaks = {}
+    for mode in ("--list", "--count-only"):
+        done = _python("-c", _PEAK_RSS, "ss", "16", mode, "--reproducible")
+        code, maxrss = map(int, done.stdout.split())
+        assert code == 0, done.stderr
+        peaks[mode] = maxrss * (1 if sys.platform == "darwin" else 1024)  # bytes
+    # 69,331 words; held in memory they took about 19 MB more than the count
+    assert peaks["--list"] - peaks["--count-only"] < 3 * 2**20, peaks
+
+
+def test_ss_list_fails_when_the_word_walk_disagrees_with_the_census():
+    code = ("import itertools, sys\n"
+            "from esdlab import combinatorics\n"
+            "walk = combinatorics.enumerate_ss\n"
+            "combinatorics.enumerate_ss = lambda two_k: itertools.islice(walk(two_k), 1, None)\n"
+            "from esdlab.cli import main\n"
+            "sys.exit(main(['ss', '6', '--list', '--reproducible']))\n")
+    done = _python("-c", code)
+    assert done.returncode == 1
+    assert "ss 6 --list wrote 11 words, but the census counts 12" in done.stderr
 
 
 def test_reproducible_runs_are_byte_identical(capsys):

@@ -2,15 +2,18 @@
 
 import keyword
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from esdlab import expressions
 from esdlab.errors import ValidationError
 from esdlab.expressions import compile_expression
 from esdlab.graphons import GraphonFamily
+from esdlab.models import ModelSpec, sample
 from esdlab.moments import moment_graphon
 
 
@@ -149,6 +152,26 @@ def test_literals_evaluate_as_floats_and_read_exactly_in_forms():
     assert form("(2**53 + 1)*x") == {(1, 0): 2**53 + 1}
     with pytest.raises(ValidationError, match="too large for a float"):
         compile_expression("x*1" + "0" * 400)
+
+
+def test_a_large_prob_evaluates_and_samples_without_building_its_form(monkeypatch):
+    source = "(x/3 + y/3 + 1/(3*n))**64"  # its form has 2,145 terms and takes seconds
+
+    def no_product(*_):
+        raise AssertionError("a form was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(expressions, "_multiply", no_product)  # every form product runs here
+        prob = compile_expression(source, ("x", "y", "n"))
+        assert float(prob(1.0, 1.0, 1.0)) == pytest.approx(1.0)
+        spec = ModelSpec("sparse_inhomogeneous", 20, 3, {"prob": source})
+        assert sample(spec).matrix.shape == (20, 20)
+    # once read, the form is the trinomial expansion, and it is built once
+    third = Fraction(1, 3)
+    assert prob.form == {(a, b, -(64 - a - b)): factorial(64) * third**64
+                         / (factorial(a) * factorial(b) * factorial(64 - a - b))
+                         for a in range(65) for b in range(65 - a)}
+    assert prob.form is prob.form
 
 
 @pytest.mark.parametrize("spaced, other", [

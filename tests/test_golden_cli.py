@@ -5,7 +5,8 @@ text take one per node rule an expression can take (the exact cell rule,
 Gauss, the grid) and one per command that samples from an expression. The
 others take one per kind of kernel a theory config builds (blocks, open and
 periodic bands, a profile over a grid, a model's schedule with a truncated
-heavy tail), and the word census and circuit counts. The documents in golden/cli/ pin its exit code and stdout.
+heavy tail), and the word census, the word listing and circuit counts. The
+documents in golden/cli/ pin its exit code and stdout.
 Regenerate them only when a change is meant to change these numbers, and say
 why where the change is recorded:
 
@@ -67,6 +68,7 @@ CASES = {
                                               "params": {"tail_index": 1.5}},
                     "truncation": 1.0}), "--two-k", "8"),
     "ss_by_blocks": ("ss", "8", "--by-blocks"),
+    "ss_list": ("ss", "8", "--list"),
     "circuits_abba": ("circuits", "abba"),
 }
 
