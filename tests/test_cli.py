@@ -567,6 +567,58 @@ def test_malformed_configs_exit_2(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+THEORY_AND_MODEL = ('{"kind":"semicircle"}', '{"variant":"gaussian_wigner"}')
+
+# each case: argv, and the key, kind or flag its one error line names
+NAMED_CONFIG_ERRORS = {
+    "unknown_theory_kind": (("moments", "--theory-json", '{"kind":"cubic"}'), "'cubic'"),
+    "theory_not_an_object": (("moments", "--theory-json", "[1, 2]"), "theory"),
+    "theory_without_kind": (("moments", "--theory-json", '{"c2":1.0}'), "'kind'"),
+    "graphon_g_empty": (("moments", "--theory-json", '{"kind":"graphon","g":{}}'), "graphon"),
+    "graphon_g_not_an_object": (("moments", "--theory-json", '{"kind":"graphon","g":[1.0]}'),
+                                "graphon"),
+    "graphon_g_text_order": (("moments", "--theory-json", '{"kind":"graphon","g":{"two":1.0}}'),
+                             "'two'"),
+    "schedule_values_empty": (("moments", "--theory-json", '{"kind":"schedule","values":{}}'),
+                              "schedule"),
+    "schedule_values_not_an_object": (("moments", "--theory-json",
+                                       '{"kind":"schedule","values":2.0}'), "schedule"),
+    "schedule_values_text_order": (("moments", "--theory-json",
+                                    '{"kind":"schedule","values":{"2.5":1.0}}'), "'2.5'"),
+    "block_cells_empty": (("moments", "--theory-json",
+                           '{"kind":"block","masses":[1.0],"cells":{}}'), "block"),
+    "block_cells_not_an_object": (("moments", "--theory-json",
+                                   '{"kind":"block","masses":[1.0],"cells":[[1.0]]}'), "block"),
+    "block_cells_text_order": (("moments", "--theory-json",
+                                '{"kind":"block","masses":[1.0],"cells":{"x":[[1.0]]}}'), "'x'"),
+    "model_not_an_object": (("simulate", "--model-json", '"gaussian_wigner"', "--n", "10"),
+                            "model"),
+    "compare_model_not_an_object": (("compare", "--theory-json", THEORY_AND_MODEL[0],
+                                     "--model-json", "[]", "--n", "10"), "model"),
+    "moments_without_payload": (("moments",), "--theory-json"),
+    "simulate_without_payload": (("simulate", "--n", "10"), "--model-json"),
+    "compare_config_without_model": (("compare", "--config", {"theory": THEORY_AND_MODEL[0]}),
+                                     "'model'"),
+    "compare_config_without_theory": (("compare", "--config", {"model": THEORY_AND_MODEL[1]}),
+                                      "'theory'"),
+}
+
+
+@pytest.mark.parametrize("argv, named", NAMED_CONFIG_ERRORS.values(),
+                         ids=NAMED_CONFIG_ERRORS.keys())
+def test_config_errors_name_their_key(capsys, tmp_path, argv, named):
+    cfg = tmp_path / "payload.json"
+    argv = list(argv)
+    for i, a in enumerate(argv):
+        if isinstance(a, dict):  # a --config payload whose sections are JSON text
+            cfg.write_text(json.dumps({k: json.loads(v) for k, v in a.items()}))
+            argv[i] = str(cfg)
+    code, out, err = run(capsys, *argv, "--reproducible")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
 def _sparse_profile(prob: str) -> str:
     return json.dumps({"kind": "model", "spec": {"variant": "sparse_inhomogeneous", "n": 1000,
                                                  "seed": 1, "params": {"prob": prob}}})

@@ -155,6 +155,15 @@ def test_heavy_tailed_limit_cumulants():
         effective_cumulants(spec)
 
 
+def test_gaussian_cumulants_at_finite_n():
+    # n E[x^(2k)] of an N(0, 1/n) entry is n^(1-k) (2k-1)!!
+    spec = ModelSpec("gaussian_wigner", 10, 1)
+    finite = effective_cumulants(spec, at_n=10)
+    assert [finite.value(two_k) for two_k in (2, 4, 6)] == pytest.approx([1.0, 0.3, 0.15],
+                                                                        rel=1e-15)
+    assert effective_cumulants(spec).value(6) == 0.0  # the semicircle limit
+
+
 def test_truncate_identities():
     base = sample(ModelSpec("gaussian_wigner", 80, 3))
     untouched = truncate(base, np.inf)
