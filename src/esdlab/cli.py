@@ -4,14 +4,16 @@ Subcommands: ss, moments, simulate, compare, circuits. ss prints one output
 mode: the word count (the default, or --count-only), --list or --by-blocks;
 --list streams the words under the census's count and checks the two agree.
 Outputs are JSON (default) or CSV, to stdout or --out. Every document embeds
-the seed and a hash of the effective configuration; a timestamp is added
-unless --reproducible is set, so reruns can be byte-identical.
+the seed and a hash of the parsed payload and the other flags; a timestamp is
+added unless --reproducible is set, so reruns can be byte-identical.
 
 A --config file is JSON. Its top level is the payload for the subcommand
 (theory description, model spec, or {"theory":..., "model":...} for compare;
 ss and circuits take no payload); an optional "args" object overrides
 command-line flags, each value read as the flag's own text would be.
-Precedence is config file over flags over built-in defaults.
+Precedence is config file over flags over built-in defaults. Without a
+payload in --config, --theory-json and --model-json give it, so it is read
+once either way.
 
 Each subcommand imports what it runs when it runs: ss loads combinatorics,
 circuits loads circuits and combinatorics, and neither loads numpy,
@@ -60,11 +62,6 @@ def non_negative(text: str) -> float:
     if not value >= 0:
         raise ValueError(f"{text!r} is not a number >= 0")
     return value
-
-
-def _require_even_order(two_k: int) -> None:
-    if two_k < 2 or two_k % 2:
-        raise ValidationError(f"--two-k must be even and >= 2, got {two_k}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,6 +179,20 @@ def _apply_config(args: argparse.Namespace) -> dict:
     return payload
 
 
+def _payload(args: argparse.Namespace, *sections: str):
+    """The payload of this run, read once: the --config file's, else the JSON of the
+    inline ``--SECTION-json`` flags, that section's itself or an object of several."""
+    payload = _apply_config(args)
+    if payload:
+        return payload
+    inline = {section: _load_json(getattr(args, f"{section}_json"), f"--{section}-json")
+              for section in sections}
+    if None in inline.values():
+        raise ValidationError(f"{args.command} needs --config or "
+                              + " and ".join(f"--{section}-json" for section in sections))
+    return inline if len(sections) > 1 else inline[sections[0]]
+
+
 def _apply_args_only_config(args: argparse.Namespace) -> None:
     """Load --config for a command that takes no payload: only "args" may be set."""
     payload = _apply_config(args)
@@ -208,13 +219,15 @@ def _sha256_hex(blob: bytes) -> str:
 
 
 def _config_digest(payload: dict, args: argparse.Namespace) -> str:
-    mirror = {k: v for k, v in vars(args).items()
-              if k not in ("func", "actions", "config", "out", "parallel")}
+    """Digest of the parsed payload and the other flags, so neither the payload's
+    source nor its spelling changes it."""
+    mirror = {k: v for k, v in vars(args).items() if k not in
+              ("func", "actions", "config", "out", "parallel", "theory_json", "model_json")}
     blob = json.dumps({"payload": payload, "args": mirror}, sort_keys=True, default=str)
     return _sha256_hex(blob.encode())
 
 
-def _emit(args: argparse.Namespace, payload_cfg: dict, document: dict,
+def _emit(args: argparse.Namespace, payload: dict, document: dict,
           csv_rows: Iterable[list] | None = None) -> None:
     """Write the document, as JSON or as ``csv_rows``, to --out or stdout.
 
@@ -223,7 +236,7 @@ def _emit(args: argparse.Namespace, payload_cfg: dict, document: dict,
     a listing is never held whole in memory.
     """
     document = {"command": args.command, "seed": args.seed,
-                "config_sha256": _config_digest(payload_cfg, args), **document}
+                "config_sha256": _config_digest(payload, args), **document}
     if not args.reproducible:
         document["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     if args.format == "csv" and csv_rows is None:
@@ -305,14 +318,12 @@ def cmd_ss(args: argparse.Namespace) -> int:
 
 def cmd_moments(args: argparse.Namespace) -> int:
     from .compare import theory_series_from_config
+    from .graphons import require_even_order
 
-    payload_cfg = _apply_config(args)
-    theory = payload_cfg or _load_json(args.theory_json, "--theory-json")
-    if theory is None:
-        raise ValidationError("moments needs --config or --theory-json")
-    _require_even_order(args.two_k)
+    theory = _payload(args, "theory")
+    require_even_order(args.two_k, "--two-k must be even and >= 2")
     series = theory_series_from_config(theory, args.two_k)
-    _emit(args, payload_cfg, {"series": series.to_json_dict()}, series.to_csv_rows())
+    _emit(args, theory, {"series": series.to_json_dict()}, series.to_csv_rows())
     return 0
 
 
@@ -322,10 +333,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .compare import model_spec_from_config
     from .spectra import ESD, histogram, replicate_esds, require_moment_order, spectral_moments
 
-    payload_cfg = _apply_config(args)
-    model_cfg = payload_cfg or _load_json(args.model_json, "--model-json")
-    if model_cfg is None:
-        raise ValidationError("simulate needs --config or --model-json")
+    model_cfg = _payload(args, "model")
     spec = model_spec_from_config(model_cfg, n=args.n, seed=args.seed)
     require_moment_order(args.k_max)
     esds = replicate_esds(spec, args.reps, budget=args.budget)
@@ -337,30 +345,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
            "moments": moments, "histogram": hist.to_json_dict()}
     if pooled.size <= 4000:
         doc["eigenvalues"] = [float(v) for v in pooled]
-    _emit(args, payload_cfg, doc, hist.to_csv_rows())
+    _emit(args, model_cfg, doc, hist.to_csv_rows())
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     from .compare import (compare_series, model_spec_from_config, theory_series_from_config,
                           truncation_from_config)
+    from .graphons import require_even_order, require_keys
     from .spectra import eesd_moments
 
-    payload_cfg = _apply_config(args)
-    theory_cfg = payload_cfg.get("theory") if payload_cfg else None
-    model_cfg = payload_cfg.get("model") if payload_cfg else None
-    if payload_cfg and (theory_cfg is None or model_cfg is None):
-        raise ValidationError("compare config needs 'theory' and 'model' sections")
-    if set(payload_cfg) - {"theory", "model"}:
-        raise ValidationError(f"unknown keys {sorted(set(payload_cfg) - {'theory', 'model'})} "
-                              "in compare config")
-    if theory_cfg is None:
-        theory_cfg = _load_json(args.theory_json, "--theory-json")
-    if model_cfg is None:
-        model_cfg = _load_json(args.model_json, "--model-json")
-    if theory_cfg is None or model_cfg is None:
-        raise ValidationError("compare needs theory and model configs")
-    _require_even_order(args.two_k)
+    payload = require_keys(_payload(args, "theory", "model"), "compare config", ("theory", "model"))
+    theory_cfg, model_cfg = payload["theory"], payload["model"]
+    require_even_order(args.two_k, "--two-k must be even and >= 2")
     theory = theory_series_from_config(theory_cfg, args.two_k)
     spec = model_spec_from_config(model_cfg, n=args.n, seed=args.seed)
     simulated = eesd_moments(spec, args.two_k, args.reps, budget=args.budget,
@@ -368,7 +365,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     report = compare_series(theory, simulated, args.threshold)
     doc = {"model": spec.to_json_dict(), "theory": theory_cfg,
            "replicates": args.reps, "report": report.to_json_dict()}
-    _emit(args, payload_cfg, doc, report.to_csv_rows())
+    _emit(args, payload, doc, report.to_csv_rows())
     if not args.out and args.format == "json":
         sys.stderr.write(report.format_table() + "\n")
     return 0 if report.passed else 4

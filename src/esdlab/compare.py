@@ -5,7 +5,9 @@ means from the sampler and scores each order by z = (simulated - theory) / SE.
 The config parsers turn small JSON documents into kernel families or model
 specs; :func:`family_from_config` covers every theory kind, and ``sparse``
 is the constant schedule C_{2t} = rate. They only route keys: every
-kernel is read by :func:`esdlab.graphons.as_graphon`, every number by
+object's keys are checked by :func:`esdlab.graphons.require_keys` against the
+kind's row of ``_THEORY_KEYS``, every kernel is read by
+:func:`esdlab.graphons.as_graphon`, every number by
 :func:`esdlab.graphons.require_number`, and the families are built by the
 builders of :mod:`esdlab.graphons`. The parsers are strict about unknown keys
 so typos fail loudly, and a missing or malformed value raises ValidationError.
@@ -19,29 +21,25 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ValidationError
 from .graphons import (CumulantSchedule, GraphonFamily, as_graphon, block_family,
-                       profile_family, require_number)
+                       profile_family, require_keys, require_number)
 from .moments import MomentSeries, graphon_series
 
 if TYPE_CHECKING:
     from .models import ModelSpec
 
+#: each theory kind's keys beside "kind": (required, optional)
+_THEORY_KEYS = {
+    "semicircle": ((), ("c2",)),
+    "constant": (("value",), ()),
+    "schedule": (("values",), ()),
+    "sparse": (("rate",), ()),
+    "graphon": (("g",), ()),
+    "band": (("alpha",), ("periodic", "base")),
+    "block": (("masses", "cells"), ()),
+    "profile": (("sigma",), ("base",)),
+    "model": (("spec",), ("truncation",)),
+}
 _SCHEDULE_KINDS = ("semicircle", "constant", "schedule")
-
-
-def _reject_unknown(cfg: dict, allowed: set[str], where: str) -> None:
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ValidationError(f"unknown keys {sorted(unknown)} in {where} config")
-
-
-def _required(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ValidationError(f"{where} config needs {key!r}")
-    return cfg[key]
-
-
-def _kind(cfg):
-    return cfg.get("kind") if isinstance(cfg, dict) else None
 
 
 def _orders_dict(mapping, where: str) -> dict[int, object]:
@@ -58,20 +56,8 @@ def _orders_dict(mapping, where: str) -> dict[int, object]:
 
 
 def schedule_from_config(cfg: dict) -> CumulantSchedule:
-    kind = _kind(cfg)
-    if kind == "semicircle":
-        _reject_unknown(cfg, {"kind", "c2"}, "semicircle")
-        return CumulantSchedule.semicircle(require_number(cfg.get("c2", 1.0), "semicircle c2"))
-    if kind == "constant":
-        _reject_unknown(cfg, {"kind", "value"}, "constant schedule")
-        value = _required(cfg, "value", "constant schedule")
-        return CumulantSchedule.constant(require_number(value, "constant schedule value"))
-    if kind == "schedule":
-        _reject_unknown(cfg, {"kind", "values"}, "schedule")
-        values = {order: require_number(c, f"schedule value of order {order}")
-                  for order, c in _orders_dict(cfg.get("values"), "schedule").items()}
-        return CumulantSchedule.from_dict(values)
-    raise ValidationError(f"{kind!r} is not a cumulant schedule kind")
+    """The cumulant schedule of a ``semicircle``, ``constant`` or ``schedule`` config."""
+    return family_from_config(cfg, _SCHEDULE_KINDS, "{!r} is not a cumulant schedule kind")
 
 
 def theory_series_from_config(cfg: dict, two_k_max: int) -> MomentSeries:
@@ -79,46 +65,49 @@ def theory_series_from_config(cfg: dict, two_k_max: int) -> MomentSeries:
     return graphon_series(family_from_config(cfg), two_k_max)
 
 
-def family_from_config(cfg: dict) -> GraphonFamily:
-    """Kernel family of a theory config of any kind."""
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ValidationError("theory config must be an object with a 'kind'")
-    kind = cfg["kind"]
-    if kind in _SCHEDULE_KINDS:
-        return schedule_from_config(cfg)
+def family_from_config(cfg: dict, kinds: tuple = tuple(_THEORY_KEYS),
+                       refusal: str = "unknown theory kind {!r}") -> GraphonFamily:
+    """Kernel family of a theory config of one of ``kinds``, by default any.
+
+    Its keys are checked against its kind's row of ``_THEORY_KEYS``; a kind
+    outside ``kinds`` raises ValidationError with ``refusal``.
+    """
+    kind = require_keys(cfg, "theory config", ("kind",), cfg)["kind"]  # other keys: see below
+    if kind not in kinds:
+        raise ValidationError(refusal.format(kind))
+    required, optional = _THEORY_KEYS[kind]
+    require_keys(cfg, f"{kind} theory", ("kind", *required), optional)
+    if kind == "semicircle":
+        return CumulantSchedule.semicircle(require_number(cfg.get("c2", 1.0), "semicircle c2"))
+    if kind == "constant":
+        return CumulantSchedule.constant(require_number(cfg["value"], "constant schedule value"))
+    if kind == "schedule":
+        values = {order: require_number(c, f"schedule value of order {order}")
+                  for order, c in _orders_dict(cfg["values"], "schedule").items()}
+        return CumulantSchedule.from_dict(values)
     if kind == "sparse":
-        _reject_unknown(cfg, {"kind", "rate"}, "sparse")
-        rate = require_number(_required(cfg, "rate", "sparse"), "sparse rate")
+        rate = require_number(cfg["rate"], "sparse rate")
         if rate < 0:
             raise ValidationError(f"mean degree must be nonnegative, got {rate}")
         return CumulantSchedule(f"sparse lambda={rate}", rule=lambda two_k: rate)
     if kind == "graphon":
-        _reject_unknown(cfg, {"kind", "g"}, "graphon family")
         entries = {order: as_graphon(g)
-                   for order, g in _orders_dict(cfg.get("g"), "graphon family").items()}
+                   for order, g in _orders_dict(cfg["g"], "graphon family").items()}
         return GraphonFamily(entries, description="graphon config")
     if kind == "band":
-        _reject_unknown(cfg, {"kind", "alpha", "periodic", "base"}, "band")
-        base = cfg.get("base", {"kind": "semicircle"})
-        if _kind(base) not in _SCHEDULE_KINDS + ("graphon",):
-            raise ValidationError(f"{_kind(base)!r} cannot serve as a band/profile base")
-        alpha = require_number(_required(cfg, "alpha", "band"), "band alpha")
-        return family_from_config(base).banded(alpha, cfg.get("periodic", False))
+        base = family_from_config(cfg.get("base", {"kind": "semicircle"}),
+                                  _SCHEDULE_KINDS + ("graphon",),
+                                  "{!r} cannot serve as a band/profile base")
+        return base.banded(require_number(cfg["alpha"], "band alpha"), cfg.get("periodic", False))
     if kind == "block":
-        _reject_unknown(cfg, {"kind", "masses", "cells"}, "block")
-        cells = _orders_dict(cfg.get("cells"), "block cells")
-        return block_family(_required(cfg, "masses", "block"), cells)
+        return block_family(cfg["masses"], _orders_dict(cfg["cells"], "block cells"))
     if kind == "profile":
-        _reject_unknown(cfg, {"kind", "sigma", "base"}, "profile")
         base = schedule_from_config(cfg.get("base", {"kind": "semicircle"}))
-        return profile_family(_required(cfg, "sigma", "profile"), base)
-    if kind == "model":
-        from .models import effective_cumulants
+        return profile_family(cfg["sigma"], base)
+    from .models import effective_cumulants  # the one kind left, "model"
 
-        _reject_unknown(cfg, {"kind", "spec", "truncation"}, "model theory")
-        spec = model_spec_from_config(cfg.get("spec", {}))
-        return effective_cumulants(spec, truncation=truncation_from_config(cfg))
-    raise ValidationError(f"unknown theory kind {kind!r}")
+    spec = model_spec_from_config(cfg["spec"])
+    return effective_cumulants(spec, truncation=truncation_from_config(cfg))
 
 
 def truncation_from_config(cfg: dict) -> float | None:
@@ -127,26 +116,20 @@ def truncation_from_config(cfg: dict) -> float | None:
     compare truncates every simulated replicate at this level too, so the
     simulation measures the ensemble whose cumulants the theory sums.
     """
-    if _kind(cfg) != "model" or cfg.get("truncation") is None:
+    if cfg.get("kind") != "model" or cfg.get("truncation") is None:
         return None
     return require_number(cfg["truncation"], "model truncation")
 
 
 def model_spec_from_config(cfg: dict, n: int | None = None,
                            seed: int | None = None) -> ModelSpec:
-    """ModelSpec from JSON; explicit config values win over the fallbacks."""
+    """ModelSpec from JSON; explicit config values win over the fallbacks, and
+    ``n`` and ``seed`` are required keys where their fallback is None."""
     from .models import ModelSpec
 
-    if not isinstance(cfg, dict):
-        raise ValidationError("model config must be an object")
-    _reject_unknown(cfg, {"variant", "n", "seed", "params", "zero_diagonal"}, "model")
-    if "variant" not in cfg:
-        raise ValidationError("model config needs a 'variant'")
-    n = cfg.get("n", n)
-    seed = cfg.get("seed", seed)
-    if n is None or seed is None:
-        raise ValidationError("model config needs n and seed (inline or via flags)")
-    return ModelSpec(cfg["variant"], n, seed, cfg.get("params", {}),
+    unset = tuple(key for key, fallback in (("n", n), ("seed", seed)) if fallback is None)
+    require_keys(cfg, "model config", ("variant", *unset), ("n", "seed", "params", "zero_diagonal"))
+    return ModelSpec(cfg["variant"], cfg.get("n", n), cfg.get("seed", seed), cfg.get("params", {}),
                      cfg.get("zero_diagonal", False))
 
 

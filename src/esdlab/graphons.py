@@ -26,7 +26,8 @@ integration code reads those fields:
 fields: the exact cells, for cells times a polynomial on an open band or none,
 and for one cell on a periodic band; or quadrature, Gauss-Legendre nodes when
 smooth, else a uniform grid. Neither takes a setting. :func:`as_graphon`
-reads every kernel a config may hold, and :func:`require_number`,
+reads every kernel a config may hold, :func:`require_keys` checks the keys
+of every theory, model, params and compare object, and :func:`require_number`,
 :func:`float_rows` and :func:`require_flag` accept only JSON numbers and
 booleans, so text such as ``"2"`` is an error rather than a number.
 
@@ -318,6 +319,21 @@ def require_flag(value, what: str) -> bool:
     if not isinstance(value, bool):
         raise ValidationError(f"{what} must be true or false, got {value!r}")
     return value
+
+
+def require_keys(cfg, where: str, required: Iterable[str] = (),
+                 optional: Iterable[str] = ()) -> Mapping:
+    """``cfg`` itself when it is an object holding every ``required`` key and no key
+    beyond ``required`` and ``optional``; else ValidationError naming ``where``."""
+    if not isinstance(cfg, Mapping):
+        raise ValidationError(f"{where} must be an object, got {cfg!r}")
+    missing = [key for key in required if key not in cfg]
+    if missing:
+        raise ValidationError(f"missing keys {missing} in {where}")
+    unknown = set(cfg).difference(required, optional)
+    if unknown:
+        raise ValidationError(f"unknown keys {sorted(unknown)} in {where}")
+    return cfg
 
 
 def require_even_order(order: int, what: str = "even order >= 2 required") -> None:

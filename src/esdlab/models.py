@@ -27,18 +27,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 from .defaults import DEFAULT_SEED  # noqa: F401  (re-exported as models.DEFAULT_SEED)
 from .errors import ValidationError
 from .graphons import (CumulantSchedule, Graphon, GraphonFamily, as_graphon, block_family,
-                       profile_family, require_flag, require_number)
-
-VARIANTS = (
-    "gaussian_wigner",
-    "triangular_twopoint",
-    "sparse_homogeneous",
-    "sparse_inhomogeneous",
-    "heavy_tailed",
-    "variance_profile",
-    "band",
-    "block",
-)
+                       profile_family, require_flag, require_keys, require_number)
 
 _BASE_VARIANTS = ("gaussian_wigner", "triangular_twopoint", "sparse_homogeneous")
 
@@ -46,16 +35,18 @@ _BASE_VARIANTS = ("gaussian_wigner", "triangular_twopoint", "sparse_homogeneous"
 # is not a polynomial; polynomials in (x, y, 1/n) take the exact limit.
 _LIMIT_N = 1.0e8
 
+#: each variant's params: (required, optional)
 _PARAM_KEYS = {
-    "gaussian_wigner": set(),
-    "triangular_twopoint": {"atom", "rate"},
-    "sparse_homogeneous": {"rate"},
-    "sparse_inhomogeneous": {"prob"},
-    "heavy_tailed": {"tail_index"},
-    "variance_profile": {"profile", "base", "base_params"},
-    "band": {"half_width", "periodic", "base", "base_params"},
-    "block": {"masses", "scales"},
+    "gaussian_wigner": ((), ()),
+    "triangular_twopoint": (("atom", "rate"), ()),
+    "sparse_homogeneous": (("rate",), ()),
+    "sparse_inhomogeneous": (("prob",), ()),
+    "heavy_tailed": (("tail_index",), ()),
+    "variance_profile": (("profile",), ("base", "base_params")),
+    "band": (("half_width",), ("periodic", "base", "base_params")),
+    "block": (("masses", "scales"), ()),
 }
+VARIANTS = tuple(_PARAM_KEYS)
 
 
 class _SpecFields(NamedTuple):
@@ -86,18 +77,14 @@ class ModelSpec(_SpecFields):
         if self.n < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.n}")
         require_flag(self.zero_diagonal, "zero_diagonal")
-        if not isinstance(self.params, Mapping):
-            raise ValidationError(f"{self.variant} params must be an object, got {self.params!r}")
-        unknown = set(self.params) - _PARAM_KEYS[self.variant]
-        if unknown:
-            raise ValidationError(f"{self.variant} does not take parameters {sorted(unknown)}")
+        require_keys(self.params, f"{self.variant} params", *_PARAM_KEYS[self.variant])
         self._validate_params()
 
     def _validate_params(self):
         p = self.params
 
         def number(key: str) -> float:
-            return require_number(self._require(key), f"{self.variant} parameter {key!r}")
+            return require_number(p[key], f"{self.variant} parameter {key!r}")
 
         if self.variant == "triangular_twopoint":
             atom, rate = number("atom"), number("rate")
@@ -111,13 +98,13 @@ class ModelSpec(_SpecFields):
                 raise ValidationError(f"mean degree must lie in (0, n], got {rate}")
         elif self.variant == "sparse_inhomogeneous":
             from .expressions import compile_expression
-            compile_expression(str(self._require("prob")), ("x", "y", "n"))
+            compile_expression(str(p["prob"]), ("x", "y", "n"))
         elif self.variant == "heavy_tailed":
             a = number("tail_index")
             if not 0 < a < 2:
                 raise ValidationError(f"tail index must lie in (0,2), got {a}")
         elif self.variant == "variance_profile":
-            as_graphon(self._require("profile"))
+            as_graphon(p["profile"])
             self.base_spec()
         elif self.variant == "band":
             a = number("half_width")
@@ -126,12 +113,7 @@ class ModelSpec(_SpecFields):
             require_flag(p.get("periodic", False), "band parameter 'periodic'")
             self.base_spec()
         elif self.variant == "block":
-            block_family(self._require("masses"), {2: self._require("scales")})
-
-    def _require(self, key: str):
-        if key not in self.params:
-            raise ValidationError(f"{self.variant} requires parameter {key!r}")
-        return self.params[key]
+            block_family(p["masses"], {2: p["scales"]})
 
     def base_spec(self) -> "ModelSpec":
         """The wrapped ensemble of a profile or band model."""

@@ -307,7 +307,7 @@ def semicircle_density(x, variance: float = 1.0) -> np.ndarray:
     return np.sqrt(np.maximum(4 * variance - x**2, 0.0)) / (2 * np.pi * variance)
 
 
-def _each_replicate(spec: ModelSpec, replicates: int, seed: Optional[int], budget: float,
+def _each_replicate(spec: ModelSpec, replicates: int, budget: float,
                     truncation: Optional[float], measure: Callable[[SampledMatrix], T]) -> list[T]:
     """measure(draw) for each replicate's draw, in order; seeds and truncation as in
     eesd_moments. The budget counts one n^3 eigensolve per replicate."""
@@ -318,8 +318,7 @@ def _each_replicate(spec: ModelSpec, replicates: int, seed: Optional[int], budge
         raise CapacityError(
             f"estimated cost {cost:.2g} exceeds budget {budget:.2g}; "
             "lower n or replicates, or raise the budget")
-    root = spec.seed if seed is None else seed
-    child_seeds = np.random.SeedSequence(root).generate_state(replicates, dtype=np.uint64)
+    child_seeds = np.random.SeedSequence(spec.seed).generate_state(replicates, dtype=np.uint64)
     out = []
     for child in child_seeds:
         sampled = sample(with_seed(spec, int(child)))
@@ -344,14 +343,13 @@ def _moment_series(rows: Sequence[Sequence[float]], description: str) -> MomentS
     return MomentSeries(entries, description)
 
 
-def replicate_esds(spec: ModelSpec, replicates: int, seed: Optional[int] = None,
-                   budget: float = DEFAULT_EESD_BUDGET,
+def replicate_esds(spec: ModelSpec, replicates: int, budget: float = DEFAULT_EESD_BUDGET,
                    truncation: Optional[float] = None) -> list[ESD]:
     """Spectra of independent replicates, each sampled once and solved once.
 
     Seeds and ``truncation`` as in eesd_moments.
     """
-    return _each_replicate(spec, replicates, seed, budget, truncation, eigenvalues)
+    return _each_replicate(spec, replicates, budget, truncation, eigenvalues)
 
 
 def spectral_moments(esds: Sequence[ESD], k_max: int, description: str = "") -> MomentSeries:
@@ -365,19 +363,18 @@ def spectral_moments(esds: Sequence[ESD], k_max: int, description: str = "") -> 
 
 
 def eesd_moments(spec: ModelSpec, k_max: int, replicates: int,
-                 seed: Optional[int] = None,
                  budget: float = DEFAULT_EESD_BUDGET,
                  truncation: Optional[float] = None) -> MomentSeries:
     """Replicate means and standard errors of (1/n) tr(M^k), k = 1..k_max.
 
     Each replicate's row is moment_row of its draw. Replicates get independent
-    derived seeds; with seed=None the spec's own seed is the root, so the call
-    is reproducible either way. A truncation level B zeroes every entry with
-    |x| > B (models.truncate) before the row is taken.
+    seeds derived from the spec's own seed, so the call is reproducible; pass
+    ``with_seed(spec, s)`` for another root. A truncation level B zeroes every
+    entry with |x| > B (models.truncate) before the row is taken.
     """
     if replicates < 2:
         raise ValidationError("need at least 2 replicates for a standard error")
     require_moment_order(k_max)
-    rows = _each_replicate(spec, replicates, seed, budget, truncation,
+    rows = _each_replicate(spec, replicates, budget, truncation,
                            lambda draw: moment_row(draw, k_max))
     return _moment_series(rows, f"eesd {spec.variant} n={spec.n} reps={replicates}")

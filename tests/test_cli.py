@@ -239,6 +239,31 @@ def test_config_hash_ignores_parallel(capsys):
     assert docs[0] == docs[1] == docs[2]
 
 
+def test_config_digest_reads_the_parsed_payload(capsys, tmp_path):
+    """One payload has one digest, whatever its spelling and whichever flag or file holds it."""
+    spaced = tmp_path / "spaced.json"
+    spaced.write_text('{ "kind" : "semicircle" }')
+    with_args = tmp_path / "with_args.json"
+    with_args.write_text('{"kind": "semicircle", "args": {"two_k": 2}}')
+    spellings = [("--theory-json", '{"kind":"semicircle"}', "--two-k", "2"),
+                 ("--theory-json", '{"kind": "semicircle"}', "--two-k", "2"),
+                 ("--config", str(spaced), "--two-k", "2"),
+                 ("--config", str(with_args))]
+    docs = [json.loads(run(capsys, "moments", *argv, "--reproducible")[1]) for argv in spellings]
+    assert len({doc["config_sha256"] for doc in docs}) == 1
+    assert len({json.dumps(doc, sort_keys=True) for doc in docs}) == 1
+
+    theory, model = {"kind": "semicircle"}, {"variant": "gaussian_wigner"}
+    both = tmp_path / "compare.json"
+    both.write_text(json.dumps({"theory": theory, "model": model}, indent=4))
+    flags = ("--n", "12", "--reps", "2", "--two-k", "2", "--threshold", "1e9", "--reproducible")
+    inline = run(capsys, "compare", "--theory-json", json.dumps(theory),
+                 "--model-json", json.dumps(model), *flags)
+    from_file = run(capsys, "compare", "--config", str(both), *flags)
+    assert inline[0] == from_file[0] == 0
+    assert inline[1] == from_file[1]
+
+
 def test_simulate_large_spectra_not_embedded(capsys):
     code, out, _ = run(capsys, "simulate", "--model-json",
                        '{"variant":"gaussian_wigner"}', "--n", "160",
@@ -597,6 +622,8 @@ NAMED_CONFIG_ERRORS = {
                                      "--model-json", "[]", "--n", "10"), "model"),
     "moments_without_payload": (("moments",), "--theory-json"),
     "simulate_without_payload": (("simulate", "--n", "10"), "--model-json"),
+    "compare_without_model_json": (("compare", "--theory-json", THEORY_AND_MODEL[0]),
+                                   "--model-json"),
     "compare_config_without_model": (("compare", "--config", {"theory": THEORY_AND_MODEL[0]}),
                                      "'model'"),
     "compare_config_without_theory": (("compare", "--config", {"model": THEORY_AND_MODEL[1]}),
@@ -934,6 +961,35 @@ def test_config_reference_names_every_flag():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", reference))
     assert flags - named == set(), "flags the reference does not name"
     assert named - flags == set(), "flags the reference names that the parser lacks"
+
+
+def _reference_table(header: str) -> dict[str, tuple[set, set]]:
+    """The rows of the docs/config_schemas.md table under ``header``: each row's name,
+    and the keys its second column names, split into (required, optional). A key is
+    optional after the word "optional" or when "(default" follows it."""
+    reference = (Path(__file__).resolve().parents[1] / "docs" / "config_schemas.md").read_text()
+    table = reference.split(header + "\n")[1].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines()[1:]:  # below the |---| line
+        name, keys = (cell.strip() for cell in line.strip("|").split("|")[:2])
+        required, optional = set(), set()
+        for match in re.finditer(r"`([a-z_0-9]+)`", keys):
+            is_optional = ("optional" in keys[:match.start()]
+                           or keys[match.end():].lstrip().startswith("(default"))
+            (optional if is_optional else required).add(match.group(1))
+        rows[name.strip("`")] = (required, optional)
+    return rows
+
+
+def test_config_reference_tables_match_the_key_tables():
+    """The theory-kind and variant tables of the reference name each kind's keys as read."""
+    from esdlab.compare import _THEORY_KEYS
+    from esdlab.models import _PARAM_KEYS
+
+    for header, table in (("| kind | fields | meaning |", _THEORY_KEYS),
+                          ("| variant | params |", _PARAM_KEYS)):
+        assert _reference_table(header) == {name: (set(required), set(optional))
+                                            for name, (required, optional) in table.items()}
 
 
 def test_every_benchmark_command_parses(monkeypatch):
