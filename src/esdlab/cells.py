@@ -3,8 +3,9 @@
 :func:`esdlab.moments.moment_graphon` sends here every family whose node
 rule is "cells" (:func:`esdlab.graphons.node_rule`): schedules and periodic
 bands over constants, on one cell; blocks, grids, polynomial kernels in x
-and y, any mix of these, and open bands over any of them. Each member is
-read from its fields: its cells, its form, and its band. The color-class
+and y, any mix of these, and open bands of one half-width over any of them,
+however narrow the band and however many breaks it has. Each member is read
+from its fields: its cells, its form, and its band. The color-class
 recursion of :mod:`esdlab.treesum` runs on messages that are polynomials on
 each piece of a :class:`_Partition` (:class:`_Pieces`); over constants and
 grids a message has degree 0, one number per cell. A member acts on a
@@ -27,7 +28,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .graphons import Graphon, grid_breaks
+from .graphons import Graphon
 from .treesum import tree_sum
 
 
@@ -114,7 +115,7 @@ class _Partition:
 
     def __init__(self, kernels: Iterable[Graphon]):
         kernels = list(kernels)
-        breaks = set(map(Fraction, grid_breaks(kernels)))
+        breaks = {Fraction(b) for g in kernels for b in g.breaks} | {0, 1}
         alpha = next((Fraction(g.alpha) for g in kernels
                       if g.alpha is not None and not g.periodic), None)
         if alpha is not None:

@@ -17,6 +17,7 @@ so typos fail loudly, and a missing or malformed value raises ValidationError.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ValidationError
@@ -106,7 +107,9 @@ def family_from_config(cfg: dict, kinds: tuple = tuple(_THEORY_KEYS),
         return profile_family(cfg["sigma"], base)
     from .models import effective_cumulants  # the one kind left, "model"
 
-    spec = model_spec_from_config(cfg["spec"])
+    # the n -> infinity limit reads neither n nor seed, so a spec may leave both out
+    # (n = sys.maxsize passes every range check); an n it gives is checked as for a sample
+    spec = model_spec_from_config(cfg["spec"], n=sys.maxsize, seed=0)
     return effective_cumulants(spec, truncation=truncation_from_config(cfg))
 
 

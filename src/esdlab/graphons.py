@@ -23,13 +23,14 @@ integration code reads those fields:
                         or open, when ``alpha`` is set
 
 :func:`node_rule` picks the integration rule for a set of kernels from these
-fields: the exact cells, for cells times a polynomial on an open band or none,
-and for one cell on a periodic band; or quadrature, Gauss-Legendre nodes when
-smooth, else a uniform grid. Neither takes a setting. :func:`as_graphon`
-reads every kernel a config may hold, :func:`require_keys` checks the keys
-of every theory, model, params and compare object, and :func:`require_number`,
-:func:`float_rows` and :func:`require_flag` accept only JSON numbers and
-booleans, so text such as ``"2"`` is an error rather than a number.
+fields: the exact cells, for cells times a polynomial on an open band of any
+half-width or none, and for one cell on a periodic band; or quadrature,
+Gauss-Legendre nodes when smooth, else a uniform grid. Neither takes a
+setting. :func:`as_graphon` reads every kernel a config may hold,
+:func:`require_keys` checks the keys of every theory, model, params and
+compare object, and :func:`require_number`, :func:`float_rows` and
+:func:`require_flag` accept only JSON numbers and booleans, so text such as
+``"2"`` is an error rather than a number.
 
 Constants, grids, polynomials and the families built from them (schedules,
 blocks, profiles over a grid or a polynomial, open bands over any of these)
@@ -50,13 +51,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .errors import NumericError, ValidationError
 
 _SYMMETRY_TOL = 1e-9
-#: most break slots an open band may have on the exact cell rule. A band of
-#: half-width alpha shifts each break, 0 and 1 included, to up to 1/alpha + 1
-#: places. Cold ``moments`` commands up to 2k = 16 ran as fast on the exact rule
-#: as on the grid rule, numpy import included, up to 42 slots over the
-#: polynomial 4*x*y (alpha = 0.05) and up to about 100 over a constant or a
-#: block grid; beyond, the exact rule grows slower
-MAX_BAND_BREAKS = 42
 
 
 def _is_number(value) -> bool:
@@ -354,29 +348,20 @@ def _exact(g: Graphon) -> bool:
         type(e) is int and e >= 0 for key in g.form for e in key))
 
 
-def grid_breaks(kernels: Iterable[Graphon]) -> set[float]:
-    """0, 1 and the breaks of every kernel's grid."""
-    return {b for g in kernels for b in g.breaks} | {0.0, 1.0}
-
-
 def node_rule(kernels: Iterable[Graphon]) -> str:
     """The rule for integrals of products of these kernels.
 
     "cells" is exact, summed in rationals by :func:`esdlab.cells.cell_sum`:
     every kernel row-constant (constants and periodic bands over them, so
     every message is one number), or constants, grids, polynomials and open
-    bands over them, all bands of one half-width and at most MAX_BAND_BREAKS
-    break slots. Any other kernels take "quadrature"
-    (:func:`esdlab.quadrature.integrate_tree_sum`).
+    bands over them, all bands of one half-width, however narrow. Any other
+    kernels take "quadrature" (:func:`esdlab.quadrature.integrate_tree_sum`).
     """
     kernels = list(kernels)
     if all(_row_constant(g) for g in kernels):
         return "cells"
     alphas = {g.alpha for g in kernels if g.alpha is not None}
-    if all(map(_exact, kernels)) and len(alphas) <= 1:
-        if not alphas or len(grid_breaks(kernels)) * (1 / min(alphas) + 1) <= MAX_BAND_BREAKS:
-            return "cells"
-    return "quadrature"
+    return "cells" if all(map(_exact, kernels)) and len(alphas) <= 1 else "quadrature"
 
 
 class GraphonFamily:

@@ -15,10 +15,10 @@ exact rule are summed in rationals by :func:`esdlab.cells.cell_sum` and
 rounded once, so their moments are correctly rounded, with error 0: a
 :class:`~esdlab.graphons.CumulantSchedule` (the family of constants C_{2t})
 and a periodic band over constants on one cell; blocks, grids, polynomial
-kernels in x and y, and open bands over any of these on the pieces between
-the grids' breaks and the band's shifts of them. Every other family
-(transcendental, ``ind`` or ``abs`` kernels, periodic bands over a
-non-constant base) is summed on quadrature nodes by
+kernels in x and y, and open bands of any half-width over any of these on the
+pieces between the grids' breaks and the band's shifts of them. Every other
+family (transcendental, ``ind`` or ``abs`` kernels, periodic bands over a
+non-constant base, bands of two widths) is summed on quadrature nodes by
 :func:`esdlab.quadrature.integrate_tree_sum`. A sum that overflows raises
 NumericError instead of returning inf or nan.
 

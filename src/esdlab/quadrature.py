@@ -12,9 +12,8 @@ polynomials and open bands over them, is summed in rationals by
 :func:`esdlab.moments.moment_graphon`, which never loads this module for
 it. So only kernels on the "quadrature" rule come here: transcendental ones,
 ``ind`` and ``abs`` steps and kinks, periodic bands over a non-constant base,
-bands of two widths, and bands too narrow for their breaks
-(:data:`esdlab.graphons.MAX_BAND_BREAKS`). :func:`integrate_on_nodes` picks
-one of two node sets from the kernels, and neither takes a setting:
+and bands of two widths. :func:`integrate_on_nodes` picks one of two node
+sets from the kernels, and neither takes a setting:
 
 * smooth kernels -> Gauss-Legendre on GAUSS_POINTS and GAUSS_POINTS/2 nodes;
   the value is the first, the error the gap between the two.

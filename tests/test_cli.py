@@ -1066,6 +1066,11 @@ BLOCK_CELLS = [[1.5, 0.4], [0.4, 0.8]]
     ("moments", "--theory-json", json.dumps({"kind": "model", "spec": {
         "variant": "heavy_tailed", "n": 300, "seed": 1, "params": {"tail_index": 1.5}},
         "truncation": 1.0}), "--two-k", "8"),
+    # an open band narrow enough to shift 0 and 1 to 52 break slots
+    ("moments", "--theory-json", '{"kind":"band","alpha":0.04}', "--two-k", "16"),
+    # a model theory needs no n or seed: the limit reads neither
+    ("moments", "--theory-json", '{"kind":"model","spec":{"variant":"gaussian_wigner"}}',
+     "--two-k", "6"),
 ])
 def test_combinatorial_commands_load_no_numpy(capsys, argv):
     done, loaded = _cli_modules(argv)

@@ -80,6 +80,12 @@ def test_theory_series_covers_every_kind():
         4,
     )
     assert model.values() == [2.0, 10.0]
+    # the limit reads neither n nor seed, so a theory may leave them out; an n given is checked
+    limit = theory_series_from_config({"kind": "model", "spec": {"variant": "gaussian_wigner"}}, 6)
+    assert limit.values() == [1.0, 2.0, 5.0]
+    with pytest.raises(ValidationError, match=r"mean degree must lie in \(0, n\]"):
+        theory_series_from_config({"kind": "model", "spec": {
+            "variant": "sparse_homogeneous", "n": 3, "params": {"rate": 5.0}}}, 2)
 
     band = theory_series_from_config(
         {"kind": "band", "alpha": 0.25, "periodic": True}, 4

@@ -13,6 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from esdlab.combinatorics import catalan, count_ss_by_blocks, enumerate_ss
@@ -83,7 +84,7 @@ def test_periodic_band_is_exact(alpha):
         assert_covers(entry, catalan(k) * (2 * alpha) ** k, cap=0.0)
 
 
-@pytest.mark.parametrize("alpha", [0.2, 0.25, 0.3])
+@pytest.mark.parametrize("alpha", [0.2, 0.25, 0.3, 0.04, 0.01])
 def test_open_band_low_orders(alpha):
     sched = CumulantSchedule.semicircle()
     # the row integral m(x) is x + alpha, 2 alpha, 1 - x + alpha on three pieces,
@@ -101,9 +102,10 @@ def _band_over_blocks_truth(masses, cells, alpha):
     and their shifts by +-alpha, so on such a piece of length h with m1, m2,
     m3 its values at the quarter points, int m = h m2 and
     int m^2 = h (m2^2 + (m3 - m1)^2 / 3); beta_4 is 2 int m^2."""
-    breaks = [Fraction(0)]
-    for mass in masses:
-        breaks.append(breaks[-1] + Fraction(mass))
+    breaks = [0.0]  # as block_family builds them: float partial sums, the last one 1
+    for mass in masses[:-1]:
+        breaks.append(breaks[-1] + mass)
+    breaks = [*map(Fraction, breaks), Fraction(1)]
     a = Fraction(alpha)
 
     def m(x):  # sum over blocks J of c(I, J) |[x - a, x + a] & J| for x inside block I
@@ -121,10 +123,26 @@ def _band_over_blocks_truth(masses, cells, alpha):
     return beta_2, beta_4
 
 
-@pytest.mark.parametrize("alpha", [0.2, 0.25, 0.35])
-def test_band_over_blocks_low_orders(alpha):
+def _random_blocks(d, seed):
+    """Dirichlet masses and symmetric U(0, 1) cells of a d-block grid."""
+    rng = np.random.default_rng(seed)
+    masses = rng.dirichlet(np.ones(d))
+    upper = np.triu(rng.uniform(size=(d, d)))
+    return masses.tolist(), (upper + np.triu(upper, 1).T).tolist()
+
+
+THREE_BLOCKS = ([0.3, 0.45, 0.25], [[1.5, 0.4, 0.9], [0.4, 0.8, 0.1], [0.9, 0.1, 2.0]])
+TWELVE_BLOCKS = _random_blocks(12, 101)
+
+
+@pytest.mark.parametrize("blocks, alpha", [
+    (THREE_BLOCKS, 0.2), (THREE_BLOCKS, 0.25), (THREE_BLOCKS, 0.35),
+    # 13 breaks, each shifted to up to 11 places: 143 break slots
+    (TWELVE_BLOCKS, 0.1), (TWELVE_BLOCKS, 0.03),
+], ids=["0.2", "0.25", "0.35", "12 blocks-0.1", "12 blocks-0.03"])
+def test_band_over_blocks_low_orders(blocks, alpha):
     # block breaks that are not multiples of the half-width, so windows cross them
-    masses, cells = [0.3, 0.45, 0.25], [[1.5, 0.4, 0.9], [0.4, 0.8, 0.1], [0.9, 0.1, 2.0]]
+    masses, cells = blocks
     fam = block_family(masses, {2: cells}).banded(alpha, False)
     for two_k, truth in zip((2, 4), _band_over_blocks_truth(masses, cells, alpha)):
         entry = moment_graphon(fam, two_k)

@@ -113,15 +113,15 @@ def test_node_rule_follows_kernel_kinds():
     # half-integer powers are exact only once a power makes them whole
     root = Graphon.from_expression("2*sqrt(x*y)")
     assert _quadrature_nodes([root]) == "gauss" and node_rule([root.power_scale(2, 1.0)]) == "cells"
-    # periodic bands over non-constants, bands of two widths, and bands of too many pieces
+    # periodic bands over non-constants, and bands of two widths
     assert _quadrature_nodes([grid, periodic]) == "grid"
     assert _quadrature_nodes([polynomial.banded(0.3, True)]) == "grid"
     assert _quadrature_nodes([open_band, Graphon.constant(1.0).banded(0.2, False)]) == "grid"
-    # at most MAX_BAND_BREAKS = 42 break slots: breaks times 1/alpha + 1
+    # an open band is exact however narrow, and over however many breaks
     assert node_rule([Graphon.constant(1.0).banded(0.05, False)]) == "cells"
-    assert _quadrature_nodes([Graphon.constant(1.0).banded(0.045, False)]) == "grid"
+    assert node_rule([Graphon.constant(1.0).banded(0.045, False)]) == "cells"
     fine = Graphon.from_grid([i / 8 for i in range(9)], [[1.0] * 8] * 8)
     assert node_rule([fine.banded(0.5, False)]) == "cells"
-    assert _quadrature_nodes([fine.banded(0.25, False)]) == "grid"
+    assert node_rule([fine.banded(0.25, False)]) == "cells"
     assert _quadrature_nodes([Graphon.from_expression("1 + cos(2*pi*(x - y))")]) == "gauss"
     assert _quadrature_nodes([Graphon.from_expression("1 - abs(x - y)")]) == "grid"
