@@ -1,7 +1,7 @@
 """The exact cell rule: kernel families summed in integers over pieces of [0, 1].
 
-:func:`esdlab.moments.moment_graphon` sends here every family whose node
-rule is "cells" (:func:`esdlab.graphons.node_rule`): schedules and periodic
+:func:`esdlab.moments.graphon_series` sends here every run of orders whose
+node rule is "cells" (:func:`esdlab.graphons.node_rule`): schedules and periodic
 bands over constants, on one cell; blocks, grids, polynomial kernels in x
 and y, any mix of these, and open bands of one half-width over any of them,
 however narrow the band and however many breaks it has. Each member is read
@@ -9,7 +9,8 @@ from its fields: its cells, its form, and its band. The color-class
 recursion of :mod:`esdlab.treesum` runs on messages that are polynomials on
 each piece of a :class:`_Partition` (:class:`_Pieces`); over constants and
 grids a message has degree 0, one number per cell. A member acts on a
-message by :func:`_edge`. The sum is exact, so the moment is rounded once.
+message by :func:`_edge`. One partition and one action per member serve
+every order of a run, and each sum is exact, so a moment is rounded once.
 
 Breaks and half-widths are floats, so they share a power of two B as common
 denominator. Messages are polynomials in X = B*x, in which every break and
@@ -32,10 +33,10 @@ from .graphons import Graphon
 from .treesum import tree_sum
 
 
-def cell_sum(members: Mapping[int, Graphon], k: int) -> Fraction:
-    """beta_{2k}: the sum over colored trees with k edges, in which a class of
-    t nodes applies the member of order 2t, exactly over the pieces of the
-    members' breaks."""
+def cell_sum(members: Mapping[int, Graphon], k: int) -> list[Fraction]:
+    """beta_2, ..., beta_{2k}: the sums over colored trees with j <= k edges, in
+    which a class of t nodes applies the member of order 2t, exactly over the
+    pieces of the members' breaks."""
     pieces = _Partition(members.values())
     edges = {t: _edge(g, pieces) for t, g in members.items()}
 
@@ -43,8 +44,8 @@ def cell_sum(members: Mapping[int, Graphon], k: int) -> Fraction:
         apply = edges.get(t)
         return None if apply is None else apply(f)
 
-    nums, den = pieces.integrals(tree_sum(k, edge, pieces.one), 0)
-    return Fraction(sum(nums), den * pieces.scale)  # dx = dX / B
+    sums = [pieces.integrals(f, 0) for f in tree_sum(k, edge, pieces.one)]
+    return [Fraction(sum(nums), den * pieces.scale) for nums, den in sums]  # dx = dX / B
 
 
 class _Pieces:

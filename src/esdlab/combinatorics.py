@@ -372,8 +372,8 @@ def count_ss_by_blocks(two_k: int) -> dict[int, int]:
         raise ValidationError(f"word length must be >= 1, got {two_k}")
     if two_k % 2:
         return {}
-    base = tree_sum(two_k // 2, lambda t, f: f, 1) + 1
-    packed = tree_sum(two_k // 2, lambda t, f: base * f, 1)
+    base = tree_sum(two_k // 2, lambda t, f: f, 1)[-1] + 1
+    packed = tree_sum(two_k // 2, lambda t, f: base * f, 1)[-1]
     counts: dict[int, int] = {}
     for b in range(two_k // 2 + 1):
         packed, counts[b] = divmod(packed, base)

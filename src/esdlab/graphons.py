@@ -22,11 +22,11 @@ integration code reads those fields:
 * band                  the band indicator of half-width ``alpha``, periodic
                         or open, when ``alpha`` is set
 
-:func:`node_rule` picks the integration rule for a set of kernels from these
-fields: the exact cells, for cells times a polynomial on an open band of any
-half-width or none, and for one cell on a periodic band; or quadrature,
-Gauss-Legendre nodes when smooth, else a uniform grid. Neither takes a
-setting. :func:`as_graphon` reads every kernel a config may hold,
+:func:`node_rule` picks one of three rules for a set of kernels from these
+fields: "cells", exact, for cells times a polynomial on an open band of any
+half-width or none, and for one cell on a periodic band; else "gauss",
+Gauss-Legendre nodes, when all are smooth, or "grid", a uniform grid. None
+takes a setting. :func:`as_graphon` reads every kernel a config may hold,
 :func:`require_keys` checks the keys of every theory, model, params and
 compare object, and :func:`require_number`, :func:`float_rows` and
 :func:`require_flag` accept only JSON numbers and booleans, so text such as
@@ -355,13 +355,13 @@ def node_rule(kernels: Iterable[Graphon]) -> str:
     every kernel row-constant (constants and periodic bands over them, so
     every message is one number), or constants, grids, polynomials and open
     bands over them, all bands of one half-width, however narrow. Any other
-    kernels take "quadrature" (:func:`esdlab.quadrature.integrate_tree_sum`).
+    kernels take "gauss" when all are smooth, else "grid".
     """
     kernels = list(kernels)
-    if all(_row_constant(g) for g in kernels):
-        return "cells"
     alphas = {g.alpha for g in kernels if g.alpha is not None}
-    return "cells" if all(map(_exact, kernels)) and len(alphas) <= 1 else "quadrature"
+    if all(map(_row_constant, kernels)) or all(map(_exact, kernels)) and len(alphas) <= 1:
+        return "cells"
+    return "gauss" if all(g.smooth for g in kernels) else "grid"
 
 
 class GraphonFamily:

@@ -7,22 +7,24 @@ No tree is listed: :func:`esdlab.treesum.tree_sum` sums over color classes.
 
 :mod:`esdlab.graphons` builds every kernel family (schedules, bands,
 blocks, variance profiles); this module only sums them.
-:func:`moment_graphon` is the one entry point for every limit moment, as in
-``moment_graphon(block_family(masses, cells), 4)``. It picks one node rule
-per moment from the kinds of the members up to that order
-(:func:`esdlab.graphons.node_rule`), and takes no settings. Families on the
-exact rule are summed in rationals by :func:`esdlab.cells.cell_sum` and
-rounded once, so their moments are correctly rounded, with error 0: a
-:class:`~esdlab.graphons.CumulantSchedule` (the family of constants C_{2t})
-and a periodic band over constants on one cell; blocks, grids, polynomial
-kernels in x and y, and open bands of any half-width over any of these on the
-pieces between the grids' breaks and the band's shifts of them. Every other
-family (transcendental, ``ind`` or ``abs`` kernels, periodic bands over a
-non-constant base, bands of two widths) is summed on quadrature nodes by
-:func:`esdlab.quadrature.integrate_tree_sum`. A sum that overflows raises
-NumericError instead of returning inf or nan.
+:func:`graphon_series` is the one entry point for every limit moment, as in
+``graphon_series(block_family(masses, cells), 4)``, and
+:func:`moment_graphon` is the last entry of a series. The members up to each
+order pick its node rule (:func:`esdlab.graphons.node_rule`), which takes no
+settings and only moves from "cells" to "gauss" to "grid" as orders grow, so
+a series is at most three runs, each summed by one recursion at its top
+order. Runs on the exact rule are summed in rationals by
+:func:`esdlab.cells.cell_sum` and rounded once, so their moments are correctly
+rounded, with error 0: a :class:`~esdlab.graphons.CumulantSchedule` (the
+family of constants C_{2t}) and a periodic band over constants on one cell;
+blocks, grids, polynomial kernels in x and y, and open bands of any
+half-width over any of these on the pieces between the grids' breaks and the
+band's shifts of them. Every other family (transcendental, ``ind`` or ``abs``
+kernels, periodic bands over a non-constant base, bands of two widths) is
+summed on quadrature nodes by :func:`esdlab.quadrature.integrate_tree_sum`. A
+sum that overflows raises NumericError instead of returning inf or nan.
 
-No numpy is loaded here: :func:`moment_graphon` imports
+No numpy is loaded here: :func:`graphon_series` imports
 :mod:`esdlab.quadrature` only past the exact rule, so ``moments`` on
 ``semicircle``, ``constant``, ``schedule``, ``sparse``, a
 ``band`` over them (periodic or open), ``block``, a ``graphon`` of
@@ -35,7 +37,7 @@ polynomial, or a ``model`` of ``gaussian_wigner``, ``triangular_twopoint``,
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import NumericError, ValidationError
@@ -92,50 +94,53 @@ class MomentSeries(NamedTuple):
 
 # -- graphon families (tree integrals) --------------------------------------
 
-def _rounded(exact: Fraction, what: str) -> float:
-    """The float nearest ``exact``; beyond the float range raises NumericError."""
-    try:
-        return float(exact)
-    except OverflowError:
-        raise NumericError(f"{what} is not finite in floating point") from None
+def graphon_series(family: GraphonFamily, two_k_max: int) -> MomentSeries:
+    """beta_2, beta_4, ..., up to two_k_max: sums of homomorphism densities over
+    all colored trees of each order.
+
+    The members up to each order pick its node rule, which only moves from
+    "cells" to "gauss" to "grid" as members join: a series is at most three
+    runs, each summed once at its top order from the members up to it, and
+    the lower orders of a run read only their own members. On "cells" the
+    color-class recursion runs in rationals, in :func:`esdlab.cells.cell_sum`
+    on the pieces of [0, 1]; on "gauss" or "grid"
+    :func:`esdlab.quadrature.integrate_tree_sum` runs it on the rule's nodes. A
+    value or error estimate that is not finite raises NumericError.
+    """
+    members, tops = {}, {}  # the top order of each run, in the order the runs come
+    for t in range(1, two_k_max // 2 + 1):
+        if (g := family.g(2 * t)) is not None:
+            members[t] = g
+        tops[node_rule(members.values())] = t
+    entries: list[MomentEntry] = []
+    for rule, top in tops.items():
+        upto = {t: g for t, g in members.items() if t <= top}
+        if rule == "cells":
+            from .cells import cell_sum
+
+            sums = [(exact, 0.0) for exact in cell_sum(upto, top)]  # rounded once, below
+        else:
+            from .quadrature import integrate_tree_sum  # loads numpy
+
+            sums = [(r.value, r.error) for r in integrate_tree_sum(upto, top, rule)]
+        for j in range(len(entries) + 1, top + 1):
+            what = f"beta_{2 * j} of {family.description!r}"
+            try:
+                value, error = map(float, sums[j - 1])
+            except OverflowError:
+                raise NumericError(f"{what} is not finite in floating point") from None
+            if not (math.isfinite(value) and math.isfinite(error)):
+                raise NumericError(f"{what} is not finite (value {value!r}, error {error!r})")
+            entries.append(MomentEntry(2 * j, value, error, EXACT if rule == "cells" else QUADRATURE))
+    return MomentSeries(tuple(entries), family.description)
 
 
 def moment_graphon(family: GraphonFamily, two_k: int) -> MomentEntry:
-    """Sum of homomorphism densities over all colored trees of the given order.
-
-    The members up to order two_k pick one node rule. On "cells" the
-    color-class recursion runs in rationals, in :func:`esdlab.cells.cell_sum`
-    on the pieces of [0, 1]; on "quadrature"
-    :func:`esdlab.quadrature.integrate_tree_sum` runs it on the rule's nodes.
-    A value or error estimate that is not finite raises NumericError.
-    """
+    """beta_{two_k}: the last entry of :func:`graphon_series`; odd orders are 0."""
     if two_k % 2:
         return MomentEntry(two_k, 0.0, 0.0, EXACT)
     require_even_order(two_k)
-    k = two_k // 2
-    members = {t: family.g(2 * t) for t in range(1, k + 1)}
-    members = {t: g for t, g in members.items() if g is not None}
-    if node_rule(members.values()) == "cells":
-        from .cells import cell_sum
-
-        exact = cell_sum(members, k)
-        return MomentEntry(two_k, _rounded(exact, f"beta_{two_k} of {family.description!r}"),
-                           0.0, EXACT)
-
-    from .quadrature import integrate_tree_sum  # loads numpy
-
-    result = integrate_tree_sum(members, k)
-    if not (math.isfinite(result.value) and math.isfinite(result.error)):
-        raise NumericError(f"beta_{two_k} of {family.description!r} is not finite "
-                           f"(value {result.value!r}, error {result.error!r})")
-    return MomentEntry(two_k, result.value, result.error, QUADRATURE)
-
-
-# -- series builders ---------------------------------------------------------
-
-def graphon_series(family: GraphonFamily, two_k_max: int) -> MomentSeries:
-    entries = tuple(moment_graphon(family, two_k) for two_k in range(2, two_k_max + 1, 2))
-    return MomentSeries(entries, family.description)
+    return graphon_series(family, two_k).entries[-1]
 
 
 # -- Carleman diagnostics -----------------------------------------------------
@@ -196,29 +201,18 @@ def carleman_partial_sum(source, big_k: int) -> CarlemanReport:
     for n in range(1, 2 * big_k + 1):
         by_size.append(sum(math.comb(n - 1, j - 1) * bound_of(j) * by_size[n - j]
                            for j in range(2, n + 1, 2)))
-    orders, alphas, terms, sums = [], [], [], []
-    running = 0.0
-    for k in range(1, big_k + 1):
-        two_k = 2 * k
-        alpha = by_size[two_k]
+    orders = tuple(range(2, 2 * big_k + 1, 2))
+    alphas = tuple(by_size[2::2])
+    for two_k, alpha in zip(orders, alphas):
         if not math.isfinite(alpha):
             raise NumericError(f"Carleman alpha_{two_k} = {alpha!r} is not finite")
-        term = math.inf if alpha == 0.0 else alpha ** (-1.0 / two_k)
-        running += term
-        orders.append(two_k)
-        alphas.append(alpha)
-        terms.append(term)
-        sums.append(running)
-
-    bounds = CumulantSchedule("Carleman bounds", rule=bound_of)
-    ss_terms = []
-    for two_k in orders:
-        alpha = moment_graphon(bounds, two_k).value
-        ss_terms.append(math.inf if alpha == 0.0 else alpha ** (-1.0 / two_k))
-
+    ss = graphon_series(CumulantSchedule("Carleman bounds", rule=bound_of), 2 * big_k)
+    terms, ss_terms = (tuple(math.inf if a == 0.0 else a ** (-1.0 / two_k)
+                             for two_k, a in zip(orders, column))
+                       for column in (alphas, ss.values()))
     slope, verdict = _trend(terms)
-    return CarlemanReport(tuple(orders), tuple(alphas), tuple(terms), tuple(sums),
-                          slope, verdict, tuple(ss_terms))
+    return CarlemanReport(orders, alphas, terms, tuple(accumulate(terms)), slope, verdict,
+                          ss_terms)
 
 
 def _trend(terms: Sequence[float]) -> tuple[float, str]:

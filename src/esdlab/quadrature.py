@@ -3,21 +3,22 @@
 Every integrand here is a product of two-variable kernels along the edges of
 a rooted colored tree, one variable per color. On one weighted node set
 shared by all variables each kernel becomes a matrix g(x_i, x_j), and
-:func:`integrate_tree_sum` sums the products of all trees of an order at once
-by the color-class recursion of :mod:`esdlab.treesum`.
-:func:`esdlab.graphons.node_rule` picks the rule once for all the kernels of
-an integral, from their fields (cells, form, band). Its exact rule, the cells of
-:mod:`esdlab.cells` for row-constant kernels and for constants, grids,
-polynomials and open bands over them, is summed in rationals by
-:func:`esdlab.moments.moment_graphon`, which never loads this module for
-it. So only kernels on the "quadrature" rule come here: transcendental ones,
-``ind`` and ``abs`` steps and kinks, periodic bands over a non-constant base,
-and bands of two widths. :func:`integrate_on_nodes` picks one of two node
-sets from the kernels, and neither takes a setting:
+:func:`integrate_tree_sum` sums the products of all trees of every order up
+to k at once by the color-class recursion of :mod:`esdlab.treesum`, on one
+matrix per member per node set. :func:`esdlab.graphons.node_rule` picks the
+rule once for all the kernels of a run of orders, from their fields (cells,
+form, band, smooth). Its exact rule, the cells of :mod:`esdlab.cells` for
+row-constant kernels and for constants, grids, polynomials and open bands
+over them, is summed in rationals by :func:`esdlab.moments.graphon_series`,
+which never loads this module for it. So only kernels on the "gauss" and
+"grid" rules come here: transcendental ones, ``ind`` and ``abs`` steps and
+kinks, periodic bands over a non-constant base, and bands of two widths.
+:func:`integrate_on_nodes` runs the node sets of the rule it is given, and
+neither takes a setting:
 
-* smooth kernels -> Gauss-Legendre on GAUSS_POINTS and GAUSS_POINTS/2 nodes;
-  the value is the first, the error the gap between the two.
-* anything else -> uniform grids of GRID_CAP/4, GRID_CAP/2 and GRID_CAP
+* "gauss", for smooth kernels -> Gauss-Legendre on GAUSS_POINTS and
+  GAUSS_POINTS/2 nodes; the value is the first, the error the gap between the two.
+* "grid", for anything else -> uniform grids of GRID_CAP/4, GRID_CAP/2 and GRID_CAP
   cells; the value is the finest, the error the gap to the one before. A
   kernel is evaluated at cell midpoints without its band, and its band
   indicator takes its exact average over each pair of cells (a function of
@@ -31,7 +32,7 @@ exact ones included. Here the arrays of a theory command begin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -122,31 +123,31 @@ def _grid_error(coarse: float, middle: float, fine: float) -> float:
     return gap
 
 
-def integrate_on_nodes(evaluate: Callable[[Nodes], float],
-                       kernels: Iterable[Graphon]) -> IntegralResult:
-    """Run ``evaluate`` on the node sets of Gauss or, for any kernels not smooth, the grid."""
-    if all(g.smooth for g in kernels):
-        full = evaluate(_gauss_nodes(GAUSS_POINTS))
-        half = evaluate(_gauss_nodes(GAUSS_POINTS // 2))
-        return IntegralResult(full, abs(full - half), "gauss")
+def integrate_on_nodes(evaluate: Callable[[Nodes], list[float]], rule: str) -> list[IntegralResult]:
+    """Run ``evaluate`` on the node sets of ``rule``, "gauss" or "grid": one
+    result per value it returns."""
+    if rule == "gauss":
+        full, half = (evaluate(_gauss_nodes(GAUSS_POINTS // s)) for s in (1, 2))
+        return [IntegralResult(f, abs(f - h), "gauss") for f, h in zip(full, half)]
     coarse, middle, fine = (evaluate(Nodes.uniform(GRID_CAP // s)) for s in (4, 2, 1))
-    return IntegralResult(fine, _grid_error(coarse, middle, fine), "grid")
+    return [IntegralResult(f, _grid_error(c, m, f), "grid")
+            for c, m, f in zip(coarse, middle, fine)]
 
 
-def integrate_tree_sum(members: Mapping[int, Graphon], k: int) -> IntegralResult:
-    """Sum over all colored trees with k edges of their edge-kernel integrals.
+def integrate_tree_sum(members: Mapping[int, Graphon], k: int, rule: str) -> list[IntegralResult]:
+    """Sums over all colored trees with j edges of their edge-kernel integrals, j = 1..k.
 
     A class of t nodes applies the matrix of ``members[t]`` (order 2t) to its
     message; an absent t zeroes its trees. Overflows come back non-finite, unwarned.
     """
-    def evaluate(nodes: Nodes) -> float:
+    def evaluate(nodes: Nodes) -> list[float]:
         kernels = {t: nodes.matrix(g) for t, g in members.items()}
 
         def edge(t: int, f: np.ndarray) -> Optional[np.ndarray]:
             kernel = kernels.get(t)
             return None if kernel is None else kernel @ (nodes.w * f)
 
-        return float(np.sum(nodes.w * tree_sum(k, edge, np.ones_like(nodes.w))))
+        return [float(np.sum(nodes.w * f)) for f in tree_sum(k, edge, np.ones_like(nodes.w))]
 
     with np.errstate(all="ignore"):
-        return integrate_on_nodes(evaluate, members.values())
+        return integrate_on_nodes(evaluate, rule)

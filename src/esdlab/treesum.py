@@ -10,8 +10,10 @@ Let F(s, e) be the weighted sum over everything that hangs below a class of
 s nodes when e edges lie below it. The class's N children are N ordered slots
 shared among its s nodes, C(N+s-1, s-1) ways, and the slots are split into
 child classes. A child class of t nodes contributes its order-2t edge weight
-applied to its own F(t, .), and beta_{2k} is F(1, k) for the root's class,
-integrated over the root's variable where there is one.
+applied to its own F(t, .), and beta_{2j} is F(1, j) for the root's class,
+integrated over the root's variable where there is one. F(1, j) reads only
+the weights of orders up to 2j, and one run to order 2k memoises it for every
+j <= k, so a whole moment series is one run.
 
 The recursion is generic over the message type: anything with ``+``, ``*``
 between messages and ``*`` by a Python int. The census by block count
@@ -29,8 +31,8 @@ from typing import Callable, Optional, TypeVar
 M = TypeVar("M")
 
 
-def tree_sum(k: int, edge: Callable[[int, M], Optional[M]], one: M) -> M:
-    """F(1, k): the root class's weighted sum over colored trees with k edges.
+def tree_sum(k: int, edge: Callable[[int, M], Optional[M]], one: M) -> list[M]:
+    """F(1, j) for j = 1..k: the root class's weighted sums over colored trees with j edges.
 
     ``edge(t, f)`` applies the order-2t edge weight to the message ``f`` of a
     child class of t nodes, or returns None when that order is absent (its
@@ -66,7 +68,7 @@ def tree_sum(k: int, edge: Callable[[int, M], Optional[M]], one: M) -> M:
         return total
 
     try:
-        return below(1, k)
+        return [below(1, j) for j in range(1, k + 1)]
     finally:
         # the three closures refer to one another; left as a cycle they would keep
         # ``edge`` (and the kernel matrices it holds) alive until the cyclic GC runs

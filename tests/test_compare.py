@@ -14,7 +14,7 @@ from esdlab.compare import (
     theory_series_from_config,
 )
 from esdlab.errors import ValidationError
-from esdlab.graphons import block_family
+from esdlab.graphons import block_family, node_rule
 from esdlab.moments import MomentEntry, MomentSeries, moment_graphon
 
 
@@ -91,6 +91,15 @@ def test_theory_series_covers_every_kind():
         {"kind": "band", "alpha": 0.25, "periodic": True}, 4
     )
     assert band.values() == pytest.approx([0.5, 0.5])
+
+    # three runs of node rules, each summed once: cells [2], gauss [4], grid [6, 8]
+    runs = {"kind": "graphon", "g": {"2": "x*y", "4": "exp(x*y)", "6": "ind(x<0.5)*ind(y<0.5)"}}
+    series = theory_series_from_config(runs, 8)
+    assert [e.provenance for e in series.entries] == ["exact-combinatorial"] + ["quadrature"] * 3
+    fam = family_from_config(runs)
+    members = [g for g in map(fam.g, (2, 4, 6, 8)) if g is not None]
+    assert [node_rule(members[:j]) for j in (1, 2, 3)] == ["cells", "gauss", "grid"]
+    assert list(series.entries) == [moment_graphon(fam, two_k) for two_k in (2, 4, 6, 8)]
 
 
 def test_model_spec_inline_fields_win():

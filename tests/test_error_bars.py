@@ -22,7 +22,7 @@ from esdlab.graphons import (CumulantSchedule, Graphon, GraphonFamily, as_grapho
 from esdlab.moments import moment_graphon
 from esdlab.quadrature import integrate_tree_sum
 from esdlab.trees import enumerate_trees
-from tree_oracle import exact_density, homomorphism_density
+from tree_oracle import exact_density, homomorphism_density, quadrature_rule
 
 ROUNDING = 1e-12
 
@@ -156,7 +156,8 @@ def test_open_band_lies_within_the_grid_rule(alpha):
     fam = CumulantSchedule.semicircle().banded(alpha, False)
     for two_k in range(2, 13, 2):
         members = {t: fam.g(2 * t) for t in range(1, two_k // 2 + 1)}
-        grid = integrate_tree_sum({t: g for t, g in members.items() if g is not None}, two_k // 2)
+        grid = integrate_tree_sum({t: g for t, g in members.items() if g is not None},
+                                  two_k // 2, "grid")[-1]
         assert grid.method == "grid"
         entry = moment_graphon(fam, two_k)
         assert entry.provenance == "exact-combinatorial"
@@ -182,8 +183,9 @@ def test_exact_pieces_lie_within_the_approximate_rules(name):
     fam = PIECE_FAMILIES[name]
     for two_k in range(2, 11, 2):
         members = {t: fam.g(2 * t) for t in range(1, two_k // 2 + 1)}
-        approximate = integrate_tree_sum({t: g for t, g in members.items() if g is not None},
-                                         two_k // 2)
+        present = {t: g for t, g in members.items() if g is not None}
+        approximate = integrate_tree_sum(present, two_k // 2,
+                                         quadrature_rule(present.values()))[-1]
         entry = moment_graphon(fam, two_k)
         assert entry.provenance == "exact-combinatorial" and entry.error == 0.0
         assert_covers(approximate, entry.value, cap=0.05)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from esdlab import cells, quadrature
 from esdlab.combinatorics import Word, catalan, count_ss_by_blocks
 from esdlab.compare import family_from_config
 from esdlab.errors import NumericError, ValidationError
@@ -291,6 +292,36 @@ def test_series_rows_and_json():
     assert payload["entries"][0]["beta"] == 1.0
 
 
+def test_series_sums_each_run_of_one_rule_once(monkeypatch):
+    # a series is one recursion per node rule: one partition of [0, 1] for a run of
+    # exact orders, and one matrix per member per node set for a run on quadrature
+    partitions, matrices = [], []
+    matrix = quadrature.Nodes.matrix
+
+    class CountedPartition(cells._Partition):
+        def __init__(self, kernels):
+            partitions.append(kernels)
+            super().__init__(kernels)
+
+    def counted_matrix(nodes, g):
+        matrices.append(g)
+        return matrix(nodes, g)
+
+    monkeypatch.setattr(cells, "_Partition", CountedPartition)
+    monkeypatch.setattr(quadrature.Nodes, "matrix", counted_matrix)
+    rng = np.random.default_rng(101)
+    masses, upper = rng.dirichlet(np.ones(12)), rng.uniform(size=(12, 12))
+    banded = block_family(masses.tolist(), {2: ((upper + upper.T) / 2).tolist()}).banded(0.1, False)
+    series = graphon_series(banded, 16)
+    assert series.orders() == list(range(2, 17, 2))
+    assert {e.provenance for e in series.entries} == {"exact-combinatorial"}
+    assert len(partitions) == 1 and matrices == []
+
+    step = graphon_series(profile_family("1 + ind(x + y < 1)", CumulantSchedule.semicircle()), 8)
+    assert {e.provenance for e in step.entries} == {"quadrature"}
+    assert len(partitions) == 1 and len(matrices) == 3  # three grids, one member
+
+
 def test_explicit_entries_win_over_parity():
     series = MomentSeries(
         entries=(MomentEntry(3, 0.125, 0.01, "monte-carlo-simulation"),),
@@ -419,7 +450,7 @@ def test_tree_sum_releases_its_edge_callback_on_return():
     alive = weakref.ref(kernel)
     gc.disable()
     try:
-        assert tree_sum(3, kernel.apply, 1) == sum(count_ss_by_blocks(6).values())
+        assert tree_sum(3, kernel.apply, 1)[-1] == sum(count_ss_by_blocks(6).values())
         del kernel
         assert alive() is None
     finally:

@@ -51,7 +51,7 @@ def test_gauss_matches_adaptive_quadrature_on_smooth_kernels():
 
 def test_grid_engages_for_non_smooth_and_gauss_for_deep_smooth_factors():
     rough = Graphon.from_expression("1 + ind(x + y < 1)")
-    assert node_rule([rough]) == "quadrature"
+    assert node_rule([rough]) == "grid"
     res = integrate_edge_product({1: rough}, {1: 0}, 2)
     assert res.method == "grid"
     # midpoints of the anti-diagonal cells sit on x + y = 1, which drops half a
@@ -93,9 +93,10 @@ def test_band_indicator_marginal():
 
 
 def _quadrature_nodes(kernels) -> str:
-    """The node set of the quadrature rule for these kernels, "gauss" or "grid"."""
-    assert node_rule(kernels) == "quadrature"
-    return integrate_tree_sum(dict(enumerate(kernels, 1)), 1).method
+    """The node rule for these kernels, checked against the node set esdlab.quadrature runs."""
+    rule = node_rule(kernels)
+    assert integrate_tree_sum(dict(enumerate(kernels, 1)), 1, rule)[-1].method == rule
+    return rule
 
 
 def test_node_rule_follows_kernel_kinds():

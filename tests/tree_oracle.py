@@ -7,8 +7,9 @@ from their fields rather than by esdlab's own node rule: one node for
 row-constant kernels (one cell and no function, alone or on a periodic
 band), one node per cell of the grids' breaks (at the cell's midpoint,
 weighted by its width) for kernels of cells alone, both exact, and otherwise
-the approximate rules of esdlab.quadrature.integrate_on_nodes, which also
-take the polynomials and open bands that moment_graphon sums exactly.
+the approximate rules of esdlab.quadrature.integrate_on_nodes, Gauss for
+smooth kernels and the grid for the rest, which also take the polynomials
+and open bands that moment_graphon sums exactly.
 """
 
 from fractions import Fraction
@@ -29,6 +30,12 @@ def exact_nodes(kernels: Iterable[Graphon]) -> Nodes:
     if len(breaks) == 2:
         return Nodes.uniform(1)  # also the exact cell average of a periodic band
     return Nodes(0.5 * (breaks[:-1] + breaks[1:]), np.diff(breaks))
+
+
+def quadrature_rule(kernels: Iterable[Graphon]) -> str:
+    """The approximate rule of esdlab.quadrature these kernels take: "gauss" when all are
+    smooth, else "grid"."""
+    return "gauss" if all(g.smooth for g in kernels) else "grid"
 
 
 def _row_constant(g: Graphon) -> bool:
@@ -53,7 +60,8 @@ def integrate_edge_product(factors: Mapping[int, Graphon], parent: Mapping[int, 
     if all(map(_row_constant, factors.values())) or all(
             g.fn is None and g.alpha is None for g in factors.values()):
         return IntegralResult(message_pass(exact_nodes(factors.values())), 0.0, "exact")
-    return integrate_on_nodes(message_pass, factors.values())
+    return integrate_on_nodes(lambda nodes: [message_pass(nodes)],
+                              quadrature_rule(factors.values()))[0]
 
 
 def _tree_factors(tree: ColoredTree, family: GraphonFamily) -> Optional[tuple[dict, dict]]:
