@@ -33,7 +33,7 @@ T = TypeVar("T")
 
 # A draw with more than n^2 / _SPARSE_SHARE nonzeros is dense and goes to the
 # eigensolver. A walk join may hold max(n^2 / _SPARSE_SHARE, _MIN_JOIN) entries,
-# a bound checked from walk counts before any join is made.
+# a bound each join is checked against at its own size before it is built.
 # At about 85 bytes of peak memory per entry (sparse_homogeneous, n = 1000),
 # a join at that bound takes 1.3 n x n matrices, near the eigvalsh working copy
 # it replaces (1.1 matrices), or under 6 MB when n is small.
@@ -152,7 +152,7 @@ def empirical_moments(m, k_max: int) -> list[float]:
 def moment_row(m, k_max: int) -> list[float]:
     """(1/n) tr(M^k), k = 1..k_max, of one symmetric replicate: by walks when M is sparse.
 
-    A matrix with more than n^2/8 nonzeros, or whose walk joins could pass
+    A matrix with more than n^2/8 nonzeros, or with a walk join of more than
     max(n^2/8, 2^16) entries (_walk_moments), gets mean(eigenvalues**k)
     instead, bit for bit the row spectral_moments reads from its spectrum.
     """
@@ -182,9 +182,9 @@ def _walk_moments(matrix: np.ndarray, k_max: int,
     sums (below 2^53), divided once by n.
 
     The join forming W^a holds one entry per key (i, m) of W^(a-1) and nonzero
-    of row m, so at most as many as the nonzero pattern has walks of length a.
-    Those counts come from the degrees in O(nnz) per length, and when one
-    passes max(n^2/8, 2^16) the sum returns None before any join.
+    of row m, a size read from the degrees before the join is built. Each join
+    is checked at its own size: at the first that passes max(n^2/8, 2^16) the
+    sum returns None, so no larger join is ever made.
 
     The 3-cycle has tr(A^k) = 2^k + 2(-1)^k:
 
@@ -201,17 +201,14 @@ def _walk_moments(matrix: np.ndarray, k_max: int,
     row_start = np.searchsorted(rows, np.arange(n + 1))
     degree = np.diff(row_start)
     limit = max(n * n // _SPARSE_SHARE, _MIN_JOIN)
-    walks = degree.astype(float)  # walks of length 1 from each index
-    for _ in range(2, (k_max + 1) // 2 + 1):
-        walks = np.bincount(rows, weights=walks[cols], minlength=n)
-        if walks.sum() > limit:
-            return None
     powers = [(np.arange(n) * (n + 1), np.ones(n)), (flat, values)]
     for _ in range(2, (k_max + 1) // 2 + 1):
         keys, weights = powers[-1]
         mid = keys % n
         counts = degree[mid]
         total = int(counts.sum())
+        if total > limit:
+            return None
         # entry e of the power meets the nonzeros row_start[mid[e]] onwards of row mid[e]
         src = np.repeat(np.arange(len(keys)), counts)
         at = np.arange(total) - np.repeat(np.cumsum(counts) - counts - row_start[mid], counts)

@@ -384,14 +384,17 @@ def test_dense_or_wide_draws_take_the_eigenvalue_row():
     # more than n^2/8 nonzeros: dense
     dense = sample(ModelSpec("sparse_homogeneous", 60, 3, {"rate": 30.0})).matrix
     assert np.count_nonzero(dense) > 60 * 60 / 8
-    # few nonzeros, but more than max(n^2/8, 2^16) walks of length 2 and 3
+    # few nonzeros, but a walk join (the first, forming W^2) of more than max(n^2/8, 2^16) entries
     wide = sample(ModelSpec("sparse_homogeneous", 300, 3, {"rate": 30.0})).matrix
     assert np.count_nonzero(wide) <= 300 * 300 / 8
     assert _walk_moments(wide, 6) is None
     assert _walk_moments(wide, 2) is not None  # no join
-    for matrix in (dense, wide):
+    # joins forming W^2..W^4 fit, the one forming W^5 would not
+    refused = sample(ModelSpec("sparse_homogeneous", 1000, 1, {"rate": 3.0})).matrix
+    assert _walk_moments(refused, 10) is None
+    for matrix, k_max in ((dense, 6), (wide, 6), (refused, 10)):
         esd = eigenvalues(matrix)
-        assert moment_row(matrix, 6) == [esd.moment(k) for k in range(1, 7)]
+        assert moment_row(matrix, k_max) == [esd.moment(k) for k in range(1, k_max + 1)]
     gaussian = sample(ModelSpec("gaussian_wigner", 40, 3))
     assert moment_row(gaussian, 4) == [eigenvalues(gaussian).moment(k) for k in range(1, 5)]
 
@@ -423,6 +426,57 @@ def test_moment_row_takes_walks_up_to_an_eighth_of_the_entries_nonzero(
     assert taken == [route]
     assert row == (_walk_moments(matrix, 6) if route == "_walk_moments"
                    else [eigenvalues(matrix).moment(k) for k in range(1, 7)])
+
+
+def _rate_two_draw():
+    return sample(ModelSpec("sparse_homogeneous", 1000, 1, {"rate": 2.0}))
+
+
+def test_rate_two_draw_takes_exact_walk_sums_at_order_ten(monkeypatch):
+    import esdlab.spectra as spectra
+
+    draw = _rate_two_draw()
+    taken = []
+
+    def spy(name):
+        original = getattr(spectra, name)
+
+        def wrapper(*args):
+            taken.append(name)
+            return original(*args)
+        return wrapper
+
+    for name in ("_walk_moments", "eigenvalues"):
+        monkeypatch.setattr(spectra, name, spy(name))
+    row = moment_row(draw, 10)
+    assert taken == ["_walk_moments"]
+    # float64 powers of a 0/1 matrix are exact integers below 2^53
+    matrix = draw.matrix
+    power = np.eye(len(matrix))
+    for k, value in enumerate(row, start=1):
+        power = power @ matrix
+        count = np.trace(power)
+        assert count < 2.0**53 and value == count / len(matrix), k
+
+
+def test_walk_joins_stay_within_the_bound(monkeypatch):
+    # every join is checked at its own size before np.unique merges it
+    n = 1000
+    limit = max(n * n // 8, 1 << 16)
+    joined = []
+    unique = np.unique
+
+    def spy(array, *args, **kwargs):
+        joined.append(array.size)
+        return unique(array, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    rate_two = _rate_two_draw().matrix
+    rate_three = sample(ModelSpec("sparse_homogeneous", n, 1, {"rate": 3.0})).matrix
+    for matrix, k_max in ((rate_two, 10), (rate_two, 12), (rate_three, 10)):
+        joined.clear()
+        _walk_moments(matrix, k_max)
+        assert joined and max(joined) <= limit, (k_max, joined)
 
 
 def test_moment_row_validation():
