@@ -61,15 +61,16 @@ def _kind(node) -> str:
 class Expression:
     """A checked expression text: call it with one array or number per variable.
 
-    Its evaluator is made on the first call, as closures over numpy's ufuncs.
+    Its evaluator is the closure over numpy's ufuncs that compiling built; numpy
+    is passed to it on each call, so compiling never imports numpy.
     """
 
-    __slots__ = ("source", "smooth", "_form", "_names", "_plan", "_evaluate")
+    __slots__ = ("source", "smooth", "_form", "_names", "_evaluate")
 
-    def __init__(self, source: str, names: tuple, plan: tuple, smooth: bool,
+    def __init__(self, source: str, names: tuple, evaluate: Callable, smooth: bool,
                  form: Callable[[], Optional[dict]]):
         self.source, self.smooth, self._form = source, smooth, form
-        self._names, self._plan, self._evaluate = names, plan, None
+        self._names, self._evaluate = names, evaluate
 
     @property
     def form(self) -> Optional[dict]:
@@ -84,31 +85,16 @@ class Expression:
         if len(args) != len(self._names):
             raise TypeError(f"expression expects {len(self._names)} arguments {self._names}, "
                             f"got {len(args)}")
-        if self._evaluate is None:
-            self._evaluate = _closure(self._plan, np)
-        return self._evaluate([np.asarray(a, dtype=float) for a in args])
+        return self._evaluate(np, [np.asarray(a, dtype=float) for a in args])
 
 
-def _closure(plan: tuple, np):
-    """The function of the argument list that a plan describes: ("arg", index),
-    ("const", float), ("ind", comparison plan) or (ufunc name, operand plans...)."""
-    head, *parts = plan
-    if head == "arg":
-        index, = parts
-        return lambda args: args[index]
-    if head == "const":
-        value, = parts
-        return lambda args: value
-    operands = [_closure(part, np) for part in parts]
-    if head == "ind":
-        test, = operands
-        return lambda args: test(args).astype(float)
-    ufunc = getattr(np, head)
+def _ufunc(name: str, *operands: Callable) -> Callable:
+    """The evaluator ``(np, args) -> value`` of numpy's ufunc ``name`` on its operands."""
     if len(operands) == 1:
         operand, = operands
-        return lambda args: ufunc(operand(args))
+        return lambda np, args: getattr(np, name)(operand(np, args))
     left, right = operands
-    return lambda args: ufunc(left(args), right(args))
+    return lambda np, args: getattr(np, name)(left(np, args), right(np, args))
 
 
 def compile_expression(source: str, variables: Sequence[str] = ("x", "y")) -> Expression:
@@ -125,19 +111,19 @@ def compile_expression(source: str, variables: Sequence[str] = ("x", "y")) -> Ex
     one = (0,) * len(names)
     calls = set()
 
-    def walk(node) -> tuple[tuple, Callable[[], Optional[dict]]]:
-        """The evaluation plan of a node, and a function that builds its exact
-        form (None if not a polynomial)."""
+    def walk(node) -> tuple[Callable, Callable[[], Optional[dict]]]:
+        """The evaluator ``(np, args) -> value`` of a node, and a function that
+        builds its exact form (None if not a polynomial)."""
         kind = _kind(node)
         if kind == "BinOp" and _kind(node.op) in _BINOPS:
             op = _kind(node.op)
             (left, p), (right, q) = walk(node.left), walk(node.right)
             exponent = node.right.value if _kind(node.right) == "Constant" else None
-            return (_BINOPS[op], left, right), lambda: _binop_form(op, p(), q(), exponent, one)
+            return _ufunc(_BINOPS[op], left, right), lambda: _binop_form(op, p(), q(), exponent, one)
         if kind == "UnaryOp" and _kind(node.op) in _UNARY:
-            plan, form = walk(node.operand)
+            operand, form = walk(node.operand)
             negated = (lambda: _negate(form())) if _kind(node.op) == "USub" else form
-            return (_UNARY[_kind(node.op)], plan), negated
+            return _ufunc(_UNARY[_kind(node.op)], operand), negated
         if kind == "Constant":
             value = node.value
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -147,14 +133,15 @@ def compile_expression(source: str, variables: Sequence[str] = ("x", "y")) -> Ex
             except OverflowError:
                 raise ValidationError(f"a literal in {source!r} is too large for a float") from None
             if not math.isfinite(number):
-                return ("const", number), _no_form
-            return ("const", number), lambda: _add({}, {one: Fraction(value)})
+                return (lambda np, args: number), _no_form
+            return (lambda np, args: number), lambda: _add({}, {one: Fraction(value)})
         if kind == "Name":
             if node.id in names:
-                key = tuple(int(name == node.id) for name in names)
-                return ("arg", names.index(node.id)), lambda: {key: Fraction(1)}
+                key, index = tuple(int(name == node.id) for name in names), names.index(node.id)
+                return (lambda np, args: args[index]), lambda: {key: Fraction(1)}
             if node.id in _CONSTANTS:
-                return ("const", _CONSTANTS[node.id]), _no_form
+                constant = _CONSTANTS[node.id]
+                return (lambda np, args: constant), _no_form
             raise ValidationError(
                 f"unknown name {node.id!r}; allowed variables: {', '.join(names)}")
         if kind == "Call":
@@ -169,17 +156,18 @@ def compile_expression(source: str, variables: Sequence[str] = ("x", "y")) -> Ex
                 if len(test.ops) != 1 or _kind(test.ops[0]) not in _COMPARES:
                     raise ValidationError("ind(...) supports a single <=, <, >= or > comparison")
                 (left, _), (right, _) = walk(test.left), walk(test.comparators[0])
-                return ("ind", (_COMPARES[_kind(test.ops[0])], left, right)), _no_form
+                compare = _ufunc(_COMPARES[_kind(test.ops[0])], left, right)
+                return (lambda np, args: compare(np, args).astype(float)), _no_form
             if fn in _FUNCTIONS:
                 if len(node.args) != 1:
                     raise ValidationError(f"{fn}() takes exactly one argument")
-                plan, form = walk(node.args[0])
-                return (fn, plan), (lambda: _sqrt_form(form())) if fn == "sqrt" else _no_form
+                operand, form = walk(node.args[0])
+                return _ufunc(fn, operand), (lambda: _sqrt_form(form())) if fn == "sqrt" else _no_form
             raise ValidationError(f"function {fn!r} not allowed in expressions")
         raise ValidationError(f"syntax {kind} not allowed in expressions")
 
-    plan, form = walk(_parse(source).body)
-    return Expression(source, names, plan, smooth=not calls & {"ind", "abs"}, form=form)
+    evaluate, form = walk(_parse(source).body)
+    return Expression(source, names, evaluate, smooth=not calls & {"ind", "abs"}, form=form)
 
 
 # -- exact polynomial forms ---------------------------------------------------

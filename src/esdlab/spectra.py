@@ -340,13 +340,13 @@ def _moment_series(rows: Sequence[Sequence[float]], description: str) -> MomentS
     return MomentSeries(entries, description)
 
 
-def replicate_esds(spec: ModelSpec, replicates: int, budget: float = DEFAULT_EESD_BUDGET,
-                   truncation: Optional[float] = None) -> list[ESD]:
+def replicate_esds(spec: ModelSpec, replicates: int,
+                   budget: float = DEFAULT_EESD_BUDGET) -> list[ESD]:
     """Spectra of independent replicates, each sampled once and solved once.
 
-    Seeds and ``truncation`` as in eesd_moments.
+    Seeds as in eesd_moments.
     """
-    return _each_replicate(spec, replicates, budget, truncation, eigenvalues)
+    return _each_replicate(spec, replicates, budget, None, eigenvalues)
 
 
 def spectral_moments(esds: Sequence[ESD], k_max: int, description: str = "") -> MomentSeries:

@@ -136,12 +136,37 @@ def test_non_polynomials_have_no_form(source):
     assert form(source) is None  # each is still a valid expression
 
 
-def test_evaluation_applies_the_ufuncs_in_the_order_of_the_text():
-    x, y = np.linspace(0.0, 1.0, 11), np.linspace(1.0, 0.0, 11)
-    got = compile_expression("0.5 + 0.5*x*y - x**2/3")(x, y)
-    want = np.subtract(np.add(0.5, np.multiply(np.multiply(0.5, x), y)),
-                       np.divide(np.power(x, 2.0), 3.0))
-    assert got.tobytes() == want.tobytes()
+@pytest.mark.parametrize("source, want", [
+    ("0.5 + 0.5*x*y - x**2/3",
+     lambda x, y, n: np.subtract(np.add(0.5, np.multiply(np.multiply(0.5, x), y)),
+                                 np.divide(np.power(x, 2.0), 3.0))),
+    ("-x + +(x - y)", lambda x, y, n: np.add(np.negative(x), np.positive(np.subtract(x, y)))),
+    ("abs(x - y)", lambda x, y, n: np.abs(np.subtract(x, y))),
+    ("sin(pi*x)", lambda x, y, n: np.sin(np.multiply(np.pi, x))),
+    ("cos(2*y)", lambda x, y, n: np.cos(np.multiply(2.0, y))),
+    ("sqrt(x*y)", lambda x, y, n: np.sqrt(np.multiply(x, y))),
+    ("exp(-x*y)", lambda x, y, n: np.exp(np.multiply(np.negative(x), y))),
+    ("pi*x + e", lambda x, y, n: np.add(np.multiply(np.pi, x), np.e)),
+    ("ind(x < y)", lambda x, y, n: np.less(x, y).astype(float)),
+    ("ind(x <= 0.5)", lambda x, y, n: np.less_equal(x, 0.5).astype(float)),
+    ("ind(x + y > 1)", lambda x, y, n: np.greater(np.add(x, y), 1.0).astype(float)),
+    ("ind(y >= x)", lambda x, y, n: np.greater_equal(y, x).astype(float)),
+    ("2**-1 - 0.25", lambda x, y, n: np.subtract(np.power(2.0, np.negative(1.0)), 0.25)),
+    ("x*y/n + n**2",
+     lambda x, y, n: np.add(np.divide(np.multiply(x, y), n), np.power(n, 2.0))),
+], ids=["arithmetic", "unary", "abs", "sin", "cos", "sqrt", "exp", "constants", "less",
+        "less_equal", "greater", "greater_equal", "literals", "third_variable"])
+def test_evaluation_applies_the_ufuncs_in_the_order_of_the_text(source, want):
+    f = compile_expression(source, ("x", "y", "n"))
+    scalars = (0.25, 0.5, 3.0)
+    # an (11, 1) column against (11,) rows, with x == y == 0.5 on the middle of both
+    arrays = (np.linspace(0.0, 1.0, 11)[:, None], np.linspace(1.0, 0.0, 11),
+              np.linspace(1.0, 2.0, 11))
+    for args in (scalars, arrays):
+        got = f(*args)
+        expected = want(*(np.asarray(a, dtype=float) for a in args))
+        assert np.shape(got) == np.shape(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
 def test_literals_evaluate_as_floats_and_read_exactly_in_forms():
