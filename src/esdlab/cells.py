@@ -9,8 +9,10 @@ from its fields: its cells, its form, and its band. The color-class
 recursion of :mod:`esdlab.treesum` runs on messages that are polynomials on
 each piece of a :class:`_Partition` (:class:`_Pieces`); over constants and
 grids a message has degree 0, one number per cell. A member acts on a
-message by :func:`_edge`. One partition and one action per member serve
-every order of a run, and each sum is exact, so a moment is rounded once.
+message by :func:`_edge`, always by its window integrals: over an open
+band's window, or all of [0, 1] without one. One partition and one action
+per member serve every order of a run, and each sum is exact, so a moment is
+rounded once.
 
 Breaks and half-widths are floats, so they share a power of two B as common
 denominator. Messages are polynomials in X = B*x, in which every break and
@@ -111,7 +113,8 @@ class _Partition:
     half-width alpha they are also shifted by every multiple of alpha that
     stays in [0, 1]; that set is closed under +-alpha, so for x on piece I,
     x - alpha runs over one whole piece ``below[I]`` or stays below 0, and
-    x + alpha over one whole piece ``above[I]`` or stays above 1.
+    x + alpha over one whole piece ``above[I]`` or stays above 1. Without an
+    open band both are None on every piece: each window is all of [0, 1].
     """
 
     def __init__(self, kernels: Iterable[Graphon]):
@@ -127,6 +130,7 @@ class _Partition:
         self.scale = math.lcm(*(b.denominator for b in self.breaks))  # B; alpha is a break
         ends = [int(b * self.scale) for b in self.breaks]
         self.left, self.right = ends[:-1], ends[1:]
+        self.below = self.above = [None] * len(self.left)
         if alpha is not None:
             self.alpha = int(alpha * self.scale)
             start = {a: i for i, a in enumerate(self.left)}
@@ -156,31 +160,30 @@ class _Partition:
             self._gaps[e] = [b**e - a**e for a, b in zip(self.left, self.right)]
         return self._gaps[e] if s == 1 else [s * g for g in self._gaps[e]]
 
-    def windows(self, f: _Pieces, q: int, cells) -> tuple[list[list[int]], int]:
+    def windows(self, f: _Pieces, q: int, cells, below, above) -> tuple[list[list[int]], int]:
         """On each piece I, the integer coefficients in X of the integral of
-        c(I, J) Y**q F(Y) over Y in [X - alpha, X + alpha] and in [0, B], and
-        their common denominator.
+        c(I, J) Y**q F(Y) over the window of X, and their common denominator.
 
         c is the grid ``cells`` on pieces (I, J) (integer rows over a common
-        denominator), or 1. A piece wholly inside the window adds its
-        integral; the piece below adds the antiderivative from X - alpha to
-        its end, and the piece above from its start to X + alpha, each a
-        Taylor shift of a polynomial by -+alpha.
+        denominator), or 1. The window is [X - alpha, X + alpha] within [0, B]
+        with this partition's ``below`` and ``above``, and all of [0, B] when
+        both are None on every piece. A piece wholly inside the window adds
+        its integral; the piece below[I] adds the antiderivative from
+        X - alpha to its end, and the piece above[I] from its start to
+        X + alpha, each a Taylor shift of a polynomial by -+alpha.
         """
         whole, den = self.integrals(f, q)
         divisor = den // f.den
         rows, cells_den = cells or ([[1] * len(whole)] * len(whole), 1)
         out = []
-        for weights, lo, hi in zip(rows, self.below, self.above):
+        for weights, lo, hi in zip(rows, below, above):
             first = 0 if lo is None else lo  # piece lo whole, less its part below X - alpha
             last = len(whole) if hi is None else hi
             window = [_dot(weights[first:last], whole[first:last])]
-            if lo is not None:
-                below = _shifted(self._antiderivative(f, q, lo, divisor), -self.alpha)
-                _add_scaled(window, -weights[lo], below)
-            if hi is not None:
-                above = _shifted(self._antiderivative(f, q, hi, divisor), self.alpha)
-                _add_scaled(window, weights[hi], above)
+            for j, sign in ((lo, -1), (hi, 1)):  # less the part below, plus the part above
+                if j is not None:
+                    part = _shifted(self._antiderivative(f, q, j, divisor), sign * self.alpha)
+                    _add_scaled(window, sign * weights[j], part)
             out.append(window)
         return out, den * cells_den
 
@@ -227,15 +230,15 @@ def _edge(g: Graphon, pieces: _Partition) -> Callable[[_Pieces], _Pieces]:
     Without its band the member is a sum of terms a_pq x**p y**q (its form,
     or the one term (0, 0) with coefficient 1) times a cell value c(I, J) for
     x on piece I and y on piece J. So the action is sum_pq a_pq x**p times
-    the integrals of c(I, .) y**q f(y): over [0, 1], or over an open band's
-    window. In X = B*x a term is a_pq X**p Y**q dY / B**(p + q + 1).
+    the integrals of c(I, .) y**q f(y) over its window (:meth:`_Partition.windows`):
+    an open band's, or all of [0, 1] without a band, even beside members on
+    an open band. In X = B*x a term is a_pq X**p Y**q dY / B**(p + q + 1).
 
     A member of one cell folds its cell value into its terms. A periodic
     band comes here only with every kernel row-constant (see node_rule), on
-    one cell: its rows all integrate to 2*alpha*c, so it is the constant
-    term 2*alpha*c.
+    one cell, so with no open band: its rows all integrate to 2*alpha*c,
+    so it is the constant term 2*alpha*c over all of [0, 1].
     """
-    band = g.alpha is not None and not g.periodic
     terms = {(0, 0): 1} if g.form is None else g.form
     cells = None
     if len(g.cells) > 1:
@@ -250,15 +253,10 @@ def _edge(g: Graphon, pieces: _Partition) -> Callable[[_Pieces], _Pieces]:
     weights = {(p, q): a * pieces.scale ** (top - p - q) for (p, q), a in zip(terms, numerators)}
     powers = sorted({q for _, q in terms})
     n = len(pieces.left)
-
-    def integrals(f: _Pieces, q: int) -> tuple[list[list[int]], int]:
-        whole, den = pieces.integrals(f, q)
-        if cells:
-            return [[_dot(row, whole)] for row in cells[0]], den * cells[1]
-        return [[sum(whole)]] * n, den
+    ends = ([None] * n,) * 2 if g.alpha is None else (pieces.below, pieces.above)
 
     def apply(f: _Pieces) -> _Pieces:
-        per_q = {q: pieces.windows(f, q, cells) if band else integrals(f, q) for q in powers}
+        per_q = {q: pieces.windows(f, q, cells, *ends) for q in powers}
         den = math.lcm(*(d for _, d in per_q.values()))
         polys: list = [[] for _ in range(n)]
         for (p, q), w in weights.items():

@@ -143,39 +143,21 @@ def classify_occurrences(
         raise ValidationError(f"circuit must have length {k + 1}, got {len(pi)}")
     if pi[0] != pi[k]:
         raise ValidationError("circuit must be closed: pi(0) != pi(k)")
-    # verify membership: same letter <=> same unordered edge
-    edge_by_letter: dict[int, tuple[int, int]] = {}
-    for i in range(1, k + 1):
-        a, b = pi[i - 1], pi[i]
-        edge = (a, b) if a <= b else (b, a)
-        letter = word.letters[i - 1]
-        if letter in edge_by_letter:
-            if edge_by_letter[letter] != edge:
-                raise ValidationError(
-                    f"circuit not in Pi({word}): letter at position {i} repeats a different edge"
-                )
-        else:
-            if edge in edge_by_letter.values():
-                raise ValidationError(
-                    f"circuit not in Pi({word}): distinct letters share edge {edge} at position {i}"
-                )
-            edge_by_letter[letter] = edge
+    # pi is in Pi(word) exactly when its unordered edges, numbered by first
+    # appearance (a loop is its own edge), spell the word
+    number: dict[tuple[int, int], int] = {}
+    spelled = tuple(number.setdefault((min(a, b), max(a, b)), len(number) + 1)
+                    for a, b in zip(pi, pi[1:]))
+    if spelled != word.letters:
+        raise ValidationError(f"circuit {pi} is not in Pi({word})")
 
     labels: dict[int, str] = {}
     reference: dict[int, tuple[int, int]] = {}
-    for i in range(1, k + 1):
-        letter = word.letters[i - 1]
-        ordered = (pi[i - 1], pi[i])
-        if letter in reference:
-            ref = reference[letter]
-            same = ordered == ref
-            reversed_ = ordered == (ref[1], ref[0])
-            assert same or reversed_
-            labels[i] = "both" if (same and reversed_) else ("C1" if same else "C2")
-            if relative_to == "previous":
-                reference[letter] = ordered
-        else:
-            reference[letter] = ordered
+    for i, (letter, step) in enumerate(zip(word.letters, zip(pi, pi[1:])), start=1):
+        if letter in reference:  # step is its reference edge, in the same or reversed order
+            labels[i] = "both" if step[0] == step[1] else "C1" if step == reference[letter] else "C2"
+        if letter not in reference or relative_to == "previous":
+            reference[letter] = step
     return labels
 
 

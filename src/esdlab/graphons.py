@@ -245,7 +245,8 @@ def _checked_bound(fn: Callable, form: dict | None, bound: float | None, label: 
     else:
         import numpy as np
         grid = np.linspace(0.0, 1.0, 29)
-        sample = np.asarray(fn(grid[:, None], grid[None, :]), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked just below
+            sample = np.asarray(fn(grid[:, None], grid[None, :]), dtype=float)
         if not np.all(np.isfinite(sample)):
             raise NumericError(f"graphon {label!r} is non-finite on the unit square")
         largest = float(np.max(np.abs(sample)))

@@ -32,7 +32,8 @@ from .graphons import (CumulantSchedule, Graphon, GraphonFamily, as_graphon, blo
 _BASE_VARIANTS = ("gaussian_wigner", "triangular_twopoint", "sparse_homogeneous")
 
 # Stand-in for n -> infinity when taking numeric limits of n * p(x, y, n) that
-# is not a polynomial; polynomials in (x, y, 1/n) take the exact limit.
+# is not a polynomial, and only where n * p has settled there (it agrees with
+# n = _LIMIT_N**2 to 1e-12); polynomials in (x, y, 1/n) take the exact limit.
 _LIMIT_N = 1.0e8
 
 #: each variant's params: (required, optional)
@@ -267,7 +268,8 @@ def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
     ``at_n=None`` returns the n -> infinity limit object; an integer gives the
     exact finite-n profile. The limit of a ``sparse_inhomogeneous`` prob that
     is a polynomial in (x, y, 1/n) is exact, and one whose n * prob grows with
-    n raises ValidationError; any other prob is evaluated at n = _LIMIT_N.
+    n raises ValidationError; any other prob is evaluated at n = _LIMIT_N, and
+    raises ValidationError unless n * prob has settled there.
     Heavy tails need a ``truncation`` level B >= 0 (entries beyond B times the
     natural scale dropped), otherwise moments diverge; any other variant given
     a ``truncation`` raises ValidationError, since its moments here would
@@ -296,6 +298,16 @@ def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
                                        label=f"lim n * ({p['prob']})")
         else:
             n_eval = _LIMIT_N if at_n is None else float(at_n)
+            if at_n is None:  # n * prob must have settled: as at n = _LIMIT_N**2 on the check grid
+                import numpy as np
+                grid = np.linspace(0.0, 1.0, 29)
+                with np.errstate(all="ignore"):  # a value that is not finite fails the kernel check
+                    near, far = (n * np.asarray(prob_fn(grid[:, None], grid, n), dtype=float)
+                                 for n in (_LIMIT_N, _LIMIT_N**2))
+                    settled = not np.max(np.abs(near - far)) > 1e-12 * np.max(np.abs(near))
+                if not settled:
+                    raise ValidationError(f"n * prob has not settled at n = {_LIMIT_N:g} for prob "
+                                          f"{p['prob']!r}; give prob as a polynomial in x, y and 1/n")
             kernel = Graphon.from_callable(lambda x, y: n_eval * prob_fn(x, y, n_eval),
                                            smooth=prob_fn.smooth,
                                            label=f"{n_eval:g} * ({p['prob']})")

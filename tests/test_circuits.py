@@ -241,6 +241,23 @@ def test_classify_rejects_non_circuits():
         classify_occurrences(w, (1, 2, 1))  # wrong length
 
 
+@pytest.mark.parametrize("length,n", [(L, n) for L in range(1, 6) for n in range(1, 4)])
+def test_every_closed_walk_lies_in_exactly_one_pi(length, n):
+    tally = {}
+    for walk in itertools.product(range(n), repeat=length):
+        pi = walk + walk[:1]
+        members = []
+        for w in enumerate_partitions_brute(length):
+            try:
+                classify_occurrences(w, pi)
+            except ValidationError:
+                continue
+            members.append(w)
+        assert len(members) == 1, (pi, members)
+        tally[members[0]] = tally.get(members[0], 0) + 1
+    assert tally == walk_census(length, n)
+
+
 def test_budget_guard():
     # 15 generating steps at n = 16 bound the search by 16!, about 2.1e13
     with pytest.raises(CapacityError):

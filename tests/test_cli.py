@@ -673,6 +673,28 @@ def test_sparse_profile_limit_is_exact_or_refused(capsys):
     assert json.loads(out)["series"]["entries"][0]["provenance"] == "quadrature"
 
 
+@pytest.mark.parametrize("prob", ["1/(n+1)", "1 - exp(-2*x*y/n)"])
+def test_sparse_profile_unsettled_at_the_stand_in_n_is_refused(capsys, prob):
+    # at n = 1e8 these read beta_4 = 2.99999995 with error 0, and
+    # beta_2 = 0.49999999894 +- 1.9e-10, 5.5 estimates from 1/2
+    code, out, err = run(capsys, "moments", "--theory-json", _sparse_profile(prob),
+                         "--two-k", "4", "--reproducible")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: n * prob has not settled") and err.count("\n") == 1
+    assert "polynomial in x, y and 1/n" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("moments", "--theory-json", '{"kind":"graphon","g":{"2":"exp(1000*x*y)"}}'),
+    ("simulate", "--model-json",
+     '{"variant":"variance_profile","params":{"profile":"exp(1000*x*y)"}}', "--n", "24"),
+])
+def test_an_overflowing_kernel_exits_2_without_a_warning(capsys, argv):
+    code, out, err = run(capsys, *argv, "--reproducible")
+    assert (code, out) == (2, "")
+    assert err == "error: graphon 'exp(1000*x*y)' is non-finite on the unit square\n"
+
+
 def _graphon_moments(capsys, kernel: str, two_k: int) -> list[dict]:
     code, out, err = run(capsys, "moments", "--theory-json",
                          json.dumps({"kind": "graphon", "g": {"2": kernel}}),

@@ -215,6 +215,17 @@ def test_band_open_interval_second_moment():
     assert abs(entry.value - expected) <= 5 * max(entry.error, 1e-4)
 
 
+def test_unbanded_member_beside_an_open_band_integrates_over_all_of_0_1():
+    # order 2 on the open band of half-width 1/4, with row integral m(x);
+    # order 4 the constant 2 with no band. beta_4 = 2 int m^2 + int int 2,
+    # int m^2 = 2 int_0^(1/4) (x + 1/4)^2 dx + 1/8 = 19/96
+    band = CumulantSchedule.semicircle().banded(0.25, False).g(2)
+    fam = GraphonFamily({2: band, 4: Graphon(cells=((2.0,),))})
+    series = graphon_series(fam, 4)
+    assert [(e.value, e.provenance) for e in series.entries] == [
+        (7 / 16, "exact-combinatorial"), (float(Fraction(115, 48)), "exact-combinatorial")]
+
+
 def test_band_alpha_validation():
     sched = CumulantSchedule.semicircle()
     for alpha in (0.0, -0.1, 0.6):
