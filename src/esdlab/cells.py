@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from operator import add, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -102,10 +103,6 @@ def _scaled_rows(rows: list, s: int) -> list:
     return rows if s == 1 else [[c * s for c in row] for row in rows]
 
 
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(mul, a, b))
-
-
 class _Partition:
     """The pieces of [0, 1] that the exact cell rule sums over, in X = B*x.
 
@@ -164,26 +161,29 @@ class _Partition:
         """On each piece I, the integer coefficients in X of the integral of
         c(I, J) Y**q F(Y) over the window of X, and their common denominator.
 
-        c is the grid ``cells`` on pieces (I, J) (integer rows over a common
+        c is the grid ``cells`` on pieces (I, J) (for each grid row its integer
+        values on the pieces, the grid row of each piece, and their common
         denominator), or 1. The window is [X - alpha, X + alpha] within [0, B]
         with this partition's ``below`` and ``above``, and all of [0, B] when
-        both are None on every piece. A piece wholly inside the window adds
-        its integral; the piece below[I] adds the antiderivative from
-        X - alpha to its end, and the piece above[I] from its start to
-        X + alpha, each a Taylor shift of a polynomial by -+alpha.
+        both are None on every piece. The pieces wholly inside the window add
+        their integrals, a difference of two running sums of c(I, J) times the
+        integral over J, one sum per grid row; the piece below[I] adds the
+        antiderivative from X - alpha to its end, and the piece above[I] from
+        its start to X + alpha, each a Taylor shift of a polynomial by -+alpha.
         """
         whole, den = self.integrals(f, q)
         divisor = den // f.den
-        rows, cells_den = cells or ([[1] * len(whole)] * len(whole), 1)
+        rows, row_of, cells_den = cells or ([[1] * len(whole)], [0] * len(whole), 1)
+        running = [list(accumulate(map(mul, row, whole), initial=0)) for row in rows]
         out = []
-        for weights, lo, hi in zip(rows, below, above):
+        for r, lo, hi in zip(row_of, below, above):
             first = 0 if lo is None else lo  # piece lo whole, less its part below X - alpha
             last = len(whole) if hi is None else hi
-            window = [_dot(weights[first:last], whole[first:last])]
+            window = [running[r][last] - running[r][first]]
             for j, sign in ((lo, -1), (hi, 1)):  # less the part below, plus the part above
                 if j is not None:
                     part = _shifted(self._antiderivative(f, q, j, divisor), sign * self.alpha)
-                    _add_scaled(window, sign * weights[j], part)
+                    _add_scaled(window, sign * rows[r][j], part)
             out.append(window)
         return out, den * cells_den
 
@@ -271,9 +271,10 @@ def _edge(g: Graphon, pieces: _Partition) -> Callable[[_Pieces], _Pieces]:
     return apply
 
 
-def _cell_values(g: Graphon, lefts: Sequence[Fraction]) -> tuple[list[list[int]], int]:
-    """A grid's value on each pair of pieces, given the pieces' left ends: integer
-    rows over their common denominator."""
+def _cell_values(g: Graphon, lefts: Sequence[Fraction]) -> tuple[list, list[int], int]:
+    """A grid's value on each pair of pieces, given the pieces' left ends: for each
+    grid row its integer values on the pieces, the grid row of each piece, and
+    their common denominator."""
     rows, den = _over_common([list(map(Fraction, row)) for row in g.cells])
     index = [bisect_right(g.breaks, b) - 1 for b in lefts]
-    return [[rows[i][j] for j in index] for i in index], den
+    return [[row[j] for j in index] for row in rows], index, den

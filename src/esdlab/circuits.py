@@ -7,11 +7,14 @@ pairs {pi(i-1), pi(i)} and {pi(j-1), pi(j)} coincide.
 
 Membership in Pi(w) does not change when the vertices are relabelled, so the
 search runs up to relabelling: vertices are named 0, 1, ... in order of first
-appearance, pi(0) is vertex 0, and the endpoint of each letter's first
-occurrence is either a vertex already used or the next fresh one, if fewer
-than n are used; every other value is forced by the edge it must repeat.
-Each such canonical circuit with m distinct vertices stands for
-n(n-1)...(n-m+1) circuits over {1..n}.  Once n exceeds the number of
+appearance, and the walk starts at vertex 0. It keeps the vertex it is at and
+one table from each letter to its unordered edge, numbered by first
+appearance as the letters are. A repeated letter crosses its edge from
+whichever end the walk is at; a new letter takes an edge that no other letter
+holds, to a vertex already used or the next fresh one, if fewer than n are
+used, and only to vertex 0 at the last step. A circuit counts when the walk
+ends at vertex 0. Each such canonical circuit with m distinct vertices stands
+for n(n-1)...(n-m+1) circuits over {1..n}.  Once n exceeds the number of
 letters the search depends on the word alone, so a count costs the same at
 every larger n and stays an exact integer.
 
@@ -73,48 +76,33 @@ def count_circuits(word: Word, n: int, budget: int = DEFAULT_CIRCUIT_BUDGET) -> 
             f"counting circuits for {word} at n={n} may explore ~{estimate} "
             f"assignments (budget {budget}); raise the budget to proceed"
         )
-    k = len(word)
-    letters = word.letters
-    pi = [0] * (k + 1)  # canonical vertex names, pi(0) = 0
-    # letter -> its established edge as the ordered pair seen first
-    first_edge: dict[int, tuple[int, int]] = {}
-    used_edges: set[tuple[int, int]] = set()
+    k, letters = len(word), word.letters
+    edges: list[tuple[int, int]] = []  # letter - 1 -> its unordered edge
+    taken: set[tuple[int, int]] = set()  # the same edges, to look up
     # canonical circuits by the number m of distinct vertices they use
     by_vertices: Counter[int] = Counter()
 
-    def assign(i: int, m: int) -> None:
-        if i == k + 1:
-            by_vertices[m] += 1
+    def walk(i: int, at: int, m: int) -> None:
+        if i == k:
+            by_vertices[m] += at == 0  # a circuit ends where it started
             return
-        letter = letters[i - 1]
-        prev = pi[i - 1]
-        if letter in first_edge:
-            u, v = first_edge[letter]
-            if prev == u:
-                value = v
-            elif prev == v:
-                value = u
-            else:
-                return
-            if i == k and value != pi[0]:
-                return
-            pi[i] = value
-            assign(i + 1, m)
+        letter = letters[i]
+        if letter <= len(edges):  # cross the letter's edge from the end the walk is at
+            u, v = edges[letter - 1]
+            if at == u or at == v:
+                walk(i + 1, u + v - at, m)
             return
         # a used vertex, or the next fresh one while fewer than n are used
-        candidates = (pi[0],) if i == k else range(min(m + 1, n))
-        for value in candidates:
-            edge = (prev, value) if prev <= value else (value, prev)
-            if edge in used_edges:
-                continue  # that edge belongs to a different letter
-            first_edge[letter] = (prev, value)
-            used_edges.add(edge)
-            pi[i] = value
-            assign(i + 1, max(m, value + 1))
-            del first_edge[letter]
-            used_edges.remove(edge)
+        for value in (0,) if i == k - 1 else range(min(m + 1, n)):
+            edge = (at, value) if at <= value else (value, at)
+            if edge not in taken:  # else that edge belongs to a different letter
+                edges.append(edge)
+                taken.add(edge)
+                walk(i + 1, value, max(m, value + 1))
+                edges.pop()
+                taken.remove(edge)
 
-    assign(1, 1)
+    walk(0, 0, 1)
     count = sum(c * perm(n, m) for m, c in by_vertices.items())
 
     b = word.n_letters

@@ -7,10 +7,11 @@ and simulate's moments are mean(eigenvalues**k) of them. eesd_moments, the
 moments compare reads, needs no spectrum: moment_row sums a sparse draw's
 closed walks over its nonzeros (_walk_moments), exactly for integer entries,
 and gives a dense draw the eigenvalue means. eigenvalues runs one eigensolve
-per connected component of the matrix's nonzero pattern: a matrix with
-several components is block-diagonal up to a permutation, and its spectrum is
-the union of the blocks' spectra, so a sparse draw solves a few smaller
-blocks while a connected one goes to a single full solve. empirical_moments
+per connected component of the graph whose edges are the matrix's nonzero
+pairs, labelled by component_labels over those pairs: a matrix with several
+components is block-diagonal up to a permutation, and its spectrum is the
+union of the blocks' spectra, so a sparse draw solves a few smaller blocks
+while a connected one goes to a single full solve. empirical_moments
 computes the same moments from traces of dense matrix powers
 (tr(M^(a+b)) = sum(M^a * M^b), so only half the powers are formed); the tests
 use it to cross-check the other two.
@@ -72,23 +73,22 @@ def component_labels(matrix: np.ndarray) -> np.ndarray:
     """Label each index by the smallest index of its connected component.
 
     Two indices are linked when the entry between them is nonzero in either
-    triangle. Min-label propagation with pointer jumping: each round every
-    index finds the smallest label among its neighbours by one argmax over the
-    rows of the link pattern taken in label order, every root adopts the
-    smallest label its members saw, and labels jump to their roots. The
-    rounds stop when no index sees a label smaller than its own, or when
-    every label is 0. When row 0 or column 0 links index 0 to every other
-    index, as in a dense draw, the labels are all 0 without a round.
+    triangle, so the graph's edges are the matrix's nonzero pairs, read in
+    both directions. Min-label propagation with pointer jumping: each round
+    every index takes the smallest label over its edges and its own, every
+    root adopts the smallest label its members saw, and labels jump to their
+    roots. The rounds stop when no index sees a label smaller than its own,
+    or when every label is 0. When row 0 or column 0 links index 0 to every
+    other index, as in a dense draw, the labels are all 0 without a round.
     """
     if len(matrix) == 0 or ((matrix[0, 1:] != 0) | (matrix[1:, 0] != 0)).all():
         return np.zeros(len(matrix), dtype=int)
-    linked = matrix != 0
-    linked |= linked.T
-    np.fill_diagonal(linked, True)
+    rows, cols = np.nonzero(matrix != 0)
+    heads, tails = np.concatenate((rows, cols)), np.concatenate((cols, rows))
     labels = np.arange(len(matrix))
     while labels.any():
-        order = np.argsort(labels, kind="stable")
-        seen = labels[order[linked[order].argmax(axis=0)]]
+        seen = labels.copy()
+        np.minimum.at(seen, heads, labels[tails])
         if np.array_equal(seen, labels):
             break
         np.minimum.at(labels, labels.copy(), seen)

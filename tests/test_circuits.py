@@ -133,7 +133,7 @@ def test_walk_census_matches_brute_count():
 
 
 def test_counts_match_brute_force_for_every_short_word():
-    for length in range(1, 7):
+    for length in range(1, 8):
         for n in range(1, 5):
             census = walk_census(length, n)
             for word in enumerate_partitions_brute(length):

@@ -226,6 +226,34 @@ def test_unbanded_member_beside_an_open_band_integrates_over_all_of_0_1():
         (7 / 16, "exact-combinatorial"), (float(Fraction(115, 48)), "exact-combinatorial")]
 
 
+def test_a_one_cell_member_beside_an_open_band_sums_linearly_in_the_pieces(monkeypatch):
+    # the member's window is all of [0, 1] on every piece; running sums of the
+    # piece integrals take a fixed number of products per piece, where summing
+    # every piece for every piece would take a number growing with the pieces
+    products = 0
+
+    def counted_mul(a, b):
+        nonlocal products
+        products += 1
+        return a * b
+
+    monkeypatch.setattr(cells, "mul", counted_mul)
+    rng = np.random.default_rng(101)
+    masses, upper = rng.dirichlet(np.ones(12)), rng.uniform(size=(12, 12))
+    grid = block_family(masses.tolist(), {2: ((upper + upper.T) / 2).tolist()})
+    one_cell = Graphon(cells=((1.5,),))
+    sizes, per_piece = [], []
+    for alpha in (0.01, 0.005):
+        pieces = cells._Partition([grid.banded(alpha, False).g(2), one_cell])
+        apply = cells._edge(one_cell, pieces)
+        products = 0
+        apply(pieces.one)
+        sizes.append(len(pieces.left))
+        per_piece.append(products / sizes[-1])
+    assert sizes[1] > 1.9 * sizes[0] > 2000
+    assert per_piece[1] == pytest.approx(per_piece[0], rel=0.05) and per_piece[1] <= 3
+
+
 def test_band_alpha_validation():
     sched = CumulantSchedule.semicircle()
     for alpha in (0.0, -0.1, 0.6):
