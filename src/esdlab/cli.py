@@ -228,7 +228,7 @@ def _config_digest(payload: dict, args: argparse.Namespace) -> str:
 
 
 def _emit(args: argparse.Namespace, payload: dict, document: dict,
-          csv_rows: Iterable[list] | None = None) -> None:
+          csv_rows: Iterable[list]) -> None:
     """Write the document, as JSON or as ``csv_rows``, to --out or stdout.
 
     A top-level value of ``document`` that is an iterator of strings is written
@@ -239,8 +239,6 @@ def _emit(args: argparse.Namespace, payload: dict, document: dict,
                 "config_sha256": _config_digest(payload, args), **document}
     if not args.reproducible:
         document["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    if args.format == "csv" and csv_rows is None:
-        raise ValidationError(f"{args.command} has no CSV form for this output")
     with (open(args.out, "w", encoding="utf-8") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         if args.format == "csv":

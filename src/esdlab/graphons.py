@@ -2,13 +2,14 @@
 
 This module is the one place that turns numbers, expressions, grids and
 model parameters into kernels and families; :mod:`esdlab.moments` only sums
-them. A Graphon here is one symmetric function g(x, y); a GraphonFamily maps
-each even order 2j to such a function (missing orders mean identically
-zero). Families encode entry-moment profiles of a matrix ensemble: the
-order-2j member is the limit of n*E[x_ij^(2j)] as a function of (i/n, j/n).
-A CumulantSchedule is the family of a flat ensemble, whose order-2j member
-is the constant C_{2j}; :meth:`GraphonFamily.banded`, :func:`block_family`
-and :func:`profile_family` build the structured ones.
+them. A Graphon here is one symmetric function g(x, y); a GraphonFamily keeps
+one member table from even order 2j to such a function or None (identically
+zero): the members given, and each one its rule builds, once. Families
+encode entry-moment profiles of a matrix ensemble: the order-2j member is
+the limit of n*E[x_ij^(2j)] as a function of (i/n, j/n). A CumulantSchedule
+is the family of a flat ensemble, whose order-2j member is the constant
+C_{2j}; :meth:`GraphonFamily.banded`, :func:`block_family` and
+:func:`profile_family` build the structured ones.
 
 Every kernel is one record, the product of three factors, and the
 integration code reads those fields:
@@ -51,6 +52,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .errors import NumericError, ValidationError
 
 _SYMMETRY_TOL = 1e-9
+CHECK_GRID = tuple(i / 28 for i in range(29))  # a function kernel is checked on its square
 
 
 def _is_number(value) -> bool:
@@ -167,19 +169,23 @@ class Graphon:
                        label=f"{self.label} * band({alpha}{', periodic' if periodic else ''})")
 
     def power_scale(self, exponent: int, scale: float) -> "Graphon":
-        """Pointwise scale * g(x,y)**exponent; an overflow raises NumericError.
+        """Pointwise scale * g(x,y)**exponent; a value past the float range raises NumericError.
 
         Each cell c becomes scale * c**exponent in floating point, the function
         and its exact form their powers, and a band stays itself: an indicator
-        to a power is itself.
+        to a power is itself. The bound is this one's to the power, or, where
+        that overflows for a function, the power's measured on the check grid:
+        a declared bound feeds only the Carleman diagnostic.
         """
+        label = f"({self.label})^{exponent}*{scale}"
+        try:
+            cells = tuple(tuple(scale * c**exponent for c in row) for row in self.cells)
+        except OverflowError:
+            raise NumericError(f"{label} is not finite in floating point") from None
         try:
             bound = abs(scale) * self.bound**exponent
         except OverflowError:
             bound = math.inf
-        label = f"({self.label})^{exponent}*{scale}"
-        if not math.isfinite(bound):
-            raise NumericError(f"{label} is not finite in floating point")
         fn = form = None
         if self.fn is not None:
             here = self.fn
@@ -192,8 +198,12 @@ class Graphon:
             if self.form is not None:  # read from an expression's text
                 from .expressions import power_form
                 form = power_form(self.form, exponent)
-            bound = _checked_bound(fn, form, bound, label)
-        cells = tuple(tuple(scale * c**exponent for c in row) for row in self.cells)
+            if math.isfinite(bound):
+                bound = _checked_bound(fn, form, bound, label)
+            else:  # one cell, see Graphon.from_callable
+                bound = abs(cells[0][0]) * _checked_bound(fn, form, None, label)
+        if not math.isfinite(bound):
+            raise NumericError(f"{label} is not finite in floating point")
         return Graphon(breaks=self.breaks, cells=cells, fn=fn, form=form, bound=bound,
                        smooth=self.smooth, alpha=self.alpha, periodic=self.periodic, label=label)
 
@@ -232,10 +242,9 @@ def _checked_bound(fn: Callable, form: dict | None, bound: float | None, label: 
     if bound is not None and not bound >= 0:
         raise ValidationError(f"kernel bound of {label!r} must be at least 0, got {bound!r}")
     if form is not None:
-        grid = [i / 28 for i in range(29)]
         try:
             terms = _float_terms(form)
-            sample = [[_form_value(terms, x, y) for y in grid] for x in grid]
+            sample = [[_form_value(terms, x, y) for y in CHECK_GRID] for x in CHECK_GRID]
             largest = max(abs(v) for row in sample for v in row)
         except (OverflowError, ZeroDivisionError):  # a huge coefficient, or 0 ** -1
             largest = math.inf
@@ -244,7 +253,7 @@ def _checked_bound(fn: Callable, form: dict | None, bound: float | None, label: 
         gap = max(abs(row[j] - sample[j][i]) for i, row in enumerate(sample) for j in range(i))
     else:
         import numpy as np
-        grid = np.linspace(0.0, 1.0, 29)
+        grid = np.asarray(CHECK_GRID)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked just below
             sample = np.asarray(fn(grid[:, None], grid[None, :]), dtype=float)
         if not np.all(np.isfinite(sample)):
@@ -366,35 +375,29 @@ def node_rule(kernels: Iterable[Graphon]) -> str:
 
 
 class GraphonFamily:
-    """Map from even order 2j to a Graphon; missing orders are zero.
+    """Map from even order 2j to a Graphon; None, or a missing order, is zero.
 
-    ``rule`` builds the member of an order not in ``entries``, once: the member,
-    or None, is kept for later calls, and a rule that raises keeps nothing.
+    ``members`` holds the members given and, once built, each one ``rule``
+    builds for another order; a rule that raises keeps nothing.
     """
 
-    def __init__(self, entries: Mapping[int, Graphon] | None = None,
+    def __init__(self, entries: Mapping[int, object] | None = None,
                  rule: Callable[[int], Optional[Graphon]] | None = None,
                  description: str = ""):
-        self.entries: dict[int, Graphon] = {}
+        self.members: dict[int, Optional[Graphon]] = {}
         for order, graphon in (entries or {}).items():
             order = int(order)
             require_even_order(order, "graphon family orders must be even and >= 2")
-            if graphon is not None:
-                self.entries[order] = as_graphon(graphon)
+            self.members[order] = None if graphon is None else as_graphon(graphon)
         self.rule = rule
-        self._built: dict[int, Optional[Graphon]] = {}
         self.description = description or "graphon family"
 
     def g(self, order: int) -> Optional[Graphon]:
         """Graphon at the given even order, or None when identically zero."""
         require_even_order(order, "order must be even and >= 2")
-        if order in self.entries:
-            return self.entries[order]
-        if self.rule is None:
-            return None
-        if order not in self._built:
-            self._built[order] = self.rule(order)
-        return self._built[order]
+        if order not in self.members and self.rule is not None:
+            self.members[order] = self.rule(order)
+        return self.members.get(order)
 
     def bound(self, order: int) -> float:
         graphon = self.g(order)
@@ -419,48 +422,40 @@ class GraphonFamily:
 class CumulantSchedule(GraphonFamily):
     """Limits C_{2k} of n * E[entry^(2k)]: the family of constants C_{2k}.
 
-    The member is None where C_{2k} is 0. ``value`` reads C_{2k} from
-    ``table``, else from ``rule``; an order in neither raises ValidationError,
-    and a rule that overflows or gives a value that is not finite raises
-    NumericError.
+    The ``table`` pairs (2k, C_{2k}) are given members, and ``rule`` gives
+    C_{2k} at any other order; a member is None where C_{2k} is 0. An order
+    in neither raises ValidationError, and a rule that overflows or gives a
+    value that is not finite raises NumericError.
 
     >>> from esdlab.moments import moment_graphon
     >>> moment_graphon(CumulantSchedule.semicircle(), 6).value
     5.0
     """
 
-    def __init__(self, description: str, table: tuple[tuple[int, float], ...] = (),
+    def __init__(self, description: str, table: Iterable[tuple[int, float]] = (),
                  rule: Optional[Callable[[int], float]] = None):
-        super().__init__(description=description)
-        self.table = table
-        self.rule = rule
+        def member(two_k: int) -> Optional[Graphon]:
+            if rule is None:
+                raise ValidationError(f"schedule {description!r} has no cumulant of order {two_k}")
+            try:
+                c = float(rule(two_k))
+            except OverflowError:
+                c = math.inf
+            if not math.isfinite(c):
+                raise NumericError(f"C_{two_k} of {description!r} is not finite")
+            return None if c == 0 else Graphon.constant(c)
+
+        super().__init__({order: None if c == 0 else Graphon.constant(c) for order, c in table},
+                         member, description)
 
     def value(self, two_k: int) -> float:
-        require_even_order(two_k)
-        for order, c in self.table:
-            if order == two_k:
-                return c
-        if self.rule is None:
-            raise ValidationError(
-                f"schedule {self.description!r} has no cumulant of order {two_k}")
-        try:
-            c = float(self.rule(two_k))
-        except OverflowError:
-            c = math.inf
-        if not math.isfinite(c):
-            raise NumericError(f"C_{two_k} of {self.description!r} is not finite")
-        return c
-
-    def g(self, order: int) -> Optional[Graphon]:
-        c = self.value(order)
-        return None if c == 0 else Graphon.constant(c)
+        """C_{two_k}, read from its member's one cell."""
+        member = self.g(two_k)
+        return 0.0 if member is None else member.cells[0][0]
 
     @classmethod
     def from_dict(cls, values: Mapping[int, float], description: str = "table") -> "CumulantSchedule":
-        table = tuple(sorted((int(order), float(c)) for order, c in values.items()))
-        for order, _ in table:
-            require_even_order(order)
-        return cls(description, table)
+        return cls(description, values.items())
 
     @classmethod
     def semicircle(cls, c2: float = 1.0) -> "CumulantSchedule":
@@ -483,10 +478,8 @@ def block_family(alphas: Sequence[float], cells_by_order: Mapping[int, object],
     if abs(breaks[-1] - 1.0) > 1e-12:
         raise ValidationError(f"block masses must sum to 1, got {breaks[-1]!r}")
     breaks[-1] = 1.0
-    entries = {}
-    for order, cells in cells_by_order.items():
-        require_even_order(int(order))
-        entries[int(order)] = Graphon.from_grid(breaks, cells, label=f"block order {order}")
+    entries = {order: Graphon.from_grid(breaks, cells, label=f"block order {order}")
+               for order, cells in cells_by_order.items()}
     return GraphonFamily(entries, description=description or f"{len(masses)} blocks")
 
 

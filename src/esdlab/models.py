@@ -26,8 +26,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .defaults import DEFAULT_SEED  # noqa: F401  (re-exported as models.DEFAULT_SEED)
 from .errors import ValidationError
-from .graphons import (CumulantSchedule, Graphon, GraphonFamily, as_graphon, block_family,
-                       profile_family, require_flag, require_keys, require_number)
+from .graphons import (CHECK_GRID, CumulantSchedule, Graphon, GraphonFamily, as_graphon,
+                       block_family, profile_family, require_flag, require_keys, require_number)
 
 _BASE_VARIANTS = ("gaussian_wigner", "triangular_twopoint", "sparse_homogeneous")
 
@@ -300,7 +300,7 @@ def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
             n_eval = _LIMIT_N if at_n is None else float(at_n)
             if at_n is None:  # n * prob must have settled: as at n = _LIMIT_N**2 on the check grid
                 import numpy as np
-                grid = np.linspace(0.0, 1.0, 29)
+                grid = np.asarray(CHECK_GRID)
                 with np.errstate(all="ignore"):  # a value that is not finite fails the kernel check
                     near, far = (n * np.asarray(prob_fn(grid[:, None], grid, n), dtype=float)
                                  for n in (_LIMIT_N, _LIMIT_N**2))

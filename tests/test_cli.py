@@ -542,6 +542,13 @@ MALFORMED = {
     "nan_profile_grid_break": ("moments", "--theory-json",
                                '{"kind":"profile","sigma":{"breaks":[0,NaN,1],'
                                '"cells":[[1,2],[2,1]]}}'),
+    # a null kernel, ragged grid cells, and an integer cell beyond the float range
+    "null_graphon_kernel": ("moments", "--theory-json", '{"kind":"graphon","g":{"2":null}}'),
+    "ragged_grid_cells": ("moments", "--theory-json",
+                          '{"kind":"graphon","g":{"2":{"breaks":[0,0.5,1],"cells":[[1,2],[2]]}}}'),
+    "integer_grid_cell_past_float": ("moments", "--theory-json",
+                                     '{"kind":"graphon","g":{"2":{"breaks":[0,1],"cells":[[1'
+                                     + "0" * 400 + ']]}}}'),
     "negative_kernel_bound": ("moments", "--theory-json",
                               '{"kind":"graphon","g":{"2":{"expression":"x*y","bound":-1}}}'),
     # a declared bound does not widen the symmetry tolerance
@@ -554,7 +561,7 @@ MALFORMED = {
     "overflowing_heavy_cumulant": ("moments", "--theory-json",
                                    '{"kind":"model","truncation":1e300,"spec":' + HEAVY_SPEC + '}',
                                    "--two-k", "16"),
-    # a profile whose bound overflows when raised to the order
+    # a profile whose power overflows: in a cell, or on the check grid
     "overflowing_constant_profile": ("moments", "--theory-json",
                                      '{"kind":"profile","sigma":1e200}', "--two-k", "8"),
     "overflowing_expression_profile": ("moments", "--theory-json",
@@ -693,6 +700,20 @@ def test_an_overflowing_kernel_exits_2_without_a_warning(capsys, argv):
     code, out, err = run(capsys, *argv, "--reproducible")
     assert (code, out) == (2, "")
     assert err == "error: graphon 'exp(1000*x*y)' is non-finite on the unit square\n"
+
+
+def test_a_declared_bound_does_not_refuse_a_finite_power(capsys):
+    # the power of a declared bound of 1e100 overflows, but (x*y)^4 does not: it exited 2
+    def profile_moments(sigma) -> list[dict]:
+        code, out, err = run(capsys, "moments", "--two-k", "4", "--reproducible", "--theory-json",
+                             json.dumps({"kind": "profile", "sigma": sigma,
+                                         "base": {"kind": "constant", "value": 1}}))
+        assert code == 0, err
+        return json.loads(out)["series"]["entries"]
+
+    entries = profile_moments({"expression": "x*y", "bound": 1e100})
+    assert entries == profile_moments("x*y")
+    assert entries[1]["beta"] == 0.08444444444444445
 
 
 def _graphon_moments(capsys, kernel: str, two_k: int) -> list[dict]:

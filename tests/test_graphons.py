@@ -106,6 +106,11 @@ def test_power_scale_preserves_exact_kinds():
     smooth = Graphon.from_expression("4*x*y").power_scale(2, 2.0)
     assert smooth.eval(0.5, 0.5) == pytest.approx(2.0)
     assert smooth.smooth
+    # a declared bound to the power, or, where that overflows, the power measured
+    assert Graphon.from_expression("x*y", bound=3.0).power_scale(2, 2.0).bound == 18.0
+    assert Graphon.from_expression("x*y", bound=1e100).power_scale(4, 2.0).bound == 2.0
+    with pytest.raises(NumericError, match="non-finite on the unit square"):
+        Graphon.from_expression("1e200*x*y").power_scale(2, 1.0)
 
 
 def test_power_scale_keeps_a_band():
@@ -165,8 +170,22 @@ def test_family_entries_and_rule():
     assert fam.g(4) is None
     assert fam.bound(2) >= 1.0
 
-    ruled = CumulantSchedule("2 / order", rule=lambda order: 2.0 / order)
-    assert ruled.g(6).eval(0.1, 0.1) == pytest.approx(1 / 3)
+    calls = []
+
+    def rule(order):
+        calls.append(order)
+        return 2.0 / order
+
+    ruled = CumulantSchedule("2 / order past a table", ((2, 1.5), (4, 0.0)), rule)
+    assert ruled.value(2) == ruled.g(2).eval(0.1, 0.1) == ruled.bound(2) == 1.5  # a table order
+    assert (ruled.value(4), ruled.g(4), ruled.bound(4)) == (0.0, None, 0.0)  # a listed zero
+    assert ruled.value(6) == ruled.g(6).eval(0.1, 0.1) == ruled.bound(6) == pytest.approx(1 / 3)
+    assert ruled.g(6) is ruled.g(6)
+    assert calls == [6]  # the rule runs once per order, and never at a table order
+    table = CumulantSchedule.from_dict({2: 1.0})
+    for read in (table.value, table.g, table.bound):  # a missing order
+        with pytest.raises(ValidationError, match="no cumulant of order 4"):
+            read(4)
 
     with pytest.raises(ValidationError):
         GraphonFamily(entries={3: Graphon.constant(1.0)})
