@@ -126,11 +126,21 @@ def build_parser() -> argparse.ArgumentParser:
 # -- config and output plumbing ----------------------------------------------
 
 def _load_json(text: str | None, where: str):
-    """Parse a JSON flag or file; an absent or empty one gives None."""
+    """Parse a JSON flag or file; an absent or empty one gives None, and an object
+    that repeats a key raises ValidationError rather than keep its last value."""
     if not text:
         return None
+
+    def unique(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValidationError(f"{where} repeats the key {key!r} in one object")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{where} is not valid JSON: {exc}") from None
 

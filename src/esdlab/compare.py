@@ -51,7 +51,10 @@ def _orders_dict(mapping, where: str) -> dict[int, object]:
         try:
             order = int(key)
         except (TypeError, ValueError):
-            raise ValidationError(f"{where} has a non-integer order {key!r}") from None
+            order = None
+        if order is None or str(order) != str(key):  # so "02" or "1_0" cannot repeat an order
+            raise ValidationError(f"{where} order {key!r} is not an integer in its own decimal "
+                                  "text, such as \"2\"")
         out[order] = value
     return out
 

@@ -27,7 +27,9 @@ integration code reads those fields:
 fields: "cells", exact, for cells times a polynomial on an open band of any
 half-width or none, and for one cell on a periodic band; else "gauss",
 Gauss-Legendre nodes, when all are smooth, or "grid", a uniform grid. None
-takes a setting. :func:`as_graphon` reads every kernel a config may hold,
+takes a setting. :func:`as_graphon` reads the three kernels a config may
+hold (a number, an expression string and a breaks-and-cells grid), whose
+``bound`` is the maximum of |g| measured on the cells or :data:`CHECK_GRID`;
 :func:`require_keys` checks the keys of every theory, model, params and
 compare object, and :func:`require_number`, :func:`float_rows` and
 :func:`require_flag` accept only JSON numbers and booleans, so text such as
@@ -138,10 +140,10 @@ class Graphon:
         return cls(breaks=breaks, cells=cells, bound=bound, smooth=False, label=label or "grid")
 
     @classmethod
-    def from_expression(cls, source: str, bound: float | None = None) -> "Graphon":
+    def from_expression(cls, source: str) -> "Graphon":
         from .expressions import compile_expression
         fn = compile_expression(source, ("x", "y"))
-        return cls.from_callable(fn, bound, fn.smooth, source, fn.form)
+        return cls.from_callable(fn, fn.smooth, source, fn.form)
 
     @classmethod
     def from_form(cls, form: dict, label: str) -> "Graphon":
@@ -150,11 +152,11 @@ class Graphon:
         return cls.from_callable(lambda x, y: _form_value(terms, x, y), label=label, form=form)
 
     @classmethod
-    def from_callable(cls, fn: Callable, bound: float | None = None, smooth: bool = True,
-                      label: str = "", form: dict | None = None) -> "Graphon":
+    def from_callable(cls, fn: Callable, smooth: bool = True, label: str = "",
+                      form: dict | None = None) -> "Graphon":
         """The kernel ``fn``, whose exact polynomial is ``form`` if it has one."""
         label = label or "callable"
-        return cls(fn=fn, form=form, bound=_checked_bound(fn, form, bound, label), smooth=smooth,
+        return cls(fn=fn, form=form, bound=_checked_bound(fn, form, label), smooth=smooth,
                    label=label)
 
     def banded(self, alpha: float, periodic: bool) -> "Graphon":
@@ -173,19 +175,18 @@ class Graphon:
 
         Each cell c becomes scale * c**exponent in floating point, the function
         and its exact form their powers, and a band stays itself: an indicator
-        to a power is itself. The bound is this one's to the power, or, where
-        that overflows for a function, the power's measured on the check grid:
-        a declared bound feeds only the Carleman diagnostic.
+        to a power is itself. The bound is |scale| * bound**exponent: this
+        one's bound is the maximum measured on its cells or the check grid, so
+        that is the power's maximum there.
         """
         label = f"({self.label})^{exponent}*{scale}"
         try:
             cells = tuple(tuple(scale * c**exponent for c in row) for row in self.cells)
-        except OverflowError:
-            raise NumericError(f"{label} is not finite in floating point") from None
-        try:
             bound = abs(scale) * self.bound**exponent
         except OverflowError:
             bound = math.inf
+        if not math.isfinite(bound):
+            raise NumericError(f"graphon {label!r} is non-finite on the unit square")
         fn = form = None
         if self.fn is not None:
             here = self.fn
@@ -198,12 +199,6 @@ class Graphon:
             if self.form is not None:  # read from an expression's text
                 from .expressions import power_form
                 form = power_form(self.form, exponent)
-            if math.isfinite(bound):
-                bound = _checked_bound(fn, form, bound, label)
-            else:  # one cell, see Graphon.from_callable
-                bound = abs(cells[0][0]) * _checked_bound(fn, form, None, label)
-        if not math.isfinite(bound):
-            raise NumericError(f"{label} is not finite in floating point")
         return Graphon(breaks=self.breaks, cells=cells, fn=fn, form=form, bound=bound,
                        smooth=self.smooth, alpha=self.alpha, periodic=self.periodic, label=label)
 
@@ -232,15 +227,12 @@ class Graphon:
         return f"Graphon({self.label!r}, bound={self.bound:.4g})"
 
 
-def _checked_bound(fn: Callable, form: dict | None, bound: float | None, label: str) -> float:
-    """``bound``, else max |fn| on a check grid, where fn must be finite and symmetric.
+def _checked_bound(fn: Callable, form: dict | None, label: str) -> float:
+    """max |fn| on the check grid, where fn must be finite and symmetric.
 
     A function with an exact form is evaluated term by term in floating
-    point, without numpy; any other through numpy. A declared bound must be
-    at least 0.
+    point, without numpy; any other through numpy.
     """
-    if bound is not None and not bound >= 0:
-        raise ValidationError(f"kernel bound of {label!r} must be at least 0, got {bound!r}")
     if form is not None:
         try:
             terms = _float_terms(form)
@@ -260,12 +252,11 @@ def _checked_bound(fn: Callable, form: dict | None, bound: float | None, label: 
             raise NumericError(f"graphon {label!r} is non-finite on the unit square")
         largest = float(np.max(np.abs(sample)))
         gap = float(np.max(np.abs(sample - sample.T)))
-    # relative to the kernel's own values: a declared bound is never checked against them
     if gap > _SYMMETRY_TOL * max(1.0, largest):
         raise ValidationError(
             f"graphon {label!r} is not symmetric: max |g(x,y)-g(y,x)| = {gap:.3g} on the check grid"
         )
-    return largest if bound is None else bound
+    return largest
 
 
 def _float_terms(form: dict) -> list[tuple[float, float, float]]:
@@ -287,14 +278,11 @@ def band_indicator_values(x, y, alpha: float, periodic: bool) -> np.ndarray:
     return inside.astype(float)
 
 
-_KERNEL_FORMS = ({"constant"}, {"expression"}, {"expression", "bound"}, {"breaks", "cells"})
-
-
 def as_graphon(value) -> Graphon:
-    """The kernel a number, expression string, kernel object or Graphon describes.
+    """The kernel a number, an expression string, a grid or a Graphon describes.
 
-    The objects are ``{"constant": c}``, ``{"expression": text}`` with an
-    optional ``"bound"``, and the grid ``{"breaks": [...], "cells": [[...]]}``.
+    The grid is the object ``{"breaks": [...], "cells": [[...]]}``; nothing
+    else is read as a kernel.
 
     >>> float(as_graphon({"breaks": [0, 0.5, 1], "cells": [[1, 2], [2, 1]]}).eval(0.2, 0.7))
     2.0
@@ -305,16 +293,8 @@ def as_graphon(value) -> Graphon:
         return Graphon.constant(require_number(value, "kernel constant"))
     if isinstance(value, str):
         return Graphon.from_expression(value)
-    if isinstance(value, dict) and set(value) in _KERNEL_FORMS:
-        if "constant" in value:
-            return Graphon.constant(require_number(value["constant"], "kernel constant"))
-        if "breaks" in value:
-            return Graphon.from_grid(value["breaks"], value["cells"])
-        if not isinstance(value["expression"], str):
-            raise ValidationError(f"kernel expression must be text, got {value['expression']!r}")
-        bound = value.get("bound")
-        return Graphon.from_expression(
-            value["expression"], None if bound is None else require_number(bound, "kernel bound"))
+    if isinstance(value, dict) and value.keys() == {"breaks", "cells"}:
+        return Graphon.from_grid(value["breaks"], value["cells"])
     raise ValidationError(f"cannot interpret {value!r} as a graphon")
 
 

@@ -551,10 +551,25 @@ MALFORMED = {
                                      + "0" * 400 + ']]}}}'),
     "negative_kernel_bound": ("moments", "--theory-json",
                               '{"kind":"graphon","g":{"2":{"expression":"x*y","bound":-1}}}'),
-    # a declared bound does not widen the symmetry tolerance
+    # a kernel object with a bound is refused as a kernel, before its symmetry is checked
     "asymmetric_kernel_with_bound": ("moments", "--theory-json",
                                      '{"kind":"graphon","g":{"2":{"expression":"2 + x - y",'
                                      '"bound":1e12}}}'),
+    # a kernel is a number, an expression string or a grid: no other object
+    "constant_kernel_object": ("moments", "--theory-json",
+                               '{"kind":"graphon","g":{"2":{"constant":1.0}}}'),
+    "expression_kernel_object": ("moments", "--theory-json",
+                                 '{"kind":"graphon","g":{"2":{"expression":"x*y"}}}'),
+    "expression_kernel_object_with_bound": ("moments", "--theory-json",
+                                            '{"kind":"profile","sigma":{"expression":"x*y",'
+                                            '"bound":2.0}}'),
+    # an order key is its order's own decimal text, so two keys cannot name one order
+    "zero_padded_order_key": ("moments", "--theory-json",
+                              '{"kind":"schedule","values":{"2":1.0,"02":4.0}}', "--two-k", "2"),
+    "underscored_order_key": ("moments", "--theory-json",
+                              '{"kind":"graphon","g":{"1_0":1.0}}', "--two-k", "2"),
+    # json keeps the last of two equal keys; a payload may not repeat one
+    "repeated_json_key": ("moments", "--theory-json", '{"kind":"semicircle","c2":1.0,"c2":9.0}'),
     # overflows: at the one rounding of an exact sum, and inside a cumulant rule
     "overflowing_sparse_rate": ("moments", "--theory-json", '{"kind":"sparse","rate":1e300}',
                                 "--two-k", "4"),
@@ -702,20 +717,6 @@ def test_an_overflowing_kernel_exits_2_without_a_warning(capsys, argv):
     assert err == "error: graphon 'exp(1000*x*y)' is non-finite on the unit square\n"
 
 
-def test_a_declared_bound_does_not_refuse_a_finite_power(capsys):
-    # the power of a declared bound of 1e100 overflows, but (x*y)^4 does not: it exited 2
-    def profile_moments(sigma) -> list[dict]:
-        code, out, err = run(capsys, "moments", "--two-k", "4", "--reproducible", "--theory-json",
-                             json.dumps({"kind": "profile", "sigma": sigma,
-                                         "base": {"kind": "constant", "value": 1}}))
-        assert code == 0, err
-        return json.loads(out)["series"]["entries"]
-
-    entries = profile_moments({"expression": "x*y", "bound": 1e100})
-    assert entries == profile_moments("x*y")
-    assert entries[1]["beta"] == 0.08444444444444445
-
-
 def _graphon_moments(capsys, kernel: str, two_k: int) -> list[dict]:
     code, out, err = run(capsys, "moments", "--theory-json",
                          json.dumps({"kind": "graphon", "g": {"2": kernel}}),
@@ -789,10 +790,10 @@ def test_block_mass_error_prints_a_plain_number(capsys):
 
 
 def test_profile_sigma_reads_every_kernel_form(capsys):
-    # sigma as a grid or an expression object gives what the squared kernel gives directly
+    # sigma as a grid or an expression gives what the squared kernel gives directly
     pairs = [({"breaks": [0, 0.5, 1], "cells": [[1, 2], [2, 1]]},
               {"breaks": [0, 0.5, 1], "cells": [[1, 4], [4, 1]]}),
-             ({"expression": "1 + x*y", "bound": 2.0}, "(1 + x*y)**2")]
+             ("1 + x*y", "(1 + x*y)**2")]
     for sigma, squared in pairs:
         betas = []
         for theory in ({"kind": "profile", "sigma": sigma},

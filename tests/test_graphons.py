@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from esdlab import graphons
 from esdlab.errors import NumericError, ValidationError
 from esdlab.graphons import (
     CumulantSchedule,
@@ -106,9 +107,9 @@ def test_power_scale_preserves_exact_kinds():
     smooth = Graphon.from_expression("4*x*y").power_scale(2, 2.0)
     assert smooth.eval(0.5, 0.5) == pytest.approx(2.0)
     assert smooth.smooth
-    # a declared bound to the power, or, where that overflows, the power measured
-    assert Graphon.from_expression("x*y", bound=3.0).power_scale(2, 2.0).bound == 18.0
-    assert Graphon.from_expression("x*y", bound=1e100).power_scale(4, 2.0).bound == 2.0
+    # the power's bound is |scale| * bound**exponent, the power's maximum on the check grid
+    root = Graphon.from_expression("3*sqrt(x*y)")
+    assert root.power_scale(3, -2.0).bound == 2.0 * root.bound**3 == 54.0
     with pytest.raises(NumericError, match="non-finite on the unit square"):
         Graphon.from_expression("1e200*x*y").power_scale(2, 1.0)
 
@@ -137,12 +138,10 @@ def test_a_band_over_a_band_is_refused():
 
 
 def test_kernel_bound_must_be_nonnegative():
-    with pytest.raises(ValidationError, match="at least 0"):
-        as_graphon({"expression": "x*y", "bound": -1})
-    with pytest.raises(ValidationError, match="at least 0"):
-        Graphon.from_callable(lambda x, y: x * y, bound=float("nan"))
-    bounded = GraphonFamily({2: as_graphon({"expression": "x*y", "bound": 0.0})})
-    assert carleman_partial_sum(bounded, 2).verdict == "divergent"
+    for declared in ({"expression": "x*y", "bound": -1}, {"expression": "x*y", "bound": 0.0}):
+        with pytest.raises(ValidationError, match="cannot interpret"):
+            as_graphon(declared)
+    assert carleman_partial_sum(GraphonFamily({2: 0.0}), 2).verdict == "divergent"
 
 
 def test_as_graphon_coercion():
@@ -152,14 +151,12 @@ def test_as_graphon_coercion():
     assert as_graphon(g) is g
     with pytest.raises(ValidationError):
         as_graphon([1, 2, 3])
-    # the kernel objects a config may hold
+    # the grid, the one kernel object a config may hold
     grid = as_graphon({"breaks": [0.0, 0.5, 1.0], "cells": [[1.0, 2.0], [2.0, 3.0]]})
     assert grid.eval(0.25, 0.75) == 2.0
-    assert as_graphon({"constant": 1.5}).eval(0.1, 0.2) == 1.5
-    bounded = as_graphon({"expression": "x*y", "bound": 2.0})
-    assert bounded.bound == 2.0 and bounded.eval(0.5, 0.5) == 0.25
     for bad in ({"cells": [[1.0]]}, {"constant": 1.0, "expression": "x"}, {"constant": "1"},
-                {"expression": 2.0}, {"expression": "x*y", "bound": "2"}, True):
+                {"expression": 2.0}, {"expression": "x*y", "bound": "2"}, True,
+                {"constant": 1.5}, {"expression": "x*y"}, {"expression": "x*y", "bound": 2.0}):
         with pytest.raises(ValidationError):
             as_graphon(bad)
 
@@ -208,6 +205,16 @@ def test_family_builds_each_member_once(monkeypatch):
     graphon_series(fam, 10)
     assert len(calls) == 5  # one per order 2, 4, ..., 10, though beta_10 asks for all five
     assert fam.g(4) is fam.g(4)
+
+
+def test_a_profile_series_checks_its_kernel_once(monkeypatch):
+    # each power's bound is |scale| * bound**exponent: the check grid is read at construction
+    calls = []
+    checked = graphons._checked_bound
+    monkeypatch.setattr(graphons, "_checked_bound",
+                        lambda *args: calls.append(args) or checked(*args))
+    graphon_series(profile_family("2*sqrt(x*y)", CumulantSchedule.constant(1.0)), 10)
+    assert len(calls) == 1
 
 
 def test_family_keeps_a_zero_member_but_not_an_error():
