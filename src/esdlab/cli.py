@@ -309,9 +309,9 @@ def cmd_ss(args: argparse.Namespace) -> int:
 
         def words():
             nonlocal written
-            for word in comb.enumerate_ss(two_k):
+            for letters in comb.ss_letters(two_k):
                 written += 1
-                yield str(word)
+                yield comb.spell(letters)
 
         listing = words()
         _emit(args, {}, {"two_k": two_k, "count": count, "words": listing},
@@ -344,6 +344,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     model_cfg = _payload(args, "model")
     spec = model_spec_from_config(model_cfg, n=args.n, seed=args.seed)
     require_moment_order(args.k_max)
+    if args.bins is not None and args.bins < 1:
+        raise ValidationError(f"need at least one bin, got {args.bins}")
     esds = replicate_esds(spec, args.reps, budget=args.budget)
     moments = [{"k": e.order, "value": e.value, "se": e.error if args.reps > 1 else None}
                for e in spectral_moments(esds, args.k_max).entries]
@@ -380,8 +382,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_circuits(args: argparse.Namespace) -> int:
-    from fractions import Fraction
-
     from . import circuits as circuits_mod
     from . import combinatorics as comb
 
@@ -399,7 +399,7 @@ def cmd_circuits(args: argparse.Namespace) -> int:
     for n in n_values:
         res = circuits_mod.count_circuits(word, n, budget=args.budget)
         entries.append({"n": n, "count": res.count, "ratio": float(res.ratio),
-                        "ratio_exact": str(Fraction(res.ratio))})
+                        "ratio_exact": str(res.ratio)})
         rows.append([str(word), n, res.count, repr(float(res.ratio))])
     _emit(args, {}, {"word": str(word), "results": entries}, rows)
     return 0

@@ -12,20 +12,23 @@ its letters; calling ``Word(...)`` checks that they are canonical.
 
 The module provides the predicates used to stratify words (even, symmetric,
 special symmetric), the census of special symmetric words by block count
-(from the color-class recursion, no enumeration) and three enumerators:
+(from the color-class recursion, no enumeration) and three enumerators.
+One depth-first walk on colored trees (see :mod:`esdlab.trees`) decides the
+special symmetric class (``is_special_symmetric``) and lists it
+(``ss_letters``, wrapped by ``enumerate_ss``).
 
 * ``enumerate_partitions_brute``: every canonical word of length k, in
   lexicographic order (Bell-number growth, capped at k = 12).  This is the
   slow oracle.
 * ``enumerate_ss``: only the special symmetric words, generated directly by
-  the depth-first walk on their colored trees (see :mod:`esdlab.trees`), so
-  the cost is linear in the output size instead of the Bell number.  From a
-  node of color c the next letter closes that node (c itself), opens a child
-  of an existing color whose parent color is c, or opens a child of a fresh
-  color.  A color's parent color fixes its depth, so the walk keeps no
-  depth map.  The walk runs on one explicit stack of immutable frames, in
-  the same lexicographic order as a recursive walk, and builds each word
-  without re-validating it, since the walk only spells canonical words.
+  the walk, so the cost is linear in the output size instead of the Bell
+  number.  From a node of color c the next letter closes that node (c
+  itself), opens a child of an existing color whose parent color is c, or
+  opens a child of a fresh color.  A color's parent color fixes its depth,
+  so the walk keeps no depth map.  The walk yields letter tuples, in the
+  same lexicographic order as a recursive walk; ``enumerate_ss`` wraps them
+  into words unchecked (the walk only spells canonical words), and
+  ``esdlab ss --list`` spells them straight to text.
 * ``enumerate_nc2``: non-crossing pair partitions, generated independently
   from balanced bracket sequences with an explicit stack.  Used as an oracle
   for the identity "special symmetric pair partitions = non-crossing pair
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import string
 from functools import total_ordering
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CapacityError, ValidationError
 from .treesum import tree_sum
@@ -120,10 +123,7 @@ class Word:
         return hash((self.letters,))
 
     def __str__(self) -> str:
-        # a canonical word of at most 26 positions has at most 26 letters
-        if len(self.letters) <= 26 or self.n_letters <= 26:
-            return bytes(self.letters).translate(_ASCII_LETTERS).decode()
-        return ",".join(str(v) for v in self.letters)
+        return spell(self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -139,6 +139,14 @@ class Word:
         for v in self.letters:
             counts[v - 1] += 1
         return tuple(counts)
+
+
+def spell(letters: tuple[int, ...]) -> str:
+    """Canonical letters as text: a-z, or comma-separated integers past 26 letters."""
+    # a canonical word of at most 26 positions has at most 26 letters
+    if len(letters) <= 26 or max(letters) <= 26:
+        return bytes(letters).translate(_ASCII_LETTERS).decode()
+    return ",".join(map(str, letters))
 
 
 def _canonical_word(letters: tuple[int, ...]) -> Word:
@@ -223,57 +231,35 @@ def is_symmetric(word: Word) -> bool:
     return all(v == 0 for v in balance)
 
 
-def _consecutive_runs(block: Sequence[int]) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive integers in a sorted block, as (lo, hi)."""
-    runs = []
-    lo = prev = block[0]
-    for v in block[1:]:
-        if v != prev + 1:
-            runs.append((lo, prev))
-            lo = v
-        prev = v
-    runs.append((lo, prev))
-    return runs
-
-
-def _ss_recursive(blocks: list[tuple[int, ...]]) -> bool:
-    if not blocks:
-        return True
-    last = blocks[-1]
-    runs = _consecutive_runs(last)
-    if any((hi - lo + 1) % 2 for lo, hi in runs):
-        return False
-    # Between two successive runs of the last block, every other block must
-    # contribute an even number of elements.
-    for (_, hi_left), (lo_right, _) in zip(runs, runs[1:]):
-        for other in blocks[:-1]:
-            inside = sum(1 for v in other if hi_left < v < lo_right)
-            if inside % 2:
-                return False
-    # Strip the last block, relabel what remains by rank, recurse.
-    remaining = sorted(v for block in blocks[:-1] for v in block)
-    rank = {v: i + 1 for i, v in enumerate(remaining)}
-    rest = [tuple(rank[v] for v in block) for block in blocks[:-1]]
-    return _ss_recursive(rest)
-
-
 def is_special_symmetric(word: Word) -> bool:
     """Membership in the special symmetric class SS(k).
 
-    Recursive test: the last block must be a union of even-length intervals
-    of consecutive positions, the gaps between those intervals must contain
-    an even number of elements of every other block, and the word left after
-    deleting the last block (relabeled to 1..k') must again pass.  Odd-length
-    words never qualify.
+    The paper's definition removes blocks: the last block must be a union of
+    even-length intervals of consecutive positions, the gaps between them
+    must hold an even number of elements of every other block, and the word
+    left without the last block (relabeled to 1..k') must again pass.  The
+    tree walk decides it in O(k): a letter equal to the open color on top
+    closes that node, any other opens a child, and a color must always open
+    under the color it first opened under; the word passes when the walk
+    ends at the root, so odd lengths never do.
+    ``test_walk_agrees_with_block_removal_oracle`` checks the walk against
+    the definition (``tests/ss_oracle.py``) on every word of length <= 10.
 
     >>> is_special_symmetric(Word.from_string("aabbaabb"))
     True
     >>> is_special_symmetric(Word.from_string("abab"))
     False
     """
-    if len(word) % 2:
-        return False
-    return _ss_recursive(list(partition_from_word(word)))
+    path = [0]  # the open colors, root first
+    parent = {}
+    for letter in word.letters:
+        if letter == path[-1]:
+            path.pop()
+        elif parent.setdefault(letter, path[-1]) == path[-1]:
+            path.append(letter)
+        else:
+            return False
+    return len(path) == 1
 
 
 def classify(word: Word) -> SSClassification:
@@ -316,8 +302,8 @@ def enumerate_partitions_brute(k: int) -> Iterator[Word]:
     yield from extend(0, 0)
 
 
-def enumerate_ss(two_k: int) -> Iterator[Word]:
-    """All special symmetric words of length two_k, lexicographically.
+def ss_letters(two_k: int) -> Iterator[tuple[int, ...]]:
+    """The letters of every special symmetric word of length two_k, lexicographically.
 
     The walk offers its moves in letter order: closing the current node
     (its own color, smaller than any of its children's), then the existing
@@ -325,14 +311,12 @@ def enumerate_ss(two_k: int) -> Iterator[Word]:
     frames (letters, open path, parent colors, downs taken), pushing each
     frame's moves in reverse so they pop in that order; once all two_k/2
     downs are taken only closing moves remain, and they are appended at
-    once.  Every complete walk is a distinct canonical word, so the words
-    are built without re-validation.  The walk is lazy: it holds one frame
-    per pending move, never the whole list.  Odd lengths yield nothing (the
-    class is empty), mirroring the mathematical convention rather than
-    raising.
+    once.  The walk is lazy: it holds one frame per pending move, never the
+    whole list.  Odd lengths yield nothing (the class is empty), mirroring
+    the mathematical convention rather than raising.
 
-    >>> [str(w) for w in enumerate_ss(4)]
-    ['aaaa', 'aabb', 'abba']
+    >>> list(ss_letters(4))
+    [(1, 1, 1, 1), (1, 1, 2, 2), (1, 2, 2, 1)]
     """
     if two_k < 1:
         raise ValidationError(f"word length must be >= 1, got {two_k}")
@@ -345,7 +329,7 @@ def enumerate_ss(two_k: int) -> Iterator[Word]:
     while stack:
         letters, path, parent, downs = stack.pop()
         if downs == k:  # close every open node, deepest first
-            yield _canonical_word(letters + path[:0:-1])
+            yield letters + path[:0:-1]
             continue
         here = path[-1]
         fresh = len(parent)
@@ -355,6 +339,18 @@ def enumerate_ss(two_k: int) -> Iterator[Word]:
                 stack.append((letters + (color,), path + (color,), parent, downs + 1))
         if here:
             stack.append((letters + (here,), path[:-1], parent, downs))
+
+
+def enumerate_ss(two_k: int) -> Iterator[Word]:
+    """All special symmetric words of length two_k, lexicographically, as ``Word`` records.
+
+    Every complete walk of :func:`ss_letters` is a distinct canonical word,
+    so the words are built without re-validation.
+
+    >>> [str(w) for w in enumerate_ss(4)]
+    ['aaaa', 'aabb', 'abba']
+    """
+    return map(_canonical_word, ss_letters(two_k))
 
 
 def count_ss_by_blocks(two_k: int) -> dict[int, int]:

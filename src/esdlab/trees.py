@@ -15,10 +15,12 @@ Valid colorings satisfy three properties:
 
 Because of (b)+(c) a color can never parent itself, so the walk is decodable
 from the word alone: a letter equal to the current node's color closes that
-node (step up), anything else opens a child (step down).  The words are
-listed by :func:`esdlab.combinatorics.enumerate_ss`, which runs this walk;
-:func:`enumerate_trees` decodes them. :func:`word_from_tree` checks a tree by
-the same decoding: the tree's walk must spell a special symmetric word that
+node (step up), anything else opens a child (step down).  Holding each
+color to the parent color it first opened under gives (b), and (c) with it.
+This walk decides membership (:func:`esdlab.combinatorics.is_special_symmetric`)
+and lists the class (:func:`esdlab.combinatorics.enumerate_ss`), whose words
+:func:`enumerate_trees` decodes. :func:`word_from_tree` checks a tree by the
+same decoding: the tree's walk must spell a special symmetric word that
 decodes back to the tree.
 """
 

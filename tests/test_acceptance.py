@@ -22,7 +22,6 @@ from esdlab.combinatorics import (
     enumerate_nc2,
     enumerate_partitions_brute,
     enumerate_ss,
-    is_special_symmetric,
 )
 from esdlab.graphons import Graphon, GraphonFamily
 from esdlab.models import ModelSpec, sample, truncate
@@ -30,6 +29,8 @@ from esdlab.moments import CumulantSchedule, moment_graphon
 from esdlab.models import DEFAULT_SEED
 from esdlab.spectra import eesd_moments, eigenvalues, wasserstein2
 from esdlab.trees import enumerate_trees, tree_from_word, word_from_tree
+
+import ss_oracle
 
 
 def _verdict(number, text, ok):
@@ -51,7 +52,7 @@ def test_criterion_02_brute_force_oracle():
     ok = True
     for two_k in (2, 4, 6, 8, 10):
         brute = {
-            w for w in enumerate_partitions_brute(two_k) if is_special_symmetric(w)
+            w for w in enumerate_partitions_brute(two_k) if ss_oracle.is_special_symmetric(w)
         }
         ok = ok and brute == set(enumerate_ss(two_k))
     elapsed = time.perf_counter() - start
@@ -86,7 +87,7 @@ def test_criterion_05_circuit_counts():
     ok = all(count_circuits(aa, n).count == n * n for n in range(1, 33))
     for length in range(1, 7):
         for word in enumerate_partitions_brute(length):
-            if is_special_symmetric(word):
+            if ss_oracle.is_special_symmetric(word):
                 continue
             b = word.n_letters
             for n in range(2, 7):

@@ -15,8 +15,10 @@ from esdlab.circuits import (
     count_circuits,
     ratio_table,
 )
-from esdlab.combinatorics import Word, enumerate_partitions_brute, is_special_symmetric
+from esdlab.combinatorics import Word, enumerate_partitions_brute
 from esdlab.errors import CapacityError, ValidationError
+
+import ss_oracle
 
 
 def brute_count(word, n):
@@ -179,7 +181,7 @@ def test_non_ss_words_are_subleading():
     # non special symmetric words never reach the n^(b+1) growth rate
     for length in range(2, 7):
         for word in enumerate_partitions_brute(length):
-            if is_special_symmetric(word):
+            if ss_oracle.is_special_symmetric(word):
                 continue
             b = word.n_letters
             for n in range(2, 7):

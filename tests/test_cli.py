@@ -123,8 +123,8 @@ def test_ss_list_runs_in_constant_memory():
 def test_ss_list_fails_when_the_word_walk_disagrees_with_the_census():
     code = ("import itertools, sys\n"
             "from esdlab import combinatorics\n"
-            "walk = combinatorics.enumerate_ss\n"
-            "combinatorics.enumerate_ss = lambda two_k: itertools.islice(walk(two_k), 1, None)\n"
+            "walk = combinatorics.ss_letters\n"
+            "combinatorics.ss_letters = lambda two_k: itertools.islice(walk(two_k), 1, None)\n"
             "from esdlab.cli import main\n"
             "sys.exit(main(['ss', '6', '--list', '--reproducible']))\n")
     done = _python("-c", code)
@@ -284,13 +284,14 @@ def test_simulate_budget_exit_code(capsys):
 
 def test_bad_moment_order_exits_before_sampling(capsys, monkeypatch):
     def no_sampling(spec):
-        raise AssertionError("sampled before the moment order was checked")
+        raise AssertionError("sampled before the flags were checked")
 
     monkeypatch.setattr(esdlab.spectra, "sample", no_sampling)
-    code, _, err = run(capsys, "simulate", "--model-json", '{"variant":"gaussian_wigner"}',
-                       "--n", "1000", "--reps", "5", "--k-max", "0")
-    assert code == 2
-    assert "moment order" in err
+    for flags, refusal in ((["--k-max", "0"], "moment order"), (["--bins", "0"], "bin")):
+        code, _, err = run(capsys, "simulate", "--model-json", '{"variant":"gaussian_wigner"}',
+                           "--n", "1000", "--reps", "5", *flags)
+        assert code == 2
+        assert refusal in err
     spec = esdlab.models.ModelSpec("gaussian_wigner", 1000, seed=DEFAULT_SEED)
     with pytest.raises(esdlab.errors.ValidationError, match="moment order"):
         esdlab.spectra.eesd_moments(spec, 0, 5)

@@ -31,6 +31,8 @@ from esdlab.combinatorics import (
 import esdlab
 from esdlab.errors import CapacityError, ValidationError
 
+import ss_oracle
+
 
 def test_word_partition_round_trip_examples():
     assert str(word_from_partition([{1, 3}, {2, 4, 5}])) == "ababb"
@@ -148,13 +150,21 @@ def test_classification_hierarchy_exhaustive():
                 assert c.is_even
             assert c.is_even == is_even(word)
             assert c.is_symmetric == is_symmetric(word)
-            assert c.is_special_symmetric == is_special_symmetric(word)
+            assert c.is_special_symmetric == ss_oracle.is_special_symmetric(word)
 
 
 def test_brute_filter_matches_fast_enumeration():
     for two_k in (2, 4, 6, 8):
-        brute = [w for w in enumerate_partitions_brute(two_k) if is_special_symmetric(w)]
+        brute = [w for w in enumerate_partitions_brute(two_k)
+                 if ss_oracle.is_special_symmetric(w)]
         assert brute == list(enumerate_ss(two_k))
+
+
+def test_walk_agrees_with_block_removal_oracle():
+    # the tree walk against the paper's definition, odd lengths included
+    for length in range(1, 11):
+        for word in enumerate_partitions_brute(length):
+            assert is_special_symmetric(word) == ss_oracle.is_special_symmetric(word), word
 
 
 def test_enumeration_is_sorted_and_duplicate_free():
@@ -168,7 +178,7 @@ def test_long_enumeration_matches_the_census():
     words = list(enumerate_ss(14))
     letters = [w.letters for w in words]
     assert letters == sorted(set(letters))
-    assert all(is_special_symmetric(w) for w in words)
+    assert all(ss_oracle.is_special_symmetric(w) for w in words)
     tally = {}
     for w in words:
         tally[w.n_letters] = tally.get(w.n_letters, 0) + 1
