@@ -14,9 +14,11 @@ whichever end the walk is at; a new letter takes an edge that no other letter
 holds, to a vertex already used or the next fresh one, if fewer than n are
 used, and only to vertex 0 at the last step. A circuit counts when the walk
 ends at vertex 0. Each such canonical circuit with m distinct vertices stands
-for n(n-1)...(n-m+1) circuits over {1..n}.  Once n exceeds the number of
-letters the search depends on the word alone, so a count costs the same at
-every larger n and stays an exact integer.
+for n(n-1)...(n-m+1) circuits over {1..n}, so one search, capped at the
+largest n asked for, tallies them by m and serves every n (``ratio_table``;
+``count_circuits`` is its one-n case). Once n exceeds the number of letters
+the search depends on the word alone, so a count costs the same at every
+larger n and stays an exact integer.
 
 The capacity guard (``budget``) checks the size of that search: before its
 s-th generating step at most s vertices are in use, so the step offers at
@@ -63,50 +65,12 @@ def _budget_estimate(word: Word, n: int) -> int:
 
 
 def count_circuits(word: Word, n: int, budget: int = DEFAULT_CIRCUIT_BUDGET) -> CircuitCount:
-    """Exact |Pi(word)| for matrices of size n.
+    """Exact |Pi(word)| for matrices of size n: the one-n case of ratio_table.
 
     >>> count_circuits(Word.from_string("aa"), 5).count
     25
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    estimate = _budget_estimate(word, n)
-    if estimate > budget:
-        raise CapacityError(
-            f"counting circuits for {word} at n={n} may explore ~{estimate} "
-            f"assignments (budget {budget}); raise the budget to proceed"
-        )
-    k, letters = len(word), word.letters
-    edges: list[tuple[int, int]] = []  # letter - 1 -> its unordered edge
-    taken: set[tuple[int, int]] = set()  # the same edges, to look up
-    # canonical circuits by the number m of distinct vertices they use
-    by_vertices: Counter[int] = Counter()
-
-    def walk(i: int, at: int, m: int) -> None:
-        if i == k:
-            by_vertices[m] += at == 0  # a circuit ends where it started
-            return
-        letter = letters[i]
-        if letter <= len(edges):  # cross the letter's edge from the end the walk is at
-            u, v = edges[letter - 1]
-            if at == u or at == v:
-                walk(i + 1, u + v - at, m)
-            return
-        # a used vertex, or the next fresh one while fewer than n are used
-        for value in (0,) if i == k - 1 else range(min(m + 1, n)):
-            edge = (at, value) if at <= value else (value, at)
-            if edge not in taken:  # else that edge belongs to a different letter
-                edges.append(edge)
-                taken.add(edge)
-                walk(i + 1, value, max(m, value + 1))
-                edges.pop()
-                taken.remove(edge)
-
-    walk(0, 0, 1)
-    count = sum(c * perm(n, m) for m, c in by_vertices.items())
-
-    b = word.n_letters
-    return CircuitCount(word, n, count, Fraction(count, n ** (b + 1)))
+    return ratio_table(word, [n], budget=budget)[0]
 
 
 def classify_occurrences(
@@ -150,5 +114,46 @@ def classify_occurrences(
 
 
 def ratio_table(word: Word, n_values: Sequence[int], budget: int = DEFAULT_CIRCUIT_BUDGET) -> list[CircuitCount]:
-    """count_circuits across several n, for convergence tables."""
-    return [count_circuits(word, n, budget=budget) for n in n_values]
+    """count_circuits at each n of ``n_values``, in order with repeats kept, for
+    convergence tables: every n passes the guard before one search, capped at the
+    largest n, tallies canonical circuits by vertex number m for sum c_m perm(n, m)."""
+    for n in n_values:
+        if n < 1:
+            raise ValidationError(f"n must be >= 1, got {n}")
+        estimate = _budget_estimate(word, n)
+        if estimate > budget:
+            raise CapacityError(
+                f"counting circuits for {word} at n={n} may explore ~{estimate} "
+                f"assignments (budget {budget}); raise the budget to proceed"
+            )
+    top = max(n_values, default=1)
+    k, letters = len(word), word.letters
+    edges: list[tuple[int, int]] = []  # letter - 1 -> its unordered edge
+    taken: set[tuple[int, int]] = set()  # the same edges, to look up
+    # canonical circuits by the number m of distinct vertices they use
+    by_vertices: Counter[int] = Counter()
+
+    def walk(i: int, at: int, m: int) -> None:
+        if i == k:
+            by_vertices[m] += at == 0  # a circuit ends where it started
+            return
+        letter = letters[i]
+        if letter <= len(edges):  # cross the letter's edge from the end the walk is at
+            u, v = edges[letter - 1]
+            if at == u or at == v:
+                walk(i + 1, u + v - at, m)
+            return
+        # a used vertex, or the next fresh one while fewer than top are used
+        for value in (0,) if i == k - 1 else range(min(m + 1, top)):
+            edge = (at, value) if at <= value else (value, at)
+            if edge not in taken:  # else that edge belongs to a different letter
+                edges.append(edge)
+                taken.add(edge)
+                walk(i + 1, value, max(m, value + 1))
+                edges.pop()
+                taken.remove(edge)
+
+    walk(0, 0, 1)
+    b = word.n_letters
+    counts = [(n, sum(c * perm(n, m) for m, c in by_vertices.items())) for n in n_values]
+    return [CircuitCount(word, n, count, Fraction(count, n ** (b + 1))) for n, count in counts]

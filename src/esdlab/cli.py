@@ -191,9 +191,13 @@ def _apply_config(args: argparse.Namespace) -> dict:
 
 def _payload(args: argparse.Namespace, *sections: str):
     """The payload of this run, read once: the --config file's, else the JSON of the
-    inline ``--SECTION-json`` flags, that section's itself or an object of several."""
+    inline ``--SECTION-json`` flags, that section's itself or an object of several.
+    A command with no sections takes no payload: its config may set only "args"."""
     payload = _apply_config(args)
-    if payload:
+    if payload and not sections:
+        raise ValidationError(f"unknown keys {sorted(payload)} in {args.command} config; "
+                              f"{args.command} takes only 'args'")
+    if payload or not sections:
         return payload
     inline = {section: _load_json(getattr(args, f"{section}_json"), f"--{section}-json")
               for section in sections}
@@ -201,14 +205,6 @@ def _payload(args: argparse.Namespace, *sections: str):
         raise ValidationError(f"{args.command} needs --config or "
                               + " and ".join(f"--{section}-json" for section in sections))
     return inline if len(sections) > 1 else inline[sections[0]]
-
-
-def _apply_args_only_config(args: argparse.Namespace) -> None:
-    """Load --config for a command that takes no payload: only "args" may be set."""
-    payload = _apply_config(args)
-    if payload:
-        raise ValidationError(f"unknown keys {sorted(payload)} in {args.command} config; "
-                              f"{args.command} takes only 'args'")
 
 
 def _sha256_hex(blob: bytes) -> str:
@@ -282,7 +278,7 @@ def _write_json(fh, document: dict) -> None:
 def cmd_ss(args: argparse.Namespace) -> int:
     from . import combinatorics as comb
 
-    _apply_args_only_config(args)
+    _payload(args)
     # checked here, not by argparse, because config "args" overrides skip the parser
     modes = [f"--{dest.replace('_', '-')}" for dest in ("list", "by_blocks", "count_only")
              if getattr(args, dest)]
@@ -385,7 +381,7 @@ def cmd_circuits(args: argparse.Namespace) -> int:
     from . import circuits as circuits_mod
     from . import combinatorics as comb
 
-    _apply_args_only_config(args)
+    _payload(args)
     word = comb.Word.from_string(args.word)
     try:
         n_values = [int(part) for part in str(args.n_values).split(",") if part.strip()]
@@ -394,13 +390,11 @@ def cmd_circuits(args: argparse.Namespace) -> int:
                               f"got {args.n_values!r}") from None
     if not n_values or any(n < 1 for n in n_values):
         raise ValidationError("matrix sizes must be positive")
-    rows = [["word", "n", "count", "ratio"]]
-    entries = []
-    for n in n_values:
-        res = circuits_mod.count_circuits(word, n, budget=args.budget)
-        entries.append({"n": n, "count": res.count, "ratio": float(res.ratio),
-                        "ratio_exact": str(res.ratio)})
-        rows.append([str(word), n, res.count, repr(float(res.ratio))])
+    table = circuits_mod.ratio_table(word, n_values, budget=args.budget)
+    entries = [{"n": res.n, "count": res.count, "ratio": float(res.ratio),
+                "ratio_exact": str(res.ratio)} for res in table]
+    rows = [["word", "n", "count", "ratio"],
+            *([str(word), res.n, res.count, repr(float(res.ratio))] for res in table)]
     _emit(args, {}, {"word": str(word), "results": entries}, rows)
     return 0
 

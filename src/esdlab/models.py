@@ -320,10 +320,11 @@ def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
         if truncation < 0:
             raise ValidationError(f"truncation threshold must be >= 0, got {truncation}")
         alpha, b = p["tail_index"], float(truncation)
+        cut = at_n is not None and b <= float(at_n) ** (-1.0 / alpha)  # then every entry is cut
 
         def heavy(two_k: int) -> float:
             tail = 0.0 if at_n is None else float(at_n) ** (1.0 - two_k / alpha)
-            return alpha / (two_k - alpha) * (b ** (two_k - alpha) - tail)
+            return 0.0 if cut else alpha / (two_k - alpha) * (b ** (two_k - alpha) - tail)
 
         return CumulantSchedule(f"heavy tail alpha={alpha} B={b}", rule=heavy)
     if spec.variant == "variance_profile":

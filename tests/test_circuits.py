@@ -210,6 +210,32 @@ def test_ratio_table_shape():
     rows = ratio_table(Word.from_string("aabb"), [2, 3, 4])
     assert [r.n for r in rows] == [2, 3, 4]
     assert [r.count for r in rows] == [4, 18, 48]
+    # one search at the largest n serves every n, in the order given, repeats kept
+    n_values = (5, 1, 3, 5, 2, 4)
+    for length in range(1, 8):
+        for word in enumerate_partitions_brute(length):
+            rows = ratio_table(word, n_values)
+            assert [r.n for r in rows] == list(n_values)
+            assert [r.count for r in rows] == [walk_census(length, n).get(word, 0)
+                                               for n in n_values], word
+            assert rows == [count_circuits(word, n) for n in n_values], word
+
+
+def test_top_coefficient_marks_special_symmetric_words():
+    # |Pi(w)| = sum c_m n(n-1)...(n-m+1), and c_(b+1) is 1 exactly on SS words
+    for length in range(1, 9):
+        for word in enumerate_partitions_brute(length):
+            top = round(count_circuits(word, 10**9).ratio)
+            assert top == (1 if ss_oracle.is_special_symmetric(word) else 0), word
+
+
+def test_ratio_table_checks_every_n_before_searching():
+    wide = Word.from_string("abcdef")  # 162 assignments at n = 3, 720 at n >= 6
+    with pytest.raises(CapacityError, match="at n=6 "):
+        ratio_table(wide, [3, 6, 4, 7], budget=500)
+    with pytest.raises(ValidationError, match="got 0"):
+        ratio_table(wide, [3, 0, 7], budget=500)
+    assert ratio_table(wide, []) == []
 
 
 def test_occurrence_labels_against_first_traversal():

@@ -413,6 +413,15 @@ def test_circuits_budget_follows_the_search_not_n(capsys):
     assert json.loads(out)["results"][0]["count"] == 1_072_693_248
 
 
+def test_circuits_budget_refuses_the_first_n_past_it(capsys):
+    # abcdef explores ~162 assignments at n = 3, ~384 at n = 4 and ~720 at n >= 6
+    code, out, err = run(capsys, "circuits", "abcdef", "--n-values", "3,6,4,7",
+                         "--budget", "500", "--reproducible")
+    assert (code, out) == (3, "")
+    assert err == ("capacity: counting circuits for abcdef at n=6 may explore ~720 "
+                   "assignments (budget 500.0); raise the budget to proceed\n")
+
+
 def test_circuits_rejects_bad_word(capsys):
     code, _, err = run(capsys, "circuits", "ba", "--reproducible")
     assert code == 2

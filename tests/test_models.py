@@ -147,6 +147,19 @@ def test_heavy_tailed_truncation_identity():
     assert abs(terms.mean() - theory) <= 5 * se
 
 
+def test_heavy_tailed_cumulants_vanish_when_truncation_cuts_every_entry():
+    # the sampler's smallest |entry| is n^(-1/alpha) = 0.01 at alpha = 1.5, n = 1000
+    spec = ModelSpec("heavy_tailed", 1000, 1, {"tail_index": 1.5})
+    for b in (0.0, 0.005, 0.01):
+        sched = effective_cumulants(spec, at_n=1000, truncation=b)
+        assert [sched.value(two_k) for two_k in (2, 4, 6, 8)] == [0.0] * 4
+    # above the cutoff the closed form stands, bit for bit
+    for b, values in ((0.02, [0.12426406871192837, 2.7941125496954275e-05, 7.209138999323174e-09]),
+                      (1.0, [2.6999999999999997, 0.599994, 0.333333333])):
+        sched = effective_cumulants(spec, at_n=1000, truncation=b)
+        assert [sched.value(two_k) for two_k in (2, 4, 6)] == values
+
+
 def test_heavy_tailed_limit_cumulants():
     spec = ModelSpec("heavy_tailed", 100, 1, {"tail_index": 1.2})
     sched = effective_cumulants(spec, truncation=3.0)
