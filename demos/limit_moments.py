@@ -36,7 +36,8 @@ print("sparse lam=2:", [moment_graphon(sparse, 2 * k).value for k in range(1, 4)
 print("  order 6 decomposition:", sorted(count_ss_by_blocks(6).items()),
       "-> 1*2 + 6*4 + 5*8 =", moment_graphon(sparse, 6).value)
 
-# an inhomogeneous variance kernel; smooth kernels integrate by quadrature
+# an inhomogeneous variance kernel; a polynomial in x and y is summed exactly
+# by the cell rule, with no quadrature error
 fam = GraphonFamily(entries={2: Graphon.from_expression("4*x*y")})
 entry = moment_graphon(fam, 4)
 print(f"\nkernel 4xy: beta_4 = {entry.value:.12f} ({entry.provenance}, "
@@ -50,8 +51,8 @@ print("block 2x2:",
 print("profile sigma=0.5:",
       moment_graphon(profile_family(Graphon.constant(0.5), sched), 4).value)
 
-# moment determinacy: the diagnostic sums beta_2k^(-1/2k) upper bounds and
-# reports whether the series visibly diverges
+# moment determinacy: the diagnostic sums alpha_2k^(-1/2k), alpha_2k built from
+# the kernel bounds, and reports whether the series visibly diverges
 print("\ngrowth diagnostic (verdict, fitted log-log slope):")
 for name, source in [
     ("semicircle", CumulantSchedule.semicircle()),

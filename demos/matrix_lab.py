@@ -26,12 +26,10 @@ from esdlab import (
 # one gaussian draw: symmetric, entries at scale 1/sqrt(n)
 spec = ModelSpec("gaussian_wigner", 400, seed=2024)
 drawn = sample(spec)
-print("matrix:", drawn.matrix.shape, "symmetric:",
-      bool(np.array_equal(drawn.matrix, drawn.matrix.T)))
+print("matrix:", drawn.shape, "symmetric:", bool(np.array_equal(drawn, drawn.T)))
 
 # its spectrum against the semicircle density, as a text profile
-esd = eigenvalues(drawn.matrix)
-hist = histogram(esd, bins=13)
+hist = histogram(eigenvalues(drawn), bins=13)
 mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
 print("\n  mid   empirical  semicircle")
 for mid, dens in zip(mids, hist.density):
@@ -46,8 +44,8 @@ print("\nsparse rate=2, n=500, 20 replicates:")
 print(report.format_table())
 
 # spectra of nearby matrices stay close: the coupling bound in action
-a = sample(ModelSpec("gaussian_wigner", 300, seed=5)).matrix
-noise = sample(ModelSpec("gaussian_wigner", 300, seed=6)).matrix
+a = sample(ModelSpec("gaussian_wigner", 300, seed=5))
+noise = sample(ModelSpec("gaussian_wigner", 300, seed=6))
 b = a + 0.05 * noise
 d2 = wasserstein2(eigenvalues(a), eigenvalues(b))
 bound = np.sqrt(np.trace((a - b) @ (a - b)) / 300)

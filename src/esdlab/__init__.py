@@ -26,11 +26,11 @@ _EXPORTS = {
     "errors": "CapacityError NumericError ValidationError",
     "expressions": "compile_expression",
     "graphons": "CumulantSchedule Graphon GraphonFamily block_family profile_family",
-    "models": "DEFAULT_SEED ModelSpec SampledMatrix effective_cumulants sample truncate",
+    "models": "DEFAULT_SEED ModelSpec effective_cumulants sample truncate",
     "moments": "CarlemanReport MomentEntry MomentSeries carleman_partial_sum graphon_series "
                "moment_graphon",
     "quadrature": "",
-    "spectra": "ESD Histogram eesd_moments eigenvalues empirical_moments histogram "
+    "spectra": "Histogram eesd_moments eigenvalues empirical_moments histogram "
                "replicate_esds semicircle_density spectral_moments wasserstein2",
     "trees": "ColoredTree enumerate_trees tree_from_word word_from_tree",
     "treesum": "",

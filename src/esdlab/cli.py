@@ -335,18 +335,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .compare import model_spec_from_config
-    from .spectra import ESD, histogram, replicate_esds, require_moment_order, spectral_moments
+    from .spectra import histogram, replicate_esds, require_moment_order, spectral_moments
 
     model_cfg = _payload(args, "model")
     spec = model_spec_from_config(model_cfg, n=args.n, seed=args.seed)
     require_moment_order(args.k_max)
     if args.bins is not None and args.bins < 1:
         raise ValidationError(f"need at least one bin, got {args.bins}")
-    esds = replicate_esds(spec, args.reps, budget=args.budget)
+    spectra = replicate_esds(spec, args.reps, budget=args.budget)
     moments = [{"k": e.order, "value": e.value, "se": e.error if args.reps > 1 else None}
-               for e in spectral_moments(esds, args.k_max).entries]
-    pooled = np.sort(np.concatenate([e.eigenvalues for e in esds]))
-    hist = histogram(ESD(pooled, {"pooled": args.reps}), bins=args.bins)
+               for e in spectral_moments(spectra, args.k_max).entries]
+    pooled = np.sort(np.concatenate(spectra))
+    hist = histogram(pooled, bins=args.bins)
     doc = {"model": spec.to_json_dict(), "replicates": args.reps,
            "moments": moments, "histogram": hist.to_json_dict()}
     if pooled.size <= 4000:

@@ -1,6 +1,6 @@
 """Samplers for the random-matrix ensembles whose limits the theory side computes.
 
-Matrices are symmetric with independent entries on and above the diagonal.
+A draw is a plain symmetric float64 array, independent on and above the diagonal.
 Every entry is a deterministic function of (seed, i, j): row i of the upper
 triangle comes from the counter-based Philox stream keyed by (seed, i), drawn
 in one vectorized call, so results are identical regardless of evaluation order
@@ -130,18 +130,6 @@ class ModelSpec(_SpecFields):
                 "params": dict(self.params), "zero_diagonal": self.zero_diagonal}
 
 
-class SampledMatrix(NamedTuple):
-    """Dense symmetric draw plus the spec that produced it."""
-
-    matrix: np.ndarray
-    spec: ModelSpec
-    truncated_at: Optional[float] = None
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-
 def _row_rngs(seed: int, rows: Iterable[int]) -> Iterator[np.random.Generator]:
     """For each row, one Generator set to the Philox stream keyed by (seed, row).
 
@@ -228,8 +216,8 @@ def _row_sampler(spec: ModelSpec):
     return lambda rng, i: rng.standard_normal(n - i) / np.sqrt(n) * scales[labels[i], labels[i:]]
 
 
-def sample(spec: ModelSpec) -> SampledMatrix:
-    """Draw one symmetric matrix; deterministic in (spec, seed)."""
+def sample(spec: ModelSpec) -> np.ndarray:
+    """Draw one dense symmetric float64 matrix; deterministic in (spec, seed)."""
     import numpy as np
     n = spec.n
     row = _row_sampler(spec)
@@ -242,16 +230,15 @@ def sample(spec: ModelSpec) -> SampledMatrix:
         np.fill_diagonal(matrix, 0.0)
     if not np.all(np.isfinite(matrix)):
         raise ValidationError(f"sampled {spec.variant} matrix has non-finite entries")
-    return SampledMatrix(matrix, spec)
+    return matrix
 
 
-def truncate(sampled: SampledMatrix, threshold: float) -> SampledMatrix:
+def truncate(matrix: np.ndarray, threshold: float) -> np.ndarray:
     """Zero all entries with |x| > threshold; symmetry is preserved."""
     import numpy as np
     if threshold < 0:
         raise ValidationError(f"truncation threshold must be >= 0, got {threshold}")
-    kept = np.where(np.abs(sampled.matrix) <= threshold, sampled.matrix, 0.0)
-    return SampledMatrix(kept, sampled.spec, truncated_at=threshold)
+    return np.where(np.abs(matrix) <= threshold, matrix, 0.0)
 
 
 # -- analytic entry moments ---------------------------------------------------

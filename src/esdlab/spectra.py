@@ -1,6 +1,7 @@
 """Eigenvalue statistics: spectra, moments, histograms, and the d2 metric.
 
-Simulation has one replicate loop: each replicate gets a child seed, is
+A draw is its float64 matrix and a spectrum is its ascending eigenvalue
+array. Simulation has one replicate loop: each replicate gets a child seed, is
 sampled once and truncated if asked, and is measured once (the budget counts
 one n^3 eigensolve each, an upper bound). replicate_esds measures spectra,
 and simulate's moments are mean(eigenvalues**k) of them. eesd_moments, the
@@ -26,7 +27,7 @@ import numpy as np
 
 from .defaults import DEFAULT_EESD_BUDGET
 from .errors import CapacityError, NumericError, ValidationError
-from .models import ModelSpec, SampledMatrix, sample, truncate, with_seed
+from .models import ModelSpec, sample, truncate, with_seed
 from .moments import MomentEntry, MomentSeries
 
 SIMULATION = "monte-carlo-simulation"
@@ -42,31 +43,16 @@ _SPARSE_SHARE = 8
 _MIN_JOIN = 1 << 16
 
 
-@dataclass(frozen=True)
-class ESD:
-    """Sorted spectrum of one matrix, with where-it-came-from metadata."""
-
-    eigenvalues: np.ndarray
-    source: dict
-
-    @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
-
-    def moment(self, k: int) -> float:
-        return float(np.mean(self.eigenvalues**k))
-
-
-def _as_matrix(m) -> tuple[np.ndarray, dict]:
-    if isinstance(m, SampledMatrix):
-        meta = m.spec.to_json_dict()
-        if m.truncated_at is not None:
-            meta["truncated_at"] = m.truncated_at
-        return m.matrix, meta
+def _as_matrix(m) -> np.ndarray:
     matrix = np.asarray(m, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError(f"need a square matrix, got shape {matrix.shape}")
-    return matrix, {"variant": "raw"}
+    return matrix
+
+
+def _moments(values: np.ndarray, k_max: int) -> list[float]:
+    """mean(values**k) for k = 1..k_max."""
+    return [float(np.mean(values**k)) for k in range(1, k_max + 1)]
 
 
 def component_labels(matrix: np.ndarray) -> np.ndarray:
@@ -97,19 +83,19 @@ def component_labels(matrix: np.ndarray) -> np.ndarray:
     return labels
 
 
-def eigenvalues(m) -> ESD:
+def eigenvalues(m) -> np.ndarray:
     """Full spectrum of a symmetric matrix, ascending, one solve per connected component.
 
     A connected matrix goes whole to one eigvalsh call. Otherwise each
     component's principal submatrix is solved, components of equal size in
     one stacked call, and the union of their spectra is sorted.
     """
-    matrix, meta = _as_matrix(m)
+    matrix = _as_matrix(m)
     if not np.all(np.isfinite(matrix)):
         raise NumericError("matrix has non-finite entries")
     labels = component_labels(matrix)
     if not labels.any():
-        return ESD(np.linalg.eigvalsh(matrix), meta)
+        return np.linalg.eigvalsh(matrix)
     # components contiguous and members ascending, so each block's lower triangle,
     # the part eigvalsh reads, holds entries of the matrix's lower triangle
     order = np.argsort(labels, kind="stable")
@@ -119,7 +105,7 @@ def eigenvalues(m) -> ESD:
         members = order[sizes == size].reshape(-1, size)
         blocks = matrix[members[:, :, None], members[:, None, :]]
         parts.append(np.linalg.eigvalsh(blocks).ravel())
-    return ESD(np.sort(np.concatenate(parts)), meta)
+    return np.sort(np.concatenate(parts))
 
 
 def require_moment_order(k: int) -> None:
@@ -130,7 +116,7 @@ def require_moment_order(k: int) -> None:
 
 def empirical_moments(m, k_max: int) -> list[float]:
     """(1/n) tr(M^k) for k = 1..k_max, via half powers."""
-    matrix, _ = _as_matrix(m)
+    matrix = _as_matrix(m)
     require_moment_order(k_max)
     n = matrix.shape[0]
     powers = {1: matrix}
@@ -156,16 +142,13 @@ def moment_row(m, k_max: int) -> list[float]:
     max(n^2/8, 2^16) entries (_walk_moments), gets mean(eigenvalues**k)
     instead, bit for bit the row spectral_moments reads from its spectrum.
     """
-    matrix, _ = _as_matrix(m)
+    matrix = _as_matrix(m)
     require_moment_order(k_max)
     n = len(matrix)
     nonzero = matrix != 0
     row = (_walk_moments(matrix, k_max, nonzero)
            if np.count_nonzero(nonzero) <= n * n // _SPARSE_SHARE else None)
-    if row is not None:
-        return row
-    esd = eigenvalues(m)
-    return [esd.moment(k) for k in range(1, k_max + 1)]
+    return row if row is not None else _moments(eigenvalues(matrix), k_max)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericError below
@@ -232,14 +215,13 @@ def _walk_moments(matrix: np.ndarray, k_max: int,
     return out
 
 
-def wasserstein2(e1: ESD, e2: ESD) -> float:
+def wasserstein2(a: np.ndarray, b: np.ndarray) -> float:
     """Quadratic coupling distance between two empirical spectra.
 
     Equal sizes reduce to the root mean square gap of sorted lists; unequal
     sizes use the exact integral of the quantile-function difference, which
     is piecewise constant on the merged grid {i/n} union {j/m}.
     """
-    a, b = e1.eigenvalues, e2.eigenvalues
     if len(a) == 0 or len(b) == 0:
         raise ValidationError("cannot compare an empty spectrum")
     if len(a) == len(b):
@@ -278,9 +260,8 @@ class Histogram:
                 "density": [float(d) for d in self.density]}
 
 
-def histogram(e: ESD, bins: Optional[int] = None) -> Histogram:
-    """Histogram with Freedman-Diaconis width unless a bin count is given."""
-    values = e.eigenvalues
+def histogram(values: np.ndarray, bins: Optional[int] = None) -> Histogram:
+    """Histogram of ascending values, Freedman-Diaconis width unless a bin count is given."""
     if len(values) == 0:
         raise ValidationError("cannot histogram an empty spectrum")
     lo, hi = float(values[0]), float(values[-1])
@@ -305,7 +286,7 @@ def semicircle_density(x, variance: float = 1.0) -> np.ndarray:
 
 
 def _each_replicate(spec: ModelSpec, replicates: int, budget: float,
-                    truncation: Optional[float], measure: Callable[[SampledMatrix], T]) -> list[T]:
+                    truncation: Optional[float], measure: Callable[[np.ndarray], T]) -> list[T]:
     """measure(draw) for each replicate's draw, in order; seeds and truncation as in
     eesd_moments. The budget counts one n^3 eigensolve per replicate."""
     if replicates < 1:
@@ -318,11 +299,11 @@ def _each_replicate(spec: ModelSpec, replicates: int, budget: float,
     child_seeds = np.random.SeedSequence(spec.seed).generate_state(replicates, dtype=np.uint64)
     out = []
     for child in child_seeds:
-        sampled = sample(with_seed(spec, int(child)))
+        matrix = sample(with_seed(spec, int(child)))
         if truncation is not None:
-            sampled = truncate(sampled, truncation)
-        out.append(measure(sampled))
-        del sampled  # so the next draw is made with no matrix held
+            matrix = truncate(matrix, truncation)
+        out.append(measure(matrix))
+        del matrix  # so the next draw is made with no matrix held
     return out
 
 
@@ -341,22 +322,22 @@ def _moment_series(rows: Sequence[Sequence[float]], description: str) -> MomentS
 
 
 def replicate_esds(spec: ModelSpec, replicates: int,
-                   budget: float = DEFAULT_EESD_BUDGET) -> list[ESD]:
-    """Spectra of independent replicates, each sampled once and solved once.
+                   budget: float = DEFAULT_EESD_BUDGET) -> list[np.ndarray]:
+    """Ascending spectra of independent replicates, each sampled once and solved once.
 
     Seeds as in eesd_moments.
     """
     return _each_replicate(spec, replicates, budget, None, eigenvalues)
 
 
-def spectral_moments(esds: Sequence[ESD], k_max: int, description: str = "") -> MomentSeries:
+def spectral_moments(spectra: Sequence[np.ndarray], k_max: int,
+                     description: str = "") -> MomentSeries:
     """Replicate means of mean(eigenvalues**k), k = 1..k_max, with standard errors.
 
     One replicate has no standard error; its errors are NaN.
     """
     require_moment_order(k_max)
-    return _moment_series([[e.moment(k) for k in range(1, k_max + 1)] for e in esds],
-                          description)
+    return _moment_series([_moments(values, k_max) for values in spectra], description)
 
 
 def eesd_moments(spec: ModelSpec, k_max: int, replicates: int,

@@ -188,15 +188,15 @@ def test_criterion_10_coupling_bound():
     violations = 0
     checked = 0
     for seed in range(40):
-        a = sample(ModelSpec("gaussian_wigner", 50, seed)).matrix
-        b = sample(ModelSpec("sparse_homogeneous", 50, seed + 500, {"rate": 2.0})).matrix
+        a = sample(ModelSpec("gaussian_wigner", 50, seed))
+        b = sample(ModelSpec("sparse_homogeneous", 50, seed + 500, {"rate": 2.0}))
         d2 = wasserstein2(eigenvalues(a), eigenvalues(b))
         checked += 1
         if d2**2 > np.trace((a - b) @ (a - b)) / 50 + 1e-12:
             violations += 1
     for seed in range(30):
-        a = sample(ModelSpec("gaussian_wigner", 50, seed)).matrix
-        b = sample(ModelSpec("gaussian_wigner", 50, seed + 1000)).matrix
+        a = sample(ModelSpec("gaussian_wigner", 50, seed))
+        b = sample(ModelSpec("gaussian_wigner", 50, seed + 1000))
         d2 = wasserstein2(eigenvalues(a), eigenvalues(b))
         checked += 1
         if d2**2 > np.trace((a - b) @ (a - b)) / 50 + 1e-12:
@@ -204,8 +204,8 @@ def test_criterion_10_coupling_bound():
     for seed in range(30):
         raw = sample(ModelSpec("heavy_tailed", 50, seed, {"tail_index": 1.5}))
         clipped = truncate(raw, 2.0)
-        diff = raw.matrix - clipped.matrix
-        d2 = wasserstein2(eigenvalues(raw.matrix), eigenvalues(clipped.matrix))
+        diff = raw - clipped
+        d2 = wasserstein2(eigenvalues(raw), eigenvalues(clipped))
         checked += 1
         if d2**2 > np.trace(diff @ diff) / 50 + 1e-12:
             violations += 1

@@ -355,11 +355,10 @@ CONNECTED_MODELS = {
 
 def _plain_eigvalsh_spectra(model, n, reps, seed):
     from esdlab.models import ModelSpec, sample, with_seed
-    from esdlab.spectra import ESD
 
     spec = ModelSpec(model["variant"], n, seed, model.get("params", {}))
     seeds = np.random.SeedSequence(seed).generate_state(reps, dtype=np.uint64)
-    return [ESD(np.linalg.eigvalsh(sample(with_seed(spec, int(s))).matrix), {}) for s in seeds]
+    return [np.linalg.eigvalsh(sample(with_seed(spec, int(s)))) for s in seeds]
 
 
 @pytest.mark.parametrize("variant", sorted(CONNECTED_MODELS))
@@ -377,7 +376,7 @@ def test_connected_models_report_moments_of_plain_eigvalsh(capsys, variant):
     assert code == 0
     doc = json.loads(out)
     assert [(m["value"], m["se"]) for m in doc["moments"]] == [(e.value, e.error) for e in expected]
-    assert doc["eigenvalues"] == np.sort(np.concatenate([e.eigenvalues for e in spectra])).tolist()
+    assert doc["eigenvalues"] == np.sort(np.concatenate(spectra)).tolist()
 
     theory = json.dumps({"kind": "model", "spec": {**model, "n": n, "seed": seed}})
     code, out, _ = run(capsys, "compare", "--theory-json", theory, "--two-k", "6", *common)
@@ -510,6 +509,7 @@ MALFORMED = {
     "broken_compare_model_json": ("compare", "--theory-json", '{"kind":"sparse","rate":2.0}',
                                   "--model-json", '{"variant"'),
     "broken_config_file": ("moments", "--config", "BROKEN_FILE"),
+    "config_file_not_an_object": ("moments", "--config", "ARRAY_FILE"),
     # numbers must be JSON numbers: text and booleans are not read as numbers
     "text_constant_value": ("moments", "--theory-json", '{"kind":"constant","value":"2"}'),
     "bool_constant_value": ("moments", "--theory-json", '{"kind":"constant","value":true}'),
@@ -544,6 +544,14 @@ MALFORMED = {
                             '{"kind":"block","masses":1.0,"cells":{"2":[[1.0]]}}'),
     "bool_in_expression": ("moments", "--theory-json",
                            '{"kind":"graphon","g":{"2":"1 + True*x*y"}}'),
+    "indicator_of_two_comparisons": ("moments", "--theory-json",
+                                     '{"kind":"graphon","g":{"2":"ind(x<0.5, y<0.5)"}}'),
+    "sqrt_of_two_arguments": ("moments", "--theory-json",
+                              '{"kind":"graphon","g":{"2":"sqrt(x, y)"}}'),
+    # exact-form kernels that a term of the form makes non-finite on the check grid
+    "pole_in_exact_kernel": ("moments", "--theory-json", '{"kind":"graphon","g":{"2":"1/(x*y)"}}'),
+    "overflowing_exact_kernel": ("moments", "--theory-json",
+                                 '{"kind":"graphon","g":{"2":"1e308*10*x*y"}}'),
     "bool_model_prob": ("simulate", "--model-json",
                         '{"variant":"sparse_inhomogeneous","params":{"prob":true}}', "--n", "10"),
     # json reads NaN, which no comparison of grid breaks may let through
@@ -602,6 +610,9 @@ MALFORMED = {
     "capital_letters_word": ("circuits", "ABBA"),
     "text_in_integer_word": ("circuits", "1,x"),
     "punctuation_in_word": ("circuits", "a-b"),
+    "text_in_n_values": ("circuits", "abba", "--n-values", "2,x"),
+    "zero_in_n_values": ("circuits", "abba", "--n-values", "0"),
+    "zero_ss_length": ("ss", "0"),
     # moments sums only even orders from 2 up, as compare does
     "zero_moment_order": ("moments", "--theory-json", '{"kind":"semicircle"}', "--two-k", "0"),
     "negative_moment_order": ("moments", "--theory-json", '{"kind":"semicircle"}',
@@ -612,16 +623,31 @@ MALFORMED = {
     "ss_list_and_count_only": ("ss", "6", "--list", "--count-only"),
 }
 
+# the refusal an entry of MALFORMED must print, where the table pins it
+MALFORMED_TEXT = {
+    "config_file_not_an_object": "must hold a JSON object",
+    "indicator_of_two_comparisons": "takes exactly one comparison",
+    "sqrt_of_two_arguments": "takes exactly one argument",
+    "pole_in_exact_kernel": "is non-finite on the unit square",
+    "overflowing_exact_kernel": "is non-finite on the unit square",
+    "text_in_n_values": "comma-separated integers",
+    "zero_in_n_values": "matrix sizes must be positive",
+    "zero_ss_length": "length must be >= 1",
+}
+# files a MALFORMED argv names by placeholder
+MALFORMED_FILES = {"BROKEN_FILE": '{"kind": "band"', "ARRAY_FILE": "[1, 2]"}
 
-@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_configs_exit_2(capsys, tmp_path, argv):
-    broken = tmp_path / "broken.json"
-    broken.write_text('{"kind": "band"')
-    argv = [str(broken) if a == "BROKEN_FILE" else a for a in argv]
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_configs_exit_2(capsys, tmp_path, name):
+    for placeholder, text in MALFORMED_FILES.items():
+        (tmp_path / placeholder).write_text(text)
+    argv = [str(tmp_path / a) if a in MALFORMED_FILES else a for a in MALFORMED[name]]
     code, out, err = run(capsys, *argv, "--reproducible")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert MALFORMED_TEXT.get(name, "") in err
 
 
 THEORY_AND_MODEL = ('{"kind":"semicircle"}', '{"variant":"gaussian_wigner"}')
@@ -959,6 +985,7 @@ def test_config_overrides_read_like_the_flags(capsys, tmp_path):
     ({"help": True}, "unknown flag"),
     ({"actions": {}}, "unknown flag"),
     ({"quad_points": 16}, "unknown flag"),  # the Gauss order is fixed, not a setting
+    ([1], "'args' must be an object"),
 ])
 def test_bad_config_overrides_exit_2(capsys, tmp_path, overrides, message):
     cfg = tmp_path / "bad.json"
@@ -1184,12 +1211,18 @@ def test_kernel_theory_still_loads_numpy(capsys):
     assert run(capsys, *argv, "--reproducible")[1] == done.stdout
 
 
-def test_python_dash_m_esdlab_is_the_command_line():
+def test_python_dash_m_esdlab_is_the_command_line(capsys):
     module = _python("-m", "esdlab", "ss", "4", "--list", "--reproducible")
     script = _python("-m", "esdlab.cli", "ss", "4", "--list", "--reproducible")
     assert module.returncode == script.returncode == 0, module.stderr
     assert module.stdout == script.stdout
     assert json.loads(module.stdout)["words"] == ["aaaa", "aabb", "abba"]
+
+    # __main__.py hands main's return value to sys.exit: the exit code and stdout of main
+    module = _python("-m", "esdlab", "ss", "6", "--reproducible")
+    code, out, _ = run(capsys, "ss", "6", "--reproducible")
+    assert code == 0
+    assert (module.returncode, module.stdout) == (code, out), module.stderr
 
     bad = _python("-m", "esdlab", "circuits", "ba")
     assert bad.returncode == 2

@@ -190,7 +190,7 @@ def test_a_large_prob_evaluates_and_samples_without_building_its_form(monkeypatc
         prob = compile_expression(source, ("x", "y", "n"))
         assert float(prob(1.0, 1.0, 1.0)) == pytest.approx(1.0)
         spec = ModelSpec("sparse_inhomogeneous", 20, 3, {"prob": source})
-        assert sample(spec).matrix.shape == (20, 20)
+        assert sample(spec).shape == (20, 20)
     # once read, the form is the trinomial expansion, and it is built once
     third = Fraction(1, 3)
     assert prob.form == {(a, b, -(64 - a - b)): factorial(64) * third**64

@@ -47,7 +47,7 @@ SPECS = {
 
 
 def digest(spec: ModelSpec) -> str:
-    matrix = np.ascontiguousarray(sample(spec).matrix, dtype="<f8")
+    matrix = np.ascontiguousarray(sample(spec), dtype="<f8")
     return hashlib.sha256(matrix.tobytes()).hexdigest()
 
 

@@ -17,7 +17,6 @@ from esdlab.graphons import GraphonFamily, block_family
 from esdlab.models import (
     VARIANTS,
     ModelSpec,
-    SampledMatrix,
     _row_rngs,
     effective_cumulants,
     sample,
@@ -52,12 +51,12 @@ def test_every_variant_samples_symmetric_and_reproducible():
     for spec in spec_zoo():
         first = sample(spec)
         second = sample(spec)
-        assert isinstance(first, SampledMatrix)
-        assert np.array_equal(first.matrix, second.matrix)
-        assert np.array_equal(first.matrix, first.matrix.T)
-        assert np.all(np.isfinite(first.matrix))
+        assert isinstance(first, np.ndarray) and first.dtype == np.float64
+        assert np.array_equal(first, second)
+        assert np.array_equal(first, first.T)
+        assert np.all(np.isfinite(first))
         moved = sample(with_seed(spec, spec.seed + 1))
-        assert not np.array_equal(first.matrix, moved.matrix)
+        assert not np.array_equal(first, moved)
 
 
 def test_zero_diagonal_flag():
@@ -65,16 +64,16 @@ def test_zero_diagonal_flag():
         wiped = ModelSpec(
             spec.variant, spec.n, spec.seed, spec.params, zero_diagonal=True
         )
-        m = sample(wiped).matrix
+        m = sample(wiped)
         assert np.all(np.diag(m) == 0.0)
-        off = sample(spec).matrix.copy()
+        off = sample(spec).copy()
         np.fill_diagonal(off, 0.0)
         assert np.array_equal(m, off)
 
 
 def test_gaussian_entry_scale():
     n = 1500
-    m = sample(ModelSpec("gaussian_wigner", n, 11)).matrix
+    m = sample(ModelSpec("gaussian_wigner", n, 11))
     iu = np.triu_indices(n)
     terms = n * m[iu] ** 2
     stat = terms.mean()
@@ -86,7 +85,7 @@ def test_twopoint_values_and_moment():
     n = 1200
     atom, rate = 2.0, 1.5
     spec = ModelSpec("triangular_twopoint", n, 13, {"atom": atom, "rate": rate})
-    m = sample(spec).matrix
+    m = sample(spec)
     assert set(np.unique(np.abs(m))) == {0.0, atom}
     iu = np.triu_indices(n)
     for two_k in (2, 4):
@@ -100,7 +99,7 @@ def test_twopoint_values_and_moment():
 def test_sparse_is_zero_one_with_expected_degree():
     n = 1000
     spec = ModelSpec("sparse_homogeneous", n, 17, {"rate": 2.0})
-    m = sample(spec).matrix
+    m = sample(spec)
     assert set(np.unique(m)) == {0.0, 1.0}
     iu = np.triu_indices(n)
     terms = n * m[iu]
@@ -111,7 +110,7 @@ def test_sparse_is_zero_one_with_expected_degree():
 def test_inhomogeneous_probability_profile():
     n = 900
     spec = ModelSpec("sparse_inhomogeneous", n, 19, {"prob": "(x + y)/(2*n)"})
-    m = sample(spec).matrix
+    m = sample(spec)
     assert set(np.unique(m)) <= {0.0, 1.0}
     # edge frequency in the corner blocks tracks (x + y)/2
     third = n // 3
@@ -135,13 +134,12 @@ def test_heavy_tailed_truncation_identity():
     n, alpha = 800, 1.2
     spec = ModelSpec("heavy_tailed", n, 23, {"tail_index": alpha})
     raw = sample(spec)
-    scaled = np.abs(raw.matrix[raw.matrix != 0.0]) * n ** (1 / alpha)
+    scaled = np.abs(raw[raw != 0.0]) * n ** (1 / alpha)
     assert scaled.min() >= 1.0 - 1e-12
     clipped = truncate(raw, 1.0)
-    assert clipped.truncated_at == 1.0
-    assert np.abs(clipped.matrix).max() <= 1.0
+    assert np.abs(clipped).max() <= 1.0
     iu = np.triu_indices(n)
-    terms = n * clipped.matrix[iu] ** 2
+    terms = n * clipped[iu] ** 2
     se = terms.std() / np.sqrt(terms.size)
     theory = effective_cumulants(spec, at_n=n, truncation=1.0).value(2)
     assert abs(terms.mean() - theory) <= 5 * se
@@ -180,9 +178,9 @@ def test_gaussian_cumulants_at_finite_n():
 def test_truncate_identities():
     base = sample(ModelSpec("gaussian_wigner", 80, 3))
     untouched = truncate(base, np.inf)
-    assert np.array_equal(untouched.matrix, base.matrix)
+    assert np.array_equal(untouched, base)
     wiped = truncate(base, 0.0)
-    assert np.all(wiped.matrix == 0.0)
+    assert np.all(wiped == 0.0)
     with pytest.raises(ValidationError):
         truncate(base, -1.0)
 
@@ -193,7 +191,7 @@ def test_band_support_pattern():
         spec = ModelSpec(
             "band", n, 29, {"half_width": 0.2, "periodic": periodic}
         )
-        m = sample(spec).matrix
+        m = sample(spec)
         width = round(0.2 * n)
         i, j = np.indices((n, n))
         gap = np.abs(i - j)
@@ -219,7 +217,7 @@ def test_band_over_sparse_base():
             "base_params": {"rate": 3.0},
         },
     )
-    m = sample(spec).matrix
+    m = sample(spec)
     assert set(np.unique(m)) <= {0.0, 1.0}
     fam = effective_cumulants(spec)
     assert isinstance(fam, GraphonFamily)
@@ -236,7 +234,7 @@ def test_block_structure_and_sizes():
             "scales": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
         },
     )
-    m = sample(spec).matrix
+    m = sample(spec)
     live = [np.count_nonzero(np.diag(m, 0)[s]) for s in (slice(0, 4), slice(4, 7), slice(7, 10))]
     assert np.all(m[:4, 4:] == 0.0)
     assert np.all(m[4:7, 7:] == 0.0)
@@ -249,7 +247,7 @@ def test_block_second_moment_matches_theory():
     masses = [0.25, 0.75]
     scales = [[2.0, 0.5], [0.5, 1.0]]
     spec = ModelSpec("block", n, 41, {"masses": masses, "scales": scales})
-    m = sample(spec).matrix
+    m = sample(spec)
     iu = np.triu_indices(n)
     terms = n * m[iu] ** 2
     se = terms.std() / np.sqrt(terms.size)
@@ -260,7 +258,7 @@ def test_block_second_moment_matches_theory():
 def test_variance_profile_scaling():
     n = 1000
     spec = ModelSpec("variance_profile", n, 43, {"profile": "0.5"})
-    m = sample(spec).matrix
+    m = sample(spec)
     iu = np.triu_indices(n)
     terms = n * m[iu] ** 2
     se = terms.std() / np.sqrt(terms.size)

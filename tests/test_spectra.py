@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from esdlab.errors import CapacityError, NumericError, ValidationError
 from esdlab.models import ModelSpec, effective_cumulants, sample, truncate, with_seed
 from esdlab.spectra import (
-    ESD,
     component_labels,
     eesd_moments,
     eigenvalues,
@@ -25,27 +24,28 @@ from esdlab.spectra import _walk_moments
 
 def test_known_spectra():
     e = eigenvalues(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(np.sort(e.eigenvalues), [1.0, 2.0, 3.0])
+    assert isinstance(e, np.ndarray)
+    assert np.allclose(e, [1.0, 2.0, 3.0])
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(np.sort(eigenvalues(swap).eigenvalues), [-1.0, 1.0])
+    assert np.allclose(eigenvalues(swap), [-1.0, 1.0])
 
 
 def test_eigen_moments_match_traces():
-    m = sample(ModelSpec("gaussian_wigner", 200, 3)).matrix
+    m = sample(ModelSpec("gaussian_wigner", 200, 3))
     e = eigenvalues(m)
     traced = empirical_moments(m, 10)
     power = np.eye(200)
     for k in range(1, 11):
         power = power @ m
-        assert e.moment(k) == pytest.approx(np.trace(power) / 200, abs=1e-8)
+        assert np.mean(e**k) == pytest.approx(np.trace(power) / 200, abs=1e-8)
         assert traced[k - 1] == pytest.approx(np.trace(power) / 200, abs=1e-8)
 
 
 def test_trace_moments_agree_with_eigenvalue_moments():
-    m = sample(ModelSpec("sparse_homogeneous", 150, 7, {"rate": 2.0})).matrix
+    m = sample(ModelSpec("sparse_homogeneous", 150, 7, {"rate": 2.0}))
     e = eigenvalues(m)
     from_traces = empirical_moments(m, 6)
-    from_esd = [e.moment(k) for k in range(1, 7)]
+    from_esd = [np.mean(e**k) for k in range(1, 7)]
     assert np.allclose(from_traces, from_esd, atol=1e-8)
 
 
@@ -63,7 +63,7 @@ def residual_check(matrix: np.ndarray, pairs: int = 10, seed: int = 0) -> float:
 
 
 def test_residuals_small_on_exact_decomposition():
-    m = sample(ModelSpec("gaussian_wigner", 120, 9)).matrix
+    m = sample(ModelSpec("gaussian_wigner", 120, 9))
     assert residual_check(m) <= 1e-8
 
 
@@ -76,44 +76,44 @@ def test_eigenvalues_validation():
 
 
 def test_wasserstein_basic_properties():
-    a = ESD(np.array([0.0, 1.0]), {})
-    b = ESD(np.array([0.0, 1.0]), {})
+    a = np.array([0.0, 1.0])
+    b = np.array([0.0, 1.0])
     assert wasserstein2(a, b) == 0.0
-    shifted = ESD(np.array([0.5, 1.5]), {})
+    shifted = np.array([0.5, 1.5])
     assert wasserstein2(a, shifted) == pytest.approx(0.5)
     assert wasserstein2(shifted, a) == pytest.approx(0.5)
 
 
 def test_wasserstein_unequal_sizes_against_grid_oracle():
     rng = np.random.default_rng(5)
-    a = ESD(np.sort(rng.normal(size=7)), {})
-    b = ESD(np.sort(rng.normal(size=13)), {})
+    a = np.sort(rng.normal(size=7))
+    b = np.sort(rng.normal(size=13))
 
     # oracle: both quantile functions sampled on a very fine common grid
     grid = (np.arange(200_000) + 0.5) / 200_000
-    qa = np.sort(a.eigenvalues)[np.minimum((grid * 7).astype(int), 6)]
-    qb = np.sort(b.eigenvalues)[np.minimum((grid * 13).astype(int), 12)]
+    qa = a[np.minimum((grid * 7).astype(int), 6)]
+    qb = b[np.minimum((grid * 13).astype(int), 12)]
     oracle = np.sqrt(np.mean((qa - qb) ** 2))
     assert wasserstein2(a, b) == pytest.approx(oracle, abs=1e-4)
 
 
 def test_wasserstein_rejects_empty():
     with pytest.raises(ValidationError):
-        wasserstein2(ESD(np.array([]), {}), ESD(np.array([1.0]), {}))
+        wasserstein2(np.array([]), np.array([1.0]))
 
 
 def test_coupling_bound_against_trace_difference():
     # d2(mu_A, mu_B)^2 <= (1/n) Tr (A-B)^2 for symmetric pairs
     for seed in range(12):
-        a = sample(ModelSpec("gaussian_wigner", 40, seed)).matrix
-        b = sample(ModelSpec("sparse_homogeneous", 40, seed + 100, {"rate": 2.0})).matrix
+        a = sample(ModelSpec("gaussian_wigner", 40, seed))
+        b = sample(ModelSpec("sparse_homogeneous", 40, seed + 100, {"rate": 2.0}))
         d2 = wasserstein2(eigenvalues(a), eigenvalues(b))
         bound = np.trace((a - b) @ (a - b)) / 40
         assert d2**2 <= bound + 1e-12
 
 
 def test_histogram_invariants():
-    e = eigenvalues(sample(ModelSpec("gaussian_wigner", 300, 21)).matrix)
+    e = eigenvalues(sample(ModelSpec("gaussian_wigner", 300, 21)))
     h = histogram(e)
     assert h.counts.sum() == 300
     widths = np.diff(h.edges)
@@ -127,7 +127,7 @@ def test_histogram_invariants():
 
 
 def test_histogram_degenerate_spectrum():
-    h = histogram(ESD(np.zeros(5), {}))
+    h = histogram(np.zeros(5))
     assert h.counts.sum() == 5
     assert h.edges[0] < 0.0 < h.edges[-1]
 
@@ -151,29 +151,33 @@ def test_replicate_esds_deterministic_and_distinct():
     first = replicate_esds(spec, 4)
     again = replicate_esds(spec, 4)
     for x, y in zip(first, again):
-        assert np.array_equal(x.eigenvalues, y.eigenvalues)
+        assert np.array_equal(x, y)
     # replicates differ from each other
-    assert not np.array_equal(first[0].eigenvalues, first[1].eigenvalues)
+    assert not np.array_equal(first[0], first[1])
 
 
 def test_eesd_moments_match_trace_powers_of_the_same_replicates():
     spec = ModelSpec("sparse_homogeneous", 120, 43, {"rate": 2.0})
-    esds = replicate_esds(spec, 5)
-    draws = [sample(with_seed(spec, e.source["seed"])) for e in esds]
+    spectra = replicate_esds(spec, 5)
+    # the child seeds _each_replicate derives from the spec's seed
+    seeds = np.random.SeedSequence(spec.seed).generate_state(5, dtype=np.uint64)
+    draws = [sample(with_seed(spec, int(seed))) for seed in seeds]
+    assert all(np.array_equal(eigenvalues(d), e) for d, e in zip(draws, spectra))
     traces = np.array([empirical_moments(d, 6) for d in draws])
-    walks = np.array([_walk_moments(d.matrix, 6) for d in draws])
+    walks = np.array([_walk_moments(d, 6) for d in draws])
     series = eesd_moments(spec, 6, replicates=5)
     assert series.values() == walks.mean(axis=0).tolist()
-    assert np.allclose(series.values(), spectral_moments(esds, 6).values(), rtol=1e-12, atol=1e-14)
+    assert np.allclose(series.values(), spectral_moments(spectra, 6).values(),
+                       rtol=1e-12, atol=1e-14)
     assert np.allclose(series.values(), traces.mean(axis=0), rtol=1e-12, atol=1e-14)
     errors = [e.error for e in series.entries]
     assert np.allclose(errors, traces.std(axis=0, ddof=1) / np.sqrt(5), rtol=1e-9, atol=1e-14)
 
 
 def test_spectral_moments_of_one_replicate_have_no_error():
-    esd = replicate_esds(ModelSpec("gaussian_wigner", 40, 3), 1)[0]
-    series = spectral_moments([esd], 4)
-    assert series.values() == [esd.moment(k) for k in range(1, 5)]
+    values = replicate_esds(ModelSpec("gaussian_wigner", 40, 3), 1)[0]
+    series = spectral_moments([values], 4)
+    assert series.values() == [float(np.mean(values**k)) for k in range(1, 5)]
     assert all(np.isnan(e.error) for e in series.entries)
 
 
@@ -217,8 +221,8 @@ def test_truncation_shrinks_spectral_distance():
     spec = ModelSpec("heavy_tailed", 150, 47, {"tail_index": 1.5})
     raw = sample(spec)
     clipped = truncate(raw, 5.0)
-    d2 = wasserstein2(eigenvalues(raw.matrix), eigenvalues(clipped.matrix))
-    bound = np.trace((raw.matrix - clipped.matrix) @ (raw.matrix - clipped.matrix)) / 150
+    d2 = wasserstein2(eigenvalues(raw), eigenvalues(clipped))
+    bound = np.trace((raw - clipped) @ (raw - clipped)) / 150
     assert d2**2 <= bound + 1e-12
 
 
@@ -248,7 +252,7 @@ def _one_sided(lower: bool) -> np.ndarray:
     return m
 
 
-@pytest.mark.parametrize("matrix", [sample(spec).matrix for spec in SOLVER_ZOO]
+@pytest.mark.parametrize("matrix", [sample(spec) for spec in SOLVER_ZOO]
                          + [np.diag(np.arange(-3.0, 4.0)), np.zeros((5, 5)),
                             _one_sided(lower=True), _one_sided(lower=False)],
                          ids=[f"{spec.variant}-{spec.n}" for spec in SOLVER_ZOO]
@@ -256,14 +260,14 @@ def _one_sided(lower: bool) -> np.ndarray:
 def test_split_solve_matches_full_eigvalsh(matrix):
     # eigvalsh reads the lower triangle only, so a one-sided link must still join blocks
     full = np.linalg.eigvalsh(matrix)
-    split = eigenvalues(matrix).eigenvalues
+    split = eigenvalues(matrix)
     assert split.shape == full.shape
     assert np.all(np.diff(split) >= 0)
     assert np.max(np.abs(split - full)) <= 1e-12 * max(1.0, np.linalg.norm(matrix, 2))
 
 
 def test_zoo_exercises_both_solve_paths():
-    counts = {(spec.variant, spec.n): _component_count(sample(spec).matrix) for spec in SOLVER_ZOO}
+    counts = {(spec.variant, spec.n): _component_count(sample(spec)) for spec in SOLVER_ZOO}
     assert counts[("gaussian_wigner", 300)] == 1
     assert counts[("block", 120)] == 2
     assert counts[("sparse_homogeneous", 300)] > 10
@@ -274,9 +278,9 @@ def test_zoo_exercises_both_solve_paths():
                                   ModelSpec("variance_profile", 150, 8,
                                             {"profile": "0.5+0.5*x*y"})])
 def test_one_component_is_one_plain_eigvalsh(spec):
-    matrix = sample(spec).matrix
+    matrix = sample(spec)
     assert _component_count(matrix) == 1
-    assert eigenvalues(matrix).eigenvalues.tobytes() == np.linalg.eigvalsh(matrix).tobytes()
+    assert eigenvalues(matrix).tobytes() == np.linalg.eigvalsh(matrix).tobytes()
 
 
 def _reference_labels(matrix):
@@ -313,7 +317,7 @@ def _star(n: int, missing: int = 0) -> np.ndarray:
     return m
 
 
-@pytest.mark.parametrize("matrix", [sample(ModelSpec("gaussian_wigner", 200, 4)).matrix,
+@pytest.mark.parametrize("matrix", [sample(ModelSpec("gaussian_wigner", 200, 4)),
                                     _star(30), _star(30, missing=7), _star(2), np.ones((1, 1)),
                                     np.zeros((0, 0))],
                          ids=["dense", "star", "star-missing-one", "pair", "single", "empty"])
@@ -321,7 +325,7 @@ def test_index_zero_linked_to_all_is_one_component(matrix):
     labels = component_labels(matrix)
     assert labels.tolist() == _reference_labels(matrix)
     if not labels.any():
-        assert eigenvalues(matrix).eigenvalues.tobytes() == np.linalg.eigvalsh(matrix).tobytes()
+        assert eigenvalues(matrix).tobytes() == np.linalg.eigvalsh(matrix).tobytes()
 
 
 def test_truncated_replicates_match_finite_n_truncated_cumulant():
@@ -351,7 +355,7 @@ def _sparse_zoo(n: int, zero_diagonal: bool) -> dict:
 def test_walk_sums_match_trace_powers(n, zero_diagonal):
     for name, draw in _sparse_zoo(n, zero_diagonal).items():
         for k_max in (1, 2, 5, 10):
-            walks = _walk_moments(draw.matrix, k_max)
+            walks = _walk_moments(draw, k_max)
             traces = empirical_moments(draw, k_max)
             assert len(walks) == k_max
             for k, (w, t) in enumerate(zip(walks, traces), start=1):
@@ -362,7 +366,7 @@ def test_walk_sums_match_trace_powers(n, zero_diagonal):
 def test_walk_sums_of_zero_one_draws_are_exact(n):
     # an integer walk count divided once by n, against integer matrix powers
     for name in ("sparse_homogeneous", "sparse_inhomogeneous", "band"):
-        matrix = _sparse_zoo(n, False)[name].matrix
+        matrix = _sparse_zoo(n, False)[name]
         assert set(np.unique(matrix)) <= {0.0, 1.0}
         power = np.eye(n, dtype=np.int64)
         for k, value in enumerate(_walk_moments(matrix, 10), start=1):
@@ -382,21 +386,23 @@ def test_walk_sums_of_zero_and_diagonal_matrices():
 
 def test_dense_or_wide_draws_take_the_eigenvalue_row():
     # more than n^2/8 nonzeros: dense
-    dense = sample(ModelSpec("sparse_homogeneous", 60, 3, {"rate": 30.0})).matrix
+    dense = sample(ModelSpec("sparse_homogeneous", 60, 3, {"rate": 30.0}))
     assert np.count_nonzero(dense) > 60 * 60 / 8
     # few nonzeros, but a walk join (the first, forming W^2) of more than max(n^2/8, 2^16) entries
-    wide = sample(ModelSpec("sparse_homogeneous", 300, 3, {"rate": 30.0})).matrix
+    wide = sample(ModelSpec("sparse_homogeneous", 300, 3, {"rate": 30.0}))
     assert np.count_nonzero(wide) <= 300 * 300 / 8
     assert _walk_moments(wide, 6) is None
     assert _walk_moments(wide, 2) is not None  # no join
     # joins forming W^2..W^4 fit, the one forming W^5 would not
-    refused = sample(ModelSpec("sparse_homogeneous", 1000, 1, {"rate": 3.0})).matrix
+    refused = sample(ModelSpec("sparse_homogeneous", 1000, 1, {"rate": 3.0}))
     assert _walk_moments(refused, 10) is None
     for matrix, k_max in ((dense, 6), (wide, 6), (refused, 10)):
-        esd = eigenvalues(matrix)
-        assert moment_row(matrix, k_max) == [esd.moment(k) for k in range(1, k_max + 1)]
+        values = eigenvalues(matrix)
+        assert moment_row(matrix, k_max) == [float(np.mean(values**k))
+                                             for k in range(1, k_max + 1)]
     gaussian = sample(ModelSpec("gaussian_wigner", 40, 3))
-    assert moment_row(gaussian, 4) == [eigenvalues(gaussian).moment(k) for k in range(1, 5)]
+    values = eigenvalues(gaussian)
+    assert moment_row(gaussian, 4) == [float(np.mean(values**k)) for k in range(1, 5)]
 
 
 @pytest.mark.parametrize("nonzeros, route", [(32, "_walk_moments"), (33, "eigenvalues")])
@@ -425,7 +431,7 @@ def test_moment_row_takes_walks_up_to_an_eighth_of_the_entries_nonzero(
     row = moment_row(matrix, 6)
     assert taken == [route]
     assert row == (_walk_moments(matrix, 6) if route == "_walk_moments"
-                   else [eigenvalues(matrix).moment(k) for k in range(1, 7)])
+                   else [float(np.mean(eigenvalues(matrix)**k)) for k in range(1, 7)])
 
 
 def _rate_two_draw():
@@ -435,7 +441,7 @@ def _rate_two_draw():
 def test_rate_two_draw_takes_exact_walk_sums_at_order_ten(monkeypatch):
     import esdlab.spectra as spectra
 
-    draw = _rate_two_draw()
+    matrix = _rate_two_draw()
     taken = []
 
     def spy(name):
@@ -448,10 +454,9 @@ def test_rate_two_draw_takes_exact_walk_sums_at_order_ten(monkeypatch):
 
     for name in ("_walk_moments", "eigenvalues"):
         monkeypatch.setattr(spectra, name, spy(name))
-    row = moment_row(draw, 10)
+    row = moment_row(matrix, 10)
     assert taken == ["_walk_moments"]
     # float64 powers of a 0/1 matrix are exact integers below 2^53
-    matrix = draw.matrix
     power = np.eye(len(matrix))
     for k, value in enumerate(row, start=1):
         power = power @ matrix
@@ -471,8 +476,8 @@ def test_walk_joins_stay_within_the_bound(monkeypatch):
         return unique(array, *args, **kwargs)
 
     monkeypatch.setattr(np, "unique", spy)
-    rate_two = _rate_two_draw().matrix
-    rate_three = sample(ModelSpec("sparse_homogeneous", n, 1, {"rate": 3.0})).matrix
+    rate_two = _rate_two_draw()
+    rate_three = sample(ModelSpec("sparse_homogeneous", n, 1, {"rate": 3.0}))
     for matrix, k_max in ((rate_two, 10), (rate_two, 12), (rate_three, 10)):
         joined.clear()
         _walk_moments(matrix, k_max)
