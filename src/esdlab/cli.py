@@ -245,8 +245,11 @@ def _emit(args: argparse.Namespace, payload: dict, document: dict,
                 "config_sha256": _config_digest(payload, args), **document}
     if not args.reproducible:
         document["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    with (open(args.out, "w", encoding="utf-8") if args.out
-          else contextlib.nullcontext(sys.stdout)) as fh:
+    try:
+        out = args.out and open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {args.out}: {exc.strerror}") from None
+    with out or contextlib.nullcontext(sys.stdout) as fh:
         if args.format == "csv":
             import csv
 

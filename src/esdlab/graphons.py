@@ -344,7 +344,7 @@ def node_rule(kernels: Iterable[Graphon]) -> str:
     "cells" is exact, summed in rationals by :func:`esdlab.cells.cell_sum`:
     every kernel row-constant (constants and periodic bands over them, so
     every message is one number), or constants, grids, polynomials and open
-    bands over them, all bands of one half-width, however narrow. Any other
+    bands over them, all bands of one half-width. Any other
     kernels take "gauss" when all are smooth, else "grid".
     """
     kernels = list(kernels)

@@ -17,12 +17,15 @@ order. Runs on the exact rule are summed in rationals by
 :func:`esdlab.cells.cell_sum` and rounded once, so their moments are correctly
 rounded, with error 0: a :class:`~esdlab.graphons.CumulantSchedule` (the
 family of constants C_{2t}) and a periodic band over constants on one cell;
-blocks, grids, polynomial kernels in x and y, and open bands of any
-half-width over any of these on the pieces between the grids' breaks and the
-band's shifts of them. Every other family (transcendental, ``ind`` or ``abs``
-kernels, periodic bands over a non-constant base, bands of two widths) is
-summed on quadrature nodes by :func:`esdlab.quadrature.integrate_tree_sum`. A
-sum that overflows raises NumericError instead of returning inf or nan.
+blocks, grids, polynomial kernels in x and y, and open bands over any of
+these on the pieces between the grids' breaks and the band's shifts of them.
+Every other family (transcendental, ``ind`` or ``abs`` kernels, periodic
+bands over a non-constant base, bands of two widths) is summed on quadrature
+nodes by :func:`esdlab.quadrature.integrate_tree_sum`. A sum that overflows
+raises NumericError instead of returning inf or nan.
+
+:func:`carleman_partial_sum` sums a family's bounds max |g_{2k}| as the
+series of their schedule, over the same special symmetric words.
 
 No numpy is loaded here: :func:`graphon_series` imports
 :mod:`esdlab.quadrature` only past the exact rule, so ``moments`` on
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import NumericError, ValidationError
 from .graphons import CumulantSchedule, GraphonFamily, node_rule, require_even_order
@@ -145,25 +148,14 @@ def moment_graphon(family: GraphonFamily, two_k: int) -> MomentEntry:
 
 # -- Carleman diagnostics -----------------------------------------------------
 
-def _bound_lookup(source) -> Callable[[int], float]:
-    if isinstance(source, GraphonFamily):
-        return source.bound
-    if isinstance(source, Mapping):
-        return lambda two_k: abs(float(source.get(two_k, 0.0)))
-    if callable(source):
-        return lambda two_k: abs(float(source(two_k)))
-    raise ValidationError(f"cannot read moment bounds from {type(source).__name__}")
-
-
 class CarlemanReport(NamedTuple):
-    """Partial sums of alpha_{2k}^(-1/2k) and a growth-trend verdict.
+    """Partial sums of alpha_{2k}^(-1/2k) and their fitted log-log slope.
 
     Divergence of the full series is what the moment-determinacy condition
-    needs; a finite table can only indicate a trend. ``verdict`` is one of
-    divergent (an alpha vanished, so terms hit the infinity sentinel),
-    diverging-trend, inconclusive, likely-fails. The ss_terms column repeats
-    the computation with the partition sum restricted to special symmetric
-    partitions.
+    needs; a finite table only shows its partial sums. ``slope`` is the
+    least-squares slope of log term against log k over the upper half of the
+    orders, NaN when a term is infinite or there is only one order; terms
+    falling slower than 1/k (slope above -1) form a divergent series.
     """
 
     orders: tuple[int, ...]
@@ -171,8 +163,6 @@ class CarlemanReport(NamedTuple):
     terms: tuple[float, ...]
     partial_sums: tuple[float, ...]
     slope: float
-    verdict: str
-    ss_terms: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -181,63 +171,26 @@ class CarlemanReport(NamedTuple):
             "terms": list(self.terms),
             "partial_sums": list(self.partial_sums),
             "slope": None if math.isnan(self.slope) else self.slope,
-            "verdict": self.verdict,
-            "ss_restricted_terms": list(self.ss_terms),
         }
 
 
-def carleman_partial_sum(source, big_k: int) -> CarlemanReport:
-    """Carleman diagnostic for moment bounds M_{2k} (odd bounds zero).
+def carleman_partial_sum(family: GraphonFamily, big_k: int) -> CarlemanReport:
+    """Carleman partial sums for the bounds M_{2k} = max |g_{2k}| of a family's members.
 
-    alpha_{2k} sums the product of M over the blocks of every partition of
-    [2k] into even blocks; splitting off the block of the first element gives
-    alpha_n = sum_j C(n-1, j-1) M_j alpha_{n-j}. An alpha in either column
-    that is not finite raises NumericError.
+    alpha_{2k} is the limit moment of the schedule of constants M_{2k}: the
+    sum over special symmetric words of the product of M over their blocks,
+    which bounds the family's beta_{2k}. A term is infinite where alpha
+    vanishes, and an alpha that is not finite raises NumericError.
     """
+    from statistics import linear_regression
+
     if big_k < 1:
         raise ValidationError(f"need at least one order, got K={big_k}")
-    bound_of = _bound_lookup(source)
-    by_size = [1.0]
-    for n in range(1, 2 * big_k + 1):
-        by_size.append(sum(math.comb(n - 1, j - 1) * bound_of(j) * by_size[n - j]
-                           for j in range(2, n + 1, 2)))
     orders = tuple(range(2, 2 * big_k + 1, 2))
-    alphas = tuple(by_size[2::2])
-    for two_k, alpha in zip(orders, alphas):
-        if not math.isfinite(alpha):
-            raise NumericError(f"Carleman alpha_{two_k} = {alpha!r} is not finite")
-    ss = graphon_series(CumulantSchedule("Carleman bounds", rule=bound_of), 2 * big_k)
-    terms, ss_terms = (tuple(math.inf if a == 0.0 else a ** (-1.0 / two_k)
-                             for two_k, a in zip(orders, column))
-                       for column in (alphas, ss.values()))
-    slope, verdict = _trend(terms)
-    return CarlemanReport(orders, alphas, terms, tuple(accumulate(terms)), slope, verdict,
-                          ss_terms)
-
-
-def _trend(terms: Sequence[float]) -> tuple[float, str]:
-    """Log-log slope of the term sequence and the verdict it implies.
-
-    Terms falling slower than 1/k form a divergent series; the slope -1
-    boundary is undecidable from a table, hence a dead band around it. The
-    band is wide and asymmetric because factorial-growth bound sequences
-    approach slope -1 from above very slowly: at tabletop K they fit near
-    -0.86, while anything with finite exponential moments stays above -0.65
-    and determinacy-breaking growth like ((2k)!)^2 falls below -1.6.
-    """
-    if any(math.isinf(t) for t in terms):
-        return math.nan, "divergent"
-    if len(terms) < 2:
-        return math.nan, "inconclusive"
-    # least-squares line through (log k, log term) over k >= len(terms) / 2
-    first = (len(terms) + 1) // 2
-    xs = [math.log(k) for k in range(first, len(terms) + 1)]
-    ys = [math.log(t) for t in terms[first - 1:]]
-    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
-    slope = (math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-             / math.fsum((x - x_mean) ** 2 for x in xs))
-    if slope >= -0.75:
-        return slope, "diverging-trend"
-    if slope > -1.3:
-        return slope, "inconclusive"
-    return slope, "likely-fails"
+    schedule = CumulantSchedule("Carleman bounds", rule=family.bound)
+    alphas = tuple(graphon_series(schedule, 2 * big_k).values())
+    terms = tuple(math.inf if a == 0.0 else a ** (-1.0 / o) for o, a in zip(orders, alphas))
+    first = (big_k + 1) // 2  # the least-squares fit runs over k >= K / 2
+    logs = [math.log(k) for k in range(first, big_k + 1)], [math.log(t) for t in terms[first - 1:]]
+    slope = math.nan if big_k == 1 or math.inf in terms else linear_regression(*logs).slope
+    return CarlemanReport(orders, alphas, terms, tuple(accumulate(terms)), slope)

@@ -50,9 +50,13 @@ def _as_matrix(m) -> np.ndarray:
     return matrix
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericError below
 def _moments(values: np.ndarray, k_max: int) -> list[float]:
-    """mean(values**k) for k = 1..k_max."""
-    return [float(np.mean(values**k)) for k in range(1, k_max + 1)]
+    """mean(values**k) for k = 1..k_max; one that is not finite raises NumericError."""
+    out = [float(np.mean(values**k)) for k in range(1, k_max + 1)]
+    if not (finite := np.isfinite(out)).all():
+        raise NumericError(f"eigenvalue moment overflowed at k={np.argmin(finite) + 1}")
+    return out
 
 
 def component_labels(matrix: np.ndarray) -> np.ndarray:
@@ -216,7 +220,7 @@ def _walk_moments(matrix: np.ndarray, k_max: int,
 
 
 def wasserstein2(a: np.ndarray, b: np.ndarray) -> float:
-    """Quadratic coupling distance between two empirical spectra.
+    """Quadratic coupling distance between two empirical spectra, in any order.
 
     Equal sizes reduce to the root mean square gap of sorted lists; unequal
     sizes use the exact integral of the quantile-function difference, which
@@ -224,6 +228,7 @@ def wasserstein2(a: np.ndarray, b: np.ndarray) -> float:
     """
     if len(a) == 0 or len(b) == 0:
         raise ValidationError("cannot compare an empty spectrum")
+    a, b = np.sort(a), np.sort(b)
     if len(a) == len(b):
         return float(np.sqrt(np.mean((a - b) ** 2)))
     grid = np.union1d(np.arange(1, len(a) + 1) / len(a), np.arange(1, len(b) + 1) / len(b))
@@ -261,10 +266,10 @@ class Histogram:
 
 
 def histogram(values: np.ndarray, bins: Optional[int] = None) -> Histogram:
-    """Histogram of ascending values, Freedman-Diaconis width unless a bin count is given."""
+    """Histogram of values, Freedman-Diaconis width unless a bin count is given."""
     if len(values) == 0:
         raise ValidationError("cannot histogram an empty spectrum")
-    lo, hi = float(values[0]), float(values[-1])
+    lo, hi = float(np.min(values)), float(np.max(values))
     if lo == hi:
         edges = np.array([lo - 0.5, hi + 0.5])
     elif bins is not None:
@@ -307,15 +312,20 @@ def _each_replicate(spec: ModelSpec, replicates: int, budget: float,
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericError below
 def _moment_series(rows: Sequence[Sequence[float]], description: str) -> MomentSeries:
     """Means over replicate rows of moments k = 1, 2, ..., with standard errors.
 
-    One replicate has no standard error; its errors are NaN.
+    One replicate has no standard error; its errors are NaN. A mean or a
+    standard error that is not finite raises NumericError.
     """
     table = np.array(rows)
     means = table.mean(axis=0)
     errors = (table.std(axis=0, ddof=1) / np.sqrt(len(table)) if len(table) > 1
               else np.full(len(means), np.nan))
+    finite = np.isfinite(means) & (np.isfinite(errors) | (len(table) == 1))
+    if not finite.all():
+        raise NumericError(f"replicate moment overflowed at k={np.argmin(finite) + 1}")
     entries = tuple(MomentEntry(k, float(means[k - 1]), float(errors[k - 1]), SIMULATION)
                     for k in range(1, len(means) + 1))
     return MomentSeries(entries, description)

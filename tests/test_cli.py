@@ -421,6 +421,13 @@ def test_circuits_budget_refuses_the_first_n_past_it(capsys):
                    "assignments (budget 500.0); raise the budget to proceed\n")
 
 
+def test_narrow_open_band_exits_3(capsys):
+    code, out, err = run(capsys, "moments", "--two-k", "4", "--reproducible",
+                         "--theory-json", '{"kind":"band","alpha":1e-300}')
+    assert (code, out) == (3, "")
+    assert err.startswith("capacity: ") and err.count("\n") == 1
+
+
 def test_circuits_rejects_bad_word(capsys):
     code, _, err = run(capsys, "circuits", "ba", "--reproducible")
     assert code == 2
@@ -479,6 +486,7 @@ def test_overflowing_moments_exit_2_without_nan(capsys):
 
 
 HEAVY_SPEC = '{"variant":"heavy_tailed","n":100,"seed":1,"params":{"tail_index":1.5}}'
+HEAVIEST_TAIL = '{"variant":"heavy_tailed","params":{"tail_index":0.1}}'
 
 
 MALFORMED = {
@@ -594,6 +602,14 @@ MALFORMED = {
     "overflowing_heavy_cumulant": ("moments", "--theory-json",
                                    '{"kind":"model","truncation":1e300,"spec":' + HEAVY_SPEC + '}',
                                    "--two-k", "16"),
+    # eigenvalue moments of heavy-tailed draws that overflow, simulated or compared
+    "overflowing_simulated_moment": ("simulate", "--model-json", HEAVIEST_TAIL, "--n", "3",
+                                     "--reps", "2", "--k-max", "40"),
+    "overflowing_compared_moment": ("compare", "--theory-json", '{"kind":"semicircle"}',
+                                    "--model-json", HEAVIEST_TAIL, "--n", "3", "--reps", "2",
+                                    "--two-k", "40"),
+    # an --out path in a directory that does not exist
+    "unwritable_out": ("ss", "6", "--out", "MISSING_DIR/x.json"),
     # a profile whose power overflows: in a cell, or on the check grid
     "overflowing_constant_profile": ("moments", "--theory-json",
                                      '{"kind":"profile","sigma":1e200}', "--two-k", "8"),
@@ -633,15 +649,20 @@ MALFORMED_TEXT = {
     "text_in_n_values": "comma-separated integers",
     "zero_in_n_values": "matrix sizes must be positive",
     "zero_ss_length": "length must be >= 1",
+    "overflowing_simulated_moment": "overflowed at k=",
+    "overflowing_compared_moment": "overflowed at k=",
+    "unwritable_out": "cannot write output file",
 }
-# files a MALFORMED argv names by placeholder
-MALFORMED_FILES = {"BROKEN_FILE": '{"kind": "band"', "ARRAY_FILE": "[1, 2]"}
+# files a MALFORMED argv names by placeholder; a None text names a path not made
+MALFORMED_FILES = {"BROKEN_FILE": '{"kind": "band"', "ARRAY_FILE": "[1, 2]",
+                   "MISSING_DIR/x.json": None}
 
 
 @pytest.mark.parametrize("name", MALFORMED)
 def test_malformed_configs_exit_2(capsys, tmp_path, name):
     for placeholder, text in MALFORMED_FILES.items():
-        (tmp_path / placeholder).write_text(text)
+        if text is not None:
+            (tmp_path / placeholder).write_text(text)
     argv = [str(tmp_path / a) if a in MALFORMED_FILES else a for a in MALFORMED[name]]
     code, out, err = run(capsys, *argv, "--reproducible")
     assert code == 2

@@ -1,4 +1,4 @@
-"""Limit moments: schedules, kernels, bands, blocks, growth diagnostics."""
+"""Limit moments: schedules, kernels, bands, blocks, Carleman partial sums."""
 
 import gc
 import math
@@ -12,7 +12,7 @@ from scipy import integrate
 from esdlab import cells, quadrature
 from esdlab.combinatorics import Word, catalan, count_ss_by_blocks
 from esdlab.compare import family_from_config
-from esdlab.errors import NumericError, ValidationError
+from esdlab.errors import CapacityError, NumericError, ValidationError
 from esdlab.graphons import Graphon, GraphonFamily, block_family, profile_family
 from esdlab.models import ModelSpec, effective_cumulants
 from esdlab.moments import (
@@ -392,60 +392,77 @@ def test_hankel_and_moment_inequalities():
         assert series.moment(4) >= series.moment(2) ** 2
 
 
-def test_carleman_reference_verdicts():
+def test_open_band_break_slots_are_bounded(monkeypatch):
+    # half-width 1/4 shifts each of the breaks 0 and 1 by -4..4 multiples: 18 slots
+    band = GraphonFamily({2: Graphon.constant(1.0).banded(0.25, False)})
+    monkeypatch.setattr(cells, "MAX_BREAK_SLOTS", 18)
+    assert moment_graphon(band, 2).value == 1 - 0.75**2
+    monkeypatch.setattr(cells, "MAX_BREAK_SLOTS", 17)
+    with pytest.raises(CapacityError, match="more than 17 break slots"):
+        moment_graphon(band, 2)
+
+
+def test_carleman_reference_alphas():
+    # alpha_2k sums the bounds over special symmetric words: Catalan numbers
+    # for the semicircle, the rate-2 sparse limit moments for constant(2.0)
     sc = carleman_partial_sum(CumulantSchedule.semicircle(), 8)
-    assert sc.verdict == "diverging-trend"
-    assert sc.alphas[:3] == (1.0, 3.0, 15.0)
+    assert sc.alphas == tuple(float(catalan(k)) for k in range(1, 9))
     assert sc.partial_sums[-1] > 4.5
 
     lam = carleman_partial_sum(CumulantSchedule.constant(2.0), 8)
-    assert lam.verdict == "diverging-trend"
-    assert lam.alphas[1] == pytest.approx(14.0)
+    assert lam.alphas[:4] == (2.0, 10.0, 66.0, 506.0)
+    assert lam.alphas == tuple(graphon_series(CumulantSchedule.constant(2.0), 16).values())
 
-    fact = carleman_partial_sum(
-        {2 * k: float(math.factorial(2 * k)) for k in range(1, 9)}, 8
-    )
-    assert fact.verdict == "inconclusive"
 
-    sq = carleman_partial_sum(
-        {2 * k: float(math.factorial(2 * k)) ** 2 for k in range(1, 9)}, 8
-    )
-    assert sq.verdict == "likely-fails"
-    assert sq.slope < -1.3
+def test_carleman_kernel_family_reads_its_bounds():
+    # 4xy has bound 4 at order two and no higher members: the semicircle with c2 = 4
+    kernel = carleman_partial_sum(GraphonFamily({2: Graphon.from_expression("4*x*y")}), 5)
+    flat = carleman_partial_sum(CumulantSchedule.semicircle(4.0), 5)
+    assert kernel == flat
+    assert kernel.alphas[:3] == (4.0, 32.0, 320.0)
 
 
 @pytest.mark.parametrize("big_k", [2, 3, 5, 8, 12])
 def test_carleman_slope_matches_polyfit(big_k):
     # the least-squares slope in plain floats against np.polyfit over k >= K/2
-    for source in (CumulantSchedule.semicircle(), CumulantSchedule.constant(2.0),
-                   {2 * k: float(math.factorial(2 * k)) for k in range(1, big_k + 1)},
-                   {2 * k: float(math.factorial(2 * k)) ** 2 for k in range(1, big_k + 1)}):
-        report = carleman_partial_sum(source, big_k)
+    factorial = {2 * k: float(math.factorial(2 * k)) for k in range(1, big_k + 1)}
+    for family in (CumulantSchedule.semicircle(), CumulantSchedule.constant(2.0),
+                   CumulantSchedule.from_dict(factorial),
+                   CumulantSchedule.from_dict({o: m**2 for o, m in factorial.items()})):
+        report = carleman_partial_sum(family, big_k)
         ks = np.arange(1, big_k + 1, dtype=float)
         keep = ks >= big_k / 2.0
         reference = np.polyfit(np.log(ks[keep]), np.log(np.array(report.terms)[keep]), 1)[0]
         assert report.slope == pytest.approx(reference, rel=1e-12, abs=1e-12)
+    assert math.isnan(carleman_partial_sum(CumulantSchedule.constant(2.0), 1).slope)
 
 
 def test_carleman_degenerate_schedule():
-    report = carleman_partial_sum({2 * k: 0.0 for k in range(1, 9)}, 8)
-    assert report.verdict == "divergent"
-    assert math.isinf(report.partial_sums[-1])
+    for family in (CumulantSchedule.from_dict({2 * k: 0.0 for k in range(1, 9)}),
+                   GraphonFamily({2: 0.0})):
+        report = carleman_partial_sum(family, 8)
+        assert report.alphas == (0.0,) * 8
+        assert all(map(math.isinf, report.terms))
+        assert math.isinf(report.partial_sums[-1])
+        assert math.isnan(report.slope)
+    with pytest.raises(ValidationError, match="at least one order"):
+        carleman_partial_sum(CumulantSchedule.semicircle(), 0)
 
 
 def test_carleman_alpha4_decomposition():
-    # order four splits into one block of four or two pairs (three pairings)
+    # order four is one block of four or two nested pairs (aabb, abba); the
+    # crossing pairing abab is not special symmetric
     report = carleman_partial_sum(CumulantSchedule.from_dict({2: 1.0, 4: 2.0, 6: 0.0, 8: 0.0}), 4)
-    assert report.alphas[1] == pytest.approx(2.0 + 3.0)
+    assert report.alphas[1] == 2.0 + 2.0
 
 
 def test_carleman_report_serialization():
     report = carleman_partial_sum(CumulantSchedule.semicircle(), 6)
     payload = report.to_json_dict()
-    assert payload["verdict"] == report.verdict
-    assert len(payload["orders"]) == 6
-    assert len(payload["ss_restricted_terms"]) == len(report.ss_terms)
-    assert len(report.ss_terms) == len(report.orders)
+    assert payload == {"orders": [2, 4, 6, 8, 10, 12], "alphas": list(report.alphas),
+                       "terms": list(report.terms), "partial_sums": list(report.partial_sums),
+                       "slope": report.slope}
+    assert carleman_partial_sum(CumulantSchedule.semicircle(), 1).to_json_dict()["slope"] is None
 
 
 def test_grid_rule_ignores_gauss_points():
@@ -465,9 +482,9 @@ def test_overflowing_moment_raises_instead_of_nan():
 
 def test_carleman_raises_on_overflowing_bounds():
     with pytest.raises(NumericError, match="not finite"):
-        carleman_partial_sum(lambda two_k: 1e300, 4)
-    with pytest.raises(NumericError):
-        carleman_partial_sum({2: 1.0, 4: math.nan}, 2)
+        carleman_partial_sum(CumulantSchedule.constant(1e300), 4)
+    with pytest.raises(NumericError, match="not finite"):
+        carleman_partial_sum(CumulantSchedule.from_dict({2: 1.0, 4: math.nan}), 2)
 
 
 def test_banded_schedule_is_moment_band():

@@ -97,6 +97,12 @@ def test_wasserstein_unequal_sizes_against_grid_oracle():
     assert wasserstein2(a, b) == pytest.approx(oracle, abs=1e-4)
 
 
+def test_wasserstein_sorts_its_inputs():
+    assert wasserstein2(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    a, b = np.array([2.0, -1.0, 0.5]), np.array([0.3, 1.0, -2.0, 0.0, 4.0])
+    assert wasserstein2(a, b) == wasserstein2(np.sort(a), np.sort(b))
+
+
 def test_wasserstein_rejects_empty():
     with pytest.raises(ValidationError):
         wasserstein2(np.array([]), np.array([1.0]))
@@ -124,6 +130,12 @@ def test_histogram_invariants():
     rows = forced.to_csv_rows()
     assert rows[0] == ["bin_left", "bin_right", "density"]
     assert len(rows) == 18
+
+
+def test_histogram_of_unsorted_values():
+    h = histogram(np.array([3, 1, 2, 0.5]), bins=2)
+    assert h.edges.tolist() == [0.5, 1.75, 3.0]
+    assert h.counts.tolist() == [2, 2]
 
 
 def test_histogram_degenerate_spectrum():
@@ -179,6 +191,14 @@ def test_spectral_moments_of_one_replicate_have_no_error():
     series = spectral_moments([values], 4)
     assert series.values() == [float(np.mean(values**k)) for k in range(1, 5)]
     assert all(np.isnan(e.error) for e in series.entries)
+
+
+def test_spectral_moments_that_overflow_raise():
+    for spectra, k_max in (([np.array([1e300])], 2),  # a power
+                           ([np.array([1.7e308])] * 2, 1),  # a mean
+                           ([np.array([1e200]), np.array([-1e200])], 1)):  # a standard error
+        with pytest.raises(NumericError, match="overflowed at k="):
+            spectral_moments(spectra, k_max)
 
 
 def test_eesd_moments_recover_semicircle_prefix():
