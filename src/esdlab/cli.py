@@ -290,11 +290,6 @@ def cmd_ss(args: argparse.Namespace) -> int:
     two_k = args.two_k
     if two_k < 1:
         raise ValidationError(f"length must be >= 1, got {two_k}")
-    if two_k % 2:
-        doc = {"two_k": two_k, "count": 0, "words": [],
-               "note": "odd lengths admit no special symmetric words (every block is even)"}
-        _emit(args, {}, doc, [["word"]])
-        return 0
     by_blocks = comb.count_ss_by_blocks(two_k)
     count = sum(by_blocks.values())
     if args.by_blocks:

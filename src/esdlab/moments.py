@@ -181,6 +181,12 @@ def carleman_partial_sum(family: GraphonFamily, big_k: int) -> CarlemanReport:
     sum over special symmetric words of the product of M over their blocks,
     which bounds the family's beta_{2k}. A term is infinite where alpha
     vanishes, and an alpha that is not finite raises NumericError.
+
+    M_{2k} is Graphon.bound, the maximum of |g| on the cells or, for a
+    function kernel, on the 29 x 29 graphons.CHECK_GRID only. A peak between grid
+    points is missed, and then the alphas are not upper bounds:
+    exp(-1000*(x-0.01)**2 - 1000*(y-0.01)**2) has bound 0.8187, but
+    g(0.01, 0.01) = 1.
     """
     from statistics import linear_regression
 

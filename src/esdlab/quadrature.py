@@ -25,6 +25,11 @@ neither takes a setting:
   |i - j| only), which keeps the single-edge integral exact and the rule
   second order.
 
+The grid rule's error is a gap between resolutions, so a break of an ``ind``
+kernel between grid points can make the three grids agree and report error 0
+for a wrong value: ``ind(x < 0.1994)*ind(y < 0.1994)`` gives beta_2 =
+0.0396881103515625 with error 0.0, against 0.1994**2 = 0.03976036.
+
 Called directly, :func:`integrate_tree_sum` runs these rules on any kernels,
 exact ones included. Here the arrays of a theory command begin.
 """

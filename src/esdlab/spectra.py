@@ -3,17 +3,12 @@
 A draw is its float64 matrix and a spectrum is its ascending eigenvalue
 array. Simulation has one replicate loop: each replicate gets a child seed, is
 sampled once and truncated if asked, and is measured once (the budget counts
-one n^3 eigensolve each, an upper bound). replicate_esds measures spectra,
-and simulate's moments are mean(eigenvalues**k) of them. eesd_moments, the
-moments compare reads, needs no spectrum: moment_row sums a sparse draw's
-closed walks over its nonzeros (_walk_moments), exactly for integer entries,
-and gives a dense draw the eigenvalue means. eigenvalues runs one eigensolve
-per connected component of the graph whose edges are the matrix's nonzero
-pairs, labelled by component_labels over those pairs: a matrix with several
-components is block-diagonal up to a permutation, and its spectrum is the
-union of the blocks' spectra, so a sparse draw solves a few smaller blocks
-while a connected one goes to a single full solve. empirical_moments
-computes the same moments from traces of dense matrix powers
+one n^3 eigensolve each). replicate_esds measures spectra, one eigvalsh call
+per draw, and simulate's moments are mean(eigenvalues**k) of them.
+eesd_moments, the moments compare reads, needs no spectrum: moment_row sums a
+sparse draw's closed walks over its nonzeros (_walk_moments), exactly for
+integer entries, and gives a dense draw the eigenvalue means.
+empirical_moments computes the same moments from traces of dense matrix powers
 (tr(M^(a+b)) = sum(M^a * M^b), so only half the powers are formed); the tests
 use it to cross-check the other two.
 """
@@ -59,57 +54,15 @@ def _moments(values: np.ndarray, k_max: int) -> list[float]:
     return out
 
 
-def component_labels(matrix: np.ndarray) -> np.ndarray:
-    """Label each index by the smallest index of its connected component.
-
-    Two indices are linked when the entry between them is nonzero in either
-    triangle, so the graph's edges are the matrix's nonzero pairs, read in
-    both directions. Min-label propagation with pointer jumping: each round
-    every index takes the smallest label over its edges and its own, every
-    root adopts the smallest label its members saw, and labels jump to their
-    roots. The rounds stop when no index sees a label smaller than its own,
-    or when every label is 0. When row 0 or column 0 links index 0 to every
-    other index, as in a dense draw, the labels are all 0 without a round.
-    """
-    if len(matrix) == 0 or ((matrix[0, 1:] != 0) | (matrix[1:, 0] != 0)).all():
-        return np.zeros(len(matrix), dtype=int)
-    rows, cols = np.nonzero(matrix != 0)
-    heads, tails = np.concatenate((rows, cols)), np.concatenate((cols, rows))
-    labels = np.arange(len(matrix))
-    while labels.any():
-        seen = labels.copy()
-        np.minimum.at(seen, heads, labels[tails])
-        if np.array_equal(seen, labels):
-            break
-        np.minimum.at(labels, labels.copy(), seen)
-        while not np.array_equal(jumped := labels[labels], labels):
-            labels = jumped
-    return labels
-
-
 def eigenvalues(m) -> np.ndarray:
-    """Full spectrum of a symmetric matrix, ascending, one solve per connected component.
+    """Full spectrum of a symmetric matrix, ascending, by one eigvalsh call.
 
-    A connected matrix goes whole to one eigvalsh call. Otherwise each
-    component's principal submatrix is solved, components of equal size in
-    one stacked call, and the union of their spectra is sorted.
+    eigvalsh reads the lower triangle only.
     """
     matrix = _as_matrix(m)
     if not np.all(np.isfinite(matrix)):
         raise NumericError("matrix has non-finite entries")
-    labels = component_labels(matrix)
-    if not labels.any():
-        return np.linalg.eigvalsh(matrix)
-    # components contiguous and members ascending, so each block's lower triangle,
-    # the part eigvalsh reads, holds entries of the matrix's lower triangle
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels)[labels[order]]
-    parts = []
-    for size in np.unique(sizes):
-        members = order[sizes == size].reshape(-1, size)
-        blocks = matrix[members[:, :, None], members[:, None, :]]
-        parts.append(np.linalg.eigvalsh(blocks).ravel())
-    return np.sort(np.concatenate(parts))
+    return np.linalg.eigvalsh(matrix)
 
 
 def require_moment_order(k: int) -> None:

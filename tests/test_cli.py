@@ -67,6 +67,23 @@ def test_ss_odd_length_is_empty_but_ok(capsys):
     assert json.loads(out)["count"] == 0
 
 
+@pytest.mark.parametrize("mode", [(), ("--by-blocks",), ("--count-only",), ("--list",)],
+                         ids=["census", "by-blocks", "count-only", "list"])
+def test_ss_odd_length_keeps_the_output_mode(capsys, mode):
+    docs, headers = {}, {}
+    for two_k in (7, 8):
+        code, out, _ = run(capsys, "ss", str(two_k), *mode, "--reproducible")
+        assert code == 0
+        docs[two_k] = json.loads(out)
+        code, out, _ = run(capsys, "ss", str(two_k), *mode, "--format", "csv")
+        assert code == 0
+        headers[two_k] = out.splitlines()[0]
+    assert list(docs[7]) == list(docs[8])
+    assert headers[7] == headers[8]
+    odd = docs[7]
+    assert odd["count"] == 0 and not odd.get("by_blocks") and not odd.get("words")
+
+
 @pytest.mark.parametrize("two_k", [2, 4, 5, 8, 12])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_ss_list_streams_the_materialised_document(capsys, tmp_path, two_k, fmt):
@@ -81,8 +98,6 @@ def test_ss_list_streams_the_materialised_document(capsys, tmp_path, two_k, fmt)
         head = json.loads(streamed)
         doc = {"command": "ss", "seed": DEFAULT_SEED, "config_sha256": head["config_sha256"],
                "two_k": two_k, "count": len(words), "words": words}
-        if two_k % 2:
-            doc["note"] = head["note"]
         assert streamed == json.dumps(doc, indent=2) + "\n"
     else:
         buf = io.StringIO()
