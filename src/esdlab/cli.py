@@ -7,13 +7,11 @@ Outputs are JSON (default) or CSV, to stdout or --out. Every document embeds
 the seed and a hash of the parsed payload and the other flags; a timestamp is
 added unless --reproducible is set, so reruns can be byte-identical.
 
-A --config file is JSON. Its top level is the payload for the subcommand
-(theory description, model spec, or {"theory":..., "model":...} for compare;
-ss and circuits take no payload); an optional "args" object overrides
-command-line flags, each value read as the flag's own text would be.
-Precedence is config file over flags over built-in defaults. Without a
-payload in --config, --theory-json and --model-json give it, so it is read
-once either way.
+moments, simulate and compare take a payload (a theory description, a model
+spec, or {"theory":..., "model":...} for compare): a --config file holds it
+as JSON, else --theory-json and --model-json give it, so it is read once
+either way. Flags are read by argparse alone, and ss and circuits, which take
+no payload, take no --config.
 
 Each subcommand imports what it runs when it runs: ss loads combinatorics,
 circuits loads circuits and combinatorics, and neither loads numpy,
@@ -48,7 +46,6 @@ _STREAM_BATCH = 4096
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; overrides flags")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", help="output path (default stdout)")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -113,13 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ci)
     ci.set_defaults(func=cmd_circuits)
 
-    for sub in (mo, si, co):
+    for sub in (mo, si, co):  # the commands that take a payload
+        sub.add_argument("--config", help="JSON file holding the payload")
         sub.add_argument("--parallel", type=int,
                          help="accepted and ignored: replicates run one after another and "
                               "BLAS chooses its own threads")
-    for sub in (ss, mo, si, co, ci):
-        # config "args" overrides skip parse_args; _apply_config reads them by these
-        sub.set_defaults(actions={action.dest: action for action in sub._actions})
     return parser
 
 
@@ -145,59 +140,19 @@ def _load_json(text: str | None, where: str):
         raise ValidationError(f"{where} is not valid JSON: {exc}") from None
 
 
-def _override(action: argparse.Action, key: str, value):
-    """A config override as the flag's parsed value: its text through the flag's type."""
-    if action.nargs == 0:  # a switch such as --reproducible
-        if not isinstance(value, bool):
-            raise ValidationError(f"config override {key!r} must be true or false, got {value!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ValidationError(f"config override {key!r} must be a string or a number, "
-                              f"got {value!r}")
-    try:
-        value = (action.type or str)(str(value))
-    except ValueError:
-        raise ValidationError(f"config override {key!r} has an invalid value {value!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise ValidationError(f"config override {key!r} must be one of {list(action.choices)}, "
-                              f"got {value!r}")
-    return value
-
-
-def _apply_config(args: argparse.Namespace) -> dict:
-    """Load --config, apply its "args" overrides, return the payload part."""
-    if not args.config:
-        return {}
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read config file {args.config}: {exc.strerror}") from None
-    cfg = _load_json(text, f"config file {args.config}")
-    if not isinstance(cfg, dict):
-        raise ValidationError("config file must hold a JSON object")
-    payload = dict(cfg)
-    overrides = payload.pop("args", {})
-    if not isinstance(overrides, dict):
-        raise ValidationError("config 'args' must be an object of flag overrides")
-    for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        action = args.actions.get(dest)
-        if action is None or dest in ("config", "help"):
-            raise ValidationError(f"config overrides unknown flag {key!r}")
-        setattr(args, dest, _override(action, key, value))
-    return payload
-
-
 def _payload(args: argparse.Namespace, *sections: str):
     """The payload of this run, read once: the --config file's, else the JSON of the
-    inline ``--SECTION-json`` flags, that section's itself or an object of several.
-    A command with no sections takes no payload: its config may set only "args"."""
-    payload = _apply_config(args)
-    if payload and not sections:
-        raise ValidationError(f"unknown keys {sorted(payload)} in {args.command} config; "
-                              f"{args.command} takes only 'args'")
-    if payload or not sections:
+    inline ``--SECTION-json`` flags, that section's itself or an object of several."""
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot read config file {args.config}: {exc.strerror}") from None
+        payload = _load_json(text, f"config file {args.config}")
+        if not isinstance(payload, dict):
+            raise ValidationError("config file must hold a JSON object")
         return payload
     inline = {section: _load_json(getattr(args, f"{section}_json"), f"--{section}-json")
               for section in sections}
@@ -228,7 +183,7 @@ def _config_digest(payload: dict, args: argparse.Namespace) -> str:
     """Digest of the parsed payload and the other flags, so neither the payload's
     source nor its spelling changes it."""
     mirror = {k: v for k, v in vars(args).items() if k not in
-              ("func", "actions", "config", "out", "parallel", "theory_json", "model_json")}
+              ("func", "config", "out", "parallel", "theory_json", "model_json")}
     blob = json.dumps({"payload": payload, "args": mirror}, sort_keys=True, default=str)
     return _sha256_hex(blob.encode())
 
@@ -281,8 +236,7 @@ def _write_json(fh, document: dict) -> None:
 def cmd_ss(args: argparse.Namespace) -> int:
     from . import combinatorics as comb
 
-    _payload(args)
-    # checked here, not by argparse, because config "args" overrides skip the parser
+    # one output mode, checked here: an argparse group's refusal adds a usage line
     modes = [f"--{dest.replace('_', '-')}" for dest in ("list", "by_blocks", "count_only")
              if getattr(args, dest)]
     if len(modes) > 1:
@@ -379,7 +333,6 @@ def cmd_circuits(args: argparse.Namespace) -> int:
     from . import circuits as circuits_mod
     from . import combinatorics as comb
 
-    _payload(args)
     word = comb.Word.from_string(args.word)
     try:
         n_values = [int(part) for part in str(args.n_values).split(",") if part.strip()]

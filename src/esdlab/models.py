@@ -176,7 +176,7 @@ def _row_sampler(spec: ModelSpec):
 
         def inhomogeneous(rng, i):
             probs = np.broadcast_to(prob_fn((i + 1) / n, ys[i:], float(n)), (n - i,))
-            if np.any(probs < 0) or np.any(probs > 1):
+            if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails both
                 raise ValidationError(
                     f"probability expression {p['prob']!r} leaves [0,1] at n={n}")
             return (rng.random(n - i) < probs).astype(float)
@@ -222,10 +222,13 @@ def sample(spec: ModelSpec) -> np.ndarray:
     n = spec.n
     row = _row_sampler(spec)
     matrix = np.zeros((n, n))
-    for i, rng in enumerate(_row_rngs(spec.seed, range(n))):
-        # each row tail is also its column, so one n x n array is ever held; + 0.0
-        # stores a -0.0 entry (a negative draw times a zero mask or profile) as 0.0
-        matrix[i, i:] = matrix[i:, i] = row(rng, i) + 0.0
+    # numpy warns nothing here: a NaN or infinite entry is refused by one error, from
+    # the row's own check or the finiteness check below
+    with np.errstate(all="ignore"):
+        for i, rng in enumerate(_row_rngs(spec.seed, range(n))):
+            # each row tail is also its column, so one n x n array is ever held; + 0.0
+            # stores a -0.0 entry (a negative draw times a zero mask or profile) as 0.0
+            matrix[i, i:] = matrix[i:, i] = row(rng, i) + 0.0
     if spec.zero_diagonal:
         np.fill_diagonal(matrix, 0.0)
     if not np.all(np.isfinite(matrix)):
@@ -320,6 +323,10 @@ def effective_cumulants(spec: ModelSpec, at_n: Optional[int] = None,
     if spec.variant == "band":
         base = effective_cumulants(spec.base_spec(), at_n=at_n)
         return base.banded(p["half_width"], p.get("periodic", False))
+    if at_n is not None:  # entries s * Z / sqrt(n): a gaussian profile on the scales grid
+        gaussian = ModelSpec("gaussian_wigner", spec.n, spec.seed)
+        scales = block_family(p["masses"], {2: p["scales"]}).g(2)
+        return profile_family(scales, effective_cumulants(gaussian, at_n))
     squares = [[float(s) * float(s) for s in row] for row in p["scales"]]
     return block_family(p["masses"], {2: squares}, description="block gaussian")
 

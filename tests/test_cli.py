@@ -258,12 +258,9 @@ def test_config_digest_reads_the_parsed_payload(capsys, tmp_path):
     """One payload has one digest, whatever its spelling and whichever flag or file holds it."""
     spaced = tmp_path / "spaced.json"
     spaced.write_text('{ "kind" : "semicircle" }')
-    with_args = tmp_path / "with_args.json"
-    with_args.write_text('{"kind": "semicircle", "args": {"two_k": 2}}')
     spellings = [("--theory-json", '{"kind":"semicircle"}', "--two-k", "2"),
                  ("--theory-json", '{"kind": "semicircle"}', "--two-k", "2"),
-                 ("--config", str(spaced), "--two-k", "2"),
-                 ("--config", str(with_args))]
+                 ("--config", str(spaced), "--two-k", "2")]
     docs = [json.loads(run(capsys, "moments", *argv, "--reproducible")[1]) for argv in spellings]
     assert len({doc["config_sha256"] for doc in docs}) == 1
     assert len({json.dumps(doc, sort_keys=True) for doc in docs}) == 1
@@ -449,28 +446,17 @@ def test_circuits_rejects_bad_word(capsys):
     assert "error" in err
 
 
-def test_config_file_overrides_flags(capsys, tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({
-        "kind": "semicircle", "c2": 1.0,
-        "args": {"two_k": 4, "format": "csv"},
-    }))
-    # the config's args section wins over the command line values
-    code, out, _ = run(capsys, "moments", "--config", str(cfg),
-                       "--two-k", "8", "--reproducible")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "two_k,beta,error_estimate"
-    assert lines[-1].startswith("4,2.0")
-
-
 def test_config_rejects_unknown_arg_names(capsys, tmp_path):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"kind": "semicircle", "c2": 1.0,
-                               "args": {"no_such_flag": 1}}))
-    code, _, err = run(capsys, "moments", "--config", str(cfg))
-    assert code == 2
-    assert "no_such_flag" in err
+    # flags are read from the command line alone: "args" is an unknown payload key
+    args = {"args": {"no_such_flag": 1}}
+    for argv, payload in ((("moments",), {"kind": "semicircle", "c2": 1.0}),
+                          (("simulate", "--n", "4"), {"variant": "gaussian_wigner"}),
+                          (("compare", "--n", "4", "--reps", "2"), GAUSSIAN_COMPARE)):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**payload, **args}))
+        code, out, err = run(capsys, *argv, "--config", str(cfg), "--reproducible")
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: unknown keys ['args']") and err.count("\n") == 1, err
 
 
 def test_output_file_writing(capsys, tmp_path):
@@ -887,52 +873,43 @@ def test_simulate_variance_profile_with_a_grid_profile(capsys):
 
 
 @pytest.mark.parametrize("argv", [("ss", "4"), ("circuits", "abba")])
-@pytest.mark.parametrize("payload", [{"two_k": "8"}, {"two_k": 8, "junk": 1}, {"word": "aabb"}])
-def test_ss_and_circuits_configs_take_only_args(capsys, tmp_path, argv, payload):
-    cfg = tmp_path / "payload.json"
-    cfg.write_text(json.dumps(payload))
-    code, out, err = run(capsys, *argv, "--config", str(cfg), "--reproducible")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: unknown keys") and "takes only 'args'" in err
+def test_ss_and_circuits_take_no_config(capsys, tmp_path, argv):
+    # they take no payload, and their flags are read from the command line alone
+    cfg = tmp_path / "empty.json"
+    cfg.write_text("{}")
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--config", str(cfg), "--reproducible"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, overrides", [
-    (("ss", "6"), {"list": True, "by_blocks": True}),
-    (("ss", "6", "--list"), {"count_only": True}),
-    (("ss", "6", "--by-blocks"), {"count_only": True}),
+# a probability that is NaN for x < 0.5, and a profile that is finite on the
+# 29-point check grid but NaN near 0.51: each is one error line, and no numpy warning
+@pytest.mark.parametrize("n, model, message", [
+    (50, {"variant": "sparse_inhomogeneous", "params": {"prob": "sqrt(x - 0.5)/n"}},
+     "leaves [0,1]"),
+    (100, {"variant": "variance_profile",
+           "params": {"profile": "sqrt(abs(x - 0.51) - 0.003)*sqrt(abs(y - 0.51) - 0.003)"}},
+     "non-finite entries"),
 ])
-def test_ss_output_modes_from_config_exit_2(capsys, tmp_path, argv, overrides):
-    cfg = tmp_path / "modes.json"
-    cfg.write_text(json.dumps({"args": overrides}))
-    code, out, err = run(capsys, *argv, "--config", str(cfg), "--reproducible")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ss takes one output mode")
+def test_sampler_refusals_leak_no_warning(n, model, message):
+    done = _python("-W", "error::RuntimeWarning", "-m", "esdlab", "simulate", "--n", str(n),
+                   "--reps", "2", "--reproducible", "--model-json", json.dumps(model))
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert message in done.stderr
 
 
 def test_compare_config_takes_only_theory_model_and_args(capsys, tmp_path):
     cfg = tmp_path / "compare.json"
     cfg.write_text(json.dumps({"theory": {"kind": "sparse", "rate": 2.0},
                                "model": {"variant": "sparse_homogeneous", "params": {"rate": 2.0}},
-                               "thresold": 1.0, "args": {"n": 20, "reps": 2, "two_k": 2}}))
-    code, out, err = run(capsys, "compare", "--config", str(cfg), "--reproducible")
+                               "thresold": 1.0}))
+    code, out, err = run(capsys, "compare", "--config", str(cfg), "--n", "20", "--reps", "2",
+                         "--two-k", "2", "--reproducible")
     assert code == 2
     assert out == ""
     assert err.startswith("error: unknown keys ['thresold'] in compare config")
-
-
-def test_ss_and_circuits_configs_apply_args(capsys, tmp_path):
-    cfg = tmp_path / "args.json"
-    cfg.write_text(json.dumps({"args": {"two_k": 8, "by_blocks": True}}))
-    code, out, _ = run(capsys, "ss", "4", "--config", str(cfg), "--reproducible")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["two_k"] == 8 and doc["by_blocks"] == {"1": 1, "2": 14, "3": 28, "4": 14}
-
-    cfg.write_text(json.dumps({"args": {"n_values": "2,3"}}))
-    code, out, _ = run(capsys, "circuits", "abba", "--config", str(cfg), "--reproducible")
-    assert code == 0
-    assert [r["n"] for r in json.loads(out)["results"]] == [2, 3]
 
 
 @pytest.mark.parametrize("base", [
@@ -995,43 +972,6 @@ def test_missing_config_file_exits_2(capsys, tmp_path):
     assert err.startswith("error: cannot read config file")
 
 
-def test_config_overrides_read_like_the_flags(capsys, tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"kind": "semicircle", "args": {"two_k": "4", "seed": 16,
-                                                                "reproducible": True}}))
-    code, out, _ = run(capsys, "moments", "--config", str(cfg))
-    assert code == 0
-    doc = json.loads(out)
-    assert [e["two_k"] for e in doc["series"]["entries"]] == [2, 4]
-    assert doc["seed"] == 16
-    assert "timestamp" not in doc
-
-    by_flags = run(capsys, "moments", "--theory-json", '{"kind":"semicircle"}', "--two-k", "4",
-                   "--seed", "16", "--reproducible")[1]
-    assert json.loads(by_flags)["series"] == doc["series"]
-
-
-@pytest.mark.parametrize("overrides, message", [
-    ({"two_k": "eight"}, "invalid value"),
-    ({"two_k": 4.5}, "invalid value"),
-    ({"two_k": True}, "must be a string or a number"),
-    ({"two_k": None}, "must be a string or a number"),
-    ({"format": "xml"}, "must be one of"),
-    ({"reproducible": "yes"}, "must be true or false"),
-    ({"help": True}, "unknown flag"),
-    ({"actions": {}}, "unknown flag"),
-    ({"quad_points": 16}, "unknown flag"),  # the Gauss order is fixed, not a setting
-    ([1], "'args' must be an object"),
-])
-def test_bad_config_overrides_exit_2(capsys, tmp_path, overrides, message):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"kind": "semicircle", "args": overrides}))
-    code, out, err = run(capsys, "moments", "--config", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and message in err
-
-
 GAUSSIAN_COMPARE = {"theory": {"kind": "semicircle"}, "model": {"variant": "gaussian_wigner"}}
 
 
@@ -1045,12 +985,10 @@ GAUSSIAN_COMPARE = {"theory": {"kind": "semicircle"}, "model": {"variant": "gaus
     (("compare", "--n", "20", "--reps", "3"), GAUSSIAN_COMPARE, "threshold", "-1"),
 ])
 def test_nan_and_negative_limits_exit_2(capsys, tmp_path, argv, payload, flag, value):
-    cfg = tmp_path / "limit.json"
-    cfg.write_text(json.dumps({**payload, "args": {flag: value}}))
-    code, out, err = run(capsys, *argv, "--config", str(cfg))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "invalid value" in err
-
+    if payload:  # a payload that runs, so the flag alone is refused
+        cfg = tmp_path / "limit.json"
+        cfg.write_text(json.dumps(payload))
+        argv = (*argv, "--config", str(cfg))
     with pytest.raises(SystemExit) as exit_:
         main([*argv, f"--{flag}", value])
     assert exit_.value.code == 2

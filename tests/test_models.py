@@ -1,5 +1,6 @@
 """Matrix ensembles: reproducible sampling and entry-moment bookkeeping."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -130,6 +131,13 @@ def test_inhomogeneous_rejects_bad_probabilities():
         sample(ModelSpec("sparse_inhomogeneous", 50, 1, {"prob": "-x"}))
 
 
+def test_inhomogeneous_rejects_a_nan_probability():
+    # NaN fails both p >= 0 and p <= 1, so the range check refuses it, warnings or none
+    spec = ModelSpec("sparse_inhomogeneous", 50, 1, {"prob": "sqrt(x - 0.5)/n"})
+    with np.errstate(all="ignore"), pytest.raises(ValidationError, match=r"leaves \[0,1\]"):
+        sample(spec)
+
+
 def test_heavy_tailed_truncation_identity():
     n, alpha = 800, 1.2
     spec = ModelSpec("heavy_tailed", n, 23, {"tail_index": alpha})
@@ -173,6 +181,23 @@ def test_gaussian_cumulants_at_finite_n():
     assert [finite.value(two_k) for two_k in (2, 4, 6)] == pytest.approx([1.0, 0.3, 0.15],
                                                                         rel=1e-15)
     assert effective_cumulants(spec).value(6) == 0.0  # the semicircle limit
+
+
+def test_block_cumulants_at_finite_n():
+    # entries s Z / sqrt(n): n E[x^(2k)] is s^(2k) n^(1-k) (2k-1)!! on each block pair
+    scales = [[1, 0.5], [0.5, 2]]
+    spec = ModelSpec("block", 10, 1, {"masses": [0.5, 0.5], "scales": scales})
+    finite = effective_cumulants(spec, at_n=10)
+    for two_k, gaussian in ((2, 1.0), (4, 0.3), (6, 0.15)):
+        kernel = finite.g(two_k)
+        for (i, x), (j, y) in itertools.product(enumerate((0.25, 0.75)), repeat=2):
+            assert float(kernel.eval(x, y)) == pytest.approx(gaussian * scales[i][j] ** two_k,
+                                                             rel=1e-12)
+    # the block of scale 2 is a constant profile 2.0 over gaussian_wigner at n = 10
+    profile = ModelSpec("variance_profile", 10, 1, {"profile": 2.0})
+    assert float(finite.g(4).eval(0.75, 0.75)) == pytest.approx(
+        float(effective_cumulants(profile, at_n=10).g(4).eval(0.75, 0.75)), rel=1e-12)
+    assert effective_cumulants(spec).g(4) is None  # the limit keeps only the variances
 
 
 def test_truncate_identities():
